@@ -74,6 +74,7 @@ import shutil
 import sys
 import tempfile
 import time
+from types import SimpleNamespace
 from typing import Dict, List, Tuple
 
 from repro.baselines.base import SerialFaultSimulator
@@ -90,7 +91,7 @@ from repro.sim.codegen import CodegenEngine
 from repro.sim.emitter import DEFAULT_PASSES, EmitterPasses
 from repro.sim.eraser_codegen import EraserCodegenSimulator
 from repro.sim.packed import PackedCodegenSimulator
-from repro.sim.parallel import ParallelFaultSimulator, WorkloadSpec
+from repro.sim.parallel import run_multiprocess
 from repro.sim.vector import VectorFaultSimulator
 from repro.sim.vector import np as _vector_np
 
@@ -190,6 +191,13 @@ def time_engine(workload: ExperimentWorkload, repeats: int) -> float:
         kernel.run(workload.stimulus)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def campaign(design, **knobs):
+    """A ``run(stimulus, faults)`` face over :func:`run_multiprocess`."""
+    return SimpleNamespace(
+        run=lambda stimulus, faults: run_multiprocess(design, stimulus, faults, **knobs)
+    )
 
 
 def time_fault_sim(factory, stimulus, faults, repeats: int):
@@ -382,7 +390,6 @@ def run_harness(repeats: int, sweep_all: bool = False) -> Dict:
         faults = generate_stuck_at_faults(workload.design)
         if fault_count is not None:
             faults = sample_faults(faults, fault_count, seed=7)
-        spec = WorkloadSpec.from_benchmark(name)
         packed_s, packed_r = time_fault_sim(
             lambda: PackedCodegenSimulator(workload.design, width=PACKED_WIDTH),
             workload.stimulus,
@@ -390,9 +397,7 @@ def run_harness(repeats: int, sweep_all: bool = False) -> Dict:
             repeats,
         )
         process_s, process_r = time_fault_sim(
-            lambda: ParallelFaultSimulator(
-                workload.design, workers=workers, width=PACKED_WIDTH, spec=spec
-            ),
+            lambda: campaign(workload.design, workers=workers, width=PACKED_WIDTH),
             workload.stimulus,
             faults,
             repeats,
@@ -428,7 +433,7 @@ def run_harness(repeats: int, sweep_all: bool = False) -> Dict:
         )
         seeds = dict(seed_run.coverage.detections)
         nodrop_s, nodrop_r = time_fault_sim(
-            lambda: ParallelFaultSimulator(
+            lambda: campaign(
                 workload.design,
                 workers=1,
                 width=PACKED_WIDTH,
@@ -440,7 +445,7 @@ def run_harness(repeats: int, sweep_all: bool = False) -> Dict:
             repeats,
         )
         drop_s, drop_r = time_fault_sim(
-            lambda: ParallelFaultSimulator(
+            lambda: campaign(
                 workload.design,
                 workers=1,
                 width=PACKED_WIDTH,
@@ -491,13 +496,13 @@ def run_harness(repeats: int, sweep_all: bool = False) -> Dict:
             # cold run's worth of cached verdicts
             cache_root = tempfile.mkdtemp(prefix="repro-results-gate-")
             try:
-                cold_sim = ParallelFaultSimulator(
+                cold_sim = campaign(
                     workload.design, workers=1, width=PACKED_WIDTH, cache=cache_root
                 )
                 start = time.perf_counter()
                 cold_r = cold_sim.run(workload.stimulus, faults)
                 cold_s = min(cold_s, time.perf_counter() - start)
-                warm_sim = ParallelFaultSimulator(
+                warm_sim = campaign(
                     workload.design, workers=1, width=PACKED_WIDTH, cache=cache_root
                 )
                 start = time.perf_counter()
@@ -606,16 +611,18 @@ def run_harness(repeats: int, sweep_all: bool = False) -> Dict:
                     f"reference on "
                     f"{result.coverage.disagreements(reference.coverage)}"
                 )
-        auto_workload = workload._replace(faults=faults)
+        auto_sim = campaign(
+            workload.design, workers=1, width=PACKED_WIDTH, runner=("auto", {})
+        )
         # one untimed warm-up: the fixed candidates arrive with their kernels
         # already compiled by the earlier sections, so the auto side gets the
         # same courtesy before the clock starts
-        auto_workload.run_faults(width=PACKED_WIDTH)
+        auto_sim.run(workload.stimulus, faults)
         auto_s = float("inf")
         auto_r = None
         for _ in range(repeats):
             start = time.perf_counter()
-            auto_r = auto_workload.run_faults(width=PACKED_WIDTH)
+            auto_r = auto_sim.run(workload.stimulus, faults)
             auto_s = min(auto_s, time.perf_counter() - start)
         if auto_r.coverage.detections != reference.coverage.detections:
             raise SystemExit(

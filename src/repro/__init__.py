@@ -32,15 +32,14 @@ Quickstart
 """
 
 from repro.api import (
-    ENGINES,
-    EXECUTORS,
+    ENGINE_SPECS,
+    CampaignConfig,
     CampaignProgress,
     ChaosPlan,
     ChaosRule,
     CycleDriver,
     EraserCodegenSimulator,
     PackedCodegenSimulator,
-    ParallelFaultSimulator,
     ResultCache,
     RetryPolicy,
     VerdictPlane,
@@ -53,9 +52,6 @@ from repro.api import (
     make_engine,
     progress_printer,
     run_multiprocess,
-    run_sharded,
-    set_campaign_defaults,
-    set_default_progress,
     simulate_good,
     stimulus_hash,
 )
@@ -70,19 +66,18 @@ from repro.sim.stimulus import Stimulus, VectorStimulus
 __version__ = "0.1.0"
 
 __all__ = [
+    "CampaignConfig",
     "CampaignProgress",
     "ChaosPlan",
     "ChaosRule",
     "CycleDriver",
-    "ENGINES",
-    "EXECUTORS",
+    "ENGINE_SPECS",
     "EraserCodegenSimulator",
     "EraserMode",
     "EraserSimulator",
     "FaultCoverageReport",
     "IFsimSimulator",
     "PackedCodegenSimulator",
-    "ParallelFaultSimulator",
     "ResultCache",
     "RetryPolicy",
     "StuckAtFault",
@@ -101,9 +96,6 @@ __all__ = [
     "make_engine",
     "progress_printer",
     "run_multiprocess",
-    "run_sharded",
-    "set_campaign_defaults",
-    "set_default_progress",
     "simulate_good",
     "stimulus_hash",
 ]

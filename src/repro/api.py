@@ -24,17 +24,15 @@ from repro.sim.eraser_codegen import (  # re-export
     EraserCodegenEngine,
     EraserCodegenSimulator,
 )
-from repro.sim.kernel import CycleDriver, EXECUTORS, run_sharded  # re-export
+from repro.sim.kernel import CycleDriver  # re-export
 from repro.sim.packed import PackedCodegenEngine, PackedCodegenSimulator  # re-export
 from repro.sim.chaos import ChaosPlan, ChaosRule  # re-export
 from repro.sim.parallel import (  # re-export
+    CampaignConfig,
     CampaignProgress,
-    ParallelFaultSimulator,
     WorkloadSpec,
     progress_printer,
     run_multiprocess,
-    set_campaign_defaults,
-    set_default_progress,
 )
 from repro.sim.resilience import RetryPolicy  # re-export
 from repro.sim.result_cache import ResultCache, stimulus_hash  # re-export
@@ -43,19 +41,17 @@ from repro.sim.vector import VectorCodegenEngine, VectorFaultSimulator  # re-exp
 from repro.sim.verdict_plane import VerdictPlane  # re-export
 
 __all__ = [
+    "CampaignConfig",
     "CampaignProgress",
     "ChaosPlan",
     "ChaosRule",
     "CycleDriver",
-    "ENGINES",
     "ENGINE_SPECS",
-    "EXECUTORS",
     "EngineSpec",
     "EraserCodegenEngine",
     "EraserCodegenSimulator",
     "FaultList",
     "PackedCodegenSimulator",
-    "ParallelFaultSimulator",
     "ResultCache",
     "RetryPolicy",
     "VectorCodegenEngine",
@@ -71,9 +67,6 @@ __all__ = [
     "make_engine",
     "progress_printer",
     "run_multiprocess",
-    "run_sharded",
-    "set_campaign_defaults",
-    "set_default_progress",
     "simulate_good",
     "stimulus_hash",
 ]
@@ -145,11 +138,6 @@ ENGINE_SPECS: Dict[str, EngineSpec] = {
     ),
 }
 
-#: Back-compat name -> factory view of :data:`ENGINE_SPECS` (same keys).
-ENGINES: Dict[str, Callable[..., object]] = {
-    name: spec.factory for name, spec in ENGINE_SPECS.items()
-}
-
 #: Engine used when a caller does not ask for one explicitly.
 DEFAULT_ENGINE = "event"
 
@@ -175,10 +163,10 @@ def make_engine(
     ``run`` / ``peek`` conveniences common to all engines.
     """
     try:
-        factory = ENGINES[engine]
+        spec = ENGINE_SPECS[engine]
     except KeyError:
-        raise UnknownOptionError.for_option("engine", engine, ENGINES) from None
-    return factory(design, force_hook=force_hook)
+        raise UnknownOptionError.for_option("engine", engine, ENGINE_SPECS) from None
+    return spec.factory(design, force_hook=force_hook)
 
 
 def compile_design(source: str, top: str) -> Design:

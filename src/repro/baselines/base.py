@@ -10,12 +10,11 @@ observed.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.stats import SimulationStats
-from repro.errors import SimulationError, UnknownOptionError
+from repro.errors import SimulationError
 from repro.fault.coverage import FaultCoverageReport
 from repro.fault.detection import ObservationManager
 from repro.fault.faultlist import FaultList
@@ -24,6 +23,9 @@ from repro.fault.result import FaultSimResult
 from repro.ir.design import Design
 from repro.ir.signal import Signal
 from repro.sim.stimulus import Stimulus
+
+if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
+    from repro.sim.parallel import CampaignConfig
 
 
 class SerialFaultSimulator:
@@ -41,23 +43,21 @@ class SerialFaultSimulator:
     single-machine, so it resolves between the interpreted event kernel
     (mostly-idle designs) and serial codegen.
 
-    ``executor`` selects how the per-fault loop is distributed (see
-    :data:`repro.sim.kernel.EXECUTORS`): ``"serial"`` (default) is the
-    classic one-fault-at-a-time loop in this process, ``"thread"`` shards the
-    fault list over a thread pool of clones of this simulator, and
-    ``"process"`` re-runs the same serial per-fault semantics inside spawned
-    worker processes (the kernel is reconstructed per worker from the
-    design's compile provenance).  ``workers`` bounds the pool; verdicts are
-    executor-independent.
+    ``campaign`` distributes the per-fault loop: ``None`` (default) is the
+    classic one-fault-at-a-time loop in this process; a
+    :class:`~repro.sim.parallel.CampaignConfig` runs the same per-fault
+    semantics through :func:`~repro.sim.parallel.run_multiprocess`, the
+    kernel rebuilt in each worker from the design's compile provenance.
+    Verdicts are the same either way.
     """
 
     #: Subclasses set the reported simulator name.
     name = "serial"
 
-    #: The defining kernel as an ``ENGINES`` name (``engine=`` overrides it).
-    #: The process executor rebuilds the simulator in worker processes from
-    #: this name; the base class has no defining kernel, so it needs an
-    #: explicit ``engine=`` to cross the boundary.
+    #: The defining kernel as an ``ENGINE_SPECS`` name (``engine=`` overrides
+    #: it).  A campaign rebuilds the simulator in worker processes from this
+    #: name; the base class has no defining kernel, so it needs an explicit
+    #: ``engine=`` to cross the boundary.
     serial_engine: Optional[str] = None
 
     def __init__(
@@ -65,19 +65,13 @@ class SerialFaultSimulator:
         design: Design,
         early_exit: bool = True,
         engine: Optional[str] = None,
-        executor: str = "serial",
-        workers: Optional[int] = None,
+        campaign: Optional["CampaignConfig"] = None,
     ) -> None:
-        from repro.sim.kernel import EXECUTORS
-
         design.check_finalized()
-        if executor not in EXECUTORS:
-            raise UnknownOptionError.for_option("executor", executor, EXECUTORS)
         self.design = design
         self.early_exit = early_exit
         self.engine = engine
-        self.executor = executor
-        self.workers = workers
+        self.campaign = campaign
         self.stats = SimulationStats()
 
     # ------------------------------------------------------------- overridden
@@ -102,12 +96,12 @@ class SerialFaultSimulator:
     def run(self, stimulus: Stimulus, faults: FaultList) -> FaultSimResult:
         """Fault-simulate every fault in ``faults`` (per-fault re-simulation).
 
-        With ``executor="thread"`` or ``"process"`` the loop is distributed;
-        the per-fault semantics (and therefore every verdict and detection
-        cycle) are unchanged.
+        With a ``campaign`` config the loop runs as a campaign; the per-fault
+        semantics (and therefore every verdict and detection cycle) are
+        unchanged.
         """
-        if self.executor != "serial" and len(faults) > 1:
-            return self._run_distributed(stimulus, faults)
+        if self.campaign is not None:
+            return self._run_campaign(stimulus, faults)
         stimulus.validate(self.design)
         start = time.perf_counter()
         golden = self._make_engine().run(stimulus)
@@ -122,29 +116,12 @@ class SerialFaultSimulator:
         )
         return FaultSimResult(self.name, coverage, wall, self.stats)
 
-    def _run_distributed(self, stimulus: Stimulus, faults: FaultList) -> FaultSimResult:
-        """Fan the per-fault loop out over the selected executor."""
-        from repro.sim.kernel import run_sharded
-
-        if self.executor == "thread":
-            early_exit, engine = self.early_exit, self.engine
-
-            def factory(design: Design) -> "SerialFaultSimulator":
-                return type(self)(design, early_exit=early_exit, engine=engine)
-
-            return run_sharded(
-                self.design,
-                stimulus,
-                faults,
-                workers=self.workers or (os.cpu_count() or 2),
-                simulator_factory=factory,
-                max_workers=self.workers,
-                executor="thread",
-            )
+    def _run_campaign(self, stimulus: Stimulus, faults: FaultList) -> FaultSimResult:
+        """Run the per-fault loop through the campaign entry point."""
         engine = self.engine or self.serial_engine
         if engine is None:
             raise SimulationError(
-                f"{self.name}: executor='process' needs an explicit engine= "
+                f"{self.name}: a campaign needs an explicit engine= "
                 f"(the worker rebuilds the kernel by registry name)"
             )
         from repro.sim.parallel import run_multiprocess
@@ -153,7 +130,7 @@ class SerialFaultSimulator:
             self.design,
             stimulus,
             faults,
-            workers=self.workers,
+            self.campaign,
             runner=("serial", {"engine": engine, "early_exit": self.early_exit}),
             label=self.name,
         )

@@ -27,8 +27,7 @@ The per-cycle clock/apply/settle/observe protocol is NOT implemented here:
 :class:`~repro.sim.kernel.SimulationKernel` interface (``initialize``,
 ``apply_input``, ``settle``, ``observe``) and is driven by the shared
 :class:`~repro.sim.kernel.CycleDriver`, the same driver the good-machine
-engines and the serial baselines use.  That seam is also where fault-list
-sharding (:func:`~repro.sim.kernel.run_sharded`) plugs in.
+engines and the serial baselines use.
 """
 
 from __future__ import annotations

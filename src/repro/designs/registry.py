@@ -87,7 +87,7 @@ class BenchmarkSpec:
         """Instantiate a simulation kernel for this benchmark.
 
         ``engine=None`` uses the spec's :attr:`default_engine`; any of the
-        names in :data:`repro.api.ENGINES` may be passed to override it.
+        names in :data:`repro.api.ENGINE_SPECS` may be passed to override it.
         """
         from repro.api import make_engine
 

@@ -45,7 +45,7 @@ class SimulationError(ReproError):
 
 
 class UnknownOptionError(SimulationError, ValueError):
-    """Raised for an unknown selector name (engine=, executor=, mode names...).
+    """Raised for an unknown selector name (engine=, runner kinds, mode names...).
 
     Subclasses both :class:`SimulationError` (so library-wide ``except``
     clauses keep working) and :class:`ValueError` (it is a bad argument

@@ -3,6 +3,11 @@
 Artifacts: ``table1``, ``table2``, ``table3``, ``fig1b``, ``fig6``, ``fig7``
 or ``all``.  The ``--profile full`` switch uses the larger workloads recorded
 in EXPERIMENTS.md; the default quick profile finishes in a few minutes.
+
+``--workers N`` runs fig6's serial baselines as fault campaigns; the other
+campaign flags fill in the same :class:`~repro.sim.parallel.CampaignConfig`
+(tabled in the "Knobs and observability" section of ``docs/resilience.md``).
+The parser rejects campaign flags that would reach no campaign.
 """
 
 from __future__ import annotations
@@ -11,10 +16,12 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.api import ENGINES, engine_help
+from repro.api import ENGINE_SPECS, engine_help
+from repro.errors import SimulationError
 from repro.harness import environment, fig1b, fig6, fig7, table2, table3
 from repro.harness.experiments import FULL_PROFILE, QUICK_PROFILE
-from repro.sim.kernel import EXECUTORS
+from repro.sim.parallel import CampaignConfig, progress_printer
+from repro.sim.result_cache import CACHE_MODES
 
 _ARTIFACTS = {
     "table1": lambda args, profile: environment.run(),
@@ -25,13 +32,29 @@ _ARTIFACTS = {
         args.benchmarks,
         profile,
         engine=args.engine,
-        executor=args.executor,
-        workers=args.workers,
+        campaign=args.campaign,
         eraser_engine=args.eraser_engine,
     ),
     "fig7": lambda args, profile: fig7.run(
         args.benchmarks, profile, eraser_engine=args.eraser_engine
     ),
+}
+
+#: The artifacts that run a fault campaign, and so take the campaign flags.
+CAMPAIGN_ARTIFACTS = ("fig6",)
+
+#: The campaign flags by argparse destination, which is the CampaignConfig
+#: field name except for ``progress`` (it fills ``on_progress``).
+_CAMPAIGN_FLAGS = {
+    "workers": "--workers",
+    "progress": "--progress",
+    "retries": "--retries",
+    "chunk_timeout": "--chunk-timeout",
+    "checkpoint": "--checkpoint",
+    "checkpoint_interval": "--checkpoint-interval",
+    "chaos": "--chaos",
+    "cache": "--cache",
+    "cache_mode": "--cache-mode",
 }
 
 
@@ -61,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         # choices AND help are derived from the registry, so new engines (and
         # their one-line stories) appear here without touching this file again
-        choices=sorted(ENGINES),
+        choices=sorted(ENGINE_SPECS),
         default=None,
         help="override the kernel under the serial baselines (fig6 only; "
         "default: each baseline's defining kernel). " + engine_help(),
@@ -74,26 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
         "the generated divergence-propagation kernel, default: interpreted)",
     )
     parser.add_argument(
-        "--executor",
-        choices=list(EXECUTORS),
-        default=None,
-        help="distribute the serial baselines' per-fault loops (fig6 only; "
-        "process = multi-core over spawned workers, default: serial)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="pool bound for --executor thread/process (default: cpu count)",
+        metavar="N",
+        help="run fig6's serial baselines as fault campaigns over N worker "
+        "processes (1 = inline); the flags below need it",
     )
     parser.add_argument(
         "--progress",
         action="store_true",
+        default=None,  # None = not given, like every other campaign flag
         help="stream live progress (detected counts, coverage %%, ETA) to "
-        "stderr while multiprocess fault campaigns run",
+        "stderr while fault campaigns run",
     )
     resilience = parser.add_argument_group(
-        "campaign resilience (multiprocess campaigns only; docs/resilience.md)"
+        "campaign resilience (with --workers; docs/resilience.md)"
     )
     resilience.add_argument(
         "--retries",
@@ -132,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'crash:chunk=1,until_attempt=1;slow:seconds=0.5'",
     )
     caching = parser.add_argument_group(
-        "persistent result cache (multiprocess campaigns only; docs/caching.md)"
+        "persistent result cache (with --workers; docs/caching.md)"
     )
     caching.add_argument(
         "--cache",
@@ -144,40 +163,53 @@ def build_parser() -> argparse.ArgumentParser:
     caching.add_argument(
         "--cache-mode",
         default=None,
-        choices=["off", "read", "readwrite"],
+        choices=list(CACHE_MODES),
         help="consult/update policy for --cache (default: readwrite)",
     )
     return parser
 
 
-def _install_campaign_defaults(args: argparse.Namespace) -> None:
-    """Forward the resilience and cache flags to every campaign the artifacts run."""
-    cache = args.cache
-    if cache == "default":
-        cache = True  # ResultCache.coerce: True opens the default directory
-    knobs = {
-        "retries": args.retries,
-        "chunk_timeout": args.chunk_timeout,
-        "checkpoint": args.checkpoint,
-        "checkpoint_interval": args.checkpoint_interval,
-        "chaos": args.chaos,
-        "cache": cache,
-        "cache_mode": args.cache_mode,
-    }
-    knobs = {name: value for name, value in knobs.items() if value is not None}
-    if knobs:
-        from repro.sim.parallel import set_campaign_defaults
+def _campaign_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Optional[CampaignConfig]:
+    """The one CampaignConfig the flags describe, or None without ``--workers``.
 
-        set_campaign_defaults(**knobs)
+    Campaign flags that would reach no campaign are usage errors: all of
+    them (``--workers`` included) when the chosen artifacts run none, and the
+    rest when ``--workers`` is missing.
+    """
+    knobs = {dest: getattr(args, dest) for dest in _CAMPAIGN_FLAGS}
+    knobs = {dest: value for dest, value in knobs.items() if value is not None}
+    if not knobs:
+        return None
+    given = ", ".join(_CAMPAIGN_FLAGS[dest] for dest in knobs)
+    if args.artifact != "all" and args.artifact not in CAMPAIGN_ARTIFACTS:
+        parser.error(
+            f"{given}: {args.artifact} runs no fault campaign "
+            f"(only {', '.join(CAMPAIGN_ARTIFACTS)} does)"
+        )
+    if args.workers is None:
+        parser.error(f"{given} need --workers (no campaign runs without it)")
+    if knobs.pop("progress", False):
+        knobs["on_progress"] = progress_printer()
+    if knobs.get("cache") == "default":
+        knobs["cache"] = True  # ResultCache.coerce: True opens the default directory
+    try:
+        return CampaignConfig(**knobs)
+    except SimulationError as error:
+        parser.error(str(error))
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """Parse the command line; ``args.campaign`` holds the campaign config."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    args.campaign = _campaign_config(parser, args)
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.progress:
-        from repro.sim.parallel import progress_printer, set_default_progress
-
-        set_default_progress(progress_printer())
-    _install_campaign_defaults(args)
+    args = parse_args(argv)
     profile = FULL_PROFILE if args.profile == "full" else QUICK_PROFILE
     artifacts = sorted(_ARTIFACTS) if args.artifact == "all" else [args.artifact]
     for name in artifacts:

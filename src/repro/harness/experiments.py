@@ -17,7 +17,6 @@ regardless of the absolute scale.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
@@ -80,137 +79,15 @@ class ExperimentWorkload(NamedTuple):
     stimulus: Stimulus
     faults: FaultList
     total_fault_population: int
-    #: Good-machine kernel selected for this workload (``repro.api.ENGINES``
+    #: Good-machine kernel selected for this workload (``repro.api.ENGINE_SPECS``
     #: name); resolved from the registry spec unless overridden.
     engine: str = "codegen"
-    #: Campaign executor for :meth:`run_faults` (``repro.api.EXECUTORS``
-    #: name): ``serial`` = one process, ``thread`` = GIL-bound shards,
-    #: ``process`` = multi-core packed words.
-    executor: str = "serial"
-    #: Pool bound for the thread/process executors (``None``: cpu count).
-    workers: Optional[int] = None
-    #: Campaign resilience knobs for the process executor (``None``: inherit
-    #: the session defaults installed with
-    #: :func:`repro.sim.parallel.set_campaign_defaults`); see
-    #: ``docs/resilience.md``.
-    retries: Optional[object] = None
-    chunk_timeout: Optional[float] = None
-    checkpoint: Optional[str] = None
-    checkpoint_interval: Optional[float] = None
-    chaos: Optional[object] = None
-    #: Persistent result cache (a :class:`~repro.sim.result_cache.ResultCache`,
-    #: a directory path, or ``True`` for the default directory) and its mode
-    #: (``"off"``/``"read"``/``"readwrite"``); ``None`` inherits the session
-    #: defaults.  See ``docs/caching.md``.
-    cache: Optional[object] = None
-    cache_mode: Optional[str] = None
 
     def make_engine(self, force_hook=None):
         """Instantiate the workload's selected good-machine kernel."""
         from repro.api import make_engine
 
         return make_engine(self.design, self.engine, force_hook=force_hook)
-
-    def workload_spec(self):
-        """A picklable recipe for re-opening this workload in worker processes."""
-        from repro.sim.parallel import WorkloadSpec
-
-        return WorkloadSpec.from_benchmark(self.name).with_stimulus(self.stimulus)
-
-    def run_faults(self, width: Optional[int] = None, early_exit: bool = True):
-        """Run the packed fault campaign through the selected executor.
-
-        Verdicts are executor-independent; only wall-clock changes.  ``width``
-        is the PPSFP fault-word width (default: the packed simulator's).  The
-        process executor inherits the session-wide progress callback installed
-        with :func:`repro.sim.parallel.set_default_progress` (the harness
-        ``--progress`` flag), so streaming needs no plumbing here.
-        """
-        from repro.errors import UnknownOptionError
-        from repro.sim.kernel import EXECUTORS
-        from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator
-
-        if self.executor not in EXECUTORS:
-            raise UnknownOptionError.for_option("executor", self.executor, EXECUTORS)
-        width = width or DEFAULT_WORD_WIDTH
-        if self.executor == "process":
-            from repro.sim.parallel import WorkloadSpec, run_multiprocess
-
-            resilience = {
-                name: value
-                for name, value in (
-                    ("retries", self.retries),
-                    ("chunk_timeout", self.chunk_timeout),
-                    ("checkpoint", self.checkpoint),
-                    ("checkpoint_interval", self.checkpoint_interval),
-                    ("chaos", self.chaos),
-                    ("cache", self.cache),
-                    ("cache_mode", self.cache_mode),
-                )
-                if value is not None  # None: inherit the session defaults
-            }
-            return run_multiprocess(
-                self.design,
-                self.stimulus,
-                self.faults,
-                workers=self.workers,
-                width=width,
-                early_exit=early_exit,
-                spec=WorkloadSpec.from_benchmark(self.name),
-                **resilience,
-            )
-        if self.executor == "serial" and self.cache is not None:
-            # the cache seam lives in the campaign layer; an explicitly-cached
-            # serial workload routes through its workers=1 short-circuit (an
-            # inline run with no pool) so verdict reuse works on every executor
-            from repro.sim.parallel import run_multiprocess
-
-            return run_multiprocess(
-                self.design,
-                self.stimulus,
-                self.faults,
-                workers=1,
-                width=width,
-                early_exit=early_exit,
-                cache=self.cache,
-                **({"cache_mode": self.cache_mode} if self.cache_mode is not None else {}),
-            )
-        if self.executor == "thread":
-            from repro.sim.kernel import run_sharded
-            from repro.sim.packed import make_packed_factory
-
-            return run_sharded(
-                self.design,
-                self.stimulus,
-                self.faults,
-                workers=self.workers or (os.cpu_count() or 2),
-                simulator_factory=make_packed_factory(width, early_exit),
-                word_size=width,
-                max_workers=self.workers,
-                executor="thread",
-            )
-        if self.engine == "auto":
-            # the campaign-level half of the auto policy: the documented
-            # table picks the lane substrate from fault count x activity x
-            # stride, and the packed driver gets the mid-word survivor
-            # re-pack hook (the policy's last row)
-            from repro.sim.emitter import resolve_engine
-
-            resolved = resolve_engine(self.design, fault_count=len(self.faults))
-            if resolved == "packed-numpy":
-                from repro.sim.vector import DEFAULT_VECTOR_WIDTH, VectorFaultSimulator
-
-                return VectorFaultSimulator(
-                    self.design,
-                    width=width if width != DEFAULT_WORD_WIDTH else DEFAULT_VECTOR_WIDTH,
-                    early_exit=early_exit,
-                ).run(self.stimulus, self.faults)
-            return PackedCodegenSimulator(
-                self.design, width=width, early_exit=early_exit, repack=True
-            ).run(self.stimulus, self.faults)
-        return PackedCodegenSimulator(
-            self.design, width=width, early_exit=early_exit
-        ).run(self.stimulus, self.faults)
 
 
 def prepare_workload(
@@ -219,44 +96,18 @@ def prepare_workload(
     cycles: Optional[int] = None,
     fault_count: Optional[int] = None,
     engine: Optional[str] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    retries: Optional[object] = None,
-    chunk_timeout: Optional[float] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_interval: Optional[float] = None,
-    chaos: Optional[object] = None,
-    cache: Optional[object] = None,
-    cache_mode: Optional[str] = None,
 ) -> ExperimentWorkload:
     """Compile a benchmark and build its stimulus + sampled fault list.
 
     ``engine`` overrides the benchmark spec's default good-machine kernel
-    (any :data:`repro.api.ENGINES` name, including ``"auto"`` — which also
-    makes :meth:`ExperimentWorkload.run_faults` pick the campaign substrate
-    from the documented policy and enable survivor re-packing); ``executor``
-    and ``workers`` select how :meth:`ExperimentWorkload.run_faults`
-    distributes the fault campaign (``"serial"``, ``"thread"`` or
-    ``"process"``).  The resilience knobs (``retries``, ``chunk_timeout``,
-    ``checkpoint``, ``checkpoint_interval``, ``chaos``) and the result-cache
-    knobs (``cache``, ``cache_mode``) are forwarded to
-    :func:`repro.sim.parallel.run_multiprocess` by the process executor (a
-    cached *serial* workload routes through its inline ``workers=1`` path);
-    ``None`` inherits the session defaults (see ``docs/resilience.md`` and
-    ``docs/caching.md``).
+    (any :data:`repro.api.ENGINE_SPECS` name, including ``"auto"``).
     """
-    if executor is not None:
-        from repro.errors import UnknownOptionError
-        from repro.sim.kernel import EXECUTORS
-
-        if executor not in EXECUTORS:
-            raise UnknownOptionError.for_option("executor", executor, EXECUTORS)
     if engine is not None:
-        from repro.api import ENGINES
+        from repro.api import ENGINE_SPECS
         from repro.errors import UnknownOptionError
 
-        if engine not in ENGINES:
-            raise UnknownOptionError.for_option("engine", engine, ENGINES)
+        if engine not in ENGINE_SPECS:
+            raise UnknownOptionError.for_option("engine", engine, ENGINE_SPECS)
     spec = get_benchmark(benchmark)
     design = spec.compile()
     stimulus = spec.stimulus(cycles=cycles or profile.cycles[benchmark], seed=profile.seed)
@@ -272,15 +123,6 @@ def prepare_workload(
         faults=sample,
         total_fault_population=len(population),
         engine=engine or spec.default_engine,
-        executor=executor or "serial",
-        workers=workers,
-        retries=retries,
-        chunk_timeout=chunk_timeout,
-        checkpoint=checkpoint,
-        checkpoint_interval=checkpoint_interval,
-        chaos=chaos,
-        cache=cache,
-        cache_mode=cache_mode,
     )
 
 
@@ -288,15 +130,10 @@ def prepare_workloads(
     benchmarks: Optional[Iterable[str]] = None,
     profile: WorkloadProfile = QUICK_PROFILE,
     engine: Optional[str] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> List[ExperimentWorkload]:
     """Prepare workloads for several benchmarks (all of them by default)."""
     names = list(benchmarks) if benchmarks is not None else list(BENCHMARK_NAMES)
-    return [
-        prepare_workload(name, profile, engine=engine, executor=executor, workers=workers)
-        for name in names
-    ]
+    return [prepare_workload(name, profile, engine=engine) for name in names]
 
 
 #: The subset of circuits the paper uses in the ablation study (Fig. 7 /

@@ -22,6 +22,7 @@ from repro.harness.experiments import (
     prepare_workloads,
 )
 from repro.harness.paper_data import PAPER_FIG6_SPEEDUPS
+from repro.sim.parallel import CampaignConfig
 from repro.utils.tables import TextTable
 
 SIMULATOR_ORDER = ["IFsim", "VFsim", "Z01X", "Eraser"]
@@ -40,8 +41,7 @@ class Fig6Row(NamedTuple):
 def run_benchmark(
     workload: ExperimentWorkload,
     engine: Optional[str] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
+    campaign: Optional[CampaignConfig] = None,
     eraser_engine: str = "interp",
 ) -> Fig6Row:
     """Run all four simulators on one workload and normalise against IFsim.
@@ -49,21 +49,17 @@ def run_benchmark(
     ``engine`` overrides the kernel the serial baselines re-run per fault
     (``None`` keeps their defining kernels: IFsim = event-driven, VFsim =
     compiled; ``"codegen"`` and ``"packed"`` select the generated-code
-    kernels).  ``executor``/``workers`` distribute the serial baselines'
-    per-fault loops (``"thread"`` or ``"process"``, see
-    :data:`repro.api.EXECUTORS`).  ``eraser_engine`` selects the concurrent
-    kernel the Eraser row runs on (``"interp"`` or ``"codegen"``, see
+    kernels).  ``campaign`` runs the serial baselines' per-fault loops as
+    campaigns with that :class:`~repro.sim.parallel.CampaignConfig`.
+    ``eraser_engine`` selects the concurrent kernel the Eraser row runs on
+    (``"interp"`` or ``"codegen"``, see
     :data:`repro.core.framework.ERASER_ENGINES`).  Verdicts are engine- and
-    executor-independent, so the agreement check keeps its meaning either
+    campaign-independent, so the agreement check keeps its meaning either
     way; only the timing columns change.
     """
     simulators = {
-        "IFsim": IFsimSimulator(
-            workload.design, engine=engine, executor=executor or "serial", workers=workers
-        ),
-        "VFsim": VFsimSimulator(
-            workload.design, engine=engine, executor=executor or "serial", workers=workers
-        ),
+        "IFsim": IFsimSimulator(workload.design, engine=engine, campaign=campaign),
+        "VFsim": VFsimSimulator(workload.design, engine=engine, campaign=campaign),
         "Z01X": Z01XSurrogateSimulator(workload.design),
         "Eraser": EraserSimulator(workload.design, engine=eraser_engine),
     }
@@ -153,29 +149,22 @@ def run(
     profile: WorkloadProfile = QUICK_PROFILE,
     print_output: bool = True,
     engine: Optional[str] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
+    campaign: Optional[CampaignConfig] = None,
     eraser_engine: str = "interp",
 ) -> List[Fig6Row]:
     """Run the Fig. 6 experiment across the benchmark suite.
 
     ``engine`` forwards to :func:`run_benchmark`: it swaps the kernel under
     the serial baselines (e.g. ``engine="codegen"`` re-times IFsim/VFsim on
-    the generated-code kernel).  ``executor``/``workers`` distribute those
-    baselines' per-fault loops over a thread or process pool.
+    the generated-code kernel).  ``campaign`` runs those baselines'
+    per-fault loops as campaigns (see :func:`run_benchmark`).
     ``eraser_engine="codegen"`` re-times the Eraser row on the generated
     concurrent kernel.
     """
-    workloads = prepare_workloads(
-        benchmarks, profile, engine=engine, executor=executor, workers=workers
-    )
+    workloads = prepare_workloads(benchmarks, profile, engine=engine)
     rows = [
         run_benchmark(
-            workload,
-            engine=engine,
-            executor=executor,
-            workers=workers,
-            eraser_engine=eraser_engine,
+            workload, engine=engine, campaign=campaign, eraser_engine=eraser_engine
         )
         for workload in workloads
     ]

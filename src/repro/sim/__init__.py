@@ -27,24 +27,18 @@ concurrent (batched) fault simulator built on top of this substrate in
 from repro.sim.engine import EventDrivenEngine, SimulationTrace
 from repro.sim.codegen import CodegenEngine, PackedLayout
 from repro.sim.compiled import CompiledEngine
-from repro.sim.kernel import (
-    CycleDriver,
-    EXECUTORS,
-    SimulationKernel,
-    partition_faults,
-    run_sharded,
-)
+from repro.sim.kernel import CycleDriver, SimulationKernel
 from repro.sim.packed import PackedCodegenEngine, PackedCodegenSimulator
-from repro.sim.parallel import ParallelFaultSimulator, WorkloadSpec, run_multiprocess
+from repro.sim.parallel import CampaignConfig, WorkloadSpec, run_multiprocess
 from repro.sim.stimulus import RandomStimulus, Stimulus, VectorStimulus
 from repro.sim.values import ConcurrentValueStore, FaultView, GoodValueStore, GoodView
 
 __all__ = [
+    "CampaignConfig",
     "CodegenEngine",
     "CompiledEngine",
     "ConcurrentValueStore",
     "CycleDriver",
-    "EXECUTORS",
     "EventDrivenEngine",
     "FaultView",
     "GoodValueStore",
@@ -52,14 +46,11 @@ __all__ = [
     "PackedCodegenEngine",
     "PackedCodegenSimulator",
     "PackedLayout",
-    "ParallelFaultSimulator",
     "RandomStimulus",
     "SimulationKernel",
     "SimulationTrace",
     "Stimulus",
     "VectorStimulus",
     "WorkloadSpec",
-    "partition_faults",
     "run_multiprocess",
-    "run_sharded",
 ]

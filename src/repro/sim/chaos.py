@@ -16,9 +16,7 @@ Plans are drivable two ways:
   test-suite uses, and
 * **from the environment** — ``REPRO_PARALLEL_CHAOS="hang:chunk=0,seconds=30"``,
   which reaches campaigns buried behind other tools without touching call
-  sites.  The legacy ``REPRO_PARALLEL_INJECT_CRASH=N`` variable (crash every
-  chunk whose base fault index is >= N, on every attempt) is still honored as
-  a one-rule plan.
+  sites.
 
 The plan text grammar is deliberately tiny — rules joined by ``;``, each
 ``kind`` or ``kind:field=value,field=value``::
@@ -50,9 +48,6 @@ CHAOS_KINDS = ("crash", "hang", "slow", "raise")
 #: Environment variable carrying a chaos-plan string (see :meth:`ChaosPlan.parse`).
 CHAOS_ENV_VAR = "REPRO_PARALLEL_CHAOS"
 
-#: Legacy crash hook: an integer N crashes every chunk whose base >= N.
-LEGACY_CRASH_ENV_VAR = "REPRO_PARALLEL_INJECT_CRASH"
-
 #: Seconds a crashing worker waits before ``os._exit``, so sibling workers
 #: can finish in-flight chunks and the salvage/retry tests observe completed
 #: verdicts alongside the crash.
@@ -80,7 +75,7 @@ class ChaosRule:
         Fire only for this chunk index.
     ``base``
         Fire only for chunks whose first global fault index is >= this —
-        the fault-count trigger, and the legacy crash hook's semantics.
+        the fault-count trigger.
     ``until_attempt``
         Fire only while the chunk's attempt counter is *below* this, so
         ``until_attempt=1`` misbehaves exactly once and then lets the retry
@@ -215,25 +210,10 @@ class ChaosPlan:
     def from_environment(
         cls, environ: Optional[Mapping[str, str]] = None
     ) -> Optional["ChaosPlan"]:
-        """The environment-driven plan, or None when no chaos is configured.
-
-        :data:`CHAOS_ENV_VAR` wins; the legacy integer
-        :data:`LEGACY_CRASH_ENV_VAR` maps to a single always-firing crash
-        rule with the variable's historical semantics (a non-integer value
-        behaves like ``"0"``: every chunk crashes).
-        """
+        """The plan in :data:`CHAOS_ENV_VAR`, or None when it is unset."""
         environ = os.environ if environ is None else environ
         text = environ.get(CHAOS_ENV_VAR)
-        if text is not None:
-            return cls.parse(text)
-        legacy = environ.get(LEGACY_CRASH_ENV_VAR)
-        if legacy is not None:
-            try:
-                threshold = int(legacy)
-            except ValueError:
-                threshold = 0
-            return cls([ChaosRule("crash", base=threshold)])
-        return None
+        return None if text is None else cls.parse(text)
 
     def to_text(self) -> str:
         """The plan in plan-string form (``parse`` round-trips it)."""
@@ -285,5 +265,4 @@ __all__ = [
     "CRASH_DRAIN_PAUSE",
     "ChaosPlan",
     "ChaosRule",
-    "LEGACY_CRASH_ENV_VAR",
 ]

@@ -24,8 +24,8 @@ Python source:
 The source is ``compile()``/``exec``-ed into a namespace and driven by
 :class:`CodegenEngine`, which implements the same
 :class:`~repro.sim.kernel.SimulationKernel` protocol as the other engines, so
-the shared :class:`~repro.sim.kernel.CycleDriver`, :func:`~repro.sim.kernel.run_sharded`
-and the serial baselines can select it interchangeably.  Traces are
+the shared :class:`~repro.sim.kernel.CycleDriver` and the serial baselines can
+select it interchangeably.  Traces are
 cycle-exact against both existing engines (the test-suite sweeps all ten
 corpus benchmarks).
 

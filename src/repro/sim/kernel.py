@@ -16,30 +16,18 @@ per-cycle protocol:
 to implement the small :class:`SimulationKernel` interface (``apply_input``,
 ``settle``, ``observe`` plus one-time ``initialize``); how settling happens —
 event scheduling, levelized re-evaluation, concurrent multi-fault propagation
-— stays entirely inside the kernel.
-
-The driver is also the seam for scaling work: :func:`run_sharded` fans a fault
-list out over worker shards — inline, on a thread pool, or (via
-:mod:`repro.sim.parallel`) on a process pool — and merges the per-shard
-coverage reports, without any simulator growing a fourth copy of the cycle
-loop.
+— stays entirely inside the kernel.  Fault campaigns scale out one level up,
+in :func:`repro.sim.parallel.run_multiprocess`, which runs these same
+simulators over word-aligned fault chunks.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, runtime_checkable
 
-from repro.errors import SimulationError, UnknownOptionError
 from repro.ir.design import Design
 from repro.ir.signal import Signal
 from repro.sim.stimulus import Stimulus
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
-    from repro.fault.faultlist import FaultList
-    from repro.fault.result import FaultSimResult
 
 #: End-of-cycle callback: return a truthy value to stop the run early.
 Observer = Callable[[int], Optional[bool]]
@@ -107,163 +95,3 @@ class CycleDriver:
                 return cycle
         return None
 
-
-# --------------------------------------------------------------------- sharding
-#: The selectable campaign executors: ``serial`` runs shards inline (no pool,
-#: no startup cost — the right choice for tiny campaigns and debugging),
-#: ``thread`` uses a thread pool (GIL-bound: bounded per-shard state, no
-#: speedup), ``process`` fans packed fault words over worker processes (real
-#: multi-core scaling; see :func:`repro.sim.parallel.run_multiprocess`).
-EXECUTORS = ("serial", "thread", "process")
-
-
-def partition_faults(
-    faults: FaultList, shards: int, word_size: int = 1
-) -> List[FaultList]:
-    """Split a fault list round-robin into at most ``shards`` non-empty lists.
-
-    Fault ids are re-assigned densely inside each shard (fault names stay
-    stable, which is what report merging keys on).  ``word_size`` > 1 keeps
-    consecutive words of that many faults intact and round-robins whole words
-    instead of single faults, so a packed (PPSFP) simulator running a shard
-    sees exactly the fault words it would pack anyway — shard over fault
-    words, not single faults.
-    """
-    from repro.fault.faultlist import FaultList
-    from repro.fault.model import StuckAtFault
-
-    copies = [StuckAtFault(f.signal, f.bit, f.value) for f in faults]
-    if word_size <= 1:
-        shards = max(1, min(shards, len(copies)))
-        return [FaultList(copies[i::shards]) for i in range(shards)]
-    words = [copies[i : i + word_size] for i in range(0, len(copies), word_size)]
-    shards = max(1, min(shards, len(words)))
-    return [
-        FaultList([fault for word in words[i::shards] for fault in word])
-        for i in range(shards)
-    ]
-
-
-def run_sharded(
-    design: Design,
-    stimulus: Stimulus,
-    faults: FaultList,
-    workers: int = 2,
-    simulator_factory: Optional[Callable[[Design], object]] = None,
-    word_size: int = 1,
-    max_workers: Optional[int] = None,
-    executor: str = "thread",
-    runner=None,
-) -> FaultSimResult:
-    """Fault-simulate ``faults`` split across ``workers`` kernel shards.
-
-    Each shard runs an independent simulator instance (by default a
-    full-elimination :class:`~repro.core.framework.EraserSimulator`) over the
-    identical design and stimulus; the per-shard coverage reports are merged
-    into one.  Stuck-at faults never interact, so the merged verdicts are
-    identical to a single-shard run — the test-suite checks this.
-
-    ``executor`` selects the seam (see :data:`EXECUTORS`):
-
-    * ``"serial"`` runs the shards inline, one after another — no pool is
-      ever constructed, so tiny campaigns and debugging sessions pay zero
-      startup cost.  A resolved pool size of one short-circuits the same way.
-    * ``"thread"`` (default) runs shards on a thread pool.  Pure-Python
-      simulation is GIL-bound, so this buys bounded per-shard state, not
-      wall-clock — the historical behaviour.
-    * ``"process"`` delegates to :func:`repro.sim.parallel.run_multiprocess`:
-      packed fault words fan out over spawned worker processes for real
-      multi-core scaling.  ``simulator_factory`` cannot cross a process
-      boundary, so this path runs the packed (PPSFP) campaign by default, at
-      ``word_size`` lanes per word when ``word_size`` > 1; a picklable
-      ``runner`` spec (e.g. ``("vector", {"width": 1024})`` for the NumPy
-      lane backend, where the word size is the array lane count) overrides
-      what each worker runs.
-
-    ``word_size`` forwards to :func:`partition_faults`: lane-word simulator
-    factories (e.g. :func:`repro.sim.packed.make_packed_factory`,
-    :func:`repro.sim.vector.make_vector_factory`) should pass their
-    fault-word width so shards receive whole words.  The pool is capped
-    at ``os.cpu_count()`` — ``workers`` only controls how the fault list is
-    partitioned — and ``max_workers`` overrides the cap explicitly.
-
-    The returned ``stats.cycles`` is the *sum across shards* — a work
-    metric, not a wall-clock one: shards overlap in time, so the sum
-    exceeds any single timeline (``wall_time`` measures the wall clock).
-    Shards partition the fault list, so their verdicts are disjoint; the
-    merge enforces that instead of letting a duplicate silently win.
-    """
-    from repro.core.stats import SimulationStats
-    from repro.fault.coverage import FaultCoverageReport
-    from repro.fault.result import FaultSimResult
-
-    if executor not in EXECUTORS:
-        raise UnknownOptionError.for_option("executor", executor, EXECUTORS)
-    if executor == "process":
-        if simulator_factory is not None:
-            raise SimulationError(
-                "executor='process' cannot ship a simulator_factory across the "
-                "process boundary; it always runs the packed (PPSFP) campaign "
-                "— call repro.sim.parallel.run_multiprocess directly for "
-                "custom worker runners"
-            )
-        from repro.sim.packed import DEFAULT_WORD_WIDTH
-        from repro.sim.parallel import run_multiprocess
-
-        pool_cap = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        return run_multiprocess(
-            design,
-            stimulus,
-            faults,
-            workers=max(1, min(workers, pool_cap)),
-            width=word_size if word_size > 1 else DEFAULT_WORD_WIDTH,
-            runner=runner,
-        )
-    if runner is not None:
-        raise SimulationError(
-            "runner= specs only apply to executor='process'; serial and "
-            "thread sharding take a simulator_factory instead"
-        )
-
-    if simulator_factory is None:
-        from repro.core.framework import EraserSimulator
-
-        simulator_factory = EraserSimulator
-    if workers <= 1 or len(faults) <= 1:
-        return simulator_factory(design).run(stimulus, faults)
-
-    shards = partition_faults(faults, workers, word_size=word_size)
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    pool_size = max(1, min(len(shards), max_workers))
-
-    def run_shard(shard: FaultList) -> FaultSimResult:
-        return simulator_factory(design).run(stimulus, shard)
-
-    start = time.perf_counter()
-    if executor == "serial" or pool_size == 1:
-        # no pool: a single-slot (or explicitly serial) run stays inline
-        results = [run_shard(shard) for shard in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(run_shard, shards))
-    wall = time.perf_counter() - start
-
-    merged = FaultCoverageReport(
-        design.name, faults, {}, simulator=results[0].simulator
-    )
-    stats = SimulationStats()
-    for result in results:
-        # shards partition the fault list, so verdicts must be disjoint; a
-        # plain dict.update would silently keep the last writer on overlap
-        overlap = merged.detections.keys() & result.coverage.detections.keys()
-        if overlap:
-            raise SimulationError(
-                f"shard verdicts overlap on {len(overlap)} fault(s) "
-                f"({sorted(overlap)[:3]}...); shards must partition the fault list"
-            )
-        merged.detections.update(result.coverage.detections)
-        stats = stats.merge(result.stats)
-    # summed shard cycles (a work metric), not wall-clock; wall is measured above
-    stats.time_total = wall
-    return FaultSimResult(results[0].simulator, merged, wall, stats)

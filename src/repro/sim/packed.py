@@ -522,30 +522,9 @@ def pack_fault_words(faults: FaultList, width: int) -> List[List[StuckAtFault]]:
     return [flat[i : i + width] for i in range(0, len(flat), width)]
 
 
-def make_packed_factory(
-    width: int = DEFAULT_WORD_WIDTH,
-    early_exit: bool = True,
-    passes: Optional[EmitterPasses] = None,
-    repack: bool = False,
-) -> Callable[[Design], PackedCodegenSimulator]:
-    """A ``simulator_factory`` for :func:`~repro.sim.kernel.run_sharded`.
-
-    Pair it with ``word_size=width`` so shards receive whole fault words.
-    """
-
-    def factory(design: Design) -> PackedCodegenSimulator:
-        """Build the packed simulator this factory was configured for."""
-        return PackedCodegenSimulator(
-            design, width=width, early_exit=early_exit, passes=passes, repack=repack
-        )
-
-    return factory
-
-
 __all__ = [
     "DEFAULT_WORD_WIDTH",
     "PackedCodegenEngine",
     "PackedCodegenSimulator",
-    "make_packed_factory",
     "pack_fault_words",
 ]

@@ -1,9 +1,9 @@
-"""Process-pool fault campaigns over packed fault words.
+"""Fault campaigns: one entry point, one config, a process pool behind it.
 
-:func:`run_sharded` partitions a fault list word-aligned, but its thread pool
-is serialized by the GIL: pure-Python simulation never ran faster on more
-cores.  This module turns that partition seam into real wall-clock scaling by
-fanning packed fault words out over a ``ProcessPoolExecutor``:
+:func:`run_multiprocess` is the only way to run a fault campaign.  Every knob
+lives on one frozen :class:`CampaignConfig`, validated once when it is built;
+the knobs (field, CLI flag, default, meaning) are tabled in one place, the
+"Knobs and observability" section of ``docs/resilience.md``.
 
 * :class:`WorkloadSpec` — a picklable recipe for re-opening the *identical*
   (design, stimulus) pair inside a worker process: a benchmark registry name,
@@ -13,64 +13,25 @@ fanning packed fault words out over a ``ProcessPoolExecutor``:
   milliseconds) and hydrates the generated packed kernel from the shared
   on-disk codegen cache (source + bytecode sidecar), so cold workers warm up
   for roughly the cost of an import.
-* :func:`run_multiprocess` — the campaign executor: chunks the fault list into
-  word-aligned slices, oversubscribes the pool (~4 chunks per worker by
-  default) so fast words never leave a core idle, and merges verdicts through
-  a shared-memory :class:`~repro.sim.verdict_plane.VerdictPlane` that workers
-  write lane-granularly the moment each fault is detected.  Inside a worker
-  each chunk runs the ordinary
-  :class:`~repro.sim.packed.PackedCodegenSimulator` (or the vector/serial
-  runner a :data:`RunnerSpec` selects), so lane-granular dropping and the
-  first-difference detection cycles are exactly the single-process semantics
-  — the test-suite checks verdicts *and* cycles against
-  ``SerialFaultSimulator(engine="codegen")``.
-* :class:`ParallelFaultSimulator` — the class-shaped wrapper with the same
-  ``run(stimulus, faults)`` interface as every other fault simulator.
+* :func:`run_multiprocess` — chunks the fault list into word-aligned slices,
+  oversubscribes the pool (:data:`OVERSUBSCRIBE` chunks per worker) so fast
+  words never leave a core idle, and merges verdicts through a shared-memory
+  :class:`~repro.sim.verdict_plane.VerdictPlane` that workers write
+  lane-granularly the moment each fault is detected.  Inside a worker each
+  chunk runs the ordinary :class:`~repro.sim.packed.PackedCodegenSimulator`
+  (or the vector/serial runner a :data:`RunnerSpec` selects), so lane-granular
+  dropping and the first-difference detection cycles are exactly the
+  single-process semantics.  A pool of one runs inline, with no pool at all.
 
-The verdict plane buys four things on top of zero-copy merging:
-
-* **Cross-chunk fault dropping** (``cross_drop=``): workers consult the global
-  detection flags at chunk start, at every word fill, and every
-  ``drop_stride`` cycles mid-run, retiring faults some other process already
-  detected.  Dropping only ever *removes* redundant work — lanes are
-  independent, so surviving verdicts and cycles are untouched.  Within one
-  campaign chunks are disjoint, so this fires through the shared seams:
-  ``resume_from=`` pre-seeds the plane with verdicts from an earlier
-  (interrupted or incremental) run, and ``plane=`` lets several concurrent
-  campaigns over the same fault list share one plane.
-* **Streaming progress** (``on_progress=``): the parent polls the plane while
-  futures are in flight and emits :class:`CampaignProgress` events — live
-  detected counts, coverage %, chunk counts and an ETA — without touching the
-  workers.
-* **Partial-result salvage** (``salvage=``): when a worker dies mid-campaign
-  (OOM killer, segfault, ``kill -9``) every verdict written before the crash
-  is still in the plane; the campaign returns a
-  :class:`~repro.fault.result.FaultSimResult` with ``partial=True`` instead
-  of discarding completed work.  ``salvage=False`` restores the old
-  fail-fast :class:`~repro.errors.SimulationError`.
-* **Warm resume**: feed a previous result's ``coverage.detections`` back in
-  as ``resume_from=`` and only the still-unknown faults are simulated.
-
-Salvage is the *last* resort, not the first response: the pooled path runs
-under a :class:`~repro.sim.resilience.ChunkSupervisor` that retries failed
-chunks across rebuilt pools (``retries=``), times out hung workers
-(``chunk_timeout=`` or an adaptive watchdog), quarantines chunks that keep
-killing workers and finishes them inline in the parent (``degrade=``), and
-periodically snapshots the verdict plane to disk (``checkpoint=`` /
-``checkpoint_interval=``) so a killed parent resumes without resimulating
-proven faults.  All of it is exercised deterministically by the structured
-fault-injection plans in :mod:`repro.sim.chaos` (``chaos=`` or the
-``REPRO_PARALLEL_CHAOS`` environment variable), which replace the old
-single-purpose crash hook.  Chunk idempotency is what makes the whole ladder
-verdict-safe: re-running any chunk can only rewrite the same bytes.
-
-Above all of that sits the persistent result cache (``cache=`` /
-``cache_mode=``; :mod:`repro.sim.result_cache`): verdicts are pure functions
-of (design fingerprint, stimulus hash, fault), so campaigns first resolve
-their fault list against the on-disk shard for that key and only simulate the
-delta — a repeated campaign schedules zero chunks, an overlapping one only
-its new faults — then write fresh verdicts (including proven-undetected
-faults, when the run completed) back atomically.  See ``docs/caching.md``.
+The verdict plane carries cross-chunk fault dropping, streaming progress,
+partial-result salvage and warm resume (``resume_from=``); a
+:class:`~repro.sim.resilience.ChunkSupervisor` retries, times out and
+quarantines failing chunks and checkpoints the plane to disk, all driven
+deterministically by the plans in :mod:`repro.sim.chaos`; and the persistent
+result cache (:mod:`repro.sim.result_cache`) resolves already-known verdicts
+before any chunk is scheduled.  Chunk idempotency is what makes all of it
+verdict-safe: re-running any chunk can only rewrite the same bytes.  See
+``docs/internals-packing.md``, ``docs/resilience.md`` and ``docs/caching.md``.
 
 Workers are spawned (never forked): spawn is the only start method that is
 safe on every platform the CI matrix covers (macOS defaults to it, fork is
@@ -78,9 +39,9 @@ unsound under threads), and the disk cache makes the usual spawn penalty —
 re-importing and re-deriving everything — a non-issue here.
 
 Where POSIX shared memory is unavailable (``VerdictPlane.create`` raising
-``OSError``), the campaign falls back transparently to the original
-pickled-dict merge: verdicts stay exact, only streaming granularity and
-cross-chunk dropping degrade.
+``OSError``), the campaign falls back transparently to a pickled-dict merge:
+verdicts stay exact, only streaming granularity and cross-chunk dropping
+degrade.
 """
 
 from __future__ import annotations
@@ -91,12 +52,23 @@ import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields, replace
 from multiprocessing import get_context
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from repro.errors import SimulationError, UnknownOptionError
 from repro.ir.design import Design
-from repro.sim.chaos import LEGACY_CRASH_ENV_VAR, ChaosPlan
+from repro.sim.chaos import ChaosPlan
 from repro.sim.codegen import design_fingerprint
 from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator, pack_fault_words
 from repro.sim.result_cache import CACHE_MODES, DEFAULT_CACHE_MODE, ResultCache, stimulus_hash
@@ -118,23 +90,17 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
 #: Words are unequal (early exit drops fully-detected words mid-stimulus), so
 #: one chunk per worker would leave cores idle behind the slowest chunk;
 #: ~4x lets fast workers pull extra work from the queue.
-DEFAULT_OVERSUBSCRIBE = 4
+OVERSUBSCRIBE = 4
 
 #: Cycles between mid-run consults of the shared verdict plane.  Each consult
-#: is a handful of byte reads per live lane, so small strides are cheap; the
-#: default keeps the consult cost well under the per-cycle simulation cost
-#: even on the smallest corpus designs.
-DEFAULT_DROP_STRIDE = 32
+#: is a handful of byte reads per live lane, so small strides are cheap; this
+#: keeps the consult cost well under the per-cycle simulation cost even on
+#: the smallest corpus designs.
+DROP_STRIDE = 32
 
 #: Seconds between streaming progress events while chunk futures are in
 #: flight (only consulted when an ``on_progress`` callback is installed).
-DEFAULT_PROGRESS_INTERVAL = 0.5
-
-#: Legacy fault-injection hook, kept as an alias: an integer N crashes any
-#: chunk whose global base fault index is >= N.  Superseded by the structured
-#: chaos plans in :mod:`repro.sim.chaos` (``REPRO_PARALLEL_CHAOS``); the
-#: legacy variable still works, mapped to a one-rule crash plan.
-CRASH_ENV_VAR = LEGACY_CRASH_ENV_VAR
+PROGRESS_INTERVAL = 0.5
 
 #: Default retry budget: submissions after the first attempt a failed chunk
 #: may consume before it is quarantined (or, with ``degrade=False``, failed).
@@ -143,66 +109,22 @@ DEFAULT_RETRIES = 2
 #: Seconds between periodic checkpoint snapshots while ``checkpoint=`` is set.
 DEFAULT_CHECKPOINT_INTERVAL = 30.0
 
-#: Sentinel distinguishing "knob not passed" from any real value, so
-#: process-wide defaults installed via :func:`set_campaign_defaults` only fill
-#: genuinely-omitted arguments.
-_UNSET = object()
-
-#: Process-wide resilience-knob defaults (the harness CLI installs these so
-#: ``--retries``/``--checkpoint`` reach campaigns buried behind other layers
-#: without threading arguments through every call site).
-_CAMPAIGN_DEFAULTS: Dict[str, object] = {}
-
-#: The knobs :func:`set_campaign_defaults` accepts, with their hard defaults.
-_CAMPAIGN_KNOBS: Dict[str, object] = {
-    "retries": DEFAULT_RETRIES,
-    "chunk_timeout": None,
-    "checkpoint": None,
-    "checkpoint_interval": DEFAULT_CHECKPOINT_INTERVAL,
-    "chaos": None,
-    "degrade": True,
-    "cache": None,
-    "cache_mode": DEFAULT_CACHE_MODE,
-}
-
-
-def set_campaign_defaults(**knobs: object) -> Dict[str, object]:
-    """Install process-wide defaults for the campaign resilience knobs.
-
-    Recognized names: ``retries``, ``chunk_timeout``, ``checkpoint``,
-    ``checkpoint_interval``, ``chaos``, ``degrade``, ``cache``,
-    ``cache_mode``.  Passing ``None`` resets
-    a knob to its hard default.  Explicit ``run_multiprocess`` arguments
-    always win.  Returns the previous mapping (for save/restore in tests).
-    """
-    previous = dict(_CAMPAIGN_DEFAULTS)
-    for name, value in knobs.items():
-        if name not in _CAMPAIGN_KNOBS:
-            raise UnknownOptionError.for_option(
-                "campaign default", name, _CAMPAIGN_KNOBS
-            )
-        if value is None:
-            _CAMPAIGN_DEFAULTS.pop(name, None)
-        else:
-            _CAMPAIGN_DEFAULTS[name] = value
-    return previous
-
-
-def _resolve_knob(name: str, value: object) -> object:
-    """An explicit argument, else the installed default, else the hard default."""
-    if value is not _UNSET:
-        return value
-    return _CAMPAIGN_DEFAULTS.get(name, _CAMPAIGN_KNOBS[name])
-
 #: One stuck-at fault as it crosses the process boundary: (signal name, bit,
 #: stuck-at value).  Names are the stable cross-process identity — fault ids
-#: are re-assigned densely inside each worker, exactly as in thread sharding.
+#: are re-assigned densely inside each worker chunk.
 FaultSite = Tuple[str, int, int]
 
 #: What a worker should run over its chunk: ``("packed", {width, early_exit})``,
 #: ``("vector", {width, early_exit})`` (the NumPy lane backend — word sizes of
-#: 512-4096 faults are reasonable there) or ``("serial", {engine, early_exit})``.
+#: 512-4096 faults are reasonable there), ``("serial", {engine, early_exit})``
+#: or ``("auto", {...})``, which :func:`run_multiprocess` resolves in the parent.
 RunnerSpec = Tuple[str, Dict[str, object]]
+
+#: The runner kinds a :class:`CampaignConfig` accepts.
+RUNNER_KINDS = ("packed", "vector", "serial", "auto")
+
+#: The result label per concrete runner kind (others read ``"<kind>-MP"``).
+_RUNNER_LABELS = {"packed": "PackedPPSFP-MP", "vector": "VectorPPSFP-MP"}
 
 
 class WorkloadSpec:
@@ -249,16 +171,6 @@ class WorkloadSpec:
         self.vectors = vectors
 
     # -------------------------------------------------------------- builders
-    @classmethod
-    def from_benchmark(cls, name: str) -> "WorkloadSpec":
-        """Spec for a registry benchmark (the cheapest mode to pickle)."""
-        return cls(benchmark=name)
-
-    @classmethod
-    def from_source(cls, source: str, top: str) -> "WorkloadSpec":
-        """Spec carrying raw Verilog source text."""
-        return cls(source=source, top=top)
-
     @classmethod
     def from_design(cls, design: Design) -> "WorkloadSpec":
         """Infer a spec from a design's compile provenance.
@@ -393,8 +305,8 @@ def progress_printer(stream: Optional[TextIO] = None) -> Callable[[CampaignProgr
     """An ``on_progress`` callback that prints one status line per event.
 
     Writes to ``stream`` (default ``sys.stderr``, resolved per event so
-    pytest's capture and CLI redirection both behave).  This is what the
-    harness ``--progress`` flag installs.
+    pytest's capture and CLI redirection both behave).  This is the
+    ``on_progress`` the harness ``--progress`` flag puts in its config.
     """
 
     def emit(event: CampaignProgress) -> None:
@@ -414,19 +326,61 @@ def progress_printer(stream: Optional[TextIO] = None) -> Callable[[CampaignProgr
     return emit
 
 
-#: Process-wide default ``on_progress`` callback (a one-slot holder so the
-#: harness CLI can switch streaming on without threading a callback through
-#: every call site).  ``run_multiprocess(on_progress=...)`` wins when given.
-_DEFAULT_PROGRESS: List[Optional[Callable[[CampaignProgress], None]]] = [None]
+# --------------------------------------------------------------------- config
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Every knob of a fault campaign, validated once, when it is built.
+
+    The fields are tabled (field, CLI flag, default, meaning) in the
+    "Knobs and observability" section of ``docs/resilience.md``.  A bad
+    value raises :class:`~repro.errors.SimulationError` naming the field, so
+    nothing downstream — a warm cache replay included — runs on one.
+    """
+
+    workers: Optional[int] = None
+    width: int = DEFAULT_WORD_WIDTH
+    runner: Optional[RunnerSpec] = None
+    on_progress: Optional[Callable[[CampaignProgress], None]] = None
+    cross_drop: bool = True
+    salvage: bool = True
+    retries: Union[int, RetryPolicy] = DEFAULT_RETRIES
+    chunk_timeout: Optional[float] = None
+    checkpoint: Optional[str] = None
+    checkpoint_interval: float = DEFAULT_CHECKPOINT_INTERVAL
+    chaos: Union[ChaosPlan, str, None] = None
+    degrade: bool = True
+    cache: Union[ResultCache, str, bool, None] = None
+    cache_mode: str = DEFAULT_CACHE_MODE
+
+    def __post_init__(self) -> None:
+        """Reject bad values up front, naming the field."""
+        if self.workers is not None:
+            require_at_least("workers", self.workers, 1)
+        require_at_least("width", self.width, 1)
+        if self.runner is not None and self.runner[0] not in RUNNER_KINDS:
+            raise UnknownOptionError.for_option(
+                "campaign runner kind", self.runner[0], RUNNER_KINDS
+            )
+        RetryPolicy.from_retries(self.retries)
+        if self.chunk_timeout is not None:
+            require_positive("chunk_timeout", self.chunk_timeout)
+        require_positive("checkpoint_interval", self.checkpoint_interval)
+        ChaosPlan.coerce(self.chaos)
+        if self.cache_mode not in CACHE_MODES:
+            raise UnknownOptionError.for_option("cache_mode", self.cache_mode, CACHE_MODES)
+        ResultCache.coerce(self.cache)
+
+    def with_fields(self, **changes: object) -> "CampaignConfig":
+        """A validated copy with ``changes`` applied; unknown names are an error."""
+        unknown = sorted(set(changes) - _CONFIG_FIELDS)
+        if unknown:
+            raise UnknownOptionError.for_option(
+                "campaign field", unknown[0], _CONFIG_FIELDS
+            )
+        return replace(self, **changes) if changes else self
 
 
-def set_default_progress(
-    callback: Optional[Callable[[CampaignProgress], None]],
-) -> Optional[Callable[[CampaignProgress], None]]:
-    """Install a process-wide default progress callback; returns the previous one."""
-    previous = _DEFAULT_PROGRESS[0]
-    _DEFAULT_PROGRESS[0] = callback
-    return previous
+_CONFIG_FIELDS = frozenset(field.name for field in fields(CampaignConfig))
 
 
 # ----------------------------------------------------------------- worker side
@@ -461,25 +415,10 @@ def make_campaign_runner(
     word-fill and mid-run drop consults).  The serial baselines have no lane
     hooks — for them the chunk-start filter and the idempotent post-run
     re-mark in :func:`_run_chunk` provide the same campaign semantics, so the
-    hooks are accepted and ignored here.
-
-    The ``auto`` kind resolves the documented policy
-    (:func:`repro.sim.emitter.resolve_engine`) against this worker's design
-    and chunk: vector lanes at high fault counts (NumPy permitting), packed
-    words with survivor re-packing otherwise.
+    hooks are accepted and ignored here.  An ``("auto", ...)`` spec never
+    reaches this function: :func:`run_multiprocess` resolves it in the parent.
     """
     kind, options = runner
-    if kind == "auto":
-        from repro.sim.emitter import resolve_engine
-
-        fault_count = int(options.get("fault_count", 0))
-        resolved = resolve_engine(design, fault_count=fault_count)
-        if resolved == "packed-numpy":
-            kind = "vector"
-        else:
-            kind = "packed"
-            options = dict(options)
-            options.setdefault("repack", True)
     if kind == "packed":
         return PackedCodegenSimulator(
             design,
@@ -510,7 +449,7 @@ def make_campaign_runner(
             engine=str(options["engine"]),
         )
     raise UnknownOptionError.for_option(
-        "campaign runner kind", kind, ("packed", "vector", "serial", "auto")
+        "campaign runner kind", kind, ("packed", "vector", "serial")
     )
 
 
@@ -690,114 +629,70 @@ def _merge_chunk_verdicts(merged: Dict[str, int], chunk: Dict[str, int]) -> None
     merged.update(chunk)
 
 
+def _concrete_runner(design: Design, config: CampaignConfig, fault_count: int) -> RunnerSpec:
+    """The runner every chunk of this campaign runs; resolves ``auto``.
+
+    ``auto`` is resolved HERE, in the parent, against the campaign's full
+    fault count (:func:`repro.sim.emitter.resolve_engine`), so chunking,
+    labels and degradation all see the concrete substrate: vector lanes when
+    the policy picks ``packed-numpy``, packed words with survivor
+    re-packing otherwise.
+    """
+    runner = config.runner
+    if runner is None:
+        return ("packed", {"width": config.width})
+    if runner[0] != "auto":
+        return runner
+    from repro.sim.emitter import resolve_engine
+
+    options = dict(runner[1])
+    if resolve_engine(design, fault_count=fault_count) == "packed-numpy":
+        from repro.sim.vector import DEFAULT_VECTOR_WIDTH
+
+        options.setdefault("width", DEFAULT_VECTOR_WIDTH)
+        options.pop("repack", None)
+        return ("vector", options)
+    options.setdefault("width", config.width)
+    options.setdefault("repack", True)
+    return ("packed", options)
+
+
 def run_multiprocess(
     design: Design,
     stimulus: Stimulus,
     faults: "FaultList",
-    workers: Optional[int] = None,
-    width: int = DEFAULT_WORD_WIDTH,
-    early_exit: bool = True,
-    spec: Optional[WorkloadSpec] = None,
-    oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
-    runner: Optional[RunnerSpec] = None,
-    label: Optional[str] = None,
-    on_progress: Optional[Callable[[CampaignProgress], None]] = None,
-    progress_interval: float = DEFAULT_PROGRESS_INTERVAL,
-    cross_drop: bool = True,
-    drop_stride: int = DEFAULT_DROP_STRIDE,
+    config: Optional[CampaignConfig] = None,
+    *,
     resume_from: Optional[Dict[str, int]] = None,
     plane: Optional[VerdictPlane] = None,
-    shared_verdicts: bool = True,
-    salvage: bool = True,
-    retries=_UNSET,
-    chunk_timeout=_UNSET,
-    checkpoint=_UNSET,
-    checkpoint_interval=_UNSET,
-    chaos=_UNSET,
-    degrade=_UNSET,
-    cache=_UNSET,
-    cache_mode=_UNSET,
+    label: Optional[str] = None,
+    **fields: object,
 ) -> "FaultSimResult":
-    """Fault-simulate ``faults`` across a pool of worker *processes*.
+    """Fault-simulate ``faults`` as one campaign: the only campaign entry point.
 
-    The fault list is cut into word-aligned chunks (``~oversubscribe`` chunks
-    per worker, so fast words do not idle a core behind a slow one) and each
-    chunk runs a full packed (PPSFP) campaign inside a spawned worker.
-    Verdicts cross the process boundary through a shared-memory
-    :class:`~repro.sim.verdict_plane.VerdictPlane`: workers write each
-    detection the moment its lane drops, the parent reads the same bytes
-    zero-copy.  Verdicts and detection cycles are exact against a
-    single-process run — dropping and chunking only remove redundant work.
+    ``config`` carries every knob (default: ``CampaignConfig()``);
+    ``**fields`` are :class:`CampaignConfig` field names applied on top of
+    it, so ``run_multiprocess(d, s, f, workers=1, cache=root)`` works without
+    building a config by hand.  The fields are tabled in the "Knobs and
+    observability" section of ``docs/resilience.md``.
 
-    ``spec`` tells workers how to re-open the design; when omitted it is
-    inferred from the design's compile provenance (see
-    :meth:`WorkloadSpec.from_design`).  ``runner`` overrides what each worker
-    runs over its chunk (default: the packed simulator at ``width`` /
-    ``early_exit``); an ``("auto", {...})`` spec is resolved in the parent
-    through :func:`repro.sim.emitter.resolve_engine` against the campaign's
-    full fault count — vector lanes when the policy picks ``packed-numpy``,
-    packed words with survivor re-packing otherwise.  ``workers=None`` uses ``os.cpu_count()``; a resolved
-    pool of one short-circuits to an inline run with no pool at all (still
-    honoring the plane, dropping, resume and progress parameters).
+    The fault list is cut into word-aligned chunks, each run by the
+    configured runner (default: packed PPSFP at ``width``) inside a spawned
+    worker; a resolved pool of one runs inline with no pool at all.
+    Verdicts and detection cycles are exact against a single-process run —
+    dropping and chunking only remove redundant work.
 
-    Campaign-level parameters (see the module docstring for the design):
+    The three per-call values are not knobs:
 
-    * ``on_progress`` — a :class:`CampaignProgress` callback: one event at
-      submission, one per poll wake-up / chunk completion while futures are
-      in flight, and exactly one ``final=True`` event.  Detected counts are
-      monotonically non-decreasing.  Defaults to the process-wide callback
-      installed via :func:`set_default_progress`, if any.
-    * ``cross_drop`` / ``drop_stride`` — cross-chunk fault dropping against
-      the shared plane (chunk-start, word-fill and every ``drop_stride``
-      cycles mid-run).  Never changes a verdict or cycle.
     * ``resume_from`` — ``fault name -> detection cycle`` verdicts already
       known (e.g. a previous partial result's ``coverage.detections``); they
       seed the plane, are dropped from simulation, and appear in the final
       report.  Unknown fault names are an error.
     * ``plane`` — an externally created :class:`VerdictPlane` sized to this
       fault list, letting concurrent campaigns share verdicts; the caller
-      keeps ownership (this function will not unlink it).
-    * ``shared_verdicts=False`` — force the legacy pickled-dict merge path
-      (also the automatic fallback where shared memory is unavailable).
-      Retry still works there — nothing is partially recorded for a failed
-      chunk, so a retried chunk re-returns its complete verdict dict — but
-      proven-chunk skipping and checkpoints need the plane.
-    * ``salvage`` — when a chunk still cannot be finished after supervision
-      is exhausted, return the verdicts accumulated so far as a
-      ``FaultSimResult(partial=True)`` instead of raising.
-
-    Resilience knobs (each defaults through :func:`set_campaign_defaults`;
-    see :mod:`repro.sim.resilience` for the machinery):
-
-    * ``retries`` — an int (extra submissions per failed chunk, default
-      :data:`DEFAULT_RETRIES`) or a full
-      :class:`~repro.sim.resilience.RetryPolicy`.  On a worker death, stall
-      or in-chunk exception the pool is rebuilt and only still-unproven
-      chunks are requeued, with exponential backoff + jitter.
-    * ``chunk_timeout`` — hard per-chunk watchdog deadline in seconds;
-      ``None`` arms an adaptive deadline from observed chunk wall-times.
-    * ``degrade`` — quarantine a chunk blamed for ``max_attempts`` failures
-      and finish it inline in the parent (the graceful-degradation ladder);
-      ``False`` restores fail-fast/salvage at the end of the retry budget.
-    * ``checkpoint`` — path for periodic atomic snapshots of the verdict
-      plane (every ``checkpoint_interval`` seconds, plus once at exit on
-      *every* path).  An existing, fingerprint-matching checkpoint at that
-      path seeds the campaign exactly like ``resume_from=``, so a killed
-      parent resumes without resimulating proven faults.
-    * ``chaos`` — a :class:`~repro.sim.chaos.ChaosPlan` (or plan string)
-      injecting worker crashes/hangs/slowdowns/raises for testing; also
-      drivable via ``REPRO_PARALLEL_CHAOS`` in the environment.
-    * ``cache`` / ``cache_mode`` — the persistent result cache
-      (:class:`~repro.sim.result_cache.ResultCache`, a directory path, or
-      ``True`` for the default ``~/.cache/repro-results``): faults whose
-      verdicts are already on disk for this exact (design fingerprint,
-      stimulus hash) key are resolved before any chunk is scheduled and only
-      the delta is simulated; with ``cache_mode="readwrite"`` (the default —
-      ``"read"`` never writes, ``"off"`` disables a configured cache) fresh
-      verdicts are merged back atomically, and a complete run also caches
-      proven-*undetected* faults so a fully-warm replay simulates nothing at
-      all.  Ignored when an external ``plane=`` is passed (the plane is
-      indexed by the full fault list).  See ``docs/caching.md``.
+      keeps ownership (this function will not unlink it).  The result cache
+      is not consulted when a plane is passed.
+    * ``label`` — the result's simulator name (default: from the runner).
 
     The result's ``stats.cycles`` is the *sum of cycles simulated across all
     workers* — a work metric that shrinks as dropping bites.  It is not
@@ -808,98 +703,28 @@ def run_multiprocess(
     from repro.fault.coverage import FaultCoverageReport
     from repro.fault.result import FaultSimResult
 
-    cache = _resolve_knob("cache", cache)
-    cache_mode = _resolve_knob("cache_mode", cache_mode)
-    if cache_mode not in CACHE_MODES:
-        raise UnknownOptionError.for_option("cache_mode", cache_mode, CACHE_MODES)
-    store = ResultCache.coerce(cache)
-    if store is not None and cache_mode != "off" and len(faults) and plane is None:
+    config = (config or CampaignConfig()).with_fields(**fields)
+    design.check_finalized()
+    stimulus.validate(design)
+    runner = _concrete_runner(design, config, len(faults))
+    if label is None:
+        label = _RUNNER_LABELS.get(runner[0], f"{runner[0]}-MP")
+    store = ResultCache.coerce(config.cache)
+    if store is not None and len(faults) and plane is None:
         return _run_cached(
             store,
-            cache_mode,
             design,
             stimulus,
             faults,
-            dict(
-                workers=workers,
-                width=width,
-                early_exit=early_exit,
-                spec=spec,
-                oversubscribe=oversubscribe,
-                runner=runner,
-                label=label,
-                on_progress=on_progress,
-                progress_interval=progress_interval,
-                cross_drop=cross_drop,
-                drop_stride=drop_stride,
-                resume_from=resume_from,
-                shared_verdicts=shared_verdicts,
-                salvage=salvage,
-                retries=retries,
-                chunk_timeout=chunk_timeout,
-                checkpoint=checkpoint,
-                checkpoint_interval=checkpoint_interval,
-                chaos=chaos,
-                degrade=degrade,
-            ),
+            replace(config, runner=runner, cache=None),
+            resume_from,
+            label,
         )
-    design.check_finalized()
-    stimulus.validate(design)
-    retries = _resolve_knob("retries", retries)
-    chunk_timeout = _resolve_knob("chunk_timeout", chunk_timeout)
-    checkpoint = _resolve_knob("checkpoint", checkpoint)
-    checkpoint_interval = _resolve_knob("checkpoint_interval", checkpoint_interval)
-    chaos = _resolve_knob("chaos", chaos)
-    degrade = bool(_resolve_knob("degrade", degrade))
-    # fail on bad knobs here, naming the argument — not deep in the pool loop
-    if workers is not None:
-        require_at_least("workers", workers, 1)
-    require_at_least("width", width, 1)
-    require_at_least("oversubscribe", oversubscribe, 1)
-    require_at_least("drop_stride", drop_stride, 0)
-    require_positive("progress_interval", progress_interval)
-    require_positive("checkpoint_interval", checkpoint_interval)
-    if chunk_timeout is not None:
-        require_positive("chunk_timeout", chunk_timeout)
-    policy = RetryPolicy.from_retries(retries)
-    chaos_plan = ChaosPlan.coerce(chaos)
-    if chaos_plan is None:
-        chaos_plan = ChaosPlan.from_environment()
-    if checkpoint is not None and not shared_verdicts:
-        raise SimulationError(
-            "checkpoint= requires shared_verdicts=True: checkpoints are "
-            "snapshots of the shared verdict plane"
-        )
-    if runner is None:
-        runner = ("packed", {"width": width, "early_exit": early_exit})
-    if runner[0] == "auto":
-        # resolve the policy HERE, in the parent, so chunking / labels /
-        # degradation all see the concrete substrate (workers would otherwise
-        # each re-resolve against a chunk-local fault count)
-        from repro.sim.emitter import resolve_engine
-
-        resolved = resolve_engine(design, fault_count=len(faults))
-        options = dict(runner[1])
-        options.pop("fault_count", None)
-        if resolved == "packed-numpy":
-            from repro.sim.vector import DEFAULT_VECTOR_WIDTH
-
-            options.setdefault("width", DEFAULT_VECTOR_WIDTH)
-            options.pop("repack", None)
-            runner = ("vector", options)
-        else:
-            options.setdefault("width", width)
-            options.setdefault("repack", True)
-            runner = ("packed", options)
-    if label is None:
-        if runner[0] == "packed":
-            label = "PackedPPSFP-MP"
-        elif runner[0] == "vector":
-            label = "VectorPPSFP-MP"
-        else:
-            label = f"{runner[0]}-MP"
-    if on_progress is None:
-        on_progress = _DEFAULT_PROGRESS[0]
+    policy = RetryPolicy.from_retries(config.retries)
+    chaos_plan = ChaosPlan.coerce(config.chaos) or ChaosPlan.from_environment()
+    checkpoint = config.checkpoint
+    cross_drop = config.cross_drop
+    on_progress = config.on_progress
     # word-aligned chunking: the chunk size is the runner's lane-word width
     # (for the vector runner that is the array lane count, e.g. 512-4096
     # faults per chunk), so chunking never changes which faults share a word
@@ -912,8 +737,7 @@ def run_multiprocess(
     else:
         word_size = 1
     work_units = math.ceil(len(faults) / max(1, word_size))
-    if workers is None:
-        workers = os.cpu_count() or 1
+    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, work_units))
 
     seeds: Dict[str, int] = dict(resume_from) if resume_from else {}
@@ -942,7 +766,7 @@ def run_multiprocess(
                 f"verdict plane is sized for {plane.n_faults} faults but the "
                 f"campaign has {len(faults)}"
             )
-    elif shared_verdicts and len(faults):
+    elif len(faults):
         try:
             plane = VerdictPlane.create(len(faults))
             owned_plane = True
@@ -1010,15 +834,13 @@ def run_multiprocess(
             # the final merge; chaos never fires in the parent process)
             emit()
             merged, cycles = _run_chunk(
-                design, stimulus, faults, runner, plane, 0, cross_drop, drop_stride
+                design, stimulus, faults, runner, plane, 0, cross_drop, DROP_STRIDE
             )
             chunks_done = 1
             stats.chunks_simulated = 1
         else:
-            spec = (
-                spec if spec is not None else WorkloadSpec.from_design(design)
-            ).with_stimulus(stimulus)
-            chunks = chunk_fault_sites(faults, word_size, workers * oversubscribe)
+            spec = WorkloadSpec.from_design(design).with_stimulus(stimulus)
+            chunks = chunk_fault_sites(faults, word_size, workers * OVERSUBSCRIBE)
             chunks_total = len(chunks)
             states: List[ChunkState] = []
             base = 0
@@ -1047,7 +869,7 @@ def run_multiprocess(
                     runner,
                     state.base,
                     drop,
-                    drop_stride,
+                    DROP_STRIDE,
                     state.index,
                     state.attempts - 1,
                     ship_plan,
@@ -1064,7 +886,7 @@ def run_multiprocess(
                     plane,
                     state.base,
                     cross_drop,
-                    drop_stride,
+                    DROP_STRIDE,
                 )
                 return detections, chunk_cycles, time.perf_counter() - begin
 
@@ -1095,14 +917,14 @@ def run_multiprocess(
             def on_tick() -> None:
                 """Per-poll cadence: progress events and periodic checkpoints."""
                 now = time.perf_counter()
-                if chunk_event[0] or now - last_emit[0] >= progress_interval:
+                if chunk_event[0] or now - last_emit[0] >= PROGRESS_INTERVAL:
                     chunk_event[0] = False
                     last_emit[0] = now
                     emit()
                 if (
                     checkpoint is not None
                     and plane is not None
-                    and now - last_checkpoint >= checkpoint_interval
+                    and now - last_checkpoint >= config.checkpoint_interval
                 ):
                     save_checkpoint()
 
@@ -1115,8 +937,8 @@ def run_multiprocess(
                 chunk_proven,
                 on_complete,
                 on_tick,
-                chunk_timeout=chunk_timeout,
-                degrade=degrade,
+                chunk_timeout=config.chunk_timeout,
+                degrade=config.degrade,
             )
             supervisor.run()
             stats.chunk_retries = sum(max(0, s.attempts - 1) for s in states)
@@ -1124,7 +946,7 @@ def run_multiprocess(
             failed = [s for s in states if s.outcome == "failed"]
             stats.chunks_failed = len(failed)
             if failed:
-                if not salvage:
+                if not config.salvage:
                     raise SimulationError(
                         f"a worker process died while fault-simulating "
                         f"{design.name!r} (workers={workers}, "
@@ -1167,23 +989,25 @@ def run_multiprocess(
 
 def _run_cached(
     store: ResultCache,
-    mode: str,
     design: Design,
     stimulus: Stimulus,
     faults: "FaultList",
-    campaign: Dict[str, object],
+    config: CampaignConfig,
+    resume_from: Optional[Dict[str, int]],
+    label: str,
 ) -> "FaultSimResult":
     """Resolve a campaign against the result cache, then simulate only the delta.
 
-    ``campaign`` carries every remaining :func:`run_multiprocess` keyword.
-    Cached faults never reach the chunker: the campaign re-enters
-    :func:`run_multiprocess` (with the cache disarmed) over a *delta* fault
-    list that excludes every fault the shard already resolves — both
-    detections and proven-undetected entries — so a fully-warm replay builds
-    no chunks and spawns no pool at all.  Fresh verdicts are merged back into
-    the shard when ``mode`` is ``"readwrite"``; proven-undetected faults are
-    only written by complete (non-partial) runs, because a salvaged campaign
-    cannot distinguish "undetected" from "never simulated".
+    ``config`` is the campaign's own config with the cache disarmed and the
+    runner already concrete.  Cached faults never reach the chunker: the
+    campaign re-enters :func:`run_multiprocess` over a *delta* fault list
+    that excludes every fault the shard already resolves — both detections
+    and proven-undetected entries — so a fully-warm replay builds no chunks
+    and spawns no pool at all.  Fresh verdicts are merged back into the
+    shard when ``cache_mode`` is ``"readwrite"``; proven-undetected faults
+    are only written by complete (non-partial) runs, because a salvaged
+    campaign cannot distinguish "undetected" from "never simulated".  The
+    reported wall time covers the shard lookup and write as well.
     """
     from repro.core.stats import SimulationStats
     from repro.fault.coverage import FaultCoverageReport
@@ -1191,13 +1015,10 @@ def _run_cached(
     from repro.fault.model import StuckAtFault
     from repro.fault.result import FaultSimResult
 
-    design.check_finalized()
-    stimulus.validate(design)
+    start = time.perf_counter()
     fingerprint = design_fingerprint(design)
     stim_hash = stimulus_hash(stimulus)
     names = [fault.name for fault in faults]
-    cached = store.lookup(fingerprint, stim_hash, names)
-    resume_from: Optional[Dict[str, int]] = campaign.pop("resume_from", None)  # type: ignore[assignment]
     if resume_from:
         known = set(names)
         unknown = sorted(name for name in resume_from if name not in known)
@@ -1205,25 +1026,17 @@ def _run_cached(
             raise SimulationError(
                 f"resume_from names faults not in this campaign: {unknown[:5]}"
             )
+    cached = store.lookup(fingerprint, stim_hash, names)
     if len(cached) == len(names):
         # fully warm: every verdict (detected and proven-undetected alike)
         # comes straight from the shard — zero chunks, zero processes
-        start = time.perf_counter()
         detections = {name: cycle for name, cycle in cached.items() if cycle is not None}
         stats = SimulationStats()
         stats.cache_hits = len(cached)
-        label = campaign.get("label")
-        runner = campaign.get("runner")
-        if label is None:
-            kind = runner[0] if runner is not None else "packed"  # type: ignore[index]
-            label = {"packed": "PackedPPSFP-MP", "vector": "VectorPPSFP-MP"}.get(
-                kind, f"{kind}-MP"
-            )
-        on_progress = campaign.get("on_progress") or _DEFAULT_PROGRESS[0]
         wall = time.perf_counter() - start
         stats.time_total = wall
-        if on_progress is not None:
-            on_progress(
+        if config.on_progress is not None:
+            config.on_progress(
                 CampaignProgress(
                     detected=len(detections),
                     total=len(names),
@@ -1240,13 +1053,13 @@ def _run_cached(
     delta = FaultList(
         [StuckAtFault(f.signal, f.bit, f.value) for f in faults if f.name not in cached]
     )
-    delta_names = {fault.name for fault in delta}
+    seeds = None
     if resume_from:
+        delta_names = {fault.name for fault in delta}
         seeds = {name: cycle for name, cycle in resume_from.items() if name in delta_names}
-        campaign["resume_from"] = seeds or None
-    else:
-        campaign["resume_from"] = None
-    result = run_multiprocess(design, stimulus, delta, cache=None, **campaign)
+    result = run_multiprocess(
+        design, stimulus, delta, config, resume_from=seeds or None, label=label
+    )
     stats = result.stats
     stats.cache_hits = len(cached)
     stats.cache_misses = len(delta)
@@ -1257,7 +1070,7 @@ def _run_cached(
             fresh[fault.name] = simulated[fault.name]
         elif not result.partial:
             fresh[fault.name] = None
-    if mode == "readwrite" and fresh:
+    if config.cache_mode == "readwrite" and fresh:
         wrote = store.store(
             fingerprint,
             stim_hash,
@@ -1273,125 +1086,24 @@ def _run_cached(
     coverage = FaultCoverageReport.from_named_detections(
         design.name, faults, merged, simulator=result.coverage.simulator
     )
-    return FaultSimResult(
-        result.simulator, coverage, result.wall_time, stats, partial=result.partial
-    )
-
-
-class ParallelFaultSimulator:
-    """Multi-core PPSFP fault simulation with the standard ``run`` interface.
-
-    The class-shaped face of :func:`run_multiprocess`, interchangeable with
-    :class:`~repro.sim.packed.PackedCodegenSimulator` and the serial
-    baselines.  ``spec`` may pre-select how workers re-open the design; by
-    default it is inferred from the design's compile provenance at run time.
-    The campaign-level parameters (``on_progress``, ``cross_drop`` /
-    ``drop_stride``, ``resume_from``, ``salvage``, ``shared_verdicts``) are
-    stored and forwarded verbatim — see :func:`run_multiprocess`.
-    """
-
-    name = "PackedPPSFP-MP"
-
-    def __init__(
-        self,
-        design: Design,
-        workers: Optional[int] = None,
-        width: int = DEFAULT_WORD_WIDTH,
-        early_exit: bool = True,
-        spec: Optional[WorkloadSpec] = None,
-        oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
-        on_progress: Optional[Callable[[CampaignProgress], None]] = None,
-        progress_interval: float = DEFAULT_PROGRESS_INTERVAL,
-        cross_drop: bool = True,
-        drop_stride: int = DEFAULT_DROP_STRIDE,
-        resume_from: Optional[Dict[str, int]] = None,
-        shared_verdicts: bool = True,
-        salvage: bool = True,
-        retries=_UNSET,
-        chunk_timeout=_UNSET,
-        checkpoint=_UNSET,
-        checkpoint_interval=_UNSET,
-        chaos=_UNSET,
-        degrade=_UNSET,
-        cache=_UNSET,
-        cache_mode=_UNSET,
-    ) -> None:
-        """Capture the campaign configuration; nothing runs until :meth:`run`."""
-        design.check_finalized()
-        if width < 1:
-            raise SimulationError(f"fault word width must be >= 1, got {width}")
-        self.design = design
-        self.workers = workers
-        self.width = width
-        self.early_exit = early_exit
-        self.spec = spec
-        self.oversubscribe = oversubscribe
-        self.on_progress = on_progress
-        self.progress_interval = progress_interval
-        self.cross_drop = cross_drop
-        self.drop_stride = drop_stride
-        self.resume_from = resume_from
-        self.shared_verdicts = shared_verdicts
-        self.salvage = salvage
-        self.retries = retries
-        self.chunk_timeout = chunk_timeout
-        self.checkpoint = checkpoint
-        self.checkpoint_interval = checkpoint_interval
-        self.chaos = chaos
-        self.degrade = degrade
-        self.cache = cache
-        self.cache_mode = cache_mode
-        from repro.core.stats import SimulationStats
-
-        self.stats = SimulationStats()
-
-    def run(self, stimulus: Stimulus, faults: "FaultList") -> "FaultSimResult":
-        """Run the configured campaign over ``faults``; see :func:`run_multiprocess`."""
-        result = run_multiprocess(
-            self.design,
-            stimulus,
-            faults,
-            workers=self.workers,
-            width=self.width,
-            early_exit=self.early_exit,
-            spec=self.spec,
-            oversubscribe=self.oversubscribe,
-            label=self.name,
-            on_progress=self.on_progress,
-            progress_interval=self.progress_interval,
-            cross_drop=self.cross_drop,
-            drop_stride=self.drop_stride,
-            resume_from=self.resume_from,
-            shared_verdicts=self.shared_verdicts,
-            salvage=self.salvage,
-            retries=self.retries,
-            chunk_timeout=self.chunk_timeout,
-            checkpoint=self.checkpoint,
-            checkpoint_interval=self.checkpoint_interval,
-            chaos=self.chaos,
-            degrade=self.degrade,
-            cache=self.cache,
-            cache_mode=self.cache_mode,
-        )
-        self.stats = result.stats
-        return result
+    wall = time.perf_counter() - start
+    stats.time_total = wall
+    return FaultSimResult(result.simulator, coverage, wall, stats, partial=result.partial)
 
 
 __all__ = [
-    "CRASH_ENV_VAR",
+    "CampaignConfig",
     "CampaignProgress",
     "DEFAULT_CHECKPOINT_INTERVAL",
-    "DEFAULT_DROP_STRIDE",
-    "DEFAULT_OVERSUBSCRIBE",
-    "DEFAULT_PROGRESS_INTERVAL",
     "DEFAULT_RETRIES",
-    "ParallelFaultSimulator",
+    "DROP_STRIDE",
+    "OVERSUBSCRIBE",
+    "PROGRESS_INTERVAL",
+    "RUNNER_KINDS",
     "VerdictPlane",
     "WorkloadSpec",
     "chunk_fault_sites",
     "make_campaign_runner",
     "progress_printer",
     "run_multiprocess",
-    "set_campaign_defaults",
-    "set_default_progress",
 ]

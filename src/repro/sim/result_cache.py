@@ -61,10 +61,10 @@ CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 #: are ignored rather than misread.
 CACHE_VERSION = 1
 
-#: The ``cache_mode=`` values campaigns accept.  ``off`` disables the cache
-#: even when one is configured, ``read`` consults it without writing (useful
-#: for timing runs and read-only filesystems), ``readwrite`` is the default.
-CACHE_MODES = ("off", "read", "readwrite")
+#: The ``cache_mode=`` values campaigns accept: ``read`` consults the cache
+#: without writing (useful for timing runs and read-only filesystems),
+#: ``readwrite`` is the default.  A campaign without ``cache=`` uses none.
+CACHE_MODES = ("read", "readwrite")
 
 #: Hard default for the ``cache_mode`` campaign knob.
 DEFAULT_CACHE_MODE = "readwrite"

@@ -485,28 +485,8 @@ class VectorFaultSimulator:
         return stimulus.num_cycles() if stopped is None else stopped + 1
 
 
-def make_vector_factory(
-    width: int = DEFAULT_VECTOR_WIDTH,
-    early_exit: bool = True,
-    passes: Optional[EmitterPasses] = None,
-) -> Callable[[Design], VectorFaultSimulator]:
-    """A ``simulator_factory`` for :func:`~repro.sim.kernel.run_sharded`.
-
-    Pair it with ``word_size=width`` so shards receive whole fault words.
-    """
-
-    def factory(design: Design) -> VectorFaultSimulator:
-        """Build the vector simulator this factory was configured for."""
-        return VectorFaultSimulator(
-            design, width=width, early_exit=early_exit, passes=passes
-        )
-
-    return factory
-
-
 __all__ = [
     "DEFAULT_VECTOR_WIDTH",
     "VectorCodegenEngine",
     "VectorFaultSimulator",
-    "make_vector_factory",
 ]

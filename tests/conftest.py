@@ -21,6 +21,7 @@ from fixture_designs import (  # noqa: F401  (re-exported for older callers)
 )
 from repro.api import compile_design
 from repro.sim.stimulus import RandomStimulus
+from repro.sim.verdict_plane import VerdictPlane
 
 #: Where Linux exposes POSIX shared-memory segments as files.  The verdict
 #: plane's magic is at offset 0 of every segment, so a leak scan is a 4-byte
@@ -61,6 +62,19 @@ def _no_leaked_verdict_planes():
     assert not leaked, (
         f"test leaked verdict-plane shared-memory segment(s): {sorted(leaked)}"
     )
+
+
+@pytest.fixture
+def without_shared_memory(monkeypatch):
+    """Make ``VerdictPlane.create`` fail as it does on a host without /dev/shm.
+
+    Campaigns then take their pickled-dict merge fallback.
+    """
+
+    def no_shm(cls, n_faults):
+        raise OSError("no POSIX shared memory")
+
+    monkeypatch.setattr(VerdictPlane, "create", classmethod(no_shm))
 
 
 def pytest_addoption(parser):

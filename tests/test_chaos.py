@@ -11,8 +11,7 @@ the structured injection plans of :mod:`repro.sim.chaos`:
   inline in the parent;
 * a parent **killed mid-campaign** resumes from its disk checkpoint and
   simulates strictly fewer chunks the second time;
-* the plan grammar itself round-trips, picks up the environment, and honors
-  the legacy ``REPRO_PARALLEL_INJECT_CRASH`` hook.
+* the plan grammar itself round-trips and picks up the environment.
 
 Chunk idempotency is the invariant under test everywhere: no matter which
 failure fires, re-running work may only rewrite the same verdict bytes.
@@ -32,13 +31,8 @@ from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES
 from repro.errors import ChaosError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
-from repro.sim.chaos import (
-    CHAOS_ENV_VAR,
-    LEGACY_CRASH_ENV_VAR,
-    ChaosPlan,
-    ChaosRule,
-)
-from repro.sim.parallel import run_multiprocess
+from repro.sim.chaos import CHAOS_ENV_VAR, ChaosPlan, ChaosRule
+from repro.sim.parallel import CampaignConfig, run_multiprocess
 from repro.sim.resilience import RetryPolicy
 from repro.sim.verdict_plane import VerdictPlane, campaign_fingerprint
 
@@ -112,14 +106,10 @@ def test_plan_pickles_across_the_process_boundary():
 
 def test_environment_resolution(monkeypatch):
     monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
-    monkeypatch.delenv(LEGACY_CRASH_ENV_VAR, raising=False)
     assert ChaosPlan.from_environment() is None
-    monkeypatch.setenv(LEGACY_CRASH_ENV_VAR, "8")
-    legacy = ChaosPlan.from_environment()
-    assert legacy.rules[0].kind == "crash" and legacy.rules[0].base == 8
-    monkeypatch.setenv(LEGACY_CRASH_ENV_VAR, "nonsense")  # historical: like "0"
-    assert ChaosPlan.from_environment().rules[0].base == 0
-    # the structured variable wins over the legacy one
+    monkeypatch.setenv(CHAOS_ENV_VAR, "crash:base=8")
+    plan = ChaosPlan.from_environment()
+    assert plan.rules[0].kind == "crash" and plan.rules[0].base == 8
     monkeypatch.setenv(CHAOS_ENV_VAR, "slow:seconds=1")
     assert ChaosPlan.from_environment().rules[0].kind == "slow"
 
@@ -207,10 +197,10 @@ def test_raise_in_chunk_retries_without_a_pool_rebuild():
     assert dict(result.coverage.detections) == dict(reference.coverage.detections)
 
 
-def test_legacy_pickled_dict_path_retries_too():
-    """shared_verdicts=False retries correctly from merged dicts: a failed
-    chunk streams nothing (there is no plane), so its retry re-returns the
-    complete verdict dict and the disjointness merge still holds."""
+def test_legacy_pickled_dict_path_retries_too(without_shared_memory):
+    """The pickled-dict fallback (no /dev/shm) retries correctly from merged
+    dicts: a failed chunk streams nothing (there is no plane), so its retry
+    re-returns the complete verdict dict and the disjointness merge holds."""
     design, stimulus, faults, reference = _workload("apb")
     result = run_multiprocess(
         design,
@@ -218,7 +208,6 @@ def test_legacy_pickled_dict_path_retries_too():
         faults,
         workers=2,
         width=4,
-        shared_verdicts=False,
         chaos="raise:chunk=1,until_attempt=1",
         retries=FAST_RETRIES,
     )
@@ -227,7 +216,10 @@ def test_legacy_pickled_dict_path_retries_too():
     assert dict(result.coverage.detections) == dict(reference.coverage.detections)
 
 
-def test_progress_events_stay_ordered_under_retries():
+def test_progress_events_stay_ordered_under_retries(monkeypatch):
+    import repro.sim.parallel as parallel_mod
+
+    monkeypatch.setattr(parallel_mod, "PROGRESS_INTERVAL", 0.05)
     design, stimulus, faults, _ = _workload("apb")
     events = []
     result = run_multiprocess(
@@ -237,7 +229,6 @@ def test_progress_events_stay_ordered_under_retries():
         workers=2,
         width=4,
         on_progress=events.append,
-        progress_interval=0.05,
         chaos="raise:chunk=0,until_attempt=1",
         retries=FAST_RETRIES,
     )
@@ -253,35 +244,13 @@ def test_progress_events_stay_ordered_under_retries():
 
 
 # ------------------------------------------------------- harness knob plumbing
-def test_prepare_workload_carries_resilience_knobs():
-    from repro.harness.experiments import prepare_workload
+def test_cli_flags_build_campaign_config():
+    from repro.harness.__main__ import parse_args
 
-    workload = prepare_workload(
-        "alu",
-        cycles=5,
-        fault_count=2,
-        executor="process",
-        workers=1,
-        retries=1,
-        chunk_timeout=3.0,
-        chaos="slow:seconds=0",
-    )
-    assert workload.retries == 1
-    assert workload.chunk_timeout == 3.0
-    assert workload.chaos == "slow:seconds=0"
-    # the knobs survive the run_faults seam (workers=1 stays in-process, so
-    # this only exercises validation + plumbing, not a pool)
-    result = workload.run_faults(width=4)
-    assert not result.partial
-
-
-def test_cli_flags_install_campaign_defaults():
-    import repro.sim.parallel as parallel_mod
-    from repro.harness.__main__ import _install_campaign_defaults, build_parser
-
-    args = build_parser().parse_args(
+    args = parse_args(
         [
-            "table2",
+            "fig6",
+            "--workers", "2",
             "--retries", "5",
             "--chunk-timeout", "9.5",
             "--checkpoint", "campaign.ckpt",
@@ -289,23 +258,38 @@ def test_cli_flags_install_campaign_defaults():
             "--chaos", "slow:seconds=0.1",
         ]
     )
-    try:
-        _install_campaign_defaults(args)
-        defaults = parallel_mod._CAMPAIGN_DEFAULTS
-        assert defaults["retries"] == 5
-        assert defaults["chunk_timeout"] == 9.5
-        assert defaults["checkpoint"] == "campaign.ckpt"
-        assert defaults["checkpoint_interval"] == 2
-        assert defaults["chaos"] == "slow:seconds=0.1"
-    finally:
-        parallel_mod.set_campaign_defaults(
-            retries=None,
-            chunk_timeout=None,
-            checkpoint=None,
-            checkpoint_interval=None,
-            chaos=None,
-        )
-    assert not parallel_mod._CAMPAIGN_DEFAULTS
+    assert args.campaign == CampaignConfig(
+        workers=2,
+        retries=5,
+        chunk_timeout=9.5,
+        checkpoint="campaign.ckpt",
+        checkpoint_interval=2.0,
+        chaos="slow:seconds=0.1",
+    )
+    # --progress fills on_progress; no --workers means no campaign at all
+    assert callable(parse_args(["all", "--workers", "1", "--progress"]).campaign.on_progress)
+    assert parse_args(["fig6"]).campaign is None
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["table2", "--retries", "5"], "table2 runs no fault campaign"),
+        (["fig7", "--workers", "2"], "--workers"),
+        (["fig6", "--cache", "results"], "need --workers"),
+        (["fig6", "--retries", "0"], "need --workers"),
+        (["fig6", "--progress"], "need --workers"),
+        (["fig6", "--workers", "0"], "workers must be"),
+    ],
+    ids=["table2", "fig7", "cache", "retries-0", "progress", "workers-0"],
+)
+def test_cli_rejects_campaign_flags_that_reach_no_campaign(argv, needle, capsys):
+    from repro.harness.__main__ import parse_args
+
+    with pytest.raises(SystemExit) as excinfo:
+        parse_args(argv)
+    assert excinfo.value.code == 2
+    assert needle in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ disk checkpoints

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixture_designs import COUNTER_SRC, MUX_PIPELINE_SRC
-from repro.api import ENGINES, compile_design, make_engine, simulate_good
+from repro.api import ENGINE_SPECS, compile_design, make_engine, simulate_good
 from repro.baselines.ifsim import IFsimSimulator
 from repro.baselines.vfsim import VFsimSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
@@ -21,7 +21,7 @@ from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import CodegenEngine, design_fingerprint, generate_source
 from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import SimulationKernel, run_sharded
+from repro.sim.kernel import SimulationKernel
 from repro.sim.stimulus import RandomStimulus, VectorStimulus
 
 #: Cycles per benchmark for the corpus sweep — enough for every design to
@@ -213,7 +213,7 @@ def test_stale_bytecode_sidecar_ignored(tmp_path, monkeypatch, counter_design):
 def test_make_engine_selector(counter_design, counter_stimulus):
     traces = {
         name: simulate_good(counter_design, counter_stimulus, engine=name)
-        for name in ENGINES
+        for name in ENGINE_SPECS
     }
     reference = traces["event"]
     assert all(trace == reference for trace in traces.values())
@@ -243,20 +243,6 @@ def test_serial_baseline_engine_override():
     reference = IFsimSimulator(design).run(stimulus, faults)
     swapped = VFsimSimulator(design, engine="codegen").run(stimulus, faults)
     assert swapped.coverage.same_verdicts(reference.coverage)
-
-
-def test_run_sharded_with_codegen_serial_factory():
-    design, stimulus, _ = _workload("alu")
-    faults = sample_faults(generate_stuck_at_faults(design), 12, seed=13)
-    single = IFsimSimulator(design).run(stimulus, faults)
-    sharded = run_sharded(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        simulator_factory=lambda d: IFsimSimulator(d, engine="codegen"),
-    )
-    assert sharded.coverage.same_verdicts(single.coverage)
 
 
 # ----------------------------------------------------------------- debug seams

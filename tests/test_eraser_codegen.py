@@ -6,13 +6,13 @@ for every fault the interpreted :class:`EraserSimulator` produces — the
 concurrent representation (divergence dicts, holders, follow-the-good
 commits) leaves plenty of room for plausible-but-wrong shortcuts, so nothing
 short of full detection-dict equality is accepted.  The seam tests cover the
-``ENGINES["eraser-codegen"]`` registration, the ``EraserSimulator(engine=)``
+``ENGINE_SPECS["eraser-codegen"]`` registration, the ``EraserSimulator(engine=)``
 selector, the shared disk cache and the fault/force_hook exclusivity.
 """
 
 import pytest
 
-from repro.api import ENGINES, compile_design, make_engine, simulate_good
+from repro.api import ENGINE_SPECS, compile_design, make_engine, simulate_good
 from repro.baselines.base import SerialFaultSimulator
 from repro.core.framework import EraserMode, EraserSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
@@ -94,7 +94,7 @@ def test_clock_site_faults_hold_state(counter_design, counter_stimulus):
 
 # ----------------------------------------------------------------- good seam
 def test_registered_in_engines():
-    assert "eraser-codegen" in ENGINES
+    assert "eraser-codegen" in ENGINE_SPECS
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -213,12 +213,12 @@ def test_fuzz_auto_engine_parity(name, request):
     """``engine="auto"`` is verdict- and cycle-exact at both policy seams.
 
     The serial seam (``SerialFaultSimulator(engine="auto")``) resolves to a
-    single-machine kernel; the campaign seam
-    (``ExperimentWorkload.run_faults``) resolves the lane substrate and turns
-    on survivor re-packing, so this also exercises
+    single-machine kernel; the campaign seam (``run_multiprocess`` with an
+    ``("auto", {})`` runner) resolves the lane substrate and turns on
+    survivor re-packing, so this also exercises
     :meth:`~repro.sim.packed.PackedCodegenEngine.compact` mid-campaign.
     """
-    from repro.harness.experiments import ExperimentWorkload
+    from repro.sim.parallel import run_multiprocess
 
     design = _design(name)
     for seed in _seeds(request):
@@ -229,16 +229,9 @@ def test_fuzz_auto_engine_parity(name, request):
             f"{name} (seed {seed}): serial engine='auto' disagrees with the "
             f"event-driven reference"
         )
-        workload = ExperimentWorkload(
-            name=name,
-            paper_name=name,
-            design=design,
-            stimulus=stimulus,
-            faults=faults,
-            total_fault_population=len(faults),
-            engine="auto",
+        campaign = run_multiprocess(
+            design, stimulus, faults, workers=1, width=8, runner=("auto", {})
         )
-        campaign = workload.run_faults(width=8)
         assert campaign.coverage.detections == reference, (
             f"{name} (seed {seed}): campaign engine='auto' disagrees with "
             f"the event-driven reference"

@@ -1,12 +1,10 @@
 """Tests for the shared cycle-driver kernel layer (repro.sim.kernel)."""
 
 
-from repro.baselines.ifsim import IFsimSimulator
 from repro.core.framework import EraserSimulator
-from repro.fault.faultlist import generate_stuck_at_faults
 from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import CycleDriver, SimulationKernel, partition_faults, run_sharded
+from repro.sim.kernel import CycleDriver, SimulationKernel
 
 
 def test_every_simulator_implements_the_kernel_protocol(counter_design):
@@ -57,42 +55,3 @@ def test_cycle_driver_gives_identical_traces_on_both_engines(
     event = EventDrivenEngine(counter_design).run(counter_stimulus)
     compiled = CompiledEngine(counter_design).run(counter_stimulus)
     assert event == compiled
-
-
-def test_partition_faults_covers_every_fault_once(counter_design):
-    faults = generate_stuck_at_faults(counter_design)
-    shards = partition_faults(faults, 3)
-    assert len(shards) == 3
-    names = [f.name for shard in shards for f in shard]
-    assert sorted(names) == sorted(f.name for f in faults)
-    # fault ids are re-assigned densely inside each shard
-    for shard in shards:
-        assert [f.fault_id for f in shard] == list(range(len(shard)))
-
-
-def test_partition_faults_never_produces_empty_shards(counter_design):
-    faults = generate_stuck_at_faults(counter_design)
-    assert len(partition_faults(faults, 10_000)) == len(faults)
-
-
-def test_run_sharded_matches_single_run(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    single = EraserSimulator(counter_design).run(counter_stimulus, faults)
-    sharded = run_sharded(counter_design, counter_stimulus, faults, workers=3)
-    assert sharded.coverage.same_verdicts(single.coverage)
-    assert sharded.coverage.total_faults == len(faults)
-    assert sharded.stats.cycles == 3 * single.stats.cycles
-
-
-def test_run_sharded_matches_serial_reference(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    serial = IFsimSimulator(counter_design).run(counter_stimulus, faults)
-    sharded = run_sharded(counter_design, counter_stimulus, faults, workers=4)
-    assert sharded.coverage.same_verdicts(serial.coverage)
-
-
-def test_run_sharded_single_worker_falls_through(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    result = run_sharded(counter_design, counter_stimulus, faults, workers=1)
-    single = EraserSimulator(counter_design).run(counter_stimulus, faults)
-    assert result.coverage.same_verdicts(single.coverage)

@@ -13,7 +13,7 @@ word-level observation, packed cache keying, and word-aligned sharding.
 import pytest
 
 from fixture_designs import COUNTER_SRC, MEMORY_SRC
-from repro.api import ENGINES, compile_design, make_engine, simulate_good
+from repro.api import ENGINE_SPECS, compile_design, make_engine, simulate_good
 from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.errors import SimulationError
@@ -28,11 +28,10 @@ from repro.sim.codegen import (
     packed_stride,
 )
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import SimulationKernel, partition_faults, run_sharded
+from repro.sim.kernel import SimulationKernel
 from repro.sim.packed import (
     PackedCodegenEngine,
     PackedCodegenSimulator,
-    make_packed_factory,
     pack_fault_words,
 )
 
@@ -202,7 +201,7 @@ def test_reduction_parity_with_tight_stride():
 
 # ----------------------------------------------------------- good-machine seam
 def test_packed_engine_in_registry():
-    assert "packed" in ENGINES
+    assert "packed" in ENGINE_SPECS
 
 
 def test_packed_good_machine_trace_parity(counter_design, counter_stimulus):
@@ -344,62 +343,3 @@ def test_packed_generated_source_is_deterministic(counter_design):
 def test_packed_rejects_narrow_stride(counter_design):
     with pytest.raises(SimulationError, match="too narrow"):
         generate_packed_source(counter_design, PackedLayout(4, 2))
-
-
-# ------------------------------------------------------------------- sharding
-def test_partition_faults_word_aligned(counter_design):
-    faults = generate_stuck_at_faults(counter_design)
-    words = pack_fault_words(faults, 4)
-    shards = partition_faults(faults, 3, word_size=4)
-    names = [f.name for shard in shards for f in shard]
-    assert sorted(names) == sorted(f.name for f in faults)
-    # every word survives intact inside some shard
-    shard_names = [[f.name for f in shard] for shard in shards]
-    for word in words:
-        word_names = [f.name for f in word]
-        assert any(
-            flat[i : i + len(word_names)] == word_names
-            for flat in shard_names
-            for i in range(0, len(flat), 4)
-        ), word_names
-
-
-def test_run_sharded_with_packed_factory():
-    design, stimulus, faults, reference = _workload("alu")
-    sharded = run_sharded(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        simulator_factory=make_packed_factory(width=4),
-        word_size=4,
-    )
-    assert sharded.coverage.same_verdicts(reference.coverage)
-
-
-def test_run_sharded_caps_pool_size(counter_design, counter_stimulus, monkeypatch):
-    """max_workers overrides the os.cpu_count() pool cap (satellite fix)."""
-    import repro.sim.kernel as kernel_mod
-
-    seen = {}
-    real_executor = kernel_mod.ThreadPoolExecutor
-
-    class SpyExecutor(real_executor):
-        def __init__(self, max_workers=None):
-            seen["max_workers"] = max_workers
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(kernel_mod, "ThreadPoolExecutor", SpyExecutor)
-    faults = generate_stuck_at_faults(counter_design)
-    run_sharded(counter_design, counter_stimulus, faults, workers=8, max_workers=2)
-    assert seen["max_workers"] == 2
-    seen.clear()
-    run_sharded(counter_design, counter_stimulus, faults, workers=8)
-    import os
-
-    cpu = max(1, os.cpu_count() or 1)
-    if cpu == 1:
-        # a one-slot pool short-circuits inline: no executor is constructed
-        assert "max_workers" not in seen
-    else:
-        assert seen["max_workers"] <= cpu

@@ -1,16 +1,16 @@
-"""Tests for the process-pool campaign executor (repro.sim.parallel).
+"""Tests for the campaign entry point (repro.sim.parallel).
 
 The strongest check mirrors the packed suite: on every one of the ten
-benchmark designs, the process executor's per-fault verdicts *and* detection
+benchmark designs, the process pool's per-fault verdicts *and* detection
 cycles must exactly match the serial codegen baseline — chunking over worker
 processes may only change wall-clock, never a verdict.  The remaining tests
-pin the seams this PR adds: :class:`WorkloadSpec` pickling in all three modes,
-word-aligned chunking, the ``executor=`` dispatcher in ``run_sharded`` (with
-its no-pool short-circuits), the serial baselines' distributed loops, and the
-verdict-plane campaign seams: cross-chunk dropping (parity with dropping on
-AND off), streaming progress event ordering, resume seeding, the legacy
-pickled-dict fallback, partial-verdict salvage when a worker dies, and
-shared-memory segment cleanup after both clean and crashed campaigns.
+pin the seams around it: :class:`WorkloadSpec` pickling in all three modes,
+word-aligned chunking, the inline ``workers=1`` short-circuit, the serial
+baselines' ``campaign=`` loop, and the verdict-plane campaign seams:
+cross-chunk dropping (parity with dropping on AND off), streaming progress
+event ordering, resume seeding, the pickled-dict fallback, partial-verdict
+salvage when a worker dies, and shared-memory segment cleanup after both
+clean and crashed campaigns.
 """
 
 import pickle
@@ -24,13 +24,10 @@ from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.errors import SimulationError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
-from repro.harness.experiments import prepare_workload
 from repro.sim.codegen import design_fingerprint
-from repro.sim.kernel import EXECUTORS, run_sharded
 from repro.sim.packed import pack_fault_words
 from repro.sim.parallel import (
-    CRASH_ENV_VAR,
-    ParallelFaultSimulator,
+    CampaignConfig,
     WorkloadSpec,
     chunk_fault_sites,
     run_multiprocess,
@@ -106,15 +103,6 @@ def test_process_executor_across_widths(width, cross_drop):
         design, stimulus, faults, workers=2, width=width, cross_drop=cross_drop
     )
     assert result.coverage.detections == reference.coverage.detections
-
-
-def test_parallel_simulator_class_face():
-    design, stimulus, faults, reference = _workload("alu")
-    simulator = ParallelFaultSimulator(design, workers=2, width=8)
-    result = simulator.run(stimulus, faults)
-    assert result.simulator == "PackedPPSFP-MP"
-    assert result.coverage.detections == reference.coverage.detections
-    assert simulator.stats.cycles > 0
 
 
 def test_single_worker_short_circuits_to_inline(monkeypatch):
@@ -199,18 +187,15 @@ def test_chunk_fault_sites_oversubscription_bounds():
 
 
 # --------------------------------------------------------- streaming progress
-def test_progress_events_are_ordered_and_monotone():
+def test_progress_events_are_ordered_and_monotone(monkeypatch):
     """Events: one at submission, >= one final=True last, monotone detected."""
+    import repro.sim.parallel as parallel_mod
+
+    monkeypatch.setattr(parallel_mod, "PROGRESS_INTERVAL", 0.05)
     design, stimulus, faults, reference = _workload("apb")
     events = []
     result = run_multiprocess(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        width=8,
-        on_progress=events.append,
-        progress_interval=0.05,
+        design, stimulus, faults, workers=2, width=8, on_progress=events.append
     )
     assert len(events) >= 2
     first, last = events[0], events[-1]
@@ -239,17 +224,12 @@ def test_progress_printer_formats_events(capsys):
     assert "done: 9/10" in out and "PARTIAL" in out
 
 
-def test_default_progress_callback_reaches_campaigns():
-    """set_default_progress (the harness --progress seam) needs no plumbing."""
-    from repro.sim.parallel import set_default_progress
-
+def test_config_progress_callback_reaches_campaigns():
+    """A config's on_progress (the harness --progress seam) reaches the run."""
     design, stimulus, faults, _ = _workload("apb")
     events = []
-    previous = set_default_progress(events.append)
-    try:
-        run_multiprocess(design, stimulus, faults, workers=1, width=8)
-    finally:
-        set_default_progress(previous)
+    config = CampaignConfig(workers=1, width=8, on_progress=events.append)
+    run_multiprocess(design, stimulus, faults, config)
     assert events and events[-1].final
 
 
@@ -304,18 +284,12 @@ def test_mis_sized_external_plane_is_rejected():
             run_multiprocess(design, stimulus, faults, workers=1, plane=plane)
 
 
-def test_legacy_pickled_merge_fallback_is_exact():
-    """shared_verdicts=False (the no-/dev/shm path) must not change verdicts."""
+def test_legacy_pickled_merge_fallback_is_exact(without_shared_memory):
+    """The pickled-dict fallback (no /dev/shm) must not change verdicts."""
     design, stimulus, faults, reference = _workload("apb")
     events = []
     result = run_multiprocess(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        width=8,
-        shared_verdicts=False,
-        on_progress=events.append,
+        design, stimulus, faults, workers=2, width=8, on_progress=events.append
     )
     assert result.coverage.detections == reference.coverage.detections
     assert events[-1].final
@@ -325,14 +299,14 @@ def test_legacy_pickled_merge_fallback_is_exact():
 # ------------------------------------------------------------- crash recovery
 # retries=0 + degrade=False pin the historical pre-supervision semantics: one
 # failure per chunk, no quarantine-to-inline rescue — the salvage contract.
-def test_worker_crash_salvages_partial_verdicts(monkeypatch):
+def test_worker_crash_salvages_partial_verdicts():
     """A dead worker yields a partial=True result, never a hang or a loss."""
     design, stimulus, faults, reference = _workload("apb")
     # chunks at width 4 start at global indexes 0, 4, 8: the base-0 chunk
     # completes (the injector's drain pause gives it time), the rest crash
-    monkeypatch.setenv(CRASH_ENV_VAR, "4")
     result = run_multiprocess(
-        design, stimulus, faults, workers=2, width=4, retries=0, degrade=False
+        design, stimulus, faults, workers=2, width=4, retries=0, degrade=False,
+        chaos="crash:base=4",
     )
     assert result.partial
     assert result.stats.chunks_failed > 0
@@ -345,42 +319,39 @@ def test_worker_crash_salvages_partial_verdicts(monkeypatch):
         )
 
 
-def test_worker_crash_self_heals_by_default(monkeypatch):
-    """The legacy crash hook no longer ends a default campaign: the poison
+def test_worker_crash_self_heals_by_default():
+    """A crash on every attempt no longer ends a default campaign: the poison
     chunks are quarantined and finished inline, verdicts stay exact."""
     design, stimulus, faults, reference = _workload("apb")
-    monkeypatch.setenv(CRASH_ENV_VAR, "4")
     result = run_multiprocess(
         design, stimulus, faults, workers=2, width=4,
-        retries=RetryPolicy(max_attempts=2, backoff=0.05),
+        retries=RetryPolicy(max_attempts=2, backoff=0.05), chaos="crash:base=4",
     )
     assert not result.partial
     assert result.stats.chunks_quarantined > 0
     assert result.coverage.detections == reference.coverage.detections
 
 
-def test_worker_crash_keeps_resume_seeds(monkeypatch):
+def test_worker_crash_keeps_resume_seeds():
     """Seeded verdicts survive a crash even if no chunk ever completes."""
     design, stimulus, faults, reference = _workload("apb")
     seeds = dict(list(reference.coverage.detections.items())[:2])
-    monkeypatch.setenv(CRASH_ENV_VAR, "0")  # every chunk crashes
     result = run_multiprocess(
         design, stimulus, faults, workers=2, width=4, resume_from=seeds,
-        retries=0, degrade=False,
+        retries=0, degrade=False, chaos="crash:base=0",  # every chunk crashes
     )
     assert result.partial
     for name, cycle in seeds.items():
         assert result.coverage.detections[name] == cycle
 
 
-def test_worker_crash_fail_fast_without_salvage(monkeypatch):
+def test_worker_crash_fail_fast_without_salvage():
     """salvage=False restores the historical fail-fast error contract."""
     design, stimulus, faults, _ = _workload("apb")
-    monkeypatch.setenv(CRASH_ENV_VAR, "0")
     with pytest.raises(SimulationError, match="worker process died"):
         run_multiprocess(
             design, stimulus, faults, workers=2, width=4, salvage=False,
-            retries=0, degrade=False,
+            retries=0, degrade=False, chaos="crash:base=0",
         )
 
 
@@ -413,9 +384,9 @@ def test_campaign_unlinks_its_segment(monkeypatch):
 
 def test_crashed_campaign_unlinks_its_segment(monkeypatch):
     """The finally-block unlink holds on the salvage path too."""
-    monkeypatch.setenv(CRASH_ENV_VAR, "0")
     result, name = _run_and_capture_segment(
-        monkeypatch, workers=2, width=4, retries=0, degrade=False
+        monkeypatch, workers=2, width=4, retries=0, degrade=False,
+        chaos="crash:base=0",
     )
     assert result.partial
     with pytest.raises(FileNotFoundError):
@@ -433,111 +404,19 @@ def test_vector_runner_pooled_matches_serial():
     assert result.coverage.detections == reference.coverage.detections
 
 
-# ------------------------------------------------- the run_sharded dispatcher
-def test_run_sharded_serial_executor_never_builds_a_pool(
-    counter_design, counter_stimulus, monkeypatch
-):
-    import repro.sim.kernel as kernel_mod
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ThreadPoolExecutor constructed for executor='serial'")
-
-    monkeypatch.setattr(kernel_mod, "ThreadPoolExecutor", forbidden)
-    faults = generate_stuck_at_faults(counter_design)
-    from repro.core.framework import EraserSimulator
-
-    single = EraserSimulator(counter_design).run(counter_stimulus, faults)
-    sharded = run_sharded(
-        counter_design, counter_stimulus, faults, workers=3, executor="serial"
-    )
-    assert sharded.coverage.same_verdicts(single.coverage)
-
-
-def test_run_sharded_single_slot_short_circuits_inline(
-    counter_design, counter_stimulus, monkeypatch
-):
-    """max_workers=1 resolves to one pool slot: run inline, skip the pool."""
-    import repro.sim.kernel as kernel_mod
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ThreadPoolExecutor constructed for a one-slot pool")
-
-    monkeypatch.setattr(kernel_mod, "ThreadPoolExecutor", forbidden)
-    faults = generate_stuck_at_faults(counter_design)
-    result = run_sharded(
-        counter_design, counter_stimulus, faults, workers=4, max_workers=1
-    )
-    assert result.coverage.total_faults == len(faults)
-
-
-def test_run_sharded_process_executor_matches():
-    design, stimulus, faults, reference = _workload("apb")
-    result = run_sharded(
-        design, stimulus, faults, workers=2, word_size=8, executor="process"
-    )
-    assert result.coverage.same_verdicts(reference.coverage)
-
-
-def test_run_sharded_rejects_unknown_executor(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    with pytest.raises(SimulationError, match="unknown executor"):
-        run_sharded(counter_design, counter_stimulus, faults, executor="gpu")
-
-
-def test_run_sharded_process_rejects_factory(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    with pytest.raises(SimulationError, match="process boundary"):
-        run_sharded(
-            counter_design,
-            counter_stimulus,
-            faults,
-            executor="process",
-            simulator_factory=lambda d: None,
-        )
-
-
-# ------------------------------------------------- serial-baseline executors
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_serial_baseline_distributed_executors(executor):
+# ------------------------------------------------- serial-baseline campaigns
+def test_serial_baseline_campaign_matches():
     design, stimulus, faults, reference = _workload("apb")
     simulator = SerialFaultSimulator(
-        design, engine="codegen", executor=executor, workers=2
+        design, engine="codegen", campaign=CampaignConfig(workers=2)
     )
     result = simulator.run(stimulus, faults)
+    assert result.simulator == "serial"
     assert result.coverage.detections == reference.coverage.detections
-
-
-def test_serial_baseline_rejects_unknown_executor(counter_design):
-    with pytest.raises(SimulationError, match="unknown executor"):
-        SerialFaultSimulator(counter_design, executor="gpu")
 
 
 def test_serial_baseline_process_needs_an_engine(counter_design, counter_stimulus):
     faults = generate_stuck_at_faults(counter_design)
-    simulator = SerialFaultSimulator(counter_design, executor="process")
+    simulator = SerialFaultSimulator(counter_design, campaign=CampaignConfig(workers=2))
     with pytest.raises(SimulationError, match="engine"):
         simulator.run(counter_stimulus, faults)
-
-
-def test_executor_registry_is_consistent():
-    from repro.api import EXECUTORS as api_executors
-
-    assert EXECUTORS == ("serial", "thread", "process")
-    assert api_executors is EXECUTORS
-
-
-# --------------------------------------------------------- harness threading
-def test_experiment_workload_process_campaign():
-    workload = prepare_workload(
-        "alu", cycles=PARITY_CYCLES, fault_count=PARITY_FAULTS,
-        executor="process", workers=2,
-    )
-    reference = SerialFaultSimulator(workload.design, engine="codegen").run(
-        workload.stimulus, workload.faults
-    )
-    result = workload.run_faults(width=8)
-    assert result.coverage.detections == reference.coverage.detections
-    # the spec pickles and rebuilds the identical design
-    spec = pickle.loads(pickle.dumps(workload.workload_spec()))
-    rebuilt, _ = spec.build()
-    assert design_fingerprint(rebuilt) == design_fingerprint(workload.design)

@@ -11,14 +11,16 @@ cycle count re-keys.  The campaign layer is the reason the cache exists: on
 all ten corpus benchmarks a warm replay resolves every verdict from the
 cache with **zero chunks scheduled** and verdicts + detection cycles
 byte-identical to the cold run; a superset campaign simulates only the
-delta; a changed design, stimulus or fault never hits; and the plumbing
-(``ParallelFaultSimulator``, ``prepare_workload``, the harness CLI flags,
-``tools/result_cache_ctl.py``) threads the knobs end to end.
+delta; a changed design, stimulus or fault never hits; a cached campaign's
+wall time covers its cache I/O; and the plumbing (a reused
+``CampaignConfig``, the harness CLI flags, ``tools/result_cache_ctl.py``)
+threads the knobs end to end.
 """
 
 import json
 import os
 import pickle
+import time
 
 import pytest
 
@@ -28,9 +30,8 @@ from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.errors import SimulationError, UnknownOptionError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
-from repro.harness.experiments import prepare_workload
 from repro.sim.codegen import design_fingerprint
-from repro.sim.parallel import ParallelFaultSimulator, WorkloadSpec, run_multiprocess
+from repro.sim.parallel import CampaignConfig, WorkloadSpec, run_multiprocess
 from repro.sim.result_cache import (
     CACHE_VERSION,
     ResultCache,
@@ -86,8 +87,8 @@ def test_stimulus_hash_stable_across_workload_spec_modes():
     stimulus = spec.stimulus(cycles=PARITY_CYCLES)
     expected = stimulus_hash(stimulus)
     specs = [
-        WorkloadSpec.from_benchmark("alu"),
-        WorkloadSpec.from_source(spec.read_source(), spec.top),
+        WorkloadSpec(benchmark="alu"),
+        WorkloadSpec(source=spec.read_source(), top=spec.top),
         WorkloadSpec(design_blob=pickle.dumps(design)),
     ]
     for workload_spec in specs:
@@ -341,10 +342,12 @@ def test_cache_mode_read_and_off(tmp_path):
     assert result.stats.cache_hits == len(faults)
     assert result.coverage.same_verdicts(reference.coverage)
 
-    # off mode ignores a configured, fully-warm cache
-    result = run_multiprocess(
-        design, stimulus, faults, workers=1, width=8, cache=root, cache_mode="off"
-    )
+    # there is no "off" mode: a campaign without cache= uses no cache
+    with pytest.raises(UnknownOptionError, match="cache_mode"):
+        run_multiprocess(
+            design, stimulus, faults, workers=1, width=8, cache=root, cache_mode="off"
+        )
+    result = run_multiprocess(design, stimulus, faults, workers=1, width=8)
     assert result.stats.cache_hits == 0
     assert result.stats.cache_misses == 0
     assert result.stats.chunks_simulated > 0
@@ -416,58 +419,52 @@ def test_resume_from_composes_with_the_cache(tmp_path):
         )
 
 
-# ------------------------------------------------------------------- plumbing
-def test_parallel_fault_simulator_forwards_cache(tmp_path):
-    design, stimulus, faults, reference = _workload("alu")
+@pytest.mark.parametrize("warm", [False, True], ids=["partial", "full"])
+def test_cached_wall_time_covers_cache_io(warm, tmp_path, monkeypatch):
+    """wall_time and stats.time_total run from entry until after the write."""
+    design, stimulus, faults, _ = _workload("alu")
     root = str(tmp_path / "results")
-    sim = ParallelFaultSimulator(design, workers=1, width=8, cache=root)
-    cold = sim.run(stimulus, faults)
-    warm = sim.run(stimulus, faults)
+    run_multiprocess(
+        design, stimulus, faults if warm else faults[:4], workers=1, width=8, cache=root
+    )
+    real_lookup = ResultCache.lookup
+
+    def slow_lookup(self, *args, **kwargs):
+        time.sleep(0.2)
+        return real_lookup(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResultCache, "lookup", slow_lookup)
+    start = time.perf_counter()
+    result = run_multiprocess(design, stimulus, faults, workers=1, width=8, cache=root)
+    elapsed = time.perf_counter() - start
+    assert result.stats.cache_hits == (len(faults) if warm else 4)
+    assert 0.2 <= result.wall_time <= elapsed
+    assert result.stats.time_total == result.wall_time
+
+
+# ------------------------------------------------------------------- plumbing
+def test_campaign_config_forwards_cache(tmp_path):
+    design, stimulus, faults, reference = _workload("alu")
+    config = CampaignConfig(workers=1, width=8, cache=str(tmp_path / "results"))
+    cold = run_multiprocess(design, stimulus, faults, config)
+    warm = run_multiprocess(design, stimulus, faults, config)
     assert warm.stats.chunks_simulated == 0
     assert warm.stats.cache_hits == len(faults)
     assert warm.coverage.same_verdicts(cold.coverage)
     assert warm.coverage.same_verdicts(reference.coverage)
 
 
-@pytest.mark.parametrize("executor", ["process", "serial"])
-def test_prepare_workload_threads_cache_through_run_faults(executor, tmp_path):
-    root = str(tmp_path / "results")
-    workload = prepare_workload(
-        "alu",
-        cycles=PARITY_CYCLES,
-        fault_count=PARITY_FAULTS,
-        executor=executor,
-        workers=1,
-        cache=root,
-        cache_mode="readwrite",
-    )
-    cold = workload.run_faults(width=8)
-    warm = workload.run_faults(width=8)
-    assert warm.stats.cache_hits == len(workload.faults)
-    assert warm.stats.chunks_simulated == 0
-    assert warm.coverage.same_verdicts(cold.coverage)
-
-
-def test_cli_flags_install_cache_defaults(tmp_path):
-    import repro.sim.parallel as parallel_mod
-    from repro.harness.__main__ import _install_campaign_defaults, build_parser
+def test_cli_cache_flags_build_campaign_config(tmp_path):
+    from repro.harness.__main__ import parse_args
 
     root = str(tmp_path / "results")
-    args = build_parser().parse_args(
-        ["table2", "--cache", root, "--cache-mode", "read"]
+    args = parse_args(
+        ["fig6", "--workers", "1", "--cache", root, "--cache-mode", "read"]
     )
-    try:
-        _install_campaign_defaults(args)
-        defaults = parallel_mod._CAMPAIGN_DEFAULTS
-        assert defaults["cache"] == root
-        assert defaults["cache_mode"] == "read"
-        # the sentinel value routes to the default directory
-        args = build_parser().parse_args(["table2", "--cache", "default"])
-        _install_campaign_defaults(args)
-        assert parallel_mod._CAMPAIGN_DEFAULTS["cache"] is True
-    finally:
-        parallel_mod.set_campaign_defaults(cache=None, cache_mode=None)
-    assert "cache" not in parallel_mod._CAMPAIGN_DEFAULTS
+    assert args.campaign == CampaignConfig(workers=1, cache=root, cache_mode="read")
+    # the sentinel value routes to the default directory
+    args = parse_args(["fig6", "--workers", "1", "--cache", "default"])
+    assert args.campaign.cache is True
 
 
 def test_result_cache_ctl_cli(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Unknown ``engine=`` / ``executor=`` names raise a clear ``ValueError``.
+"""Unknown ``engine=`` / runner / campaign-field names raise a clear ``ValueError``.
 
 Every selector seam in the package routes bad names through
 :class:`repro.errors.UnknownOptionError`, which subclasses BOTH
@@ -11,12 +11,10 @@ a registry lookup.
 import pytest
 
 from repro.api import make_engine
-from repro.baselines.base import SerialFaultSimulator
 from repro.core.framework import EraserSimulator
 from repro.errors import SimulationError, UnknownOptionError
 from repro.fault.faultlist import generate_stuck_at_faults
 from repro.harness.experiments import prepare_workload
-from repro.sim.kernel import run_sharded
 from repro.sim.parallel import make_campaign_runner
 
 
@@ -45,36 +43,11 @@ def test_prepare_workload_rejects_unknown_engine():
         prepare_workload("alu", engine="turbo")
 
 
-def test_run_sharded_rejects_unknown_executor(counter_design, counter_stimulus):
-    faults = generate_stuck_at_faults(counter_design)
-    with pytest.raises(ValueError, match="process.*serial.*thread"):
-        run_sharded(
-            counter_design, counter_stimulus, faults, executor="quantum"
-        )
-
-
-def test_serial_baseline_rejects_unknown_executor(counter_design):
-    with pytest.raises(ValueError, match="unknown executor"):
-        SerialFaultSimulator(counter_design, executor="quantum")
-
-
 def test_eraser_simulator_rejects_unknown_engine(counter_design):
     with pytest.raises(ValueError, match="codegen"):
         EraserSimulator(counter_design, engine="warp")
     with pytest.raises(SimulationError, match="unknown eraser engine"):
         EraserSimulator(counter_design, engine="warp")
-
-
-def test_prepare_workload_rejects_unknown_executor():
-    with pytest.raises(ValueError, match="unknown executor"):
-        prepare_workload("alu", executor="quantum")
-
-
-def test_run_faults_rejects_unknown_executor():
-    workload = prepare_workload("alu", cycles=5, fault_count=2)
-    broken = workload._replace(executor="quantum")
-    with pytest.raises(ValueError, match="unknown executor"):
-        broken.run_faults()
 
 
 def test_campaign_runner_rejects_unknown_kind(counter_design):
@@ -85,8 +58,9 @@ def test_campaign_runner_rejects_unknown_kind(counter_design):
 # ---------------------------------------------------- campaign knob validation
 # Bad campaign knobs must fail up front with the argument's NAME in the
 # message, not deep inside the pool loop with an unrelated traceback.  The
-# knobs are validated before any pool or shared-memory segment is created, so
-# a tiny workload is enough and nothing multiprocess actually runs.
+# knobs are validated when the CampaignConfig is built — before any pool,
+# shared-memory segment or cache lookup — so a tiny workload is enough and
+# nothing multiprocess actually runs.
 def _campaign(counter_design, counter_stimulus, **kwargs):
     from repro.fault.faultlist import sample_faults
     from repro.sim.parallel import run_multiprocess
@@ -102,6 +76,8 @@ def _campaign(counter_design, counter_stimulus, **kwargs):
         ("workers", 0),
         ("workers", -2),
         ("width", 0),
+        # no longer knobs (module constants now): rejected by name as
+        # unknown campaign fields
         ("oversubscribe", 0),
         ("drop_stride", -1),
         ("progress_interval", 0),
@@ -110,13 +86,21 @@ def _campaign(counter_design, counter_stimulus, **kwargs):
         ("chunk_timeout", 0),
         ("chunk_timeout", -3.0),
         ("checkpoint_interval", 0),
+        ("chaos", "explode"),
     ],
 )
 def test_campaign_knobs_validated_up_front(
-    counter_design, counter_stimulus, knob, value
+    counter_design, counter_stimulus, knob, value, tmp_path, monkeypatch
 ):
     with pytest.raises(SimulationError, match=knob):
         _campaign(counter_design, counter_stimulus, **{knob: value})
+    # a fully warm cache replay simulates nothing, yet validates just the same
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "codegen-cache"))
+    root = str(tmp_path / "results")
+    warm = _campaign(counter_design, counter_stimulus, workers=1, cache=root)
+    assert warm.stats.cache_writes == 4
+    with pytest.raises(SimulationError, match=knob):
+        _campaign(counter_design, counter_stimulus, cache=root, **{knob: value})
 
 
 def test_retry_policy_validates_its_shape():
@@ -144,25 +128,24 @@ def test_chaos_plan_rejects_bad_rules():
         ChaosPlan.coerce(42)
 
 
-def test_set_campaign_defaults_rejects_unknown_knob():
-    from repro.sim.parallel import set_campaign_defaults
+def test_campaign_config_rejects_unknown_field(counter_design, counter_stimulus):
+    from repro.sim.parallel import CampaignConfig
 
     with pytest.raises(ValueError, match="retries"):
-        set_campaign_defaults(retry_count=3)
+        CampaignConfig().with_fields(retry_count=3)
+    with pytest.raises(UnknownOptionError, match="shared_verdicts"):
+        _campaign(counter_design, counter_stimulus, shared_verdicts=False)
 
 
-def test_checkpoint_requires_the_verdict_plane(counter_design, counter_stimulus):
+def test_checkpoint_requires_the_verdict_plane(
+    counter_design, counter_stimulus, without_shared_memory
+):
     with pytest.raises(SimulationError, match="checkpoint"):
-        _campaign(
-            counter_design,
-            counter_stimulus,
-            checkpoint="unused.ckpt",
-            shared_verdicts=False,
-        )
+        _campaign(counter_design, counter_stimulus, checkpoint="unused.ckpt")
 
 
 def test_campaign_rejects_unknown_cache_mode(counter_design, counter_stimulus):
-    with pytest.raises(ValueError, match="off.*read.*readwrite"):
+    with pytest.raises(ValueError, match="read.*readwrite"):
         _campaign(
             counter_design,
             counter_stimulus,

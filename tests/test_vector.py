@@ -18,7 +18,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from fixture_designs import MEMORY_SRC
-from repro.api import ENGINES, compile_design, make_engine, simulate_good
+from repro.api import ENGINE_SPECS, compile_design, make_engine, simulate_good
 from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import get_benchmark
 from repro.errors import SimulationError
@@ -30,13 +30,12 @@ from repro.sim.codegen import (
     vector_planes,
 )
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import SimulationKernel, run_sharded
+from repro.sim.kernel import SimulationKernel
 from repro.sim.packed import PackedCodegenSimulator
 from repro.sim.stimulus import RandomStimulus
 from repro.sim.vector import (
     VectorCodegenEngine,
     VectorFaultSimulator,
-    make_vector_factory,
 )
 
 #: Cycles per benchmark for the corpus parity slice.
@@ -219,7 +218,7 @@ def test_divergent_dynamic_bit_select():
 
 # ----------------------------------------------------------- good-machine seam
 def test_vector_engine_in_registry():
-    assert "packed-numpy" in ENGINES
+    assert "packed-numpy" in ENGINE_SPECS
 
 
 def test_vector_good_machine_trace_parity(counter_design, counter_stimulus):
@@ -333,20 +332,6 @@ def test_vector_rejects_wide_memory_words():
     )
     with pytest.raises(SimulationError, match="> 64"):
         generate_vector_source(design)
-
-
-# ------------------------------------------------------------------- sharding
-def test_run_sharded_with_vector_factory():
-    design, stimulus, faults, serial, _ = _workload("alu")
-    sharded = run_sharded(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        simulator_factory=make_vector_factory(width=4),
-        word_size=4,
-    )
-    assert sharded.coverage.same_verdicts(serial.coverage)
 
 
 def test_multiprocess_vector_runner_inline():
