@@ -4,49 +4,46 @@ Runs a small fixed timing harness — the sha256_c2v and riscv_mini benchmarks,
 N cycles per engine — and writes the measurements to a JSON report
 (``BENCH_pr.json`` in CI, uploaded as an artifact).  The gate then enforces:
 
-* the codegen engine is at least ``--min-speedup`` (default 3x) faster than
-  the compiled engine on the sha256 benchmark,
-* the packed (PPSFP) fault simulator is at least ``--min-packed-speedup``
-  (default 8x) faster than the serial codegen baseline on the sha256 fault
-  workload,
-* the vectorized lane backend (``packed-numpy``) is at least
-  ``--min-vector-speedup`` (default 2x) faster than the packed-bigint PPSFP
-  campaign on the full sha256 fault population at 8192-lane array words —
-  the check that array words actually beat bigint words once the lane count
-  passes the 64-lane ceiling (the section is skipped, with a note, when
-  NumPy is not installed),
+* the codegen engine is at least 3x faster than the compiled engine on the
+  sha256 benchmark,
+* the packed (PPSFP) fault simulator is at least 8x faster than the serial
+  codegen baseline on the sha256 fault workload,
+* the vectorized lane backend (``packed-numpy``) is at least 2x faster than
+  the packed-bigint PPSFP campaign on the full sha256 fault population at
+  8192-lane array words — the check that array words actually beat bigint
+  words once the lane count passes the 64-lane ceiling (the section is
+  skipped, with a note, when NumPy is not installed),
 * the process-pool executor at ``workers=2`` (the CI runner's vCPU count) is
-  at least ``--min-process-speedup`` (default 1.5x) faster than the
-  single-process packed simulator on a large sha256 fault campaign — the
-  check that multiprocessing actually converts packing into wall-clock,
-* the generated concurrent kernel (``eraser-codegen``) is at least
-  ``--min-eraser-speedup`` (default 3x) faster than the interpreted
-  ``EraserSimulator`` on the sha256 concurrent fault campaign (verdicts are
-  cross-checked fault by fault before timing counts),
+  at least 1.5x faster than the single-process packed simulator on a large
+  sha256 fault campaign — the check that multiprocessing actually converts
+  packing into wall-clock,
+* the generated concurrent kernel (``eraser-codegen``) is at least 3x
+  faster than the interpreted ``EraserSimulator`` on the sha256 concurrent
+  fault campaign (verdicts are cross-checked fault by fault before timing
+  counts),
 * cross-chunk fault dropping pays: a resume-seeded sha256 re-run (the plane
   pre-loaded with a first run's verdicts — the early-exit-heavy shape) with
-  ``cross_drop=True`` is at least ``--min-drop-speedup`` (default 1.3x)
-  faster than the identical re-run with dropping disabled.  This section
-  runs single-core (``workers=1``), so it binds on every runner, and the
-  verdicts of both sides are cross-checked first,
+  ``cross_drop=True`` is at least 1.3x faster than the identical re-run
+  with dropping disabled.  This section runs single-core (``workers=1``),
+  so it binds on every runner, and the verdicts of both sides are
+  cross-checked first,
 * the persistent result cache replays: a cold sha256 campaign populates a
   fresh cache directory, then the *identical* warm rerun must simulate zero
   chunks (every verdict read from the shard, hits == faults, misses == 0)
-  and beat the cold run by ``--min-cache-speedup`` (default 5x), with
-  verdicts and detection cycles byte-identical.  Also ``workers=1``, so the
-  floor binds on every runner,
+  and beat the cold run by 5x, with verdicts and detection cycles
+  byte-identical.  Also ``workers=1``, so the floor binds on every runner,
 * the emitter's event-scheduler pass pays: the serial codegen fault campaign
   on picorv32 (the mostly-idle CPU shape the pass exists for) with the
-  scheduler on is at least ``--min-emitter-speedup`` (default 1.5x) faster
-  than the identical campaign with the pass toggled off (verdicts
-  cross-checked first),
+  scheduler on is at least 1.5x faster than the identical campaign with the
+  pass toggled off (verdicts cross-checked first),
 * ``engine="auto"`` never silently picks a bad substrate: the auto-resolved
-  sha256 fault campaign runs at at least ``--min-auto-ratio`` (default 0.9x)
-  of the best *fixed* engine on the identical faults (every candidate and
-  the auto run are verdict-cross-checked), and
-* per benchmark, no speedup has regressed more than ``--tolerance``
-  (default 20%) below the committed ``BENCH_baseline.json``.
+  sha256 fault campaign runs at at least 0.9x of the best *fixed* engine on
+  the identical faults (every candidate and the auto run are
+  verdict-cross-checked), and
+* per benchmark, no speedup has regressed more than 20% below the committed
+  ``BENCH_baseline.json``.
 
+The floors are the :data:`FLOORS` table and the 20% is :data:`TOLERANCE`.
 Speedup *ratios* rather than absolute times are compared against the baseline
 so the gate is stable across runner hardware generations.  (The process
 ratio additionally needs >= 2 real cores; on a single-core box it is ~0.9x
@@ -165,6 +162,23 @@ PACKED_WIDTH = 64
 
 #: The benchmark carrying the hard speedup floors.
 GATED_BENCHMARK = "sha256_c2v"
+
+#: The hard floor of each gated ratio (``ratio_auto_vs_best_fixed`` is a
+#: ratio to the best fixed engine; every other entry is a speedup).
+FLOORS = {
+    "speedup_codegen_vs_compiled": 3.0,
+    "speedup_packed_vs_serial_codegen": 8.0,
+    "speedup_vector_vs_packed": 2.0,
+    "speedup_process_vs_packed": 1.5,
+    "speedup_eraser_codegen_vs_interp": 3.0,
+    "speedup_drop_vs_nodrop": 1.3,
+    "speedup_warm_vs_cold": 5.0,
+    "speedup_scheduler_vs_flat": 1.5,
+    "ratio_auto_vs_best_fixed": 0.9,
+}
+
+#: How far below the committed baseline a ratio may regress (a fraction).
+TOLERANCE = 0.20
 
 ENGINES = ["event", "compiled", "codegen"]
 
@@ -650,20 +664,18 @@ def run_harness(repeats: int, sweep_all: bool = False) -> Dict:
     return report
 
 
-def gate(
-    report: Dict,
-    baseline: Dict,
-    min_speedup: float,
-    min_packed_speedup: float,
-    min_vector_speedup: float,
-    min_process_speedup: float,
-    min_eraser_speedup: float,
-    min_drop_speedup: float,
-    min_cache_speedup: float,
-    min_emitter_speedup: float,
-    min_auto_ratio: float,
-    tolerance: float,
-) -> int:
+def gate(report: Dict, baseline: Dict) -> int:
+    """Enforce :data:`FLOORS` and the :data:`TOLERANCE` against ``baseline``."""
+    min_speedup = FLOORS["speedup_codegen_vs_compiled"]
+    min_packed_speedup = FLOORS["speedup_packed_vs_serial_codegen"]
+    min_vector_speedup = FLOORS["speedup_vector_vs_packed"]
+    min_process_speedup = FLOORS["speedup_process_vs_packed"]
+    min_eraser_speedup = FLOORS["speedup_eraser_codegen_vs_interp"]
+    min_drop_speedup = FLOORS["speedup_drop_vs_nodrop"]
+    min_cache_speedup = FLOORS["speedup_warm_vs_cold"]
+    min_emitter_speedup = FLOORS["speedup_scheduler_vs_flat"]
+    min_auto_ratio = FLOORS["ratio_auto_vs_best_fixed"]
+    tolerance = TOLERANCE
     failures = []
     measured = report["benchmarks"]
     gated = measured[GATED_BENCHMARK]["speedup_codegen_vs_compiled"]
@@ -887,16 +899,6 @@ def main(argv=None) -> int:
         help="rewrite the baseline from this run instead of gating",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--min-speedup", type=float, default=3.0)
-    parser.add_argument("--min-packed-speedup", type=float, default=8.0)
-    parser.add_argument("--min-vector-speedup", type=float, default=2.0)
-    parser.add_argument("--min-process-speedup", type=float, default=1.5)
-    parser.add_argument("--min-eraser-speedup", type=float, default=3.0)
-    parser.add_argument("--min-drop-speedup", type=float, default=1.3)
-    parser.add_argument("--min-cache-speedup", type=float, default=5.0)
-    parser.add_argument("--min-emitter-speedup", type=float, default=1.5)
-    parser.add_argument("--min-auto-ratio", type=float, default=0.9)
-    parser.add_argument("--tolerance", type=float, default=0.20)
     parser.add_argument(
         "--sweep-all",
         action="store_true",
@@ -971,20 +973,7 @@ def main(argv=None) -> int:
     except OSError:
         print(f"no baseline at {args.baseline}; gating on the speedup floors only")
         baseline = {}
-    return gate(
-        report,
-        baseline,
-        args.min_speedup,
-        args.min_packed_speedup,
-        args.min_vector_speedup,
-        args.min_process_speedup,
-        args.min_eraser_speedup,
-        args.min_drop_speedup,
-        args.min_cache_speedup,
-        args.min_emitter_speedup,
-        args.min_auto_ratio,
-        args.tolerance,
-    )
+    return gate(report, baseline)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from repro.errors import SimulationError
 from repro.harness import environment, fig1b, fig6, fig7, table2, table3
 from repro.harness.experiments import FULL_PROFILE, QUICK_PROFILE
 from repro.sim.parallel import CampaignConfig, progress_printer
-from repro.sim.result_cache import CACHE_MODES
 
 _ARTIFACTS = {
     "table1": lambda args, profile: environment.run(),
@@ -53,8 +52,6 @@ _CAMPAIGN_FLAGS = {
     "checkpoint": "--checkpoint",
     "checkpoint_interval": "--checkpoint-interval",
     "chaos": "--chaos",
-    "cache": "--cache",
-    "cache_mode": "--cache-mode",
 }
 
 
@@ -150,22 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos-injection plan for resilience testing, e.g. "
         "'crash:chunk=1,until_attempt=1;slow:seconds=0.5'",
     )
-    caching = parser.add_argument_group(
-        "persistent result cache (with --workers; docs/caching.md)"
-    )
-    caching.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="reuse per-fault verdicts across runs from this cache directory "
-        "('default' = ~/.cache/repro-results or $REPRO_RESULT_CACHE)",
-    )
-    caching.add_argument(
-        "--cache-mode",
-        default=None,
-        choices=list(CACHE_MODES),
-        help="consult/update policy for --cache (default: readwrite)",
-    )
     return parser
 
 
@@ -192,8 +173,6 @@ def _campaign_config(
         parser.error(f"{given} need --workers (no campaign runs without it)")
     if knobs.pop("progress", False):
         knobs["on_progress"] = progress_printer()
-    if knobs.get("cache") == "default":
-        knobs["cache"] = True  # ResultCache.coerce: True opens the default directory
     try:
         return CampaignConfig(**knobs)
     except SimulationError as error:

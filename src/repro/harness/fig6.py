@@ -14,6 +14,7 @@ from repro.baselines.ifsim import IFsimSimulator
 from repro.baselines.vfsim import VFsimSimulator
 from repro.baselines.z01x import Z01XSurrogateSimulator
 from repro.core.framework import EraserSimulator
+from repro.errors import HarnessError
 from repro.fault.result import FaultSimResult
 from repro.harness.experiments import (
     ExperimentWorkload,
@@ -55,8 +56,15 @@ def run_benchmark(
     (``"interp"`` or ``"codegen"``, see
     :data:`repro.core.framework.ERASER_ENGINES`).  Verdicts are engine- and
     campaign-independent, so the agreement check keeps its meaning either
-    way; only the timing columns change.
+    way; only the timing columns change.  A campaign with a result cache is
+    refused: VFsim would replay the verdicts IFsim just wrote, which voids
+    both its timing and the agreement check.
     """
+    if campaign is not None and campaign.cache is not None:
+        raise HarnessError(
+            "fig6 times the simulators against each other, so its campaigns "
+            "cannot use a result cache (cache= is set)"
+        )
     simulators = {
         "IFsim": IFsimSimulator(workload.design, engine=engine, campaign=campaign),
         "VFsim": VFsimSimulator(workload.design, engine=engine, campaign=campaign),

@@ -13,25 +13,23 @@ the knobs (field, CLI flag, default, meaning) are tabled in one place, the
   milliseconds) and hydrates the generated packed kernel from the shared
   on-disk codegen cache (source + bytecode sidecar), so cold workers warm up
   for roughly the cost of an import.
-* :func:`run_multiprocess` — chunks the fault list into word-aligned slices,
-  oversubscribes the pool (:data:`OVERSUBSCRIBE` chunks per worker) so fast
-  words never leave a core idle, and merges verdicts through a shared-memory
-  :class:`~repro.sim.verdict_plane.VerdictPlane` that workers write
-  lane-granularly the moment each fault is detected.  Inside a worker each
-  chunk runs the ordinary :class:`~repro.sim.packed.PackedCodegenSimulator`
-  (or the vector/serial runner a :data:`RunnerSpec` selects), so lane-granular
-  dropping and the first-difference detection cycles are exactly the
-  single-process semantics.  A pool of one runs inline, with no pool at all.
+* :func:`run_multiprocess` — runs one campaign in four phases over one index
+  space, each fault's position in the caller's fault list: *plan* (runner,
+  seeds, result-cache lookup), *seed* (the shared-memory
+  :class:`~repro.sim.verdict_plane.VerdictPlane`), *supervise* (word-aligned
+  chunks, :data:`OVERSUBSCRIBE` per worker, under a
+  :class:`~repro.sim.resilience.ChunkSupervisor`; a pool of one runs inline)
+  and *assemble* (verdicts, cache write, the final progress event).  Inside a
+  worker each chunk runs the ordinary
+  :class:`~repro.sim.packed.PackedCodegenSimulator` (or the vector/serial
+  runner a :data:`RunnerSpec` selects), so lane-granular dropping and the
+  first-difference detection cycles are exactly the single-process semantics.
 
-The verdict plane carries cross-chunk fault dropping, streaming progress,
-partial-result salvage and warm resume (``resume_from=``); a
-:class:`~repro.sim.resilience.ChunkSupervisor` retries, times out and
-quarantines failing chunks and checkpoints the plane to disk, all driven
-deterministically by the plans in :mod:`repro.sim.chaos`; and the persistent
-result cache (:mod:`repro.sim.result_cache`) resolves already-known verdicts
-before any chunk is scheduled.  Chunk idempotency is what makes all of it
-verdict-safe: re-running any chunk can only rewrite the same bytes.  See
-``docs/internals-packing.md``, ``docs/resilience.md`` and ``docs/caching.md``.
+The phases are drawn in ``docs/architecture.md`` ("Campaign data flow"); the
+verdict plane, the supervision ladder, checkpoints and the result cache are
+specified in ``docs/internals-packing.md``, ``docs/resilience.md`` and
+``docs/caching.md``.  Chunk idempotency is what makes all of it verdict-safe:
+re-running any chunk can only rewrite the same bytes.
 
 Workers are spawned (never forked): spawn is the only start method that is
 safe on every platform the CI matrix covers (macOS defaults to it, fork is
@@ -59,6 +57,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     TextIO,
@@ -70,7 +69,8 @@ from repro.errors import SimulationError, UnknownOptionError
 from repro.ir.design import Design
 from repro.sim.chaos import ChaosPlan
 from repro.sim.codegen import design_fingerprint
-from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator, pack_fault_words
+from repro.sim import vector
+from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator
 from repro.sim.result_cache import CACHE_MODES, DEFAULT_CACHE_MODE, ResultCache, stimulus_hash
 from repro.sim.resilience import (
     ChunkState,
@@ -122,9 +122,6 @@ RunnerSpec = Tuple[str, Dict[str, object]]
 
 #: The runner kinds a :class:`CampaignConfig` accepts.
 RUNNER_KINDS = ("packed", "vector", "serial", "auto")
-
-#: The result label per concrete runner kind (others read ``"<kind>-MP"``).
-_RUNNER_LABELS = {"packed": "PackedPPSFP-MP", "vector": "VectorPPSFP-MP"}
 
 
 class WorkloadSpec:
@@ -237,7 +234,8 @@ class CampaignProgress:
     ----------
     detected:
         Faults detected so far, campaign-wide (monotonically non-decreasing
-        across the events of one campaign; includes ``resume_from`` seeds).
+        across the events of one campaign; includes cached verdicts and
+        ``resume_from`` seeds).
     total:
         Total faults in the campaign.
     chunks_done / chunks_total:
@@ -390,15 +388,87 @@ _WORKER_WORKLOAD: Dict[str, object] = {}
 
 
 def _worker_init(spec: WorkloadSpec, plane_name: Optional[str] = None) -> None:
-    """Spawn initializer: re-open the workload (and verdict plane) once per worker."""
+    """Spawn initializer: re-open the workload once per worker.
+
+    The verdict plane is attached by the first chunk the worker runs
+    (:func:`_worker_plane`), not here: a worker that starts only after a fast
+    campaign has finished, and unlinked its plane, gets no task and must not
+    fail.
+    """
     design, stimulus = spec.build()
     if stimulus is None:
         raise SimulationError("worker received a WorkloadSpec without a stimulus")
-    _WORKER_WORKLOAD["design"] = design
-    _WORKER_WORKLOAD["stimulus"] = stimulus
-    _WORKER_WORKLOAD["plane"] = (
-        VerdictPlane.attach(plane_name) if plane_name is not None else None
+    _WORKER_WORKLOAD.clear()
+    _WORKER_WORKLOAD.update(design=design, stimulus=stimulus, plane_name=plane_name)
+
+
+def _worker_plane() -> Optional[VerdictPlane]:
+    """This worker's verdict plane, attached on first use (None without one).
+
+    Called inside a chunk task, so a failed attach is a chunk failure the
+    supervisor retries.
+    """
+    if "plane" not in _WORKER_WORKLOAD:
+        name = _WORKER_WORKLOAD["plane_name"]
+        _WORKER_WORKLOAD["plane"] = None if name is None else VerdictPlane.attach(name)
+    return _WORKER_WORKLOAD["plane"]  # type: ignore[return-value]
+
+
+def _packed_runner(design: Design, width: int, options: Dict[str, object], hooks):
+    """Bigint lane words (:class:`PackedCodegenSimulator`)."""
+    return PackedCodegenSimulator(
+        design,
+        width=width,
+        early_exit=bool(options.get("early_exit", True)),
+        repack=bool(options.get("repack", False)),
+        **hooks,
     )
+
+
+def _vector_runner(design: Design, width: int, options: Dict[str, object], hooks):
+    """NumPy lane arrays (:class:`~repro.sim.vector.VectorFaultSimulator`)."""
+    return vector.VectorFaultSimulator(
+        design, width=width, early_exit=bool(options.get("early_exit", True)), **hooks
+    )
+
+
+def _serial_runner(design: Design, width: int, options: Dict[str, object], hooks):
+    """One fault at a time; it has no lane hooks, so ``hooks`` are ignored."""
+    from repro.baselines.base import SerialFaultSimulator
+
+    return SerialFaultSimulator(
+        design,
+        early_exit=bool(options.get("early_exit", True)),
+        engine=str(options["engine"]),
+    )
+
+
+class _RunnerKind(NamedTuple):
+    """One concrete runner kind: its result label, its lanes per word when the
+    options name no ``width`` (0: one fault at a time), the kind it runs as
+    where the parent lacks NumPy, and ``build(design, width, options, lane
+    hooks) -> fault simulator``."""
+
+    label: str
+    width: int
+    without_numpy: str
+    build: Callable[..., object]
+
+
+#: Every concrete runner kind (``"auto"`` is resolved to one in the parent).
+_RUNNERS: Dict[str, _RunnerKind] = {
+    "packed": _RunnerKind("PackedPPSFP-MP", DEFAULT_WORD_WIDTH, "packed", _packed_runner),
+    "vector": _RunnerKind(
+        "VectorPPSFP-MP", vector.DEFAULT_VECTOR_WIDTH, "packed", _vector_runner
+    ),
+    "serial": _RunnerKind("serial-MP", 0, "serial", _serial_runner),
+}
+
+
+def _word_width(runner: RunnerSpec) -> int:
+    """Faults per lane word of ``runner``: the grain chunks are cut at."""
+    default = _RUNNERS[runner[0]].width
+    return int(runner[1].get("width", default)) if default else 1
 
 
 def make_campaign_runner(
@@ -419,100 +489,69 @@ def make_campaign_runner(
     reaches this function: :func:`run_multiprocess` resolves it in the parent.
     """
     kind, options = runner
-    if kind == "packed":
-        return PackedCodegenSimulator(
-            design,
-            width=int(options.get("width", DEFAULT_WORD_WIDTH)),
-            early_exit=bool(options.get("early_exit", True)),
-            on_detect=on_detect,
-            drop_hook=drop_hook,
-            drop_stride=drop_stride,
-            repack=bool(options.get("repack", False)),
-        )
-    if kind == "vector":
-        from repro.sim.vector import DEFAULT_VECTOR_WIDTH, VectorFaultSimulator
-
-        return VectorFaultSimulator(
-            design,
-            width=int(options.get("width", DEFAULT_VECTOR_WIDTH)),
-            early_exit=bool(options.get("early_exit", True)),
-            on_detect=on_detect,
-            drop_hook=drop_hook,
-            drop_stride=drop_stride,
-        )
-    if kind == "serial":
-        from repro.baselines.base import SerialFaultSimulator
-
-        return SerialFaultSimulator(
-            design,
-            early_exit=bool(options.get("early_exit", True)),
-            engine=str(options["engine"]),
-        )
-    raise UnknownOptionError.for_option(
-        "campaign runner kind", kind, ("packed", "vector", "serial")
-    )
+    if kind not in _RUNNERS:
+        raise UnknownOptionError.for_option("campaign runner kind", kind, tuple(_RUNNERS))
+    hooks = {"on_detect": on_detect, "drop_hook": drop_hook, "drop_stride": drop_stride}
+    return _RUNNERS[kind].build(design, _word_width(runner), options, hooks)
 
 
-def _materialize_faults(design: Design, sites: Sequence[FaultSite]):
-    """Rebuild a dense-id :class:`FaultList` from wire-format fault sites."""
-    from repro.fault.faultlist import FaultList
-    from repro.fault.model import StuckAtFault
+def _inline_runner(runner: RunnerSpec) -> RunnerSpec:
+    """The runner for a chunk run in the parent, which may lack NumPy.
 
-    return FaultList(
-        [StuckAtFault(design.signal(name), bit, value) for name, bit, value in sites]
-    )
+    Packed takes any lane width, so degrading vector to it keeps the word
+    geometry, and with it every verdict and detection cycle.
+    """
+    if vector.np is None:
+        return (_RUNNERS[runner[0]].without_numpy, dict(runner[1]))
+    return runner
 
 
 def _run_chunk(
     design: Design,
     stimulus: Stimulus,
-    faults,
     runner: RunnerSpec,
     plane: Optional[VerdictPlane],
-    base: int,
+    positions: List[int],
+    sites: Sequence[FaultSite],
     cross_drop: bool,
-    drop_stride: int,
 ) -> Tuple[Dict[str, int], int]:
-    """Fault-simulate one consecutive chunk against the (optional) shared plane.
+    """Fault-simulate one chunk against the (optional) shared plane.
 
-    ``faults`` is a dense-id :class:`FaultList` whose local id ``j`` is the
-    campaign's global fault index ``base + j`` (chunks are consecutive slices
-    of the packed word order).  With a plane and ``cross_drop`` the chunk is
-    filtered at start against the global detection flags — re-packing the
-    survivors is verdict-safe because lanes are independent — and the runner
-    gets word-fill/mid-run drop hooks plus a streaming ``on_detect`` writer.
+    ``sites[j]`` is the fault at campaign position ``positions[j]``, in
+    wire format.  With a plane and ``cross_drop`` the chunk first drops
+    every fault the plane already flags — re-packing the survivors is
+    verdict-safe because lanes are independent — and the runner gets
+    word-fill/mid-run drop hooks plus a streaming ``on_detect`` writer.
     Returns ``(detections by fault name, simulated cycles)``.
     """
-    gmap = list(range(base, base + len(faults)))
-    if plane is not None and cross_drop:
-        flags = plane.detected_flags(base, len(faults))
-        if any(flags):
-            from repro.fault.faultlist import FaultList
-            from repro.fault.model import StuckAtFault
+    from repro.fault.faultlist import FaultList
+    from repro.fault.model import StuckAtFault
 
-            survivors = [(i, f) for i, f in enumerate(faults) if not flags[i]]
-            if not survivors:
-                return {}, 0
-            gmap = [base + i for i, _ in survivors]
-            # fresh fault objects: FaultList.add assigns dense local ids and
-            # must not clobber the caller's fault_id fields
-            faults = FaultList(
-                [StuckAtFault(f.signal, f.bit, f.value) for _, f in survivors]
-            )
+    if plane is not None and cross_drop:
+        kept = [j for j, position in enumerate(positions) if not plane.is_detected(position)]
+        if not kept:
+            return {}, 0
+        positions = [positions[j] for j in kept]
+        sites = [sites[j] for j in kept]
+    # fresh fault objects: FaultList.add assigns the dense local ids that
+    # index ``positions``, and must not clobber the caller's fault_id fields
+    faults = FaultList(
+        [StuckAtFault(design.signal(name), bit, value) for name, bit, value in sites]
+    )
     on_detect: Optional[Callable[[int, int], None]] = None
     drop_hook: Optional[Callable[[List[int]], List[int]]] = None
     if plane is not None:
         mark = plane.mark
 
         def _stream_detection(fault_id: int, cycle: int) -> None:
-            mark(gmap[fault_id], cycle)
+            mark(positions[fault_id], cycle)
 
         on_detect = _stream_detection
         if cross_drop:
             is_detected = plane.is_detected
 
             def _consult_plane(fault_ids: List[int]) -> List[int]:
-                return [fid for fid in fault_ids if is_detected(gmap[fid])]
+                return [fid for fid in fault_ids if is_detected(positions[fid])]
 
             drop_hook = _consult_plane
 
@@ -521,7 +560,7 @@ def _run_chunk(
         runner,
         on_detect=on_detect,
         drop_hook=drop_hook,
-        drop_stride=drop_stride if cross_drop else 0,
+        drop_stride=DROP_STRIDE if cross_drop else 0,
     )
     result = simulator.run(stimulus, faults)
     detections = dict(result.coverage.detections)
@@ -529,86 +568,64 @@ def _run_chunk(
         # serial runners have no on_detect seam; re-marking is idempotent
         # (detection cycles are deterministic, so duplicate marks write the
         # same bytes), and it makes every runner kind plane-complete
-        global_index = {fault.name: gmap[fault.fault_id] for fault in faults}
-        for name, cycle in detections.items():
-            mark(global_index[name], cycle)
+        for fault in faults:
+            if fault.name in detections:
+                mark(positions[fault.fault_id], detections[fault.name])
     return detections, result.stats.cycles
 
 
 def _simulate_chunk(
     sites: Sequence[FaultSite],
+    positions: List[int],
     runner: RunnerSpec,
-    base: int = 0,
     cross_drop: bool = False,
-    drop_stride: int = 0,
     chunk_index: int = 0,
     attempt: int = 0,
     chaos: Optional[ChaosPlan] = None,
 ) -> Tuple[Dict[str, int], int, float]:
     """Worker task: fault-simulate one word-aligned chunk.
 
-    ``base`` is the chunk's first global fault index; ``chunk_index`` and
-    ``attempt`` (0-based) identify the submission for the chaos plan, which
-    the parent resolves once and ships with every task so attempt-aware
-    triggers see the supervisor's counters.  Detections stream into the
-    worker's attached verdict plane as they happen; the returned
-    ``(detections by fault name, simulated cycles, wall seconds)`` tuple —
-    small, plain and picklable — doubles as the merge payload where shared
-    memory is unavailable and feeds the supervisor's adaptive watchdog.
+    ``sites`` are the chunk's faults in wire format and ``positions`` their
+    places in the campaign's fault list.  ``chunk_index`` and ``attempt``
+    (0-based) identify the submission for the chaos plan, which the parent
+    resolves once and ships with every task so attempt-aware triggers see
+    the supervisor's counters; a rule's ``base`` is the chunk's first
+    position.  Detections stream into the worker's verdict plane as they
+    happen; the returned ``(detections by fault name, simulated cycles,
+    wall seconds)`` tuple — small, plain and picklable — doubles as the
+    merge payload where shared memory is unavailable and feeds the
+    supervisor's adaptive watchdog.
     """
     begin = time.perf_counter()
     if chaos is not None:
-        chaos.apply(chunk_index, base, attempt)
+        chaos.apply(chunk_index, positions[0], attempt)
     design: Design = _WORKER_WORKLOAD["design"]  # type: ignore[assignment]
     stimulus: Stimulus = _WORKER_WORKLOAD["stimulus"]  # type: ignore[assignment]
-    plane: Optional[VerdictPlane] = _WORKER_WORKLOAD.get("plane")  # type: ignore[assignment]
-    faults = _materialize_faults(design, sites)
     detections, cycles = _run_chunk(
-        design, stimulus, faults, runner, plane, base, cross_drop, drop_stride
+        design, stimulus, runner, _worker_plane(), positions, sites, cross_drop
     )
     return detections, cycles, time.perf_counter() - begin
 
 
-def _degraded_inline_runner(runner: RunnerSpec) -> RunnerSpec:
-    """The quarantine rung's runner: vector degrades to packed without NumPy.
-
-    Quarantined chunks run in the campaign parent, which may lack the
-    optional NumPy dependency a ``("vector", ...)`` spec needs; the packed
-    bigint runner takes any lane width, so the degraded spec keeps the same
-    word geometry (and therefore the same verdicts and cycles).
-    """
-    if runner[0] != "vector":
-        return runner
-    try:
-        import numpy  # noqa: F401
-    except Exception:
-        return ("packed", dict(runner[1]))
-    return runner
-
-
 # ----------------------------------------------------------------- parent side
-def chunk_fault_sites(
-    faults: "FaultList", word_size: int, max_chunks: int
-) -> List[List[FaultSite]]:
-    """Split a fault list into at most ``max_chunks`` word-aligned site chunks.
+def chunk_positions(
+    positions: Sequence[int], word_size: int, max_chunks: int
+) -> List[List[int]]:
+    """Split fault positions into at most ``max_chunks`` word-aligned chunks.
 
-    Chunks are *consecutive* runs of whole fault words, so a worker packs
-    exactly the words the single-process :class:`PackedCodegenSimulator` would
-    pack — chunking can never change which faults share a word, which is what
-    keeps the merged verdicts bit-exact.  Consecutiveness is also what maps a
-    chunk's local fault ids onto the campaign's global fault indexes (chunk
-    base + local id), the coordinate system of the shared verdict plane.
+    Chunks are *consecutive* runs of whole words of ``word_size`` faults, so
+    a worker packs exactly the words the single-process
+    :class:`PackedCodegenSimulator` would pack over the same positions —
+    chunking can never change which faults share a word, which is what
+    keeps the merged verdicts bit-exact.
     """
-    words = pack_fault_words(faults, max(1, word_size))
-    chunks = max(1, min(max_chunks, len(words)))
-    per_chunk = math.ceil(len(words) / chunks)
-    sites: List[List[FaultSite]] = []
-    for start in range(0, len(words), per_chunk):
-        group = words[start : start + per_chunk]
-        sites.append(
-            [(f.signal.name, f.bit, f.value) for word in group for f in word]
-        )
-    return sites
+    word_size = max(1, word_size)
+    words = math.ceil(len(positions) / word_size)
+    per_chunk = word_size * math.ceil(words / max(1, min(max_chunks, words)))
+    return [
+        list(positions[start : start + per_chunk])
+        for start in range(0, len(positions), per_chunk)
+    ]
 
 
 def _merge_chunk_verdicts(merged: Dict[str, int], chunk: Dict[str, int]) -> None:
@@ -647,9 +664,7 @@ def _concrete_runner(design: Design, config: CampaignConfig, fault_count: int) -
 
     options = dict(runner[1])
     if resolve_engine(design, fault_count=fault_count) == "packed-numpy":
-        from repro.sim.vector import DEFAULT_VECTOR_WIDTH
-
-        options.setdefault("width", DEFAULT_VECTOR_WIDTH)
+        options.setdefault("width", vector.DEFAULT_VECTOR_WIDTH)
         options.pop("repack", None)
         return ("vector", options)
     options.setdefault("width", config.width)
@@ -676,10 +691,12 @@ def run_multiprocess(
     building a config by hand.  The fields are tabled in the "Knobs and
     observability" section of ``docs/resilience.md``.
 
-    The fault list is cut into word-aligned chunks, each run by the
-    configured runner (default: packed PPSFP at ``width``) inside a spawned
-    worker; a resolved pool of one runs inline with no pool at all.
-    Verdicts and detection cycles are exact against a single-process run —
+    The campaign runs in four phases — plan, seed, supervise, assemble —
+    over one index space, each fault's position in ``faults``.  The phases
+    are drawn in the "Campaign data flow" section of
+    ``docs/architecture.md``; what the result cache, ``resume_from=`` and
+    checkpoints add to them is in ``docs/caching.md``.  Verdicts and
+    detection cycles are exact against a single-process run — caching,
     dropping and chunking only remove redundant work.
 
     The three per-call values are not knobs:
@@ -690,8 +707,7 @@ def run_multiprocess(
       report.  Unknown fault names are an error.
     * ``plane`` — an externally created :class:`VerdictPlane` sized to this
       fault list, letting concurrent campaigns share verdicts; the caller
-      keeps ownership (this function will not unlink it).  The result cache
-      is not consulted when a plane is passed.
+      keeps ownership (this function will not unlink it).
     * ``label`` — the result's simulator name (default: from the runner).
 
     The result's ``stats.cycles`` is the *sum of cycles simulated across all
@@ -699,396 +715,349 @@ def run_multiprocess(
     wall-clock cycles: chunks run concurrently, so the sum exceeds any
     single timeline (``wall_time`` is the wall-clock measure).
     """
-    from repro.core.stats import SimulationStats
-    from repro.fault.coverage import FaultCoverageReport
-    from repro.fault.result import FaultSimResult
-
     config = (config or CampaignConfig()).with_fields(**fields)
-    design.check_finalized()
-    stimulus.validate(design)
-    runner = _concrete_runner(design, config, len(faults))
-    if label is None:
-        label = _RUNNER_LABELS.get(runner[0], f"{runner[0]}-MP")
-    store = ResultCache.coerce(config.cache)
-    if store is not None and len(faults) and plane is None:
-        return _run_cached(
-            store,
-            design,
-            stimulus,
-            faults,
-            replace(config, runner=runner, cache=None),
-            resume_from,
-            label,
-        )
-    policy = RetryPolicy.from_retries(config.retries)
-    chaos_plan = ChaosPlan.coerce(config.chaos) or ChaosPlan.from_environment()
-    checkpoint = config.checkpoint
-    cross_drop = config.cross_drop
-    on_progress = config.on_progress
-    # word-aligned chunking: the chunk size is the runner's lane-word width
-    # (for the vector runner that is the array lane count, e.g. 512-4096
-    # faults per chunk), so chunking never changes which faults share a word
-    if runner[0] == "packed":
-        word_size = int(runner[1].get("width", DEFAULT_WORD_WIDTH))
-    elif runner[0] == "vector":
-        from repro.sim.vector import DEFAULT_VECTOR_WIDTH
+    campaign = _Campaign(design, stimulus, faults, config, resume_from, label)  # plan
+    try:
+        campaign.seed(plane)
+        campaign.supervise()
+        return campaign.assemble()
+    finally:
+        campaign.release()
 
-        word_size = int(runner[1].get("width", DEFAULT_VECTOR_WIDTH))
-    else:
-        word_size = 1
-    work_units = math.ceil(len(faults) / max(1, word_size))
-    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, work_units))
 
-    seeds: Dict[str, int] = dict(resume_from) if resume_from else {}
-    fingerprint: Optional[str] = None
-    if checkpoint is not None:
-        fingerprint = campaign_fingerprint(design, faults)
-        if os.path.exists(checkpoint):
-            snapshot = VerdictPlane.load(checkpoint, expect_fingerprint=fingerprint)
-            try:
-                for name, seed_cycle in snapshot.named_detections(faults).items():
-                    seeds.setdefault(name, seed_cycle)
-            finally:
-                snapshot.close()
-    index_by_name: Dict[str, int] = {}
-    if seeds:
-        index_by_name = {fault.name: i for i, fault in enumerate(faults)}
-        unknown = sorted(name for name in seeds if name not in index_by_name)
-        if unknown:
-            raise SimulationError(
-                f"resume_from names faults not in this campaign: {unknown[:5]}"
-            )
-    owned_plane = False
-    if plane is not None:
-        if plane.n_faults != len(faults):
+class _Campaign:
+    """One campaign: constructing it is the *plan* phase, then :meth:`seed`,
+    :meth:`supervise` and :meth:`assemble` run, and :meth:`release` frees it.
+
+    Every index is a position in the caller's fault list: resume and
+    checkpoint seeds, cache hits, the verdict plane and each chunk's
+    ``positions`` all share it.  The :class:`ChunkSupervisor` hooks are
+    methods here.
+    """
+
+    def __init__(
+        self,
+        design: Design,
+        stimulus: Stimulus,
+        faults: "FaultList",
+        config: CampaignConfig,
+        resume_from: Optional[Dict[str, int]],
+        label: Optional[str],
+    ) -> None:
+        """Plan: resolve the runner, the seeds and the positions left to simulate.
+
+        A cached verdict, detected or not, wins over a checkpoint or
+        ``resume_from`` seed for the same fault.
+        """
+        from repro.core.stats import SimulationStats
+
+        self.start = time.perf_counter()  # the wall clock runs from entry
+        self.design = design
+        self.stimulus = stimulus
+        self.faults = faults
+        self.config = config
+        self.stats = SimulationStats()
+        design.check_finalized()
+        stimulus.validate(design)
+        self.runner = _concrete_runner(design, config, len(faults))
+        self.label = label if label is not None else _RUNNERS[self.runner[0]].label
+        #: Position -> detection cycle known before any chunk runs.
+        self.seeds: Dict[int, int] = {}
+        if resume_from:
+            index = {fault.name: position for position, fault in enumerate(faults)}
+            unknown = sorted(name for name in resume_from if name not in index)
+            if unknown:
+                raise SimulationError(
+                    f"resume_from names faults not in this campaign: {unknown[:5]}"
+                )
+            self.seeds = {index[name]: cycle for name, cycle in resume_from.items()}
+        self.fingerprint = ""
+        if config.checkpoint is not None:
+            self.fingerprint = campaign_fingerprint(design, faults)
+            if os.path.exists(config.checkpoint):
+                with VerdictPlane.load(
+                    config.checkpoint, expect_fingerprint=self.fingerprint
+                ) as snapshot:
+                    for position in range(snapshot.n_faults):
+                        cycle = snapshot.cycle(position)
+                        if cycle is not None:
+                            self.seeds.setdefault(position, cycle)
+        #: Positions left to simulate: those the result cache does not answer.
+        self.todo = list(range(len(faults)))
+        self.store = ResultCache.coerce(config.cache)
+        if self.store is not None:
+            self.cache_key = (design_fingerprint(design), stimulus_hash(stimulus))
+            names = [fault.name for fault in faults]
+            hits = self.store.lookup(*self.cache_key, names)
+            self.todo = []
+            for position, name in enumerate(names):
+                if name not in hits:
+                    self.todo.append(position)
+                elif hits[name] is None:
+                    self.seeds.pop(position, None)
+                else:
+                    self.seeds[position] = hits[name]
+            self.stats.cache_hits = len(hits)
+            self.stats.cache_misses = len(self.todo)
+        units = math.ceil(len(self.todo) / max(1, _word_width(self.runner)))
+        workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
+        self.workers = max(1, min(workers, units))
+        self.plane: Optional[VerdictPlane] = None
+        self.owns_plane = False
+        self.spec: Optional[WorkloadSpec] = None
+        self.chaos: Optional[ChaosPlan] = None
+        self.merged: Dict[str, int] = {}
+        self.chunks_done = 0
+        self.chunks_total = 0
+        self.partial = False
+        self.saved = False
+        self.chunk_event = False
+        self.last_emit = self.last_checkpoint = self.start
+
+    # ------------------------------------------------------------- the phases
+    def seed(self, plane: Optional[VerdictPlane]) -> None:
+        """Adopt the caller's plane, or create one sized to the whole list, and seed it.
+
+        With nothing left to simulate no plane is created.
+        """
+        if plane is not None and plane.n_faults != len(self.faults):
             raise SimulationError(
                 f"verdict plane is sized for {plane.n_faults} faults but the "
-                f"campaign has {len(faults)}"
+                f"campaign has {len(self.faults)}"
             )
-    elif len(faults):
-        try:
-            plane = VerdictPlane.create(len(faults))
-            owned_plane = True
-        except OSError:
-            plane = None  # no POSIX shared memory here: pickled-dict fallback
-    if checkpoint is not None and plane is None and len(faults):
-        raise SimulationError(
-            "checkpoint= requires the shared verdict plane, which is "
-            "unavailable here (no POSIX shared memory)"
+        if plane is None and self.todo:
+            try:
+                plane = VerdictPlane.create(len(self.faults))
+            except OSError:
+                pass  # no POSIX shared memory here: the pickled-dict fallback
+            else:
+                self.owns_plane = True
+        self.plane = plane
+        if plane is None and self.todo and self.config.checkpoint is not None:
+            raise SimulationError(
+                "checkpoint= requires the shared verdict plane, which is "
+                "unavailable here (no POSIX shared memory)"
+            )
+        if plane is not None:
+            for position, cycle in self.seeds.items():
+                plane.seed(position, cycle)
+
+    def supervise(self) -> None:
+        """Simulate the positions left: inline for one worker, else over a pool."""
+        if self.todo:
+            max_chunks = self.workers * OVERSUBSCRIBE if self.workers > 1 else 1
+            states = [
+                ChunkState(index, positions)
+                for index, positions in enumerate(
+                    chunk_positions(self.todo, _word_width(self.runner), max_chunks)
+                )
+            ]
+            self.chunks_total = len(states)
+            self.emit()
+            if self.workers == 1:
+                # no pool startup for tiny campaigns and debugging; chaos
+                # never fires in the parent process
+                state = states[0]
+                detections, cycles, _ = self.run_inline(state)
+                state.outcome = "inline"
+                self.on_complete(state, detections, cycles)
+            else:
+                self.run_pool(states)
+        self.save_checkpoint()
+        self.saved = True
+
+    def assemble(self) -> "FaultSimResult":
+        """Collect the verdicts, write the cache, emit the final event."""
+        from repro.fault.coverage import FaultCoverageReport
+        from repro.fault.result import FaultSimResult
+
+        detections = self.detections()
+        if self.store is not None and self.config.cache_mode == "readwrite":
+            # a salvaged campaign cannot tell "undetected" from "never
+            # simulated", so only a complete one records undetected faults
+            fresh: Dict[str, Optional[int]] = {}
+            for position in self.todo:
+                name = self.faults[position].name
+                if name in detections:
+                    fresh[name] = detections[name]
+                elif not self.partial:
+                    fresh[name] = None
+            if fresh and self.store.store(
+                *self.cache_key,
+                fresh,
+                design_name=self.design.name,
+                clock=self.stimulus.clock,
+                cycles=self.stimulus.num_cycles(),
+            ):
+                self.stats.cache_writes = len(fresh)
+        wall = time.perf_counter() - self.start
+        self.stats.time_total = wall
+        self.emit(final=True)
+        coverage = FaultCoverageReport.from_named_detections(
+            self.design.name, self.faults, detections, simulator=self.label
         )
-    if plane is not None and seeds:
-        for name, seed_cycle in seeds.items():
-            plane.seed(index_by_name[name], seed_cycle)
+        return FaultSimResult(self.label, coverage, wall, self.stats, partial=self.partial)
 
-    start = time.perf_counter()
-    merged: Dict[str, int] = {}
-    cycles = 0
-    partial = False
-    chunks_done = 0
-    chunks_total = 1
-    stats = SimulationStats()
-    last_checkpoint = start
-    checkpoint_final = False
+    def release(self) -> None:
+        """Snapshot a dying campaign's plane (best effort), then free an owned one."""
+        if not self.saved:
+            # salvage raise, KeyboardInterrupt...: leave something to resume
+            try:
+                self.save_checkpoint()
+            except Exception:  # pragma: no cover - snapshot is best-effort here
+                pass
+        if self.owns_plane:
+            self.plane.close()
+            self.plane.unlink()
 
-    def save_checkpoint() -> None:
-        """Atomically snapshot the plane to the checkpoint path, stamped."""
-        nonlocal last_checkpoint
-        if checkpoint is None or plane is None:
-            return
-        plane.save(checkpoint, fingerprint)
-        stats.checkpoints_written += 1
-        last_checkpoint = time.perf_counter()
+    # ------------------------------------------------------------ supervision
+    def run_pool(self, states: List[ChunkState]) -> None:
+        """Drive the chunks over spawn pools: retry, watchdog, quarantine."""
+        config = self.config
+        policy = RetryPolicy.from_retries(config.retries)
+        self.spec = WorkloadSpec.from_design(self.design).with_stimulus(self.stimulus)
+        self.chaos = ChaosPlan.coerce(config.chaos) or ChaosPlan.from_environment() or None
+        ChunkSupervisor(
+            states,
+            policy,
+            self.make_pool,
+            self.submit,
+            self.run_inline,
+            self.chunk_proven,
+            self.on_complete,
+            self.on_tick,
+            chunk_timeout=config.chunk_timeout,
+            degrade=config.degrade,
+        ).run()
+        self.stats.chunk_retries = sum(max(0, s.attempts - 1) for s in states)
+        self.stats.chunks_quarantined = sum(1 for s in states if s.quarantined)
+        failed = [s for s in states if s.outcome == "failed"]
+        self.stats.chunks_failed = len(failed)
+        if failed and not config.salvage:
+            raise SimulationError(
+                f"a worker process died while fault-simulating "
+                f"{self.design.name!r} (workers={self.workers}, "
+                f"chunks={self.chunks_total}): {len(failed)} chunk(s) "
+                f"unfinished after {policy.max_attempts} attempt(s); "
+                f"the campaign was aborted and its partial verdicts discarded"
+            ) from failed[0].error
+        # every verdict written before a failure is still in the plane (or
+        # in the chunks that completed): salvage them
+        self.partial = bool(failed)
 
-    def emit(final: bool = False) -> None:
+    def make_pool(self) -> ProcessPoolExecutor:
+        """A fresh spawn pool; one is built per supervision generation."""
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=get_context("spawn"),
+            initializer=_worker_init,
+            initargs=(self.spec, self.plane.name if self.plane is not None else None),
+        )
+
+    def submit(self, pool: ProcessPoolExecutor, state: ChunkState):
+        """Submit one chunk attempt (0-based attempt for the chaos plan)."""
+        return pool.submit(
+            _simulate_chunk,
+            self.sites(state),
+            state.positions,
+            self.runner,
+            self.config.cross_drop,
+            state.index,
+            state.attempts - 1,
+            self.chaos,
+        )
+
+    def run_inline(self, state: ChunkState) -> Tuple[Dict[str, int], int, float]:
+        """Run one chunk in this process: the one-worker run and the quarantine rung."""
+        begin = time.perf_counter()
+        detections, cycles = _run_chunk(
+            self.design,
+            self.stimulus,
+            _inline_runner(self.runner),
+            self.plane,
+            state.positions,
+            self.sites(state),
+            self.config.cross_drop,
+        )
+        return detections, cycles, time.perf_counter() - begin
+
+    def chunk_proven(self, state: ChunkState) -> bool:
+        """Is every fault of this chunk already flagged on the plane?"""
+        if self.plane is None:
+            return False
+        return len(self.plane.detected_among(state.positions)) == len(state.positions)
+
+    def on_complete(self, state: ChunkState, detections: Dict[str, int], cycles: int) -> None:
+        """Merge one resolved chunk into the campaign accumulators."""
+        _merge_chunk_verdicts(self.merged, detections)
+        self.stats.cycles += cycles
+        self.chunks_done += 1
+        if state.outcome == "skipped":
+            self.stats.chunks_skipped += 1
+        else:
+            self.stats.chunks_simulated += 1
+        self.chunk_event = True
+
+    def on_tick(self) -> None:
+        """Per-poll cadence: progress events and periodic checkpoints."""
+        now = time.perf_counter()
+        if self.chunk_event or now - self.last_emit >= PROGRESS_INTERVAL:
+            self.chunk_event = False
+            self.last_emit = now
+            self.emit()
+        if now - self.last_checkpoint >= self.config.checkpoint_interval:
+            self.save_checkpoint()
+
+    # ---------------------------------------------------------------- helpers
+    def sites(self, state: ChunkState) -> List[FaultSite]:
+        """The chunk's faults in wire format."""
+        faults = self.faults
+        return [(faults[p].signal.name, faults[p].bit, faults[p].value) for p in state.positions]
+
+    def detections(self) -> Dict[str, int]:
+        """Fault name -> detection cycle: the plane, or the seeds plus the merge."""
+        if self.plane is not None:
+            return self.plane.named_detections(self.faults)
+        found = {self.faults[p].name: cycle for p, cycle in self.seeds.items()}
+        found.update(self.merged)
+        return found
+
+    def emit(self, final: bool = False) -> None:
         """Snapshot the campaign into one CampaignProgress event, if streaming."""
+        on_progress = self.config.on_progress
         if on_progress is None:
             return
-        elapsed = time.perf_counter() - start
-        if plane is not None:
-            detected = plane.detected_count()
+        elapsed = time.perf_counter() - self.start
+        if self.plane is not None:
+            detected = self.plane.detected_count()
         else:
-            detected = len({**seeds, **merged})
+            detected = len(self.detections())
         eta = None
-        if not final and chunks_done:
+        if not final and self.chunks_done:
             # clamped: a retried chunk can push elapsed past the naive
             # extrapolation, and an ETA below zero is just noise
-            eta = max(0.0, elapsed * (chunks_total - chunks_done) / chunks_done)
+            remaining = self.chunks_total - self.chunks_done
+            eta = max(0.0, elapsed * remaining / self.chunks_done)
         on_progress(
             CampaignProgress(
                 detected=detected,
-                total=len(faults),
-                chunks_done=chunks_done,
-                chunks_total=chunks_total,
+                total=len(self.faults),
+                chunks_done=self.chunks_done,
+                chunks_total=self.chunks_total,
                 elapsed=elapsed,
                 eta=eta,
                 final=final,
-                partial=partial,
+                partial=self.partial,
             )
         )
 
-    try:
-        if workers == 1:
-            # tiny campaigns and debugging skip pool startup entirely (the
-            # plane still drives resume seeding, dropping, checkpoints and
-            # the final merge; chaos never fires in the parent process)
-            emit()
-            merged, cycles = _run_chunk(
-                design, stimulus, faults, runner, plane, 0, cross_drop, DROP_STRIDE
-            )
-            chunks_done = 1
-            stats.chunks_simulated = 1
-        else:
-            spec = WorkloadSpec.from_design(design).with_stimulus(stimulus)
-            chunks = chunk_fault_sites(faults, word_size, workers * OVERSUBSCRIBE)
-            chunks_total = len(chunks)
-            states: List[ChunkState] = []
-            base = 0
-            for index, chunk in enumerate(chunks):
-                states.append(ChunkState(index, chunk, base))
-                base += len(chunk)
-            emit()
-            drop = cross_drop and plane is not None
-            plane_name = plane.name if plane is not None else None
-            ship_plan = chaos_plan if chaos_plan else None
-
-            def make_pool() -> ProcessPoolExecutor:
-                """A fresh spawn pool; one is built per supervision generation."""
-                return ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=get_context("spawn"),
-                    initializer=_worker_init,
-                    initargs=(spec, plane_name),
-                )
-
-            def submit(pool: ProcessPoolExecutor, state: ChunkState):
-                """Submit one chunk attempt (0-based attempt for the chaos plan)."""
-                return pool.submit(
-                    _simulate_chunk,
-                    state.sites,
-                    runner,
-                    state.base,
-                    drop,
-                    DROP_STRIDE,
-                    state.index,
-                    state.attempts - 1,
-                    ship_plan,
-                )
-
-            def run_inline(state: ChunkState) -> Tuple[Dict[str, int], int, float]:
-                """Quarantine fallback: run the chunk in this process, no chaos."""
-                begin = time.perf_counter()
-                detections, chunk_cycles = _run_chunk(
-                    design,
-                    stimulus,
-                    _materialize_faults(design, state.sites),
-                    _degraded_inline_runner(runner),
-                    plane,
-                    state.base,
-                    cross_drop,
-                    DROP_STRIDE,
-                )
-                return detections, chunk_cycles, time.perf_counter() - begin
-
-            def chunk_proven(state: ChunkState) -> bool:
-                """Is every fault of this chunk already flagged on the plane?"""
-                if plane is None or not state.sites:
-                    return False
-                flags = plane.detected_flags(state.base, len(state.sites))
-                return len(flags) == len(state.sites) and all(flags)
-
-            chunk_event = [False]
-            last_emit = [start]
-
-            def on_complete(
-                state: ChunkState, detections: Dict[str, int], chunk_cycles: int
-            ) -> None:
-                """Merge one resolved chunk into the campaign accumulators."""
-                nonlocal cycles, chunks_done
-                _merge_chunk_verdicts(merged, detections)
-                cycles += chunk_cycles
-                chunks_done += 1
-                if state.outcome == "skipped":
-                    stats.chunks_skipped += 1
-                else:
-                    stats.chunks_simulated += 1
-                chunk_event[0] = True
-
-            def on_tick() -> None:
-                """Per-poll cadence: progress events and periodic checkpoints."""
-                now = time.perf_counter()
-                if chunk_event[0] or now - last_emit[0] >= PROGRESS_INTERVAL:
-                    chunk_event[0] = False
-                    last_emit[0] = now
-                    emit()
-                if (
-                    checkpoint is not None
-                    and plane is not None
-                    and now - last_checkpoint >= config.checkpoint_interval
-                ):
-                    save_checkpoint()
-
-            supervisor = ChunkSupervisor(
-                states,
-                policy,
-                make_pool,
-                submit,
-                run_inline,
-                chunk_proven,
-                on_complete,
-                on_tick,
-                chunk_timeout=config.chunk_timeout,
-                degrade=config.degrade,
-            )
-            supervisor.run()
-            stats.chunk_retries = sum(max(0, s.attempts - 1) for s in states)
-            stats.chunks_quarantined = sum(1 for s in states if s.quarantined)
-            failed = [s for s in states if s.outcome == "failed"]
-            stats.chunks_failed = len(failed)
-            if failed:
-                if not config.salvage:
-                    raise SimulationError(
-                        f"a worker process died while fault-simulating "
-                        f"{design.name!r} (workers={workers}, "
-                        f"chunks={chunks_total}): {len(failed)} chunk(s) "
-                        f"unfinished after {policy.max_attempts} attempt(s); "
-                        f"the campaign was aborted and its partial verdicts "
-                        f"discarded"
-                    ) from failed[0].error
-                # every verdict written before the failures is still in the
-                # plane (or in the chunks that completed); salvage them
-                partial = True
-        wall = time.perf_counter() - start
-        if plane is not None:
-            detections = plane.named_detections(faults)
-        else:
-            detections = dict(seeds)
-            detections.update(merged)
-        save_checkpoint()
-        checkpoint_final = True
-        emit(final=True)
-    finally:
-        if checkpoint is not None and plane is not None and not checkpoint_final:
-            # the campaign is dying (salvage raise, KeyboardInterrupt...):
-            # best-effort final snapshot so a restart can resume
-            try:
-                save_checkpoint()
-            except Exception:  # pragma: no cover - snapshot is best-effort here
-                pass
-        if owned_plane:
-            plane.close()
-            plane.unlink()
-
-    coverage = FaultCoverageReport.from_named_detections(
-        design.name, faults, detections, simulator=label
-    )
-    stats.cycles = cycles
-    stats.time_total = wall
-    return FaultSimResult(label, coverage, wall, stats, partial=partial)
-
-
-def _run_cached(
-    store: ResultCache,
-    design: Design,
-    stimulus: Stimulus,
-    faults: "FaultList",
-    config: CampaignConfig,
-    resume_from: Optional[Dict[str, int]],
-    label: str,
-) -> "FaultSimResult":
-    """Resolve a campaign against the result cache, then simulate only the delta.
-
-    ``config`` is the campaign's own config with the cache disarmed and the
-    runner already concrete.  Cached faults never reach the chunker: the
-    campaign re-enters :func:`run_multiprocess` over a *delta* fault list
-    that excludes every fault the shard already resolves — both detections
-    and proven-undetected entries — so a fully-warm replay builds no chunks
-    and spawns no pool at all.  Fresh verdicts are merged back into the
-    shard when ``cache_mode`` is ``"readwrite"``; proven-undetected faults
-    are only written by complete (non-partial) runs, because a salvaged
-    campaign cannot distinguish "undetected" from "never simulated".  The
-    reported wall time covers the shard lookup and write as well.
-    """
-    from repro.core.stats import SimulationStats
-    from repro.fault.coverage import FaultCoverageReport
-    from repro.fault.faultlist import FaultList
-    from repro.fault.model import StuckAtFault
-    from repro.fault.result import FaultSimResult
-
-    start = time.perf_counter()
-    fingerprint = design_fingerprint(design)
-    stim_hash = stimulus_hash(stimulus)
-    names = [fault.name for fault in faults]
-    if resume_from:
-        known = set(names)
-        unknown = sorted(name for name in resume_from if name not in known)
-        if unknown:
-            raise SimulationError(
-                f"resume_from names faults not in this campaign: {unknown[:5]}"
-            )
-    cached = store.lookup(fingerprint, stim_hash, names)
-    if len(cached) == len(names):
-        # fully warm: every verdict (detected and proven-undetected alike)
-        # comes straight from the shard — zero chunks, zero processes
-        detections = {name: cycle for name, cycle in cached.items() if cycle is not None}
-        stats = SimulationStats()
-        stats.cache_hits = len(cached)
-        wall = time.perf_counter() - start
-        stats.time_total = wall
-        if config.on_progress is not None:
-            config.on_progress(
-                CampaignProgress(
-                    detected=len(detections),
-                    total=len(names),
-                    chunks_done=0,
-                    chunks_total=0,
-                    elapsed=wall,
-                    final=True,
-                )
-            )
-        coverage = FaultCoverageReport.from_named_detections(
-            design.name, faults, detections, simulator=label
-        )
-        return FaultSimResult(label, coverage, wall, stats)
-    delta = FaultList(
-        [StuckAtFault(f.signal, f.bit, f.value) for f in faults if f.name not in cached]
-    )
-    seeds = None
-    if resume_from:
-        delta_names = {fault.name for fault in delta}
-        seeds = {name: cycle for name, cycle in resume_from.items() if name in delta_names}
-    result = run_multiprocess(
-        design, stimulus, delta, config, resume_from=seeds or None, label=label
-    )
-    stats = result.stats
-    stats.cache_hits = len(cached)
-    stats.cache_misses = len(delta)
-    simulated = result.coverage.detections
-    fresh: Dict[str, Optional[int]] = {}
-    for fault in delta:
-        if fault.name in simulated:
-            fresh[fault.name] = simulated[fault.name]
-        elif not result.partial:
-            fresh[fault.name] = None
-    if config.cache_mode == "readwrite" and fresh:
-        wrote = store.store(
-            fingerprint,
-            stim_hash,
-            fresh,
-            design_name=design.name,
-            clock=stimulus.clock,
-            cycles=stimulus.num_cycles(),
-        )
-        if wrote:
-            stats.cache_writes = len(fresh)
-    merged = {name: cycle for name, cycle in cached.items() if cycle is not None}
-    merged.update(simulated)
-    coverage = FaultCoverageReport.from_named_detections(
-        design.name, faults, merged, simulator=result.coverage.simulator
-    )
-    wall = time.perf_counter() - start
-    stats.time_total = wall
-    return FaultSimResult(result.simulator, coverage, wall, stats, partial=result.partial)
+    def save_checkpoint(self) -> None:
+        """Atomically snapshot the plane to the checkpoint path, stamped."""
+        if self.config.checkpoint is None or self.plane is None:
+            return
+        self.plane.save(self.config.checkpoint, self.fingerprint)
+        self.stats.checkpoints_written += 1
+        self.last_checkpoint = time.perf_counter()
 
 
 __all__ = [
@@ -1102,7 +1071,7 @@ __all__ = [
     "RUNNER_KINDS",
     "VerdictPlane",
     "WorkloadSpec",
-    "chunk_fault_sites",
+    "chunk_positions",
     "make_campaign_runner",
     "progress_printer",
     "run_multiprocess",

@@ -49,7 +49,7 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -158,8 +158,8 @@ class RetryPolicy:
 class ChunkState:
     """Supervision bookkeeping for one word-aligned fault chunk.
 
-    ``sites`` is the chunk's wire-format fault list, ``base`` its first
-    global fault index.  ``attempts`` counts pool submissions, ``failures``
+    ``positions`` are the chunk's faults, as positions in the campaign's
+    fault list.  ``attempts`` counts pool submissions, ``failures``
     counts blame marks (crash / stall / raised-in-chunk).  ``outcome`` is
     ``None`` while unresolved, then exactly one of ``"completed"`` (a worker
     finished it), ``"skipped"`` (the verdict plane already proved every
@@ -169,8 +169,7 @@ class ChunkState:
 
     __slots__ = (
         "index",
-        "sites",
-        "base",
+        "positions",
         "attempts",
         "failures",
         "quarantined",
@@ -178,11 +177,10 @@ class ChunkState:
         "error",
     )
 
-    def __init__(self, index: int, sites: Sequence, base: int) -> None:
+    def __init__(self, index: int, positions: List[int]) -> None:
         """A fresh, never-submitted chunk."""
         self.index = index
-        self.sites = sites
-        self.base = base
+        self.positions = positions
         self.attempts = 0
         self.failures = 0
         self.quarantined = False
@@ -190,10 +188,10 @@ class ChunkState:
         self.error: Optional[BaseException] = None
 
     def __repr__(self) -> str:
-        """Index, base, and where the chunk is in its lifecycle."""
+        """Index, size, and where the chunk is in its lifecycle."""
         state = self.outcome or ("quarantined" if self.quarantined else "pending")
         return (
-            f"ChunkState(#{self.index} base={self.base} "
+            f"ChunkState(#{self.index} faults={len(self.positions)} "
             f"attempts={self.attempts} failures={self.failures} {state})"
         )
 

@@ -12,9 +12,8 @@ Wire format
 -----------
 
 Faults are addressed by their *global index* — their position in the
-campaign's :class:`~repro.fault.faultlist.FaultList`, which every chunk knows
-as ``base_index + local fault_id`` because chunks are consecutive slices of
-the packed word order.  The segment layout is::
+campaign's :class:`~repro.fault.faultlist.FaultList`; every chunk carries the
+positions of its faults.  The segment layout is::
 
     offset 0      4 bytes   magic b"RVP1" (layout version stamp)
     offset 4      4 bytes   uint32 fault count N (little-endian)
@@ -360,16 +359,11 @@ class VerdictPlane:
         """Total detections so far — the live progress counter (monotone)."""
         return bytes(self._flags).count(1)
 
-    def detected_flags(self, start: int, count: int) -> bytes:
-        """Snapshot the flag bytes of faults ``[start, start + count)``.
-
-        The chunk-start consult: a worker passes its global index range and
-        skips every fault already flagged by the wider campaign.
-        """
-        return bytes(self._flags[start : start + count])
-
     def detected_among(self, indexes: List[int]) -> List[int]:
-        """Subset of ``indexes`` whose faults are flagged (mid-run consult)."""
+        """Subset of ``indexes`` whose faults are flagged.
+
+        A chunk whose positions are all flagged is proven and need not run.
+        """
         flags = self._flags
         return [index for index in indexes if flags[index]]
 

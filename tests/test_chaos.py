@@ -276,7 +276,7 @@ def test_cli_flags_build_campaign_config():
     [
         (["table2", "--retries", "5"], "table2 runs no fault campaign"),
         (["fig7", "--workers", "2"], "--workers"),
-        (["fig6", "--cache", "results"], "need --workers"),
+        (["fig6", "--cache", "results"], "unrecognized arguments: --cache"),
         (["fig6", "--retries", "0"], "need --workers"),
         (["fig6", "--progress"], "need --workers"),
         (["fig6", "--workers", "0"], "workers must be"),
@@ -350,6 +350,27 @@ def test_salvaged_campaign_checkpoint_seeds_the_retry(tmp_path):
         design, stimulus, faults, workers=2, width=4, checkpoint=path
     )
     assert not healed.partial
+    assert dict(healed.coverage.detections) == dict(reference.coverage.detections)
+
+
+def test_cached_salvaged_campaign_resumes_from_its_checkpoint(tmp_path):
+    """The checkpoint is fingerprinted over the whole fault list, not over
+    the faults the cache left, so a salvaged cached campaign still resumes."""
+    design, stimulus, faults, reference = _workload("apb")
+    knobs = dict(
+        workers=2,
+        width=4,
+        cache=str(tmp_path / "results"),
+        checkpoint=str(tmp_path / "salvage.ckpt"),
+    )
+    partial = run_multiprocess(
+        design, stimulus, faults, chaos="raise:chunk=1", retries=0, degrade=False, **knobs
+    )
+    assert partial.partial
+    assert partial.stats.cache_writes > 0  # its detections reached the cache
+    healed = run_multiprocess(design, stimulus, faults, **knobs)
+    assert not healed.partial
+    assert healed.stats.cache_hits == partial.stats.cache_writes
     assert dict(healed.coverage.detections) == dict(reference.coverage.detections)
 
 

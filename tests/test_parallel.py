@@ -29,7 +29,7 @@ from repro.sim.packed import pack_fault_words
 from repro.sim.parallel import (
     CampaignConfig,
     WorkloadSpec,
-    chunk_fault_sites,
+    chunk_positions,
     run_multiprocess,
 )
 from repro.sim.resilience import RetryPolicy
@@ -167,12 +167,16 @@ def test_chunk_fault_sites_word_aligned():
     design, _, _, _ = _workload("apb")
     faults = generate_stuck_at_faults(design)
     words = pack_fault_words(faults, 8)
-    chunks = chunk_fault_sites(faults, 8, max_chunks=3)
+    chunks = chunk_positions(range(len(faults)), 8, max_chunks=3)
     assert len(chunks) <= 3
     # chunk boundaries are word boundaries: concatenating the chunks
     # reproduces the fault list in pack order, and every chunk holds a
     # multiple of the word size (except possibly the last)
-    flat = [site for chunk in chunks for site in chunk]
+    flat = [
+        (faults[p].signal.name, faults[p].bit, faults[p].value)
+        for chunk in chunks
+        for p in chunk
+    ]
     assert flat == [(f.signal.name, f.bit, f.value) for word in words for f in word]
     for chunk in chunks[:-1]:
         assert len(chunk) % 8 == 0
@@ -182,34 +186,43 @@ def test_chunk_fault_sites_oversubscription_bounds():
     design, _, _, _ = _workload("apb")
     faults = sample_faults(generate_stuck_at_faults(design), 10, seed=7)
     # 10 faults at width 1 = 10 words; more chunks than words clamps to words
-    assert len(chunk_fault_sites(faults, 1, max_chunks=100)) == 10
-    assert len(chunk_fault_sites(faults, 64, max_chunks=100)) == 1
+    assert len(chunk_positions(range(len(faults)), 1, max_chunks=100)) == 10
+    assert len(chunk_positions(range(len(faults)), 64, max_chunks=100)) == 1
 
 
 # --------------------------------------------------------- streaming progress
-def test_progress_events_are_ordered_and_monotone(monkeypatch):
-    """Events: one at submission, >= one final=True last, monotone detected."""
+def test_progress_events_are_ordered_and_monotone(monkeypatch, tmp_path):
+    """Events: one at submission, >= one final=True last, monotone detected.
+
+    A half-warm cached campaign counts its cached verdicts too: the final
+    event totals the whole campaign, not the faults left to simulate.
+    """
     import repro.sim.parallel as parallel_mod
 
     monkeypatch.setattr(parallel_mod, "PROGRESS_INTERVAL", 0.05)
     design, stimulus, faults, reference = _workload("apb")
-    events = []
-    result = run_multiprocess(
-        design, stimulus, faults, workers=2, width=8, on_progress=events.append
-    )
-    assert len(events) >= 2
-    first, last = events[0], events[-1]
-    assert first.chunks_done == 0 and first.eta is None and not first.final
-    assert last.final and not last.partial
-    assert sum(e.final for e in events) == 1  # exactly one final event
-    assert last.detected == len(reference.coverage.detections)
-    assert last.chunks_done == last.chunks_total
-    detected = [e.detected for e in events]
-    assert detected == sorted(detected), "detected counts must be monotone"
-    assert all(e.total == len(faults) for e in events)
-    elapsed = [e.elapsed for e in events]
-    assert elapsed == sorted(elapsed)
-    assert 0.0 <= last.coverage <= 100.0
+    root = str(tmp_path / "results")
+    run_multiprocess(design, stimulus, faults[:5], workers=1, width=8, cache=root)
+    for cache in (None, root):
+        events = []
+        result = run_multiprocess(
+            design, stimulus, faults, workers=2, width=8, on_progress=events.append,
+            cache=cache,
+        )
+        assert len(events) >= 2
+        first, last = events[0], events[-1]
+        assert first.chunks_done == 0 and first.eta is None and not first.final
+        assert last.final and not last.partial
+        assert sum(e.final for e in events) == 1  # exactly one final event
+        assert last.detected == len(reference.coverage.detections)
+        assert last.detected == len(result.coverage.detections)
+        assert last.chunks_done == last.chunks_total
+        detected = [e.detected for e in events]
+        assert detected == sorted(detected), "detected counts must be monotone"
+        assert all(e.total == len(faults) for e in events)
+        elapsed = [e.elapsed for e in events]
+        assert elapsed == sorted(elapsed)
+        assert 0.0 <= last.coverage <= 100.0
 
 
 def test_progress_printer_formats_events(capsys):
@@ -353,6 +366,23 @@ def test_worker_crash_fail_fast_without_salvage():
             design, stimulus, faults, workers=2, width=4, salvage=False,
             retries=0, degrade=False, chaos="crash:base=0",
         )
+
+
+def test_worker_init_survives_an_unlinked_plane(monkeypatch):
+    """A pool worker that starts after a fast campaign unlinked its plane
+    initializes cleanly; attaching is left to its first chunk, where a
+    failure is a chunk failure the supervisor retries."""
+    import repro.sim.parallel as parallel_mod
+
+    monkeypatch.setattr(parallel_mod, "_WORKER_WORKLOAD", {})
+    design, stimulus, _, _ = _workload("apb")
+    spec = WorkloadSpec.from_design(design).with_stimulus(stimulus)
+    plane = VerdictPlane.create(4)
+    plane.close()
+    plane.unlink()
+    parallel_mod._worker_init(spec, plane.name)
+    with pytest.raises(FileNotFoundError):
+        parallel_mod._simulate_chunk([], [0], ("packed", {"width": 4}))
 
 
 # ----------------------------------------------------------------- shm hygiene

@@ -79,7 +79,7 @@ class _Harness:
     """Wire a ChunkSupervisor to scripted outcomes and record what happened."""
 
     def __init__(self, n_chunks, script, proven=(), pools_fail=0, **supervisor_kw):
-        self.states = [ChunkState(i, sites=[("s", 0, 0)], base=i * 4) for i in range(n_chunks)]
+        self.states = [ChunkState(i, positions=[i * 4]) for i in range(n_chunks)]
         self.script = dict(script)
         self.proven = set(proven)
         self.pools_fail = pools_fail

@@ -28,7 +28,7 @@ from fixture_designs import COUNTER_SRC
 from repro.api import compile_design
 from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
-from repro.errors import SimulationError, UnknownOptionError
+from repro.errors import HarnessError, SimulationError, UnknownOptionError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import design_fingerprint
 from repro.sim.parallel import CampaignConfig, WorkloadSpec, run_multiprocess
@@ -39,6 +39,7 @@ from repro.sim.result_cache import (
     stimulus_hash,
 )
 from repro.sim.stimulus import VectorStimulus
+from repro.sim.verdict_plane import VerdictPlane
 
 #: Cycles per benchmark for the corpus sweep; enough for observable activity.
 PARITY_CYCLES = 30
@@ -55,6 +56,11 @@ def _isolated_caches(tmp_path, monkeypatch):
 
 
 _workloads = {}
+
+
+def _no_plane(n_faults):
+    """Stands in for VerdictPlane.create where a campaign must create none."""
+    raise AssertionError("a warm replay created a verdict plane")
 
 
 def _workload(name):
@@ -218,7 +224,7 @@ def test_gc_by_age_then_size(tmp_path):
 
 # ------------------------------------------------------- campaigns, ten-fold
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_warm_replay_reads_everything_from_cache_on_corpus(name, tmp_path):
+def test_warm_replay_reads_everything_from_cache_on_corpus(name, tmp_path, monkeypatch):
     """Cold populates; the warm replay schedules zero chunks, verdicts exact.
 
     This is the acceptance sweep: on every corpus benchmark the second run
@@ -236,6 +242,7 @@ def test_warm_replay_reads_everything_from_cache_on_corpus(name, tmp_path):
     assert cold.stats.cache_writes == len(faults)
     assert cold.coverage.same_verdicts(reference.coverage)
 
+    monkeypatch.setattr(VerdictPlane, "create", _no_plane)
     warm = run_multiprocess(
         design, stimulus, faults, workers=1, width=8, cache=root
     )
@@ -419,6 +426,23 @@ def test_resume_from_composes_with_the_cache(tmp_path):
         )
 
 
+def test_external_plane_composes_with_the_cache(tmp_path):
+    """plane= and cache= index the same list: the cache still answers, and
+    its detections are left on the caller's plane with the simulated ones."""
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    half = faults[: len(faults) // 2]
+    run_multiprocess(design, stimulus, half, workers=1, width=8, cache=root)
+    with VerdictPlane.create(len(faults)) as plane:
+        result = run_multiprocess(
+            design, stimulus, faults, workers=1, width=8, cache=root, plane=plane
+        )
+        assert result.stats.cache_hits == len(half)
+        assert result.stats.cache_misses == len(faults) - len(half)
+        assert plane.named_detections(faults) == reference.coverage.detections
+    assert result.coverage.detections == reference.coverage.detections
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["partial", "full"])
 def test_cached_wall_time_covers_cache_io(warm, tmp_path, monkeypatch):
     """wall_time and stats.time_total run from entry until after the write."""
@@ -454,17 +478,22 @@ def test_campaign_config_forwards_cache(tmp_path):
     assert warm.coverage.same_verdicts(reference.coverage)
 
 
-def test_cli_cache_flags_build_campaign_config(tmp_path):
+def test_fig6_rejects_cache_flags_and_cached_campaigns(tmp_path, capsys):
+    """fig6 times simulators against each other: a cache would void that."""
+    from repro.harness import fig6
     from repro.harness.__main__ import parse_args
+    from repro.harness.experiments import prepare_workload
 
     root = str(tmp_path / "results")
-    args = parse_args(
-        ["fig6", "--workers", "1", "--cache", root, "--cache-mode", "read"]
-    )
-    assert args.campaign == CampaignConfig(workers=1, cache=root, cache_mode="read")
-    # the sentinel value routes to the default directory
-    args = parse_args(["fig6", "--workers", "1", "--cache", "default"])
-    assert args.campaign.cache is True
+    for flags in (["--cache", root], ["--cache-mode", "read"]):
+        with pytest.raises(SystemExit) as excinfo:
+            parse_args(["fig6", "--workers", "1", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+    workload = prepare_workload("alu", cycles=PARITY_CYCLES, fault_count=4)
+    with pytest.raises(HarnessError, match="result cache"):
+        fig6.run_benchmark(workload, campaign=CampaignConfig(workers=1, cache=root))
+    assert ResultCache(root).entries() == []
 
 
 def test_result_cache_ctl_cli(tmp_path, capsys):
