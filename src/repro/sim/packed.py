@@ -109,6 +109,8 @@ class PackedCodegenEngine:
         self.GC: List[int] = [1]
         ones = self._ones = self.layout.lane_ones
         stride = self.layout.stride
+        # per-sid value masks: apply_input runs every cycle for every input
+        self._masks: List[int] = [signal.mask for signal in design.signals]
         # per-lane forcing masks (value -> (value | FO[sid]) & FN[sid]) plus a
         # per-signal forced flag FB: in a W-fault word only the fault-site
         # signals carry force bits, so every other write skips the blend
@@ -179,7 +181,7 @@ class PackedCodegenEngine:
     def apply_input(self, signal: Signal, value: int) -> None:
         """Drive one primary input to the same value on every lane (then force)."""
         sid = signal.sid
-        word = (value & signal.mask) * self._ones
+        word = (value & self._masks[sid]) * self._ones
         if self.FB[sid]:
             word = (word | self.FO[sid]) & self.FN[sid]
         if self.V[sid] != word:

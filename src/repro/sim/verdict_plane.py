@@ -36,9 +36,10 @@ Two deliberate choices make the plane lock-free:
   fault, so even the one multi-writer case — re-marking an already-seeded
   fault — writes identical bytes.
 
-Lifecycle: the campaign parent :meth:`~VerdictPlane.create`\\ s the segment and
-is the only process that :meth:`~VerdictPlane.unlink`\\ s it (in a ``finally``,
-so crashed campaigns do not leak ``/dev/shm`` entries); workers
+Lifecycle: the campaign parent :meth:`~VerdictPlane.create`\\ s the segment,
+named after its pid (:func:`segment_prefix`), and is the only process that
+:meth:`~VerdictPlane.unlink`\\ s it (in a ``finally``, so crashed campaigns
+do not leak ``/dev/shm`` entries); workers
 :meth:`~VerdictPlane.attach` by name and are detached from the
 ``resource_tracker`` so a worker's exit cannot tear the segment down under the
 rest of the fleet.
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import secrets
 import struct
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Dict, List, Optional
@@ -70,6 +72,16 @@ _HEADER_BYTES = 8
 
 #: Fixed part of the checkpoint header: magic + uint32 fingerprint length.
 _CHECKPOINT_HEADER_BYTES = 8
+
+
+def segment_prefix(pid: Optional[int] = None) -> str:
+    """Name prefix of the segments process ``pid`` (default: this one) creates.
+
+    A plane's segment is named ``rvp<pid>_<8 hex digits>``, so a leak check
+    can tell the planes one process created from other processes' planes,
+    and the name stays under macOS's 31-character limit.
+    """
+    return f"rvp{os.getpid() if pid is None else pid}_"
 
 
 def _cycles_offset(n_faults: int) -> int:
@@ -186,7 +198,13 @@ class VerdictPlane:
         if n_faults < 1:
             raise SimulationError("a verdict plane needs at least one fault")
         size = _segment_size(n_faults)
-        shm = shared_memory.SharedMemory(create=True, size=size)
+        while True:
+            name = segment_prefix() + secrets.token_hex(4)
+            try:
+                shm = shared_memory.SharedMemory(name=name, create=True, size=size)
+                break
+            except FileExistsError:  # a clash with a live name: draw another
+                continue
         # shm segments are zero-filled on every platform CI covers, but the
         # spec does not promise it — and a stale flag IS a wrong verdict
         shm.buf[:size] = b"\x00" * size

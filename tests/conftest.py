@@ -8,8 +8,6 @@ breaks when the repo root holds more than one test directory.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from fixture_designs import (  # noqa: F401  (re-exported for older callers)
@@ -19,49 +17,22 @@ from fixture_designs import (  # noqa: F401  (re-exported for older callers)
     MEMORY_SRC,
     MUX_PIPELINE_SRC,
 )
+from plane_leaks import no_leaked_verdict_planes
 from repro.api import compile_design
 from repro.sim.stimulus import RandomStimulus
 from repro.sim.verdict_plane import VerdictPlane
 
-#: Where Linux exposes POSIX shared-memory segments as files.  The verdict
-#: plane's magic is at offset 0 of every segment, so a leak scan is a 4-byte
-#: read per candidate.
-_SHM_DIR = "/dev/shm"
-
-
-def _verdict_plane_segments() -> set:
-    """Names of live shared-memory segments stamped with the RVP1 magic."""
-    try:
-        entries = os.listdir(_SHM_DIR)
-    except OSError:  # non-Linux / no shm mount: the scan degrades to a no-op
-        return set()
-    found = set()
-    for entry in entries:
-        try:
-            with open(os.path.join(_SHM_DIR, entry), "rb") as handle:
-                if handle.read(4) == b"RVP1":
-                    found.add(entry)
-        except OSError:  # raced with deletion, or unreadable — not a leak
-            continue
-    return found
-
 
 @pytest.fixture(autouse=True)
 def _no_leaked_verdict_planes():
-    """Fail any test that strands a verdict-plane shared-memory segment.
+    """Fail any test that strands a verdict-plane shared-memory segment it made.
 
-    Campaigns promise to unlink their plane on *every* exit path (success,
-    salvage, KeyboardInterrupt); a stray ``RVP1`` segment after a test means
-    an exit path broke that promise.  Only segments *created during the
-    test* count — pre-existing ones (e.g. another process on a shared CI
-    box) are ignored.
+    See :func:`plane_leaks.no_leaked_verdict_planes`: only segments this
+    process created during the test count, so a campaign another process
+    runs meanwhile is never reported.
     """
-    before = _verdict_plane_segments()
-    yield
-    leaked = _verdict_plane_segments() - before
-    assert not leaked, (
-        f"test leaked verdict-plane shared-memory segment(s): {sorted(leaked)}"
-    )
+    with no_leaked_verdict_planes():
+        yield
 
 
 @pytest.fixture

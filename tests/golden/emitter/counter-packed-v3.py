@@ -1,4 +1,4 @@
-# repro packed codegen kernel v2
+# repro packed codegen kernel v3
 # design: counter
 # lanes=4 stride=33
 _W = 4
@@ -23,23 +23,41 @@ def _eqz(x):
     return ((((x + _NZC) >> _SP) & _R1) ^ _R1)
 
 
+def _lanes(rest):
+    # bit offsets of the lanes flagged in rest (one bit at a lane base),
+    # top-down.  If the top eight flags are adjacent the word is taken as
+    # dense and every lane below is listed, flagged or not: walking lanes
+    # costs less than finding bits, and a per-lane body gives a lane that
+    # shares lane 0's result that same result again
+    offs = []
+    while rest:
+        off = rest.bit_length() - 1
+        rest ^= 1 << off
+        offs.append(off)
+        if len(offs) == 8 and offs[0] - off == 7 * _S:
+            offs.extend(range(off - _S, -1, -_S))
+            break
+    return offs
+
+
 def _mrd(mem, ovl, ix):
-    # packed memory read: word gather at (possibly lane-divergent) addresses
+    # packed memory read: the lanes at lane 0's address share its word, and
+    # only the lanes whose address diverges gather their own
     i0 = ix & _SM
-    if ix == i0 * _R1:
-        if i0 >= len(mem):
-            return 0
-        if ovl is not None:
-            return ovl.get(i0, mem[i0])
-        return mem[i0]
+    x0 = i0 * _R1
     r = 0
-    off = 0
-    for _ in range(_W):
+    if i0 < len(mem):
+        r = ovl.get(i0, mem[i0]) if ovl is not None else mem[i0]
+    if ix == x0:
+        return r
+    rest = _nz(ix ^ x0)
+    same = rest ^ _R1
+    r &= (same << _S) - same
+    for off in _lanes(rest):
         a = (ix >> off) & _SM
         if a < len(mem):
             wv = ovl.get(a, mem[a]) if ovl is not None else mem[a]
             r |= wv & (_SM << off)
-        off += _S
     return r
 
 
@@ -122,11 +140,13 @@ def _bnba(ix, v, width, lsb, p):
 
 
 def _pmul(a, b, m):
-    r = 0
-    off = 0
-    for _ in range(_W):
+    # lanes whose operands both equal lane 0's share its product
+    a0 = a & _SM
+    b0 = b & _SM
+    rest = _nz((a ^ a0 * _R1) | (b ^ b0 * _R1))
+    r = ((a0 * b0) & m) * (rest ^ _R1)
+    for off in _lanes(rest):
         r |= ((((a >> off) & _SM) * ((b >> off) & _SM)) & m) << off
-        off += _S
     return r
 
 
@@ -152,24 +172,26 @@ def _pmod(a, b, m):
 
 
 def _pshl(a, b, w, m):
-    r = 0
-    off = 0
-    for _ in range(_W):
+    # lanes shifting by lane 0's amount share one whole-word shift
+    s0 = b & _SM
+    rest = _nz(b ^ s0 * _R1)
+    r = (a & ((m >> s0) * (rest ^ _R1))) << s0 if s0 < w else 0
+    for off in _lanes(rest):
         s = (b >> off) & _SM
         if s < w:
             r |= ((((a >> off) & _SM) << s) & m) << off
-        off += _S
     return r
 
 
 def _pshr(a, b, w):
-    r = 0
-    off = 0
-    for _ in range(_W):
+    # lanes shifting by lane 0's amount share one whole-word shift
+    s0 = b & _SM
+    rest = _nz(b ^ s0 * _R1)
+    r = (a >> s0) & ((_SM >> s0) * (rest ^ _R1)) if s0 < w else 0
+    for off in _lanes(rest):
         s = (b >> off) & _SM
         if s < w:
             r |= (((a >> off) & _SM) >> s) << off
-        off += _S
     return r
 
 
@@ -196,30 +218,32 @@ def _publish(upd, V, M, FB, FO, FN, VER, GC):
     ch = False
     for i, wm, wi, val in upd:
         if wi is not None:
+            # gathered write: the lanes at lane 0's address share one word
+            # write, and only the lanes whose address diverges write their own
             mem = M[i]
             i0 = wi & _SM
-            if wi == i0 * _R1:
-                if i0 < len(mem):
-                    old = mem[i0]
-                    nv = (old & (wm ^ _F)) | (val & wm)
-                    if old != nv:
-                        mem[i0] = nv
-                        GC[0] = VER[i] = GC[0] + 1
-                        ch = True
-            else:
-                off = 0
-                for _ in range(_W):
-                    lanebits = wm & (_SM << off)
-                    if lanebits:
-                        a = (wi >> off) & _SM
-                        if a < len(mem):
-                            old = mem[a]
-                            nv = (old & ~lanebits) | (val & lanebits)
-                            if old != nv:
-                                mem[a] = nv
-                                GC[0] = VER[i] = GC[0] + 1
-                                ch = True
-                    off += _S
+            x0 = i0 * _R1
+            rest = 0 if wi == x0 else _nz(wi ^ x0)
+            if i0 < len(mem):
+                same = rest ^ _R1
+                wm0 = wm & ((same << _S) - same) if rest else wm
+                old = mem[i0]
+                nv = (old & (wm0 ^ _F)) | (val & wm0)
+                if old != nv:
+                    mem[i0] = nv
+                    GC[0] = VER[i] = GC[0] + 1
+                    ch = True
+            for off in _lanes(rest):
+                lanebits = wm & (_SM << off)
+                if lanebits:
+                    a = (wi >> off) & _SM
+                    if a < len(mem):
+                        old = mem[a]
+                        nv = (old & ~lanebits) | (val & lanebits)
+                        if old != nv:
+                            mem[a] = nv
+                            GC[0] = VER[i] = GC[0] + 1
+                            ch = True
             continue
         old = V[i]
         nv = (old & (wm ^ _F)) | (val & wm)

@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from plane_leaks import verdict_plane_segments
 from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES
 from repro.errors import ChaosError
@@ -374,23 +375,6 @@ def test_cached_salvaged_campaign_resumes_from_its_checkpoint(tmp_path):
     assert dict(healed.coverage.detections) == dict(reference.coverage.detections)
 
 
-def _rvp1_segments():
-    """Live verdict-plane segment names (Linux scan; empty elsewhere)."""
-    try:
-        entries = os.listdir("/dev/shm")
-    except OSError:
-        return set()
-    found = set()
-    for entry in entries:
-        try:
-            with open(os.path.join("/dev/shm", entry), "rb") as handle:
-                if handle.read(4) == b"RVP1":
-                    found.add(entry)
-        except OSError:
-            continue
-    return found
-
-
 _CHILD_SCRIPT = """
 import json, sys
 from repro.fault.faultlist import FaultList
@@ -428,7 +412,6 @@ def test_parent_killed_mid_campaign_resumes_from_checkpoint(tmp_path):
         pytest.skip("benchmark sample detects too few faults to re-chunk")
     sites = [[f.signal.name, f.bit, f.value] for f in proven]
     path = str(tmp_path / "killed.ckpt")
-    before = _rvp1_segments()
     import repro
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -469,9 +452,9 @@ def test_parent_killed_mid_campaign_resumes_from_checkpoint(tmp_path):
             os.killpg(child.pid, signal.SIGKILL)
         child.wait(timeout=30)
         child.stdout.close()
-        # the killed parent could not unlink its plane: reap it here so the
-        # leak-check fixture only polices *unintentional* leaks
-        for name in _rvp1_segments() - before:
+        # the killed parent could not unlink its plane: reap it here (its
+        # name carries the child's pid, so no other process's plane is hit)
+        for name in verdict_plane_segments(child.pid):
             try:
                 from multiprocessing import shared_memory
 

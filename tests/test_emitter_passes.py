@@ -149,14 +149,35 @@ def test_generation_is_deterministic_per_config(counter_design):
 # ----------------------------------------------------------- golden snapshots
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "emitter")
 
+#: The snapshots as committed, listed when this module is collected: a
+#: snapshot :func:`_check_golden` seeds later in the run cannot count.
+_COMMITTED_GOLDEN = sorted(os.listdir(_GOLDEN_DIR)) if os.path.isdir(_GOLDEN_DIR) else []
+
+
+@pytest.mark.parametrize(
+    "target, version",
+    [("serial", CODEGEN_VERSION), ("packed", PACKED_VERSION), ("vector", VECTOR_VERSION)],
+)
+def test_one_committed_golden_snapshot_per_target(target, version):
+    """Each target has exactly one snapshot, and it is at the current version.
+
+    A format-version bump must commit the new snapshot and delete the old
+    one; without this check a bump with no committed snapshot would pass as
+    the golden test's seed-and-skip.
+    """
+    names = [name for name in _COMMITTED_GOLDEN if name.startswith(f"counter-{target}-v")]
+    assert names == [f"counter-{target}-v{version}.py"]
+
 
 def _check_golden(filename, source):
     """Compare against the stored snapshot; seed it if the version is new.
 
     Snapshots are keyed by the emitter format version, so bumping
     ``CODEGEN_VERSION`` / ``PACKED_VERSION`` / ``VECTOR_VERSION`` re-seeds
-    them on the next run instead of failing against stale output (delete the
-    old version's file in the same commit).
+    them on the next run instead of failing against stale output.  Commit
+    the seeded file and delete the old version's in the same commit:
+    :func:`test_one_committed_golden_snapshot_per_target` fails until both
+    are done.
     """
     path = os.path.join(_GOLDEN_DIR, filename)
     if not os.path.exists(path):
