@@ -49,8 +49,6 @@ _CAMPAIGN_FLAGS = {
     "progress": "--progress",
     "retries": "--retries",
     "chunk_timeout": "--chunk-timeout",
-    "checkpoint": "--checkpoint",
-    "checkpoint_interval": "--checkpoint-interval",
     "chaos": "--chaos",
 }
 
@@ -125,20 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="hard per-chunk watchdog deadline (default: adaptive, from "
         "observed chunk wall-times)",
-    )
-    resilience.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="write periodic atomic verdict-plane snapshots here and resume "
-        "from them on restart",
-    )
-    resilience.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds between checkpoint snapshots (default: 30)",
     )
     resilience.add_argument(
         "--chaos",

@@ -14,7 +14,9 @@ Python source:
 * ``comb_pass``     — one flat function performing a single levelized pass over
   every RTL node plus every level-sensitive behavioral node, with every
   expression compiled to an inline Python expression over a flat value list
-  ``V`` (indexed by signal id) instead of per-node ``eval`` recursion;
+  ``V`` (indexed by signal id) instead of per-node ``eval`` recursion —
+  or, for feed-forward designs, ``comb_once`` in its place: the same pass
+  without change tracking, since one pass is the fixed point;
 * ``_bn<i>``        — one flat function per behavioral (``always``) block,
   blocking assignments lowered to plain local variables and non-blocking
   updates collected into a flat tuple list;
@@ -133,21 +135,26 @@ _rtl_acyclic = rtl_acyclic
 #: v2: pass-based emitter core — the serial kernel gained the compiled event
 #: scheduler and the ``comb_once`` single-pass settle, and every kernel takes
 #: the uniform trailing ``VER, LS, GC`` scheduler-state parameters.
-CODEGEN_VERSION = 2
+#: v3: a kernel ships ``comb_once`` (feed-forward designs) *or* ``comb_pass``,
+#: never both.
+CODEGEN_VERSION = 3
 
 #: Separate version for the packed (PPSFP) source format: packed cache keys
 #: carry it, so the serial cache survives packed-emitter changes and vice versa.
 #: v2: event scheduler + uniform ``VER, LS, GC`` kernel ABI.
 #: v3: lane-0 sharing in the per-lane runtime helpers (``_mrd``, ``_pshl``,
 #: ``_pshr``, ``_pmul`` and the gathered write in ``_publish``).
-PACKED_VERSION = 3
+#: v4: ``comb_once`` *or* ``comb_pass``, never both.
+PACKED_VERSION = 4
 
 #: Version of the vector (NumPy) source format (see :func:`generate_vector_source`).
 #: Participates in the ``vec{N}`` cache suffix AND in the CI cache key, so a
 #: vector-emitter change invalidates exactly the vector entries.
-#: v2: uniform ``VER, LS, GC`` kernel ABI (inert — the vector layout has no
-#: event scheduler; see :mod:`repro.sim.emitter`).
-VECTOR_VERSION = 2
+#: v2: uniform ``VER, LS, GC`` kernel ABI (unread at the time).
+#: v3: the event scheduler: every RTL node and level-sensitive block sits
+#: behind the ``VER``/``LS`` change guard, commits stamp ``VER`` (``_publish``
+#: takes ``VER, GC``), and a kernel ships ``comb_once`` *or* ``comb_pass``.
+VECTOR_VERSION = 3
 
 #: Environment variable overriding the on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CODEGEN_CACHE"
@@ -667,12 +674,11 @@ class _SerialBackend:
     """Scalar lane layout for the shared emitter walk (one machine per value).
 
     Values are plain Python ints, control flow is branchy (no predication) and
-    constants are literals (the ``const_pool`` pass is inert).  Supports the
-    ``event_scheduler`` pass: commits stamp per-signal versions through the
+    constants are literals (the ``const_pool`` pass is inert).  Commits stamp
+    per-signal versions for the ``event_scheduler`` pass through the
     generated ``_publish`` and the inline RTL commit lines.
     """
 
-    supports_scheduler = True
     comb_params = "V, M, FA, FO, FN, VER, LS, GC"
 
     def __init__(self, design: Design) -> None:
@@ -1073,7 +1079,6 @@ class _PackedEmitter:
     ``event_scheduler`` pass).
     """
 
-    supports_scheduler = True
     comb_params = "V, M, FB, FO, FN, VER, LS, GC"
 
     def __init__(
@@ -2036,10 +2041,11 @@ def _msc(mem, p, ix, v):
     return True
 
 
-def _publish(upd, V, M, FB, FO, FN):
+def _publish(upd, V, M, FB, FO, FN, VER, GC):
     # the NBA region: (sid, write_mask, word_index, value_in_place) tuples.
     # write_mask None -> full replace; bool array -> lane blend; uint64 ->
-    # bit blend.  word_index True commits a whole-memory overlay.
+    # bit blend.  word_index True commits a whole-memory overlay.  Every
+    # commit that changes a value stamps the scheduler's VER.
     ch = False
     for i, wm, wi, val in upd:
         if wi is not None:
@@ -2047,8 +2053,10 @@ def _publish(upd, V, M, FB, FO, FN):
                 mem = M[i]
                 if not np.array_equal(mem, val):
                     np.copyto(mem, val)
+                    GC[0] = VER[i] = GC[0] + 1
                     ch = True
             elif _msc(M[i], wm, wi, val):
+                GC[0] = VER[i] = GC[0] + 1
                 ch = True
             continue
         old = V[i]
@@ -2064,6 +2072,7 @@ def _publish(upd, V, M, FB, FO, FN):
             nv = np.broadcast_to(np.asarray(nv, _T), old.shape)
         if not np.array_equal(old, nv):
             V[i] = nv
+            GC[0] = VER[i] = GC[0] + 1
             ch = True
     return ch
 '''
@@ -2116,15 +2125,14 @@ class _VectorEmitter:
     where ``None`` statically means "all lanes" — combinational bodies always
     run under ``None``, clocked bodies under the edge predicate ``p``.
 
-    As an :func:`~repro.sim.emitter.emit_kernel` backend it declares
-    ``supports_scheduler = False``: the event-scheduler guard is a per-word
-    scalar compare, and a NumPy lane array cannot answer "did anything
-    change" cheaper than the evaluation it would guard.  The generated
-    functions still take the uniform trailing ``VER, LS, GC`` parameters and
-    simply never read them.
+    As an :func:`~repro.sim.emitter.emit_kernel` backend it honours the
+    ``event_scheduler`` pass like the other layouts: the guard compares one
+    int stamp per read signal and never a lane array.  ``comb_once`` commits
+    stamp ``VER`` unconditionally — being re-assigned is the event, and an
+    array compare would cost about what the guarded evaluation saves —
+    while ``comb_pass`` and ``_publish`` stamp only when the lanes changed.
     """
 
-    supports_scheduler = False
     comb_params = "V, M, FB, FO, FN, VER, LS, GC"
 
     def __init__(
@@ -2626,17 +2634,17 @@ class _VectorEmitter:
         track_change: bool = True,
         stamp: bool = False,
     ) -> None:
-        # `stamp` is part of the backend protocol but inert here: the vector
-        # layout declines the event scheduler (supports_scheduler=False)
         sid = node.output.sid
         code = self.trunc(
             self.expr(node.expr, ctx, w), node.expr.width, node.output.width
         )
         w.line(f"_x = {code}")
         w.line(f"if FB[{sid}]: _x = (_x | FO[{sid}]) & FN[{sid}]")
+        bump = f"GC[0] = VER[{sid}] = GC[0] + 1"
         if track_change:
-            w.line(f"if _vst(V, {sid}, _x): ch = True")
-        elif _VNUM.match(code):
+            w.line(f"if _vst(V, {sid}, _x): ch = True" + (f"; {bump}" if stamp else ""))
+            return
+        if _VNUM.match(code):
             # a folded constant may land as a bare int; normalize its shape
             w.line(f"_vsn(V, {sid}, _x)")
         else:
@@ -2644,12 +2652,15 @@ class _VectorEmitter:
             # (every V entry does, and shapes propagate), so the store helper
             # would only add call overhead on the hottest path in the kernel
             w.line(f"V[{sid}] = _x")
+        if stamp:
+            # being re-assigned is the event: no array compare
+            w.line(bump)
 
     # ----------------------------------------------------------------- source
     def comb_block_call(self, node: BehavioralNode, fn_name: str, w: _Writer) -> None:
         w.line("upd = []")
         w.line(f"{fn_name}(V, M, FB, FO, FN, upd, None)")
-        w.line("if _publish(upd, V, M, FB, FO, FN): ch = True")
+        w.line("if _publish(upd, V, M, FB, FO, FN, VER, GC): ch = True")
 
     def fire_clocked(self, fn_names: Dict[int, str], fns: _Writer) -> None:
         design = self.design
@@ -2683,7 +2694,7 @@ class _VectorEmitter:
                     f"if _a{node.bid}.any():"
                     f" {fn_names[node.bid]}(V, M, FB, FO, FN, upd, _a{node.bid})"
                 )
-            fns.line("_publish(upd, V, M, FB, FO, FN)")
+            fns.line("_publish(upd, V, M, FB, FO, FN, VER, GC)")
             fns.line("return True")
         fns.dedent()
         fns.blank()
@@ -2920,7 +2931,8 @@ def _exec_kernel(
 ) -> Dict[str, object]:
     namespace: Dict[str, object] = {}
     exec(_kernel_code(source, filename, cache_key), namespace)
-    if "comb_pass" not in namespace or "fire_clocked" not in namespace:
+    settles = "comb_pass" in namespace or "comb_once" in namespace
+    if not settles or "fire_clocked" not in namespace:
         raise SimulationError(f"generated kernel {filename} is incomplete")
     return namespace
 
@@ -2960,7 +2972,8 @@ class CodegenEngine:
         namespace, self.source, self.fingerprint, self.cache_hit = load_kernel(
             design, use_cache, passes=self.passes
         )
-        self._comb_pass: Callable = namespace["comb_pass"]  # type: ignore
+        # a kernel ships comb_once (feed-forward designs) or comb_pass
+        self._comb_pass: Optional[Callable] = namespace.get("comb_pass")  # type: ignore
         self._comb_once: Optional[Callable] = namespace.get("comb_once")  # type: ignore
         self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
         count = len(design.signals)

@@ -25,13 +25,14 @@ A generated kernel is the composition of the passes in :data:`PASS_ORDER`:
   a node re-evaluates only when some *read* carries a stamp newer than the
   node's own ``LS`` (last-evaluation) stamp.  Quiescent logic — the common
   case on mostly-idle CPU designs like picorv32/sodor — costs a few integer
-  compares per pass.  Not available on the vector layout: the guard is a
-  per-word scalar compare, and a NumPy lane array cannot answer "did anything
-  change" cheaper than the evaluation it would guard.
+  compares per pass.  Every layout honours it: the guard compares one int
+  per read, never a lane value, so it is as cheap on NumPy lane arrays as on
+  plain ints.
 * ``comb_once`` — for designs with no level-sensitive ``always`` blocks and
-  an acyclic RTL schedule, additionally emit a straight-line single-pass
-  settle (one levelized pass *is* the fixed point), so the engine skips the
-  change tracking and the confirm pass entirely.
+  an acyclic RTL schedule, emit a straight-line single-pass settle
+  ``comb_once`` (one levelized pass *is* the fixed point) *instead of* the
+  looped ``comb_pass``, so the engine skips the change tracking and the
+  confirm pass entirely.  A kernel ships exactly one of the two.
 * ``predication`` — lane layouts with more than one machine per value
   (packed, vector) execute control flow fully predicated: branch bodies run
   under a per-lane predicate mask and every write is a mask blend.  Like
@@ -124,11 +125,11 @@ class EmitterPasses:
 
     Instances are immutable and hashable, so a pass configuration can key
     memos and cache suffixes directly.  ``event_scheduler`` and ``comb_once``
-    are honoured by the serial and packed backends (and the eraser emitter,
-    which always runs with both on); ``const_pool`` by the packed and vector
-    backends.  A toggle a backend cannot honour (the vector layout has no
-    event scheduler) is silently inert there — the configuration still gets
-    its own cache suffix, so entries never alias.
+    are honoured by every backend (and the eraser emitter always runs with
+    both on); ``const_pool`` by the packed and vector backends.  A toggle a
+    backend cannot honour (the serial layout has no constant pool) is
+    silently inert there — the configuration still gets its own cache
+    suffix, so entries never alias.
     """
 
     event_scheduler: bool = True
@@ -320,16 +321,14 @@ def emit_kernel(design: Design, backend, passes: Optional[EmitterPasses] = None)
     ``backend`` supplies the lane layout (how a value is represented and how
     one node's update is emitted); this function owns everything the three
     historical emitters used to duplicate: the levelized order, the
-    ``comb_pass`` skeleton, the scheduler-guard scaffolding, the acyclic
+    settle skeleton, the scheduler-guard scaffolding, the acyclic
     ``comb_once`` decision and the final assembly.  The backend protocol
     (duck-typed; see ``_SerialBackend`` and friends in
     :mod:`repro.sim.codegen`):
 
-    * ``supports_scheduler`` — bool; whether the lane layout can honour the
-      ``event_scheduler`` pass (the vector layout cannot).
     * ``comb_params`` — the parameter list of ``comb_pass``/``comb_once``
-      (always ending in ``VER, LS, GC`` — the uniform kernel ABI; backends
-      without the scheduler simply never read them).
+      (always ending in ``VER, LS, GC`` — the uniform kernel ABI; with the
+      ``event_scheduler`` pass off the settle simply never reads ``LS``).
     * ``read_context()`` — the expression read-resolution context.
     * ``behavioral_fn(node, w)`` — emit one ``always``-block function, return
       its name.
@@ -351,7 +350,6 @@ def emit_kernel(design: Design, backend, passes: Optional[EmitterPasses] = None)
     comb_slots: Dict[int, int] = {
         node.bid: len(schedule) + i for i, node in enumerate(comb_nodes)
     }
-    scheduled = passes.event_scheduler and backend.supports_scheduler
 
     fns = SourceWriter()
     fn_names: Dict[int, str] = {}
@@ -360,41 +358,33 @@ def emit_kernel(design: Design, backend, passes: Optional[EmitterPasses] = None)
 
     ctx = backend.read_context()
 
-    def emit_settle(name: str, track_change: bool) -> None:
-        """One settle function: ``comb_pass`` (looped) or ``comb_once``."""
-        fns.line(f"def {name}({backend.comb_params}):")
-        fns.indent()
-        if track_change:
-            fns.line("ch = False")
-        for node in schedule:
-            if scheduled:
-                open_scheduler_guard(fns, slots[node.nid], node.reads)
-                backend.rtl_node(
-                    node, ctx, fns, track_change=track_change, stamp=True
-                )
-                fns.dedent()
-            else:
-                backend.rtl_node(node, ctx, fns, track_change=track_change)
-        for node in comb_nodes:
-            if scheduled:
-                open_scheduler_guard(fns, comb_slots[node.bid], node.reads)
-                backend.comb_block_call(node, fn_names[node.bid], fns)
-                fns.dedent()
-            else:
-                backend.comb_block_call(node, fn_names[node.bid], fns)
-        fns.line("return ch" if track_change else "return False")
-        fns.dedent()
-        fns.blank()
-
-    emit_settle("comb_pass", track_change=True)
-
     # feed-forward designs (no comb always blocks, acyclic RTL) reach the
-    # combinational fixed point in ONE levelized pass: emit a straight-line
-    # variant so the engine can skip the change tracking and the confirm
-    # pass (with the scheduler on, commits keep their compare — it feeds the
-    # version stamps)
-    if passes.comb_once and not comb_nodes and rtl_acyclic(design):
-        emit_settle("comb_once", track_change=False)
+    # combinational fixed point in ONE levelized pass: emit the straight-line
+    # comb_once in place of the looped comb_pass, so the engine skips the
+    # change tracking and the confirm pass
+    track_change = not (passes.comb_once and not comb_nodes and rtl_acyclic(design))
+    name = "comb_pass" if track_change else "comb_once"
+    fns.line(f"def {name}({backend.comb_params}):")
+    fns.indent()
+    if track_change:
+        fns.line("ch = False")
+    for node in schedule:
+        if passes.event_scheduler:
+            open_scheduler_guard(fns, slots[node.nid], node.reads)
+            backend.rtl_node(node, ctx, fns, track_change=track_change, stamp=True)
+            fns.dedent()
+        else:
+            backend.rtl_node(node, ctx, fns, track_change=track_change)
+    for node in comb_nodes:
+        if passes.event_scheduler:
+            open_scheduler_guard(fns, comb_slots[node.bid], node.reads)
+            backend.comb_block_call(node, fn_names[node.bid], fns)
+            fns.dedent()
+        else:
+            backend.comb_block_call(node, fn_names[node.bid], fns)
+    fns.line("return ch" if track_change else "return False")
+    fns.dedent()
+    fns.blank()
 
     backend.fire_clocked(fn_names, fns)
     return backend.assemble(fns.source())

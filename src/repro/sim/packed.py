@@ -97,10 +97,11 @@ class PackedCodegenEngine:
         namespace, self.source, self.fingerprint, self.cache_hit = load_kernel(
             design, use_cache, layout=self.layout, passes=self.passes
         )
-        self._comb_pass: Callable = namespace["comb_pass"]  # type: ignore
-        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
-        # feed-forward designs ship a single-pass settle (see generate_packed_source)
+        # feed-forward designs ship the single-pass comb_once in place of
+        # comb_pass (see repro.sim.emitter.emit_kernel)
+        self._comb_pass: Optional[Callable] = namespace.get("comb_pass")  # type: ignore
         self._comb_once: Optional[Callable] = namespace.get("comb_once")  # type: ignore
+        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
         count = len(design.signals)
         # event-scheduler stamp state (the kernel only reads it when the
         # scheduler pass is on; _publish keeps VER maintained either way)
@@ -253,9 +254,9 @@ class PackedCodegenEngine:
         namespace, self.source, self.fingerprint, self.cache_hit = load_kernel(
             self.design, self.use_cache, layout=self.layout, passes=self.passes
         )
-        self._comb_pass = namespace["comb_pass"]  # type: ignore
-        self._fire_clocked = namespace["fire_clocked"]  # type: ignore
+        self._comb_pass = namespace.get("comb_pass")  # type: ignore
         self._comb_once = namespace.get("comb_once")  # type: ignore
+        self._fire_clocked = namespace["fire_clocked"]  # type: ignore
         self._ones = ones = self.layout.lane_ones
         count = len(self.design.signals)
         self.V = [repack(word) for word in self.V]

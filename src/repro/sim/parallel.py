@@ -773,7 +773,7 @@ class _Campaign:
             self.seeds = {index[name]: cycle for name, cycle in resume_from.items()}
         self.fingerprint = ""
         if config.checkpoint is not None:
-            self.fingerprint = campaign_fingerprint(design, faults)
+            self.fingerprint = campaign_fingerprint(design, stimulus, faults)
             if os.path.exists(config.checkpoint):
                 with VerdictPlane.load(
                     config.checkpoint, expect_fingerprint=self.fingerprint

@@ -49,7 +49,7 @@ from repro.ir.design import Design
 from repro.ir.signal import Signal
 from repro.sim.codegen import edge_signals, load_vector_kernel, vector_planes
 from repro.sim.compiled import MAX_PASSES
-from repro.sim.emitter import EmitterPasses, coerce_passes
+from repro.sim.emitter import EmitterPasses, coerce_passes, scheduler_slot_count
 from repro.sim.engine import ForceHook, SimulationTrace
 from repro.sim.stimulus import Stimulus
 
@@ -135,16 +135,21 @@ class VectorCodegenEngine:
         namespace, self.source, self.fingerprint, self.cache_hit = load_vector_kernel(
             design, use_cache=use_cache, passes=self.passes
         )
-        self._comb_pass: Callable = namespace["comb_pass"]  # type: ignore
-        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
-        # feed-forward designs ship a single-pass settle (see generate_vector_source)
+        # feed-forward designs ship the single-pass comb_once in place of
+        # comb_pass (see repro.sim.emitter.emit_kernel)
+        self._comb_pass: Optional[Callable] = namespace.get("comb_pass")  # type: ignore
         self._comb_once: Optional[Callable] = namespace.get("comb_once")  # type: ignore
-        # uniform kernel ABI: vector kernels take the event-scheduler stamp
-        # state (VER/LS/GC) but never read it — single-slot placeholders
-        self.VER: List[int] = [0]
-        self.LS: List[int] = [0]
-        self.GC: List[int] = [0]
+        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
         count = len(design.signals)
+        # event-scheduler stamp state, seeded as CodegenEngine seeds it:
+        # per-signal version stamps VER at 1 (so the first pass evaluates
+        # everything), per-node last-evaluation stamps LS at 0, counter GC
+        self.VER: List[int] = [1] * count
+        self.LS: List[int] = [0] * scheduler_slot_count(design)
+        self.GC: List[int] = [1]
+        # the int each primary input was last driven with: re-driving it is
+        # no event (None until the first drive)
+        self._held: List[Optional[int]] = [None] * count
         # per-lane forcing masks (value -> (value | FO[sid]) & FN[sid]) plus a
         # per-signal forced flag FB: in a W-fault word only the fault-site
         # signals carry force bits, so every other write skips the blend
@@ -224,12 +229,15 @@ class VectorCodegenEngine:
     def apply_input(self, signal: Signal, value: int) -> None:
         """Drive one primary input to the same value on every lane (then force)."""
         sid = signal.sid
-        arr = _planes_full(
-            value & signal.mask, vector_planes(signal.width), self.lanes
-        )
+        value &= signal.mask
+        if self._held[sid] == value:
+            return
+        self._held[sid] = value
+        arr = _planes_full(value, vector_planes(signal.width), self.lanes)
         if self.FB[sid]:
             arr = (arr | self.FO[sid]) & self.FN[sid]
         self.V[sid] = arr
+        self.GC[0] = self.VER[sid] = self.GC[0] + 1
 
     def settle(self) -> None:
         """Settle combinational logic and fire clocked logic until stable."""
@@ -271,7 +279,8 @@ class VectorCodegenEngine:
         detected lanes mid-run is semantics-free: their columns no longer
         feed anything that is observed.  Fancy indexing materializes fresh
         writable arrays, so broadcast views and in-place memories are both
-        safe to reindex.
+        safe to reindex.  The event-scheduler stamps stay valid: every
+        surviving column keeps its value, so nothing needs re-evaluating.
         """
         self.lanes = len(keep)
         V, M, FO, FN = self.V, self.M, self.FO, self.FN

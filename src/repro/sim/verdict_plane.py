@@ -59,6 +59,7 @@ from repro.errors import CheckpointError, SimulationError
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
     from repro.core.design import Design
     from repro.fault.faultlist import FaultList
+    from repro.sim.stimulus import Stimulus
 
 #: Layout version stamp at offset 0; bump when the wire format changes.
 MAGIC = b"RVP1"
@@ -121,17 +122,23 @@ def _open_untracked(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original_register
 
 
-def campaign_fingerprint(design: "Design", faults: "FaultList") -> str:
-    """Identity hash of one campaign: the design content + the fault order.
+def campaign_fingerprint(
+    design: "Design", stimulus: "Stimulus", faults: "FaultList"
+) -> str:
+    """Identity hash of one campaign: design content, stimulus, fault order.
 
     Stamped into checkpoint files so a snapshot can never seed a different
-    design or a reordered fault list — global fault indexes are only
+    design, stimulus or a reordered fault list — a verdict holds only for
+    the stimulus that produced it, and global fault indexes are only
     meaningful relative to the exact list the plane was created over.
     """
     from repro.sim.codegen import design_fingerprint  # lazy: import cycle
+    from repro.sim.result_cache import stimulus_hash
 
     digest = hashlib.sha256()
     digest.update(design_fingerprint(design).encode())
+    digest.update(b"\x00")
+    digest.update(stimulus_hash(stimulus).encode())
     for fault in faults:
         digest.update(b"\x00")
         digest.update(fault.name.encode())
@@ -270,7 +277,7 @@ class VerdictPlane:
                 f"checkpoint {path!r} belongs to a different campaign "
                 f"(fingerprint {fingerprint[:12]}..., expected "
                 f"{expect_fingerprint[:12]}...); refusing to seed verdicts "
-                "from the wrong design or fault list"
+                "from the wrong design, stimulus or fault list"
             )
         image = blob[body:]
         if image[:4] != MAGIC:

@@ -1,4 +1,4 @@
-# repro packed codegen kernel v3
+# repro packed codegen kernel v4
 # design: counter
 # lanes=4 stride=33
 _W = 4
@@ -280,31 +280,6 @@ def _bn0(V, M, FB, FO, FN, upd, p):
                 _t11 = ((_t10 << 4) - _t10)
                 n.append((5, _t11, None, (V[7]) & _K0))
     upd.extend(n)
-
-def comb_pass(V, M, FB, FO, FN, VER, LS, GC):
-    ch = False
-    _ls = LS[0]
-    if VER[5] > _ls:
-        LS[0] = GC[0]
-        _x = (((V[5] + _R1) & _K1)) & _K0
-        if FB[7]: _x = (_x | FO[7]) & FN[7]
-        if V[7] != _x:
-            V[7] = _x; GC[0] = VER[7] = GC[0] + 1; ch = True
-    _ls = LS[1]
-    if VER[5] > _ls:
-        LS[1] = GC[0]
-        _x = ((((((V[5] ^ _K0) + _NZC) >> _SP) & _R1) ^ _R1)) & _R1
-        if FB[8]: _x = (_x | FO[8]) & FN[8]
-        if V[8] != _x:
-            V[8] = _x; GC[0] = VER[8] = GC[0] + 1; ch = True
-    _ls = LS[2]
-    if VER[2] > _ls or VER[8] > _ls:
-        LS[2] = GC[0]
-        _x = ((V[8] & V[2])) & _R1
-        if FB[6]: _x = (_x | FO[6]) & FN[6]
-        if V[6] != _x:
-            V[6] = _x; GC[0] = VER[6] = GC[0] + 1; ch = True
-    return ch
 
 def comb_once(V, M, FB, FO, FN, VER, LS, GC):
     _ls = LS[0]

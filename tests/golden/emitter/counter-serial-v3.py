@@ -1,4 +1,4 @@
-# repro codegen kernel v2
+# repro codegen kernel v3
 # design: counter
 # signals=9 rtl=3 behavioral=1
 
@@ -30,31 +30,6 @@ def _bn0(V, M, FA, FO, FN, upd):
             if V[2]:
                 n.append((5, None, None, None, (V[7]) & 15))
     upd.extend(n)
-
-def comb_pass(V, M, FA, FO, FN, VER, LS, GC):
-    ch = False
-    _ls = LS[0]
-    if VER[5] > _ls:
-        LS[0] = GC[0]
-        _x = (((V[5] + 1) & 4294967295)) & 15
-        if FA: _x = (_x | FO[7]) & FN[7]
-        if V[7] != _x:
-            V[7] = _x; GC[0] = VER[7] = GC[0] + 1; ch = True
-    _ls = LS[1]
-    if VER[5] > _ls:
-        LS[1] = GC[0]
-        _x = ((1 if V[5] == 15 else 0)) & 1
-        if FA: _x = (_x | FO[8]) & FN[8]
-        if V[8] != _x:
-            V[8] = _x; GC[0] = VER[8] = GC[0] + 1; ch = True
-    _ls = LS[2]
-    if VER[2] > _ls or VER[8] > _ls:
-        LS[2] = GC[0]
-        _x = ((V[8] & V[2])) & 1
-        if FA: _x = (_x | FO[6]) & FN[6]
-        if V[6] != _x:
-            V[6] = _x; GC[0] = VER[6] = GC[0] + 1; ch = True
-    return ch
 
 def comb_once(V, M, FA, FO, FN, VER, LS, GC):
     _ls = LS[0]

@@ -1,4 +1,4 @@
-# repro vector codegen kernel v2
+# repro vector codegen kernel v3
 # design: counter
 # lane layout: fault-major columns of uint64 plane arrays;
 # the lane count is a runtime property of the value arrays,
@@ -468,10 +468,11 @@ def _msc(mem, p, ix, v):
     return True
 
 
-def _publish(upd, V, M, FB, FO, FN):
+def _publish(upd, V, M, FB, FO, FN, VER, GC):
     # the NBA region: (sid, write_mask, word_index, value_in_place) tuples.
     # write_mask None -> full replace; bool array -> lane blend; uint64 ->
-    # bit blend.  word_index True commits a whole-memory overlay.
+    # bit blend.  word_index True commits a whole-memory overlay.  Every
+    # commit that changes a value stamps the scheduler's VER.
     ch = False
     for i, wm, wi, val in upd:
         if wi is not None:
@@ -479,8 +480,10 @@ def _publish(upd, V, M, FB, FO, FN):
                 mem = M[i]
                 if not np.array_equal(mem, val):
                     np.copyto(mem, val)
+                    GC[0] = VER[i] = GC[0] + 1
                     ch = True
             elif _msc(M[i], wm, wi, val):
+                GC[0] = VER[i] = GC[0] + 1
                 ch = True
             continue
         old = V[i]
@@ -496,6 +499,7 @@ def _publish(upd, V, M, FB, FO, FN):
             nv = np.broadcast_to(np.asarray(nv, _T), old.shape)
         if not np.array_equal(old, nv):
             V[i] = nv
+            GC[0] = VER[i] = GC[0] + 1
             ch = True
     return ch
 
@@ -519,29 +523,28 @@ def _bn0(V, M, FB, FO, FN, upd, p):
                 n.append((5, _t8, None, V[7]))
     upd.extend(n)
 
-def comb_pass(V, M, FB, FO, FN, VER, LS, GC):
-    ch = False
-    _x = ((((V[5] + 1) & 4294967295)) & 15)
-    if FB[7]: _x = (_x | FO[7]) & FN[7]
-    if _vst(V, 7, _x): ch = True
-    _x = ((V[5] == 15).astype(_T))
-    if FB[8]: _x = (_x | FO[8]) & FN[8]
-    if _vst(V, 8, _x): ch = True
-    _x = (V[8] & V[2])
-    if FB[6]: _x = (_x | FO[6]) & FN[6]
-    if _vst(V, 6, _x): ch = True
-    return ch
-
 def comb_once(V, M, FB, FO, FN, VER, LS, GC):
-    _x = ((((V[5] + 1) & 4294967295)) & 15)
-    if FB[7]: _x = (_x | FO[7]) & FN[7]
-    V[7] = _x
-    _x = ((V[5] == 15).astype(_T))
-    if FB[8]: _x = (_x | FO[8]) & FN[8]
-    V[8] = _x
-    _x = (V[8] & V[2])
-    if FB[6]: _x = (_x | FO[6]) & FN[6]
-    V[6] = _x
+    _ls = LS[0]
+    if VER[5] > _ls:
+        LS[0] = GC[0]
+        _x = ((((V[5] + 1) & 4294967295)) & 15)
+        if FB[7]: _x = (_x | FO[7]) & FN[7]
+        V[7] = _x
+        GC[0] = VER[7] = GC[0] + 1
+    _ls = LS[1]
+    if VER[5] > _ls:
+        LS[1] = GC[0]
+        _x = ((V[5] == 15).astype(_T))
+        if FB[8]: _x = (_x | FO[8]) & FN[8]
+        V[8] = _x
+        GC[0] = VER[8] = GC[0] + 1
+    _ls = LS[2]
+    if VER[2] > _ls or VER[8] > _ls:
+        LS[2] = GC[0]
+        _x = (V[8] & V[2])
+        if FB[6]: _x = (_x | FO[6]) & FN[6]
+        V[6] = _x
+        GC[0] = VER[6] = GC[0] + 1
     return False
 
 def fire_clocked(V, M, EP, FB, FO, FN, VER, GC):
@@ -551,6 +554,6 @@ def fire_clocked(V, M, EP, FB, FO, FN, VER, GC):
         return False
     upd = []
     if _a0.any(): _bn0(V, M, FB, FO, FN, upd, _a0)
-    _publish(upd, V, M, FB, FO, FN)
+    _publish(upd, V, M, FB, FO, FN, VER, GC)
     return True
 

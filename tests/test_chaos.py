@@ -30,11 +30,12 @@ import pytest
 from plane_leaks import verdict_plane_segments
 from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES
-from repro.errors import ChaosError
+from repro.errors import ChaosError, CheckpointError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.chaos import CHAOS_ENV_VAR, ChaosPlan, ChaosRule
 from repro.sim.parallel import CampaignConfig, run_multiprocess
 from repro.sim.resilience import RetryPolicy
+from repro.sim.stimulus import truncated
 from repro.sim.verdict_plane import VerdictPlane, campaign_fingerprint
 
 #: Mirrors the parity parameters of test_parallel.py: enough cycles for
@@ -254,8 +255,6 @@ def test_cli_flags_build_campaign_config():
             "--workers", "2",
             "--retries", "5",
             "--chunk-timeout", "9.5",
-            "--checkpoint", "campaign.ckpt",
-            "--checkpoint-interval", "2",
             "--chaos", "slow:seconds=0.1",
         ]
     )
@@ -263,8 +262,6 @@ def test_cli_flags_build_campaign_config():
         workers=2,
         retries=5,
         chunk_timeout=9.5,
-        checkpoint="campaign.ckpt",
-        checkpoint_interval=2.0,
         chaos="slow:seconds=0.1",
     )
     # --progress fills on_progress; no --workers means no campaign at all
@@ -278,11 +275,15 @@ def test_cli_flags_build_campaign_config():
         (["table2", "--retries", "5"], "table2 runs no fault campaign"),
         (["fig7", "--workers", "2"], "--workers"),
         (["fig6", "--cache", "results"], "unrecognized arguments: --cache"),
+        (
+            ["fig6", "--workers", "1", "--checkpoint", "campaign.ckpt"],
+            "unrecognized arguments: --checkpoint",
+        ),
         (["fig6", "--retries", "0"], "need --workers"),
         (["fig6", "--progress"], "need --workers"),
         (["fig6", "--workers", "0"], "workers must be"),
     ],
-    ids=["table2", "fig7", "cache", "retries-0", "progress", "workers-0"],
+    ids=["table2", "fig7", "cache", "checkpoint", "retries-0", "progress", "workers-0"],
 )
 def test_cli_rejects_campaign_flags_that_reach_no_campaign(argv, needle, capsys):
     from repro.harness.__main__ import parse_args
@@ -303,7 +304,7 @@ def test_checkpoint_resume_skips_proven_chunks(tmp_path):
     )
     assert first.stats.checkpoints_written >= 1
     snapshot = VerdictPlane.load(
-        path, expect_fingerprint=campaign_fingerprint(design, faults)
+        path, expect_fingerprint=campaign_fingerprint(design, stimulus, faults)
     )
     detected = snapshot.detected_count()
     snapshot.close()
@@ -327,6 +328,42 @@ def test_checkpoint_resume_skips_proven_chunks(tmp_path):
     assert resumed.stats.chunks_simulated == 0
     assert resumed.stats.chunks_skipped > 0
     assert dict(resumed.coverage.detections) == dict(baseline.coverage.detections)
+
+
+def test_checkpoint_of_another_stimulus_is_refused(tmp_path):
+    """A checkpoint seeds only a campaign over its own stimulus.
+
+    Before the stamp covered the stimulus, a shorter rerun over the same
+    design and faults loaded the longer run's verdicts and reported
+    detections at cycles its stimulus never reaches.
+    """
+    design, stimulus, faults, reference = _workload("apb")
+    short = truncated(stimulus, 3)
+    clean = run_multiprocess(design, short, faults, workers=1, width=4)
+    assert len(clean.coverage.detections) < len(reference.coverage.detections)
+    path = str(tmp_path / "campaign.ckpt")
+    run_multiprocess(design, stimulus, faults, workers=1, width=4, checkpoint=path)
+    with pytest.raises(CheckpointError, match="different campaign"):
+        run_multiprocess(design, short, faults, workers=1, width=4, checkpoint=path)
+    fresh = str(tmp_path / "short.ckpt")
+    rerun = run_multiprocess(design, short, faults, workers=1, width=4, checkpoint=fresh)
+    assert dict(rerun.coverage.detections) == dict(clean.coverage.detections)
+
+
+def test_fig6_refuses_a_checkpointed_campaign(tmp_path):
+    """IFsim and VFsim share design, stimulus and faults, so VFsim would load
+    IFsim's checkpoint and skip every fault IFsim detected."""
+    from repro.errors import HarnessError
+    from repro.harness import fig6
+    from repro.harness.experiments import prepare_workload
+
+    workload = prepare_workload("alu", cycles=PARITY_CYCLES, fault_count=4)
+    path = tmp_path / "fig6.ckpt"
+    with pytest.raises(HarnessError, match="checkpoint"):
+        fig6.run_benchmark(
+            workload, campaign=CampaignConfig(workers=1, checkpoint=str(path))
+        )
+    assert not path.exists()
 
 
 def test_salvaged_campaign_checkpoint_seeds_the_retry(tmp_path):
@@ -426,7 +463,7 @@ def test_parent_killed_mid_campaign_resumes_from_checkpoint(tmp_path):
         start_new_session=True,  # its own process group: killable with workers
     )
     try:
-        fingerprint = campaign_fingerprint(design, proven)
+        fingerprint = campaign_fingerprint(design, stimulus, proven)
         deadline = time.monotonic() + 120
         progressed = False
         while time.monotonic() < deadline:

@@ -101,24 +101,44 @@ def test_suffixes_unique_across_all_configurations():
 
 
 # --------------------------------------------------- per-pass source footprint
-def test_event_scheduler_toggle_footprint(counter_design):
-    scheduled = generate_source(counter_design)
-    flat = generate_source(counter_design, EmitterPasses(event_scheduler=False))
+#: Source generator per target, all taking ``(design, passes)``.
+_TARGETS = {
+    "serial": generate_source,
+    "packed": lambda design, passes=None: generate_packed_source(
+        design, _packed_layout(design), passes
+    ),
+    "vector": generate_vector_source,
+}
+
+
+@pytest.mark.parametrize("target", sorted(_TARGETS))
+def test_event_scheduler_toggle_footprint(counter_design, target):
+    generate = _TARGETS[target]
+    scheduled = generate(counter_design)
+    flat = generate(counter_design, EmitterPasses(event_scheduler=False))
     assert "_ls = LS[" in scheduled  # last-scheduled guard reads
     assert "_ls = LS[" not in flat
     assert "VER[" in scheduled
 
 
-def test_comb_once_toggle_footprint(counter_design):
-    with_once = generate_source(counter_design)
-    without = generate_source(counter_design, EmitterPasses(comb_once=False))
+@pytest.mark.parametrize("target", sorted(_TARGETS))
+def test_comb_once_toggle_footprint(counter_design, target):
+    """A kernel ships the single-pass settle or the looped one, never both."""
+    generate = _TARGETS[target]
+    with_once = generate(counter_design)
+    without = generate(counter_design, EmitterPasses(comb_once=False))
     assert "def comb_once(" in with_once
+    assert "def comb_pass(" not in with_once
     assert "def comb_once(" not in without
+    assert "def comb_pass(" in without
 
 
-def test_comb_once_requires_acyclic_pure_rtl(mux_design):
+@pytest.mark.parametrize("target", sorted(_TARGETS))
+def test_comb_once_requires_acyclic_pure_rtl(mux_design, target):
     """A design with comb behavioral blocks never gets the single-pass settle."""
-    assert "def comb_once(" not in generate_source(mux_design)
+    source = _TARGETS[target](mux_design)
+    assert "def comb_once(" not in source
+    assert "def comb_pass(" in source
 
 
 def test_const_pool_toggle_footprint(counter_design):

@@ -290,6 +290,40 @@ def test_peek_exposes_faulty_lanes(counter_design, counter_stimulus):
     assert engine.peek("count", lane=1) & 1 == 1
 
 
+# --------------------------------------------------------- the event scheduler
+def _settled_counter(design):
+    """A 4-fault counter engine, out of reset and counting, fully settled."""
+    faults = list(generate_stuck_at_faults(design))[:4]
+    engine = VectorCodegenEngine(design, faults=faults, use_cache=False)
+    engine.initialize()
+    for name, value in (("rst", 0), ("en", 1), ("load", 0), ("din", 5), ("clk", 1)):
+        engine.apply_input(design.signal(name), value)
+    engine.settle()
+    return engine
+
+
+def test_settle_without_an_input_event_reevaluates_nothing(counter_design):
+    """A second settle re-assigns no value: every node sits behind its guard."""
+    engine = _settled_counter(counter_design)
+    values, stamps = list(engine.V), list(engine.VER)
+    engine.settle()
+    assert all(after is before for after, before in zip(engine.V, values))
+    assert engine.VER == stamps
+
+
+def test_redriving_an_input_with_its_value_is_no_event(counter_design):
+    """Driving an input with the int it holds stamps nothing; a new int does."""
+    engine = _settled_counter(counter_design)
+    din = counter_design.signal("din")
+    stamps, counter = list(engine.VER), engine.GC[0]
+    engine.apply_input(din, 5)
+    engine.apply_input(din, 5 | 0x10)  # masked to the same 4-bit value
+    assert engine.VER == stamps and engine.GC[0] == counter
+    engine.apply_input(din, 6)
+    assert engine.VER[din.sid] == engine.GC[0] > counter
+    assert engine.peek("din") == 6
+
+
 # ------------------------------------------------------------------- the cache
 def test_vector_cache_key_distinct_and_lane_agnostic(
     tmp_path, monkeypatch, counter_design

@@ -202,14 +202,20 @@ def test_checkpoint_save_cleans_its_temp_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_campaign_fingerprint_tracks_design_and_fault_order(counter_design):
+def test_campaign_fingerprint_tracks_design_stimulus_and_fault_order(
+    counter_design, counter_stimulus
+):
     from repro.fault.faultlist import FaultList
+    from repro.sim.stimulus import truncated
     from repro.sim.verdict_plane import campaign_fingerprint
 
     faults = generate_stuck_at_faults(counter_design)
-    fp = campaign_fingerprint(counter_design, faults)
-    assert fp == campaign_fingerprint(counter_design, faults)  # deterministic
+    fp = campaign_fingerprint(counter_design, counter_stimulus, faults)
+    # deterministic
+    assert fp == campaign_fingerprint(counter_design, counter_stimulus, faults)
     fewer = FaultList(list(faults)[:-1])
-    assert fp != campaign_fingerprint(counter_design, fewer)
+    assert fp != campaign_fingerprint(counter_design, counter_stimulus, fewer)
     reordered = FaultList(list(faults)[::-1])
-    assert fp != campaign_fingerprint(counter_design, reordered)
+    assert fp != campaign_fingerprint(counter_design, counter_stimulus, reordered)
+    shorter = truncated(counter_stimulus, counter_stimulus.num_cycles() - 1)
+    assert fp != campaign_fingerprint(counter_design, shorter, faults)
