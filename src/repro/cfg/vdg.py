@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Optional, Set
 from repro.cfg.builder import CfgNode, ControlFlowGraph, build_cfg
 from repro.errors import SimulationError
 from repro.ir.behavioral import BehavioralNode
-from repro.ir.signal import Signal
+from repro.ir.signal import Signal, split_reads
 from repro.ir.stmt import Assign, Case, If, Stmt, decision_signals
 
 
@@ -46,6 +46,8 @@ class VdgNode:
         "decision",
         "reads",
         "support",
+        "support_scalars",
+        "support_memories",
         "local_dependent",
         "succs",
     )
@@ -56,8 +58,27 @@ class VdgNode:
         self.decision: Optional[Stmt] = None
         self.reads: FrozenSet[Signal] = frozenset()
         self.support: FrozenSet[Signal] = frozenset()
+        self.support_scalars: List[Signal] = []
+        self.support_memories: List[Signal] = []
         self.local_dependent = False
         self.succs: List["VdgNode"] = []
+
+    def set_support(self, support: FrozenSet[Signal]) -> None:
+        """Record ``support``, split once into scalars and memories for the walk."""
+        self.support = support
+        self.support_scalars, self.support_memories = split_reads(support)
+
+    def support_diverges(self, store, fault_id: int) -> bool:
+        """Is ``fault_id`` visible on any signal of this node's support?"""
+        div = store.div
+        for signal in self.support_scalars:
+            if fault_id in div[signal]:
+                return True
+        mem_div = store.mem_div
+        for signal in self.support_memories:
+            if mem_div[signal].get(fault_id):
+                return True
+        return False
 
     @property
     def is_decision(self) -> bool:
@@ -105,14 +126,14 @@ class VisibilityDependencyGraph:
                 vnode.decision = cnode.decision
                 reads = frozenset(decision_signals(cnode.decision))
                 vnode.reads = reads
-                vnode.support = self._expand(reads)
+                vnode.set_support(self._expand(reads))
                 vnode.local_dependent = any(s in self._blocking_support for s in reads)
             elif cnode.is_segment:
                 reads: Set[Signal] = set()
                 for stmt in cnode.stmts:
                     reads.update(stmt.read_signals())
                 vnode.reads = frozenset(reads)
-                vnode.support = self._expand(vnode.reads)
+                vnode.set_support(self._expand(vnode.reads))
             mapping[cnode.nid] = vnode
             self.nodes.append(vnode)
         for cnode in self.cfg.nodes:
@@ -158,16 +179,15 @@ class VisibilityDependencyGraph:
                     # happen when walking the traced path); be conservative.
                     return False
                 if node.local_dependent:
-                    if any(store.diverges(s, fault_id) for s in node.support):
+                    if node.support_diverges(store, fault_id):
                         return False
                 else:
                     if node.select_arm(fault_view) != good_arm:
                         return False
                 node = node.succs[good_arm]
             elif node.is_segment:
-                for signal in node.support:
-                    if store.diverges(signal, fault_id):
-                        return False
+                if node.support_diverges(store, fault_id):
+                    return False
                 node = node.succs[0]
             else:  # entry node
                 node = node.succs[0]

@@ -14,9 +14,18 @@ from repro.ir.behavioral import BehavioralNode
 
 
 def is_explicitly_redundant(store, node: BehavioralNode, fault_id: int) -> bool:
-    """True when ``fault_id`` has no divergence on any signal read by ``node``."""
-    for signal in node.reads:
-        if store.diverges(signal, fault_id):
+    """True when ``fault_id`` has no divergence on any signal read by ``node``.
+
+    A scalar diverges when the fault has an entry in its divergence dict, a
+    memory when the fault holds a non-empty word overlay.
+    """
+    div = store.div
+    for signal in node.read_scalars:
+        if fault_id in div[signal]:
+            return False
+    mem_div = store.mem_div
+    for signal in node.read_memories:
+        if mem_div[signal].get(fault_id):
             return False
     return True
 

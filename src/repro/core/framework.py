@@ -235,12 +235,15 @@ class EraserSimulator:
     def _commit_memory_word(
         self, signal: Signal, index: int, new_good: int, fault_values: Dict[int, int]
     ) -> None:
-        """Publish one memory word's new good value and per-fault values."""
+        """Publish one memory word's new good value and per-fault values.
+
+        A write outside the memory is dropped on the good machine, as in the
+        generated kernel: the word keeps reading 0.
+        """
         store = self.store
         old_good = store.get_word(signal, index)
-        changed = old_good != new_good
-        if changed:
-            store.memories[signal][index] = new_good & signal.mask
+        store.set_word(signal, index, new_good)
+        changed = store.get_word(signal, index) != old_good
         for fault_id, value in fault_values.items():
             before = store.fault_word(signal, index, fault_id)
             store.set_fault_word(signal, index, fault_id, value)
@@ -365,127 +368,144 @@ class EraserSimulator:
         return outcome
 
     def _apply_behavioral_outcome(self, outcome: _BehavioralOutcome) -> None:
-        """Commit one behavioral activation: good updates, faulty updates,
-        follow-the-good convergence and state-holding for faults that missed
-        the activating edge."""
+        """Commit one behavioral activation.
+
+        The good machine's updates fold into one final value per signal, and
+        each executed fault's into its own final values; a whole-signal write
+        needs no old value.  Every signal either machine wrote then gets a
+        fresh divergence dict, built from four groups of faults:
+
+        1. executed faults: their final value, or their old value when their
+           execution did not write the signal;
+        2. old divergent faults that did not execute: a holder (a fault that
+           missed the activating edge) keeps its old value, a follower replays
+           the good machine's updates on its own old value;
+        3. new holders, which keep the old good value that the good machine
+           just overwrote;
+        4. site faults, which force their stuck bit on whatever value the
+           first three groups left them with.
+
+        Any other fault follows the good machine and stays invisible.  Memory
+        words are committed from the same groups, without site faults.
+        """
         start = time.perf_counter()
         store = self.store
-        good_by_signal: Dict[Signal, List[NBAUpdate]] = {}
-        good_by_word: Dict[Tuple[Signal, int], List[NBAUpdate]] = {}
-        good_final: Dict[Signal, int] = {}
-        good_word_final: Dict[Tuple[Signal, int], int] = {}
+        values = store.values
+        holders = outcome.holders
+        executed = outcome.fault_updates
 
-        if outcome.good_updates is not None:
-            for update in outcome.good_updates:
-                if update.word_index is not None:
-                    key = (update.signal, update.word_index)
-                    good_by_word.setdefault(key, []).append(update)
-                    good_word_final[key] = update.value & update.signal.mask
-                else:
-                    good_by_signal.setdefault(update.signal, []).append(update)
-                    base = good_final.get(update.signal, store.values[update.signal])
-                    good_final[update.signal] = update.apply_to(base)
+        good_final: Dict[Signal, int] = {}
+        # per good-written signal, the partial updates a follower replays, or
+        # None once a whole-signal write makes every follower the good value
+        good_follow: Dict[Signal, Optional[List[NBAUpdate]]] = {}
+        good_words: Dict[Tuple[Signal, int], int] = {}
+        for update in outcome.good_updates or ():
+            signal = update.signal
+            if update.word_index is not None:
+                good_words[(signal, update.word_index)] = update.value
+            elif update.msb is None:
+                good_final[signal] = update.value
+                good_follow[signal] = None
+            else:
+                good_final[signal] = update.apply_to(good_final.get(signal, values[signal]))
+                if signal not in good_follow:
+                    good_follow[signal] = [update]
+                elif good_follow[signal] is not None:
+                    good_follow[signal].append(update)
 
         fault_final: Dict[int, Dict[Signal, int]] = {}
-        fault_word_final: Dict[int, Dict[Tuple[Signal, int], int]] = {}
-        for fault_id, updates in outcome.fault_updates.items():
+        fault_words: Dict[int, Dict[Tuple[Signal, int], int]] = {}
+        for fault_id, updates in executed.items():
             finals: Dict[Signal, int] = {}
-            word_finals: Dict[Tuple[Signal, int], int] = {}
             for update in updates:
+                signal = update.signal
                 if update.word_index is not None:
-                    word_finals[(update.signal, update.word_index)] = (
-                        update.value & update.signal.mask
-                    )
+                    words = fault_words.setdefault(fault_id, {})
+                    words[(signal, update.word_index)] = update.value
+                elif update.msb is None:
+                    finals[signal] = update.value
                 else:
-                    base = finals.get(
-                        update.signal, store.fault_value(update.signal, fault_id)
-                    )
-                    finals[update.signal] = update.apply_to(base)
+                    base = finals.get(signal)
+                    if base is None:
+                        base = store.fault_value(signal, fault_id)
+                    finals[signal] = update.apply_to(base)
             fault_final[fault_id] = finals
-            fault_word_final[fault_id] = word_finals
 
         touched: Set[Signal] = set(good_final)
         for finals in fault_final.values():
             touched.update(finals)
-        touched_words: Set[Tuple[Signal, int]] = set(good_word_final)
-        for word_finals in fault_word_final.values():
-            touched_words.update(word_finals)
-
         for signal in touched:
-            old_good = store.values[signal]
+            old_good = values[signal]
             old_div = store.div[signal]
-            written_by_good = signal in good_final
-            new_good = good_final.get(signal, old_good)
-
-            candidates: Set[int] = set(old_div)
-            for fault_id, finals in fault_final.items():
-                if signal in finals:
-                    candidates.add(fault_id)
-            site_faults = self._sites.get(signal, ())
-            for fault in site_faults:
-                candidates.add(fault.fault_id)
-            if written_by_good:
-                # Faults holding state and faults whose (divergent-path)
-                # execution did not write this signal keep their old value,
-                # which now differs from the freshly written good value.
-                candidates |= outcome.holders
-                candidates.update(outcome.fault_updates.keys())
-            candidates &= self.live
-
-            new_div: Dict[int, int] = {}
-            for fault_id in candidates:
-                old_fault = old_div.get(fault_id, old_good)
-                finals = fault_final.get(fault_id)
-                if finals is not None:
-                    value = finals.get(signal, old_fault)
-                elif fault_id in outcome.holders:
-                    value = old_fault
-                elif written_by_good:
-                    value = old_fault
-                    for update in good_by_signal.get(signal, ()):
-                        value = update.apply_to(value)
-                else:
-                    value = old_fault
-                for fault in site_faults:
-                    if fault.fault_id == fault_id:
-                        value = fault.force(value)
-                        break
-                if value != new_good:
-                    new_div[fault_id] = value
+            if signal in good_final:
+                new_good = good_final[signal]
+                new_div: Dict[int, int] = {}
+                for fault_id, finals in fault_final.items():
+                    value = finals.get(signal)
+                    if value is None:
+                        value = old_div.get(fault_id, old_good)
+                    if value != new_good:
+                        new_div[fault_id] = value
+                follow = good_follow[signal]
+                for fault_id, value in old_div.items():
+                    if fault_id in fault_final:
+                        continue
+                    if fault_id not in holders:
+                        if follow is None:
+                            continue
+                        for update in follow:
+                            value = update.apply_to(value)
+                    if value != new_good:
+                        new_div[fault_id] = value
+                if old_good != new_good:
+                    for fault_id in holders:
+                        if fault_id not in old_div:
+                            new_div[fault_id] = old_good
+            else:
+                # only faults wrote it: everyone else keeps their value
+                new_good = old_good
+                new_div = dict(old_div)
+                for fault_id, finals in fault_final.items():
+                    value = finals.get(signal)
+                    if value is None:
+                        continue
+                    if value != new_good:
+                        new_div[fault_id] = value
+                    else:
+                        new_div.pop(fault_id, None)
+            for fault in self._sites.get(signal, ()):
+                fault_id = fault.fault_id
+                if fault_id in self.live:
+                    value = fault.force(new_div.get(fault_id, new_good))
+                    if value != new_good:
+                        new_div[fault_id] = value
+                    else:
+                        new_div.pop(fault_id, None)
             self._commit_signal(signal, new_good, new_div)
 
-        for (signal, index) in touched_words:
+        touched_words: Set[Tuple[Signal, int]] = set(good_words)
+        for words in fault_words.values():
+            touched_words.update(words)
+        for key in touched_words:
+            signal, index = key
             old_good = store.get_word(signal, index)
-            written_by_good = (signal, index) in good_word_final
-            new_good = good_word_final.get((signal, index), old_good)
-
-            candidates: Set[int] = set()
-            overlay_map = store.mem_div[signal]
-            for fault_id, overlay in overlay_map.items():
-                if index in overlay:
-                    candidates.add(fault_id)
-            for fault_id, word_finals in fault_word_final.items():
-                if (signal, index) in word_finals:
-                    candidates.add(fault_id)
-            if written_by_good:
-                candidates |= outcome.holders
-                candidates.update(outcome.fault_updates.keys())
-            candidates &= self.live
-
+            written_by_good = key in good_words
+            new_good = good_words[key] if written_by_good else old_good
             fault_values: Dict[int, int] = {}
-            for fault_id in candidates:
-                old_fault = store.fault_word(signal, index, fault_id)
-                word_finals = fault_word_final.get(fault_id)
-                if word_finals is not None and (signal, index) in word_finals:
-                    value = word_finals[(signal, index)]
-                elif fault_id in outcome.holders:
-                    value = old_fault
-                elif written_by_good and fault_id not in outcome.fault_updates:
-                    # follower: takes the good machine's word write
-                    value = new_good
-                else:
-                    value = old_fault
-                fault_values[fault_id] = value
+            for fault_id, overlay in store.mem_div[signal].items():
+                if index in overlay:
+                    follower = (
+                        written_by_good and fault_id not in executed and fault_id not in holders
+                    )
+                    fault_values[fault_id] = new_good if follower else overlay[index]
+            if written_by_good:
+                for fault_id in holders:
+                    fault_values.setdefault(fault_id, old_good)
+                for fault_id in executed:
+                    fault_values.setdefault(fault_id, old_good)
+            for fault_id, words in fault_words.items():
+                if key in words:
+                    fault_values[fault_id] = words[key]
             self._commit_memory_word(signal, index, new_good, fault_values)
 
         self.stats.time_behavioral += time.perf_counter() - start

@@ -48,10 +48,13 @@ def run_benchmark(workload: ExperimentWorkload, eraser_engine: str = "interp") -
     """Run the three framework variants on one workload.
 
     ``eraser_engine="codegen"`` runs every variant on the generated
-    concurrent kernel.  The ablation's *timing* story only exists on the
-    interpreted kernel (codegen executes exactly the non-redundant set by
-    construction, so the three modes coincide), but the verdict-agreement
-    column keeps its meaning either way.
+    concurrent kernel, which ignores the mode: it executes every fault that
+    diverges on a signal the block reads or writes (or saw its own clock
+    edge).  That is the paper's Eraser-, except that Eraser- also skips a
+    fault that diverges on no signal the block reads; there is no implicit
+    check.  The three variants then do the same work, so the ablation's
+    *timing* story only exists on the interpreted kernel; the
+    verdict-agreement column keeps its meaning either way.
     """
     results = {}
     for variant in VARIANT_ORDER:

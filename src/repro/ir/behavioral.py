@@ -6,7 +6,9 @@ records:
 * its sensitivity (clock/reset edges, or level-sensitive ``@*``),
 * its statement body,
 * the sets of signals it reads and writes (used for activation, for explicit
-  redundancy detection and for fault-site bookkeeping).
+  redundancy detection and for fault-site bookkeeping), with the reads also
+  split once into scalars and memories, the two halves of the concurrent
+  store that the per-fault explicit check tests.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import enum
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.ir.signal import Signal
-from repro.ir.stmt import Case, If, Stmt
+from repro.ir.signal import Signal, split_reads
+from repro.ir.stmt import Assign, Case, If, Stmt
 
 
 class EdgeKind(enum.Enum):
@@ -57,6 +59,8 @@ class BehavioralNode:
         "edges",
         "body",
         "reads",
+        "read_scalars",
+        "read_memories",
         "writes",
         "is_clocked",
         "decisions",
@@ -74,6 +78,8 @@ class BehavioralNode:
                 f"behavioral node {name!r} mixes edge and level sensitivity"
             )
         self.reads: FrozenSet[Signal] = frozenset()
+        self.read_scalars: List[Signal] = []
+        self.read_memories: List[Signal] = []
         self.writes: FrozenSet[Signal] = frozenset()
         self.decisions: Dict[int, Stmt] = {}
         self.statement_count = 0
@@ -83,6 +89,7 @@ class BehavioralNode:
         """Assign statement uids and compute read/write sets."""
         reads = set()
         writes = set()
+        temporaries = set()
         uid = 0
         for top in self.body:
             for stmt in top.walk():
@@ -90,6 +97,8 @@ class BehavioralNode:
                 uid += 1
                 if isinstance(stmt, (If, Case)):
                     self.decisions[stmt.uid] = stmt
+                elif isinstance(stmt, Assign) and stmt.blocking:
+                    temporaries.add(stmt.lhs.signal)
             reads.update(top.read_signals())
             writes.update(top.written_signals())
         self.statement_count = uid
@@ -97,6 +106,13 @@ class BehavioralNode:
         # data reads: a posedge clock does not carry data into the block.
         self.reads = frozenset(reads)
         self.writes = frozenset(writes)
+        # Blocking-assigned reads go first: every activation rewrites them, so
+        # they carry a fault's effect on the last execution and are the reads
+        # the explicit check most often finds divergent, which ends its scan.
+        first = split_reads(self.reads & temporaries)
+        rest = split_reads(self.reads - temporaries)
+        self.read_scalars = first[0] + rest[0]
+        self.read_memories = first[1] + rest[1]
 
     @property
     def sensitivity_signals(self) -> Tuple[Signal, ...]:

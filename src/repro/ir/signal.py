@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.utils.bitvec import mask
 
@@ -85,3 +85,11 @@ class Signal:
 
     def __eq__(self, other: object) -> bool:
         return self is other
+
+
+def split_reads(signals: Iterable[Signal]) -> Tuple[List[Signal], List[Signal]]:
+    """Deterministically ordered (scalars, memories) of a read/write set."""
+    ordered = sorted(signals, key=lambda s: s.sid)
+    scalars = [s for s in ordered if not s.is_memory]
+    memories = [s for s in ordered if s.is_memory]
+    return scalars, memories

@@ -19,10 +19,10 @@ refer to the same decision points.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.ir.expr import Expr
+from repro.ir.expr import Const, Expr
 from repro.ir.signal import Signal
 
 
@@ -36,9 +36,12 @@ class LValue:
     * dynamic index         — ``mem[addr] <= expr`` or ``q[i] <= expr``
       (``index`` set; a memory word write when the signal is a memory,
       a single-bit write otherwise)
+
+    ``whole_mask`` is the signal's mask for a whole-signal write and ``None``
+    for every other form: the interpreter's test for its fast path.
     """
 
-    __slots__ = ("signal", "msb", "lsb", "index")
+    __slots__ = ("signal", "msb", "lsb", "index", "whole_mask")
 
     def __init__(
         self,
@@ -64,6 +67,7 @@ class LValue:
         self.msb = msb
         self.lsb = lsb
         self.index = index
+        self.whole_mask = signal.mask if msb is None and index is None else None
 
     @property
     def is_partial(self) -> bool:
@@ -192,9 +196,14 @@ class CaseItem:
 
 
 class Case(Stmt):
-    """A ``case`` statement with optional ``default`` arm."""
+    """A ``case`` statement with optional ``default`` arm.
 
-    __slots__ = ("subject", "items", "default")
+    When every label is a :class:`~repro.ir.expr.Const`, ``const_arms`` maps
+    each label value to the first arm that lists it, so :meth:`select_arm` is
+    one dict lookup; otherwise it is ``None`` and the labels are scanned.
+    """
+
+    __slots__ = ("subject", "items", "default", "const_arms")
 
     def __init__(
         self,
@@ -206,14 +215,22 @@ class Case(Stmt):
         self.subject = subject
         self.items: List[CaseItem] = list(items)
         self.default: List[Stmt] = list(default)
+        self.const_arms: Optional[Dict[int, int]] = None
+        if all(isinstance(label, Const) for item in self.items for label in item.labels):
+            self.const_arms = {}
+            for i, item in enumerate(self.items):
+                for label in item.labels:
+                    self.const_arms.setdefault(label.value, i)
 
-    def arm_bodies(self) -> List[List[Stmt]]:
-        """All arm bodies, with the default arm last."""
-        return [item.body for item in self.items] + [self.default]
+    def arm_body(self, arm: int) -> List[Stmt]:
+        """The body of arm ``arm`` (``len(items)`` = the default arm)."""
+        return self.items[arm].body if arm < len(self.items) else self.default
 
     def select_arm(self, view) -> int:
         """Index of the arm taken under ``view`` (``len(items)`` = default)."""
         subject = self.subject.eval(view)
+        if self.const_arms is not None:
+            return self.const_arms.get(subject, len(self.items))
         for i, item in enumerate(self.items):
             for label in item.labels:
                 if label.eval(view) == subject:

@@ -273,14 +273,6 @@ def rtl_acyclic(design: Design) -> bool:
     return True
 
 
-def split_reads(signals: Iterable[Signal]) -> Tuple[List[Signal], List[Signal]]:
-    """Deterministically ordered (scalars, memories) of a read/write set."""
-    ordered = sorted(signals, key=lambda s: s.sid)
-    scalars = [s for s in ordered if not s.is_memory]
-    memories = [s for s in ordered if s.is_memory]
-    return scalars, memories
-
-
 def scheduler_slot_count(design: Design) -> int:
     """Number of ``LS`` (last-evaluation stamp) slots a kernel needs.
 

@@ -49,13 +49,13 @@ Generated sources reuse the persistent disk cache of
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConvergenceError, SimulationError
 from repro.ir.behavioral import BehavioralNode, EdgeKind
 from repro.ir.design import Design
 from repro.ir.rtlnode import RtlNode
-from repro.ir.signal import Signal
+from repro.ir.signal import Signal, split_reads
 from repro.sim.codegen import (
     _blocking_targets,
     _emit_body,
@@ -68,7 +68,7 @@ from repro.sim.codegen import (
     load_kernel_variant,
 )
 from repro.sim.compiled import MAX_PASSES
-from repro.sim.emitter import open_scheduler_guard, split_reads
+from repro.sim.emitter import open_scheduler_guard
 from repro.sim.engine import ForceHook, SimulationTrace
 from repro.sim.stimulus import Stimulus
 
@@ -81,16 +81,21 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
 #: Bump whenever the generated concurrent-source format changes; participates
 #: in the cache-key suffix so stale entries are never reused (and the serial /
 #: packed caches survive eraser-emitter changes, and vice versa).
-ERASER_VERSION = 1
+ERASER_VERSION = 2
 
 
 # --------------------------------------------------------------- runtime text
 #: Static helpers shared by every generated concurrent kernel, emitted
 #: verbatim.  ``_mfrd`` is the fault-view memory read; ``_apply_outcomes``
-#: reproduces the interpreted engine's behavioral commit exactly: final-value
-#: folding of update tuples, follow-the-good blending for faults that did not
-#: execute, state holding for faults that missed their clock edge, site-fault
-#: forcing and divergence-dict rebuilds with change detection.
+#: is the interpreted engine's behavioral commit
+#: (:meth:`~repro.core.framework.EraserSimulator._apply_behavioral_outcome`)
+#: over flat lists: it folds update tuples into final values, then builds
+#: each touched signal's divergence dict from four groups of faults — the
+#: executed faults (their final value, or their old one when they did not
+#: write the signal), the old divergent faults that did not execute (a holder
+#: keeps its value, a follower replays the good machine's updates), the new
+#: holders (they keep the overwritten good value) and the site faults (forced
+#: on top of all that) — and recommits it with change detection.
 _ERASER_RUNTIME = '''\
 _ES = frozenset()
 
@@ -119,137 +124,142 @@ def _apply_outcomes(outcomes, V, M, D, MD, SITES, FA, FO, FN, VER, GC):
     # even earlier in the same pass — re-evaluate on the next pass.
     ch = False
     for good_upd, fault_upds, holders in outcomes:
-        good_by_sig = {}
+        # the good machine's final values; per signal, the partial updates a
+        # follower replays, or None once a whole write makes it the good value
         good_final = {}
-        good_word_final = {}
+        follow = {}
+        good_words = {}
         if good_upd is not None:
             for u in good_upd:
                 sid, a, b, wi, val = u
                 if wi is not None:
-                    good_word_final[(sid, wi)] = val
+                    good_words[(sid, wi)] = val
+                elif a is None:
+                    good_final[sid] = val
+                    follow[sid] = None
                 else:
-                    ops = good_by_sig.get(sid)
-                    if ops is None:
-                        good_by_sig[sid] = ops = []
-                    ops.append(u)
-                    if a is None:
-                        good_final[sid] = val
-                    else:
-                        base = good_final.get(sid)
-                        if base is None:
-                            base = V[sid]
-                        m = ((1 << (a - b + 1)) - 1) << b
-                        good_final[sid] = (base & ~m) | ((val << b) & m)
+                    base = good_final[sid] if sid in good_final else V[sid]
+                    m = ((1 << (a - b + 1)) - 1) << b
+                    good_final[sid] = (base & ~m) | ((val << b) & m)
+                    if sid not in follow:
+                        follow[sid] = [u]
+                    elif follow[sid] is not None:
+                        follow[sid].append(u)
         fault_final = {}
-        fault_word_final = {}
+        fault_words = {}
         for f, upds in fault_upds.items():
             finals = {}
-            wfinals = {}
             for sid, a, b, wi, val in upds:
                 if wi is not None:
+                    wfinals = fault_words.get(f)
+                    if wfinals is None:
+                        fault_words[f] = wfinals = {}
                     wfinals[(sid, wi)] = val
                 elif a is None:
                     finals[sid] = val
                 else:
-                    base = finals.get(sid)
-                    if base is None:
-                        base = D[sid].get(f, V[sid])
+                    base = finals[sid] if sid in finals else D[sid].get(f, V[sid])
                     m = ((1 << (a - b + 1)) - 1) << b
                     finals[sid] = (base & ~m) | ((val << b) & m)
             fault_final[f] = finals
-            fault_word_final[f] = wfinals
         touched = set(good_final)
         for finals in fault_final.values():
             touched.update(finals)
-        touched_words = set(good_word_final)
-        for wfinals in fault_word_final.values():
-            touched_words.update(wfinals)
         for sid in touched:
             old_good = V[sid]
             old_div = D[sid]
-            wbg = sid in good_final
-            if wbg:
+            if sid in good_final:
                 new_good = good_final[sid]
                 if FA:
                     new_good = (new_good | FO[sid]) & FN[sid]
-            else:
-                new_good = old_good
-            site = SITES[sid]
-            cand = set(old_div)
-            for f, finals in fault_final.items():
-                if sid in finals:
-                    cand.add(f)
-            cand.update(site)
-            if wbg:
-                cand |= holders
-                cand.update(fault_upds)
-            new_div = {}
-            ops = good_by_sig.get(sid)
-            for f in cand:
-                old_f = old_div.get(f, old_good)
-                finals = fault_final.get(f)
-                if finals is not None:
-                    v = finals.get(sid, old_f)
-                elif f in holders:
-                    v = old_f
-                elif wbg:
-                    # follower: did not execute, takes the good machine's
-                    # update ops on top of its own old value
-                    v = old_f
-                    for _s, a, b, _wi, val in ops:
-                        if a is None:
-                            v = val
-                        else:
+                new_div = {}
+                # executed faults
+                for f, finals in fault_final.items():
+                    v = finals.get(sid)
+                    if v is None:
+                        v = old_div.get(f, old_good)
+                    if v != new_good:
+                        new_div[f] = v
+                # old divergent faults that did not execute
+                ops = follow[sid]
+                for f, v in old_div.items():
+                    if f in fault_final:
+                        continue
+                    if f not in holders:
+                        if ops is None:
+                            continue
+                        for _s, a, b, _wi, val in ops:
                             m = ((1 << (a - b + 1)) - 1) << b
                             v = (v & ~m) | ((val << b) & m)
-                else:
-                    v = old_f
-                st = site.get(f)
-                if st is not None:
-                    v = (v | st[0]) & st[1]
-                if v != new_good:
-                    new_div[f] = v
+                    if v != new_good:
+                        new_div[f] = v
+                # new holders
+                if old_good != new_good:
+                    for f in holders:
+                        if f not in old_div:
+                            new_div[f] = old_good
+            else:
+                # only faults wrote it: everyone else keeps their value
+                new_good = old_good
+                new_div = dict(old_div)
+                for f, finals in fault_final.items():
+                    v = finals.get(sid)
+                    if v is None:
+                        continue
+                    if v != new_good:
+                        new_div[f] = v
+                    elif f in new_div:
+                        del new_div[f]
+            # site faults
+            site = SITES[sid]
+            if site:
+                for f, (om, an) in site.items():
+                    v = (new_div.get(f, new_good) | om) & an
+                    if v != new_good:
+                        new_div[f] = v
+                    elif f in new_div:
+                        del new_div[f]
             if old_good != new_good or old_div != new_div:
                 V[sid] = new_good
                 D[sid] = new_div
                 GC[0] = VER[sid] = GC[0] + 1
                 ch = True
-        for sid, wi in touched_words:
+        if not (good_words or fault_words):
+            continue
+        touched_words = set(good_words)
+        for wfinals in fault_words.values():
+            touched_words.update(wfinals)
+        for key in touched_words:
+            sid, wi = key
             mem = M[sid]
             in_range = 0 <= wi < len(mem)
             old_good = mem[wi] if in_range else 0
-            wbg = (sid, wi) in good_word_final
-            new_good = good_word_final[(sid, wi)] if wbg else old_good
+            wbg = key in good_words
+            new_good = good_words[key] if wbg else old_good
             mdov = MD[sid]
-            cand = set()
+            vals = {}
             for f, ovl in mdov.items():
                 if wi in ovl:
-                    cand.add(f)
-            for f, wfinals in fault_word_final.items():
-                if (sid, wi) in wfinals:
-                    cand.add(f)
+                    if wbg and f not in fault_upds and f not in holders:
+                        vals[f] = new_good
+                    else:
+                        vals[f] = ovl[wi]
             if wbg:
-                cand |= holders
-                cand.update(fault_upds)
+                for f in holders:
+                    if f not in vals:
+                        vals[f] = old_good
+                for f in fault_upds:
+                    if f not in vals:
+                        vals[f] = old_good
+            for f, wfinals in fault_words.items():
+                if key in wfinals:
+                    vals[f] = wfinals[key]
             if old_good != new_good and in_range:
                 mem[wi] = new_good
                 GC[0] = VER[sid] = GC[0] + 1
                 ch = True
-            for f in cand:
+            for f, v in vals.items():
                 ovl = mdov.get(f)
-                if ovl is not None and wi in ovl:
-                    old_f = ovl[wi]
-                else:
-                    old_f = old_good
-                wfinals = fault_word_final.get(f)
-                if wfinals is not None and (sid, wi) in wfinals:
-                    v = wfinals[(sid, wi)]
-                elif f in holders:
-                    v = old_f
-                elif wbg and f not in fault_upds:
-                    v = new_good
-                else:
-                    v = old_f
                 if v != new_good:
                     if ovl is None:
                         mdov[f] = ovl = {}
@@ -297,10 +307,6 @@ class _BehavioralFaultContext(_ReadContext):
 
 
 # ------------------------------------------------------------------- emitter
-# the (scalars, memories) read split now lives in the shared emitter core
-_split_reads = split_reads
-
-
 def _emit_behavioral(node: BehavioralNode, w: _Writer, fault_view: bool) -> str:
     """One execution function for an ``always`` block (flat, view-selected).
 
@@ -366,7 +372,7 @@ def _emit_rtl_node(
     pays no spurious confirm evaluations (drivers commit before their readers
     run).  The output's own divergence dict never needs to re-trigger the
     node: it only changes through this node's commit or through
-    ``drop_fault``, which purges the dict directly.
+    ``drop_faults``, which purges the dict directly.
 
     Within an evaluation, only faults divergent on a read (or previously
     divergent on the output) re-evaluate the expression; a site fault with no
@@ -381,7 +387,7 @@ def _emit_rtl_node(
     """
     out = node.output
     sid = out.sid
-    read_scalars, read_memories = _split_reads(node.reads)
+    read_scalars, read_memories = split_reads(node.reads)
 
     # constant nodes (no reads) evaluate once, then only drops can matter —
     # and drops purge divergence dicts directly, no re-evaluation needed
@@ -467,7 +473,7 @@ def _emit_considered(node: BehavioralNode, w: _Writer, seed: Optional[str]) -> s
     skipped — the compiled form of the interpreted engine's redundancy
     elimination.
     """
-    scalars, memories = _split_reads(node.reads | node.writes)
+    scalars, memories = split_reads(node.reads | node.writes)
     names = []
     for signal in scalars:
         w.line(f"_d{signal.sid} = D[{signal.sid}]")
@@ -823,28 +829,30 @@ class EraserCodegenEngine:
             for fault_id in self.D[sid]:
                 if fault_id not in newly and observation.mark_detected(fault_id, cycle):
                     newly.add(fault_id)
-        for fault_id in newly:
-            self.drop_fault(fault_id)
+        if newly:
+            self.drop_faults(newly)
 
-    def drop_fault(self, fault_id: int) -> None:
-        """Purge every divergence (and the site masks) of a dropped fault.
+    def drop_faults(self, fault_ids: Set[int]) -> None:
+        """Purge every divergence (and the site masks) of the dropped faults.
 
-        Reader nodes are re-fired (version bump) so downstream divergence
-        dicts that referenced the dropped fault get rebuilt without it.
+        One pass over ``D``/``MD``/``EPD``/``SITES`` drops them all.  Reader
+        nodes are re-fired (version bump) so downstream divergence dicts that
+        referenced a dropped fault get rebuilt without it.
         """
         VER, GC = self.VER, self.GC
-        for sid, entries in enumerate(self.D):
-            if entries and entries.pop(fault_id, None) is not None:
-                GC[0] = VER[sid] = GC[0] + 1
-        for sid, entries in enumerate(self.MD):
-            if entries and entries.pop(fault_id, None) is not None:
-                GC[0] = VER[sid] = GC[0] + 1
+        for table in (self.D, self.MD, self.SITES):
+            for sid, entries in enumerate(table):
+                if entries:
+                    hit = False
+                    for fault_id in fault_ids:
+                        if entries.pop(fault_id, None) is not None:
+                            hit = True
+                    if hit:
+                        GC[0] = VER[sid] = GC[0] + 1
         for entries in self.EPD:
             if entries:
-                entries.pop(fault_id, None)
-        for sid, entries in enumerate(self.SITES):
-            if entries and entries.pop(fault_id, None) is not None:
-                GC[0] = VER[sid] = GC[0] + 1
+                for fault_id in fault_ids:
+                    entries.pop(fault_id, None)
 
     # ------------------------------------------------------------------- runs
     def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from repro.errors import SimulationError
 from repro.ir.behavioral import BehavioralNode
-from repro.ir.stmt import Assign, Case, If, LValue, Stmt
+from repro.ir.stmt import Assign, Case, If, Stmt
 from repro.utils.bitvec import set_slice, truncate
 
 
@@ -29,6 +29,9 @@ class NBAUpdate:
     * whole signal:   ``msb is None`` and ``word_index is None``
     * part select:    ``msb``/``lsb`` set (bit indices relative to bit 0)
     * memory word:    ``word_index`` set
+
+    The interpreter truncates ``value`` to the target's width, so a whole
+    signal or memory word update is its final value as it stands.
     """
 
     __slots__ = ("signal", "value", "msb", "lsb", "word_index")
@@ -98,68 +101,72 @@ def execute_behavioral(node: BehavioralNode, view, want_trace: bool = False) -> 
     overlay = OverlayView(view)
     updates: List[NBAUpdate] = []
     trace: Dict[int, int] = {}
-
-    def run_body(body: List[Stmt]) -> None:
-        for stmt in body:
-            run_stmt(stmt)
-
-    def run_stmt(stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            run_assign(stmt)
-        elif isinstance(stmt, If):
-            arm = 0 if stmt.cond.eval(overlay) else 1
-            if want_trace:
-                trace[stmt.uid] = arm
-            run_body(stmt.then_body if arm == 0 else stmt.else_body)
-        elif isinstance(stmt, Case):
-            arm = stmt.select_arm(overlay)
-            if want_trace:
-                trace[stmt.uid] = arm
-            bodies = stmt.arm_bodies()
-            run_body(bodies[arm])
-        else:  # pragma: no cover - the IR only produces the three kinds above
-            raise SimulationError(f"cannot interpret statement {stmt!r}")
-
-    def run_assign(stmt: Assign) -> None:
-        lhs = stmt.lhs
-        value = truncate(stmt.rhs.eval(overlay), lhs.width)
-        if stmt.blocking:
-            apply_blocking(lhs, value)
-        else:
-            updates.append(make_update(lhs, value))
-
-    def make_update(lhs: LValue, value: int) -> NBAUpdate:
-        signal = lhs.signal
-        if signal.is_memory:
-            index = lhs.index.eval(overlay)
-            return NBAUpdate(signal, value, word_index=index)
-        if lhs.msb is not None:
-            return NBAUpdate(signal, value, msb=lhs.msb, lsb=lhs.lsb)
-        if lhs.index is not None:
-            bit = lhs.index.eval(overlay) - signal.lsb
-            if bit < 0 or bit >= signal.width:
-                # out-of-range dynamic bit write: drop it (two-state semantics)
-                return NBAUpdate(signal, view.get(signal))
-            return NBAUpdate(signal, value, msb=bit, lsb=bit)
-        return NBAUpdate(signal, value)
-
-    def apply_blocking(lhs: LValue, value: int) -> None:
-        signal = lhs.signal
-        if signal.is_memory:
-            index = lhs.index.eval(overlay)
-            overlay.set_word(signal, index, value)
-            return
-        if lhs.msb is not None:
-            old = overlay.get(signal)
-            overlay.set(signal, set_slice(old, lhs.msb, lhs.lsb, value))
-            return
-        if lhs.index is not None:
-            bit = lhs.index.eval(overlay) - signal.lsb
-            if 0 <= bit < signal.width:
-                old = overlay.get(signal)
-                overlay.set(signal, set_slice(old, bit, bit, value))
-            return
-        overlay.set(signal, value)
-
-    run_body(node.body)
+    _run(node.body, overlay, updates, trace if want_trace else None)
     return ExecutionResult(updates, trace, overlay)
+
+
+def _run(body: List[Stmt], overlay, updates: List[NBAUpdate], trace) -> None:
+    """Execute ``body`` in one loop over a stack of statement iterators.
+
+    Dispatch is on the exact statement type.  Entering an arm pushes its
+    iterator; an exhausted iterator is popped, and its parent resumes after
+    the decision.  Whole-signal scalar assignments are masked and written
+    inline; every other target goes through :func:`_assign_select`.
+    """
+    stack = [iter(body)]
+    while stack:
+        for stmt in stack[-1]:
+            kind = type(stmt)
+            if kind is Assign:
+                lhs = stmt.lhs
+                mask = lhs.whole_mask
+                if mask is None:
+                    _assign_select(stmt, overlay, updates)
+                elif stmt.blocking:
+                    overlay.values[lhs.signal] = stmt.rhs.eval(overlay) & mask
+                else:
+                    updates.append(NBAUpdate(lhs.signal, stmt.rhs.eval(overlay) & mask))
+                continue
+            if kind is If:
+                arm = 0 if stmt.cond.eval(overlay) else 1
+                arm_body = stmt.then_body if arm == 0 else stmt.else_body
+            elif kind is Case:
+                arm = stmt.select_arm(overlay)
+                arm_body = stmt.arm_body(arm)
+            else:  # pragma: no cover - the IR only produces the three kinds above
+                raise SimulationError(f"cannot interpret statement {stmt!r}")
+            if trace is not None:
+                trace[stmt.uid] = arm
+            if arm_body:
+                stack.append(iter(arm_body))
+                break
+        else:
+            stack.pop()
+
+
+def _assign_select(stmt: Assign, overlay, updates: List[NBAUpdate]) -> None:
+    """A part-select, dynamic-bit or memory-word assignment."""
+    lhs = stmt.lhs
+    signal = lhs.signal
+    value = truncate(stmt.rhs.eval(overlay), lhs.width)
+    if signal.is_memory:
+        index = lhs.index.eval(overlay)
+        if stmt.blocking:
+            overlay.set_word(signal, index, value)
+        else:
+            updates.append(NBAUpdate(signal, value, word_index=index))
+        return
+    if lhs.msb is not None:
+        msb, lsb = lhs.msb, lhs.lsb
+    else:
+        msb = lsb = lhs.index.eval(overlay) - signal.lsb
+        if msb < 0 or msb >= signal.width:
+            # out-of-range dynamic bit write: dropped (two-state semantics); a
+            # non-blocking one publishes the pre-execution value
+            if not stmt.blocking:
+                updates.append(NBAUpdate(signal, overlay.base.get(signal)))
+            return
+    if stmt.blocking:
+        overlay.set(signal, set_slice(overlay.get(signal), msb, lsb, value))
+    else:
+        updates.append(NBAUpdate(signal, value, msb=msb, lsb=lsb))

@@ -10,11 +10,13 @@ short of full detection-dict equality is accepted.  The seam tests cover the
 selector, the shared disk cache and the fault/force_hook exclusivity.
 """
 
+import random
+
 import pytest
 
 from repro.api import ENGINE_SPECS, compile_design, make_engine, simulate_good
 from repro.baselines.base import SerialFaultSimulator
-from repro.core.framework import EraserMode, EraserSimulator
+from repro.core.framework import EraserMode, EraserSimulator, _BehavioralOutcome
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.errors import SimulationError
 from repro.fault.faultlist import FaultList, generate_stuck_at_faults, sample_faults
@@ -22,11 +24,13 @@ from repro.fault.model import StuckAtFault
 from repro.sim.codegen import design_fingerprint
 from repro.sim.engine import EventDrivenEngine
 from repro.sim.eraser_codegen import (
+    _ERASER_RUNTIME,
     EraserCodegenEngine,
     EraserCodegenSimulator,
     generate_eraser_source,
     load_eraser_kernel,
 )
+from repro.sim.interpreter import NBAUpdate
 from repro.sim.stimulus import VectorStimulus
 
 #: Cycles for the corpus exactness sweep (short: the fuzz suite goes longer).
@@ -268,3 +272,103 @@ def test_broken_combinational_loop():
     interpreted = EraserSimulator(design).run(stimulus, faults)
     generated = EraserCodegenSimulator(design).run(stimulus, faults)
     assert generated.coverage.detections == interpreted.coverage.detections
+
+
+# ------------------------------------------------------------ the two commits
+def _random_update(rng, signal, mem):
+    """One interpreter update on ``signal`` (whole or part select) or a ``mem`` word."""
+    if mem is not None:
+        return NBAUpdate(mem, rng.randrange(1 << mem.width), word_index=rng.randrange(mem.depth))
+    value = rng.randrange(1 << signal.width)
+    if signal.width > 1 and rng.random() < 0.5:
+        lsb = rng.randrange(signal.width)
+        msb = rng.randrange(lsb, signal.width)
+        return NBAUpdate(signal, value & ((1 << (msb - lsb + 1)) - 1), msb=msb, lsb=lsb)
+    return NBAUpdate(signal, value)
+
+
+def _as_tuples(updates):
+    return [(u.signal.sid, u.msb, u.lsb, u.word_index, u.value) for u in updates]
+
+
+def test_interpreted_and_generated_commits_agree(memory_design):
+    """Random activations committed by both engines leave the same state.
+
+    The interpreted ``_apply_behavioral_outcome`` and the kernel runtime's
+    ``_apply_outcomes`` implement one algorithm.  Each trial draws a random
+    concurrent state (good values, divergences, memory overlays, dropped
+    faults) and a random outcome (whole, part-select and word updates for the
+    good machine and the executed faults, holders), commits it through both
+    and compares every value and divergence.  Among other paths this reaches
+    a follower replaying part-select good writes, which no corpus campaign
+    does: elimination never skips a fault divergent on a part-selected target.
+    """
+    design = memory_design
+    namespace = {}
+    exec(_ERASER_RUNTIME, namespace)
+    apply_outcomes = namespace["_apply_outcomes"]
+    rng = random.Random(5)
+    scalars = [s for s in design.signals if not s.is_memory]
+    mem = design.signal("mem")
+    for _ in range(300):
+        sites = rng.choices(scalars, k=6)
+        faults = FaultList(
+            [StuckAtFault(s, rng.randrange(s.width), rng.randrange(2)) for s in sites]
+        )
+        sim = EraserSimulator(design)
+        sim._prepare(faults)
+        store = sim.store
+        sim.live = set(rng.sample(range(len(faults)), 4))
+        for signal in scalars:
+            good = store.values[signal] = rng.randrange(1 << signal.width)
+            store.div[signal] = {
+                f: v for f in sim.live
+                if rng.random() < 0.3 and (v := rng.randrange(1 << signal.width)) != good
+            }
+        store.memories[mem] = [rng.randrange(256) for _ in range(mem.depth)]
+        store.mem_div[mem] = {}
+        for f in sim.live:
+            for index in rng.sample(range(mem.depth), rng.randrange(3)):
+                store.set_fault_word(mem, index, f, rng.randrange(256))
+
+        def updates():
+            return [
+                _random_update(rng, rng.choice(scalars), mem if rng.random() < 0.2 else None)
+                for _ in range(rng.randrange(5))
+            ]
+
+        outcome = _BehavioralOutcome(design.behavioral_nodes[0])
+        executed = rng.sample(sorted(sim.live), rng.randrange(len(sim.live) + 1))
+        outcome.fault_updates = {f: updates() for f in executed}
+        if rng.random() < 0.8:
+            outcome.good_updates = updates()
+            outcome.holders = {f for f in sim.live - set(executed) if rng.random() < 0.3}
+
+        V = [store.values.get(s, 0) for s in design.signals]
+        M = [list(store.memories[s]) if s.is_memory else None for s in design.signals]
+        D = [dict(store.div.get(s, {})) for s in design.signals]
+        MD = [
+            {f: dict(words) for f, words in store.mem_div.get(s, {}).items()}
+            for s in design.signals
+        ]
+        SITES = [{} for _ in design.signals]
+        for fault in faults:
+            if fault.fault_id in sim.live:
+                SITES[fault.signal.sid][fault.fault_id] = (
+                    fault.force(0), fault.force(fault.signal.mask)
+                )
+        count = len(design.signals)
+        good = None if outcome.good_updates is None else _as_tuples(outcome.good_updates)
+        executed_tuples = {f: _as_tuples(u) for f, u in outcome.fault_updates.items()}
+        apply_outcomes(
+            [(good, executed_tuples, outcome.holders)],
+            V, M, D, MD, SITES, False, [0] * count, [0] * count, [0] * count, [0],
+        )
+        sim._apply_behavioral_outcome(outcome)
+
+        for signal in scalars:
+            assert (V[signal.sid], D[signal.sid]) == (
+                store.values[signal], store.div[signal]
+            ), signal.name
+        assert M[mem.sid] == store.memories[mem]
+        assert MD[mem.sid] == store.mem_div[mem]

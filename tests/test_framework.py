@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import compile_design
+from repro.baselines.base import SerialFaultSimulator
 from repro.baselines.ifsim import IFsimSimulator
 from repro.core.framework import EraserMode, EraserSimulator
 from repro.fault.faultlist import FaultList, faults_on_signals, generate_stuck_at_faults
@@ -156,6 +157,45 @@ def test_memory_design_parity(memory_design, memory_stimulus):
     concurrent = EraserSimulator(memory_design).run(memory_stimulus, faults)
     serial = IFsimSimulator(memory_design).run(memory_stimulus, faults)
     assert concurrent.coverage.same_verdicts(serial.coverage)
+
+
+OOB_MEMORY_SRC = """
+module oob_mem(
+  input clk,
+  input we,
+  input [3:0] addr,
+  input [3:0] raddr,
+  input [7:0] din,
+  output reg [7:0] q
+);
+  reg [7:0] mem [0:9];
+  always @(posedge clk) begin
+    if (we) mem[addr] <= din;
+    q <= mem[raddr];
+  end
+endmodule
+"""
+
+
+@pytest.mark.parametrize("mode", list(EraserMode), ids=lambda mode: mode.value)
+def test_out_of_range_memory_write_is_dropped(mode):
+    """A write past the last word is a no-op on every machine.
+
+    ``addr`` is 4 bits wide and sweeps all 16 values, so 10..15 (12 and 15
+    among them) address words ``mem`` does not have.  Every mode must match
+    the serial event-driven reference, which drops such writes.
+    """
+    design = compile_design(OOB_MEMORY_SRC, top="oob_mem")
+    vectors = [
+        {"we": 1, "addr": (5 * i + 2) % 16, "raddr": (3 * i + 1) % 16, "din": (37 * i + 11) & 0xFF}
+        for i in range(40)
+    ]
+    assert {12, 15} <= {vector["addr"] for vector in vectors}
+    stimulus = VectorStimulus(vectors, clock="clk")
+    faults = generate_stuck_at_faults(design)
+    reference = SerialFaultSimulator(design, engine="event").run(stimulus, faults)
+    result = EraserSimulator(design, mode=mode).run(stimulus, faults)
+    assert result.coverage.detections == reference.coverage.detections
 
 
 def test_comb_block_design_parity(mux_design, mux_stimulus):

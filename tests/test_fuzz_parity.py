@@ -10,7 +10,9 @@ the identical sampled fault list through all seven engines —
 * ``packed``  — the bit-parallel PPSFP campaign,
 * ``packed-numpy`` — the vectorized (NumPy array lane) PPSFP campaign
   (skipped transparently when NumPy is not installed),
-* ``eraser``  — the interpreted concurrent framework,
+* ``eraser`` / ``eraser-`` / ``eraser--`` — the interpreted concurrent
+  framework in each :class:`~repro.core.framework.EraserMode` (full,
+  explicit-only and no elimination; the last executes every live fault),
 * ``eraser-codegen`` — the generated concurrent kernel —
 
 and asserts that the *detection dictionaries* (which fault was detected AND
@@ -30,7 +32,7 @@ detection-cycle diff, never as a silent perf blip.
 import pytest
 
 from repro.baselines.base import SerialFaultSimulator
-from repro.core.framework import EraserSimulator
+from repro.core.framework import EraserMode, EraserSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import CodegenEngine
@@ -83,13 +85,15 @@ def _design(name):
 
 
 def _engines(design):
-    """The seven-engine matrix, name -> run(stimulus, faults) callable."""
+    """The seven engines, Eraser in every mode: name -> run(stimulus, faults)."""
     engines = {
         "event": SerialFaultSimulator(design, engine="event").run,
         "compiled": SerialFaultSimulator(design, engine="compiled").run,
         "codegen": SerialFaultSimulator(design, engine="codegen").run,
         "packed": PackedCodegenSimulator(design, width=8).run,
         "eraser": EraserSimulator(design).run,
+        "eraser-": EraserSimulator(design, mode=EraserMode.EXPLICIT_ONLY).run,
+        "eraser--": EraserSimulator(design, mode=EraserMode.NO_ELIMINATION).run,
         "eraser-codegen": EraserCodegenSimulator(design).run,
     }
     if _vector_np is not None:  # NumPy is the optional "vector" extra

@@ -205,3 +205,57 @@ def test_local_dependent_redundant_when_support_clean():
     store.set_fault_value(design.signal("c"), 1, 9)
     trace = good_trace(node, store)
     assert checker.is_redundant(node, store, 1, trace, FaultView(store, 1))
+
+
+# ------------------------------------------------- memory-word divergence
+MEM_SRC = """
+module memread(
+  input clk,
+  input sel,
+  input [1:0] ra,
+  input [7:0] d,
+  output reg [7:0] y
+);
+  reg [7:0] mem [0:3];
+  always @(posedge clk) mem[ra] <= d;
+  always @(posedge clk) begin
+    if (sel) y <= mem[ra];
+    else y <= d;
+  end
+endmodule
+"""
+
+
+@pytest.fixture
+def memread():
+    """The reader block, and a store where fault 4 diverges on ``mem[2]`` only."""
+    design = compile_design(MEM_SRC, top="memread")
+    mem = design.signal("mem")
+    node = next(n for n in design.behavioral_nodes if mem in n.reads)
+    store = ConcurrentValueStore(design)
+    store.set_fault_word(mem, 2, 4, 9)
+    assert store.mem_div[mem] == {4: {2: 9}}
+    assert not any(4 in entries for entries in store.div.values())
+    return design, node, store, mem
+
+
+def test_explicit_sees_a_memory_word_divergence(memread):
+    design, node, store, mem = memread
+    assert not is_explicitly_redundant(store, node, 4)
+
+
+def test_explicit_redundant_once_the_word_converges(memread):
+    design, node, store, mem = memread
+    store.set_fault_word(mem, 2, 4, store.get_word(mem, 2))
+    assert 4 not in store.mem_div[mem]  # the empty overlay was popped
+    assert is_explicitly_redundant(store, node, 4)
+
+
+def test_walk_sees_a_memory_word_in_segment_support(memread):
+    design, node, store, mem = memread
+    vdg = ImplicitRedundancyChecker(design).vdg_for(node)
+    store.set(design.signal("sel"), 1)  # the taken path reads mem[ra]
+    assert any(mem in vnode.support for vnode in vdg.nodes if vnode.is_segment)
+    assert not vdg.walk_is_redundant(store, 4, good_trace(node, store), FaultView(store, 4))
+    store.set(design.signal("sel"), 0)  # the taken path reads d only
+    assert vdg.walk_is_redundant(store, 4, good_trace(node, store), FaultView(store, 4))
