@@ -14,21 +14,36 @@ declares a faulty execution redundant iff
 Handling of blocking assignments
 --------------------------------
 
-Conditions and reads that depend on *locals* (signals blocking-assigned earlier
-in the same body) cannot be re-evaluated from the pre-execution state alone.
-The VDG therefore pre-computes, per node, a *transitive input support*: the
-read set expanded through the blocking-assignment def-use chains of the body.
-Decision nodes whose condition reads such locals are marked ``local_dependent``
-and are handled conservatively: if any signal of their support diverges, the
-faulty execution is treated as non-redundant (it is executed instead of being
-skipped).  This keeps the check sound while preserving the exact
-``Evaluate``-based path comparison of the paper in the common case where
-conditions read ordinary signals.
+A signal blocking-assigned earlier in the same body is read at its new value,
+which the pre-execution state does not hold.  The VDG therefore pre-computes,
+per node, a *transitive input support*: the read set expanded through the
+blocking-assignment def-use chains of the body.  The block's *locals*
+(:attr:`~repro.ir.behavioral.BehavioralNode.locals`, the reads every path
+whole-signal blocking-assigns first) are then dropped from each support: a
+local's stored value is the previous activation's and nothing reads it, while
+the inputs it is computed from stay in the support through the expansion.
+Decision nodes whose condition reads a blocking-assigned signal are marked
+``local_dependent`` and are handled conservatively: if any signal of their
+support diverges, the faulty execution is treated as non-redundant (it is
+executed instead of being skipped).  This keeps the check sound while
+preserving the exact ``Evaluate``-based path comparison of the paper in the
+common case where conditions read ordinary signals.
+
+One walk per activation
+-----------------------
+
+The good path is the same for every fault of an activation, so it is walked
+once, memoized on the trace dict the good execution returned, and flattened
+into the union of its segment and ``local_dependent`` decision supports plus
+the remaining decisions with their good arms.  A fault is then redundant iff
+it diverges on no support signal and every remaining decision whose reads it
+diverges on still selects the good arm under the fault; a decision whose reads
+it does not diverge on selects the good arm by construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cfg.builder import CfgNode, ControlFlowGraph, build_cfg
 from repro.errors import SimulationError
@@ -46,8 +61,6 @@ class VdgNode:
         "decision",
         "reads",
         "support",
-        "support_scalars",
-        "support_memories",
         "local_dependent",
         "succs",
     )
@@ -58,27 +71,8 @@ class VdgNode:
         self.decision: Optional[Stmt] = None
         self.reads: FrozenSet[Signal] = frozenset()
         self.support: FrozenSet[Signal] = frozenset()
-        self.support_scalars: List[Signal] = []
-        self.support_memories: List[Signal] = []
         self.local_dependent = False
         self.succs: List["VdgNode"] = []
-
-    def set_support(self, support: FrozenSet[Signal]) -> None:
-        """Record ``support``, split once into scalars and memories for the walk."""
-        self.support = support
-        self.support_scalars, self.support_memories = split_reads(support)
-
-    def support_diverges(self, store, fault_id: int) -> bool:
-        """Is ``fault_id`` visible on any signal of this node's support?"""
-        div = store.div
-        for signal in self.support_scalars:
-            if fault_id in div[signal]:
-                return True
-        mem_div = store.mem_div
-        for signal in self.support_memories:
-            if mem_div[signal].get(fault_id):
-                return True
-        return False
 
     @property
     def is_decision(self) -> bool:
@@ -105,6 +99,13 @@ class VdgNode:
         return f"VdgNode#{self.nid}({self.kind})"
 
 
+#: A flattened good path: support scalars, support memories and the decisions
+#: left to evaluate (see :meth:`VisibilityDependencyGraph._flatten`).
+GoodPath = Tuple[
+    List[Signal], List[Signal], List[Tuple[VdgNode, int, List[Signal], List[Signal]]]
+]
+
+
 class VisibilityDependencyGraph:
     """The VDG of one behavioral node, ready for run-time redundancy walks."""
 
@@ -116,6 +117,9 @@ class VisibilityDependencyGraph:
         self.exit: Optional[VdgNode] = None
         self._blocking_support = _blocking_support_map(behavioral_node)
         self._build()
+        # the last trace walked and its flattened good path (see _flatten)
+        self._path_trace: Optional[Dict[int, int]] = None
+        self._path: Optional[GoodPath] = None
 
     # ------------------------------------------------------------------ build
     def _build(self) -> None:
@@ -126,14 +130,14 @@ class VisibilityDependencyGraph:
                 vnode.decision = cnode.decision
                 reads = frozenset(decision_signals(cnode.decision))
                 vnode.reads = reads
-                vnode.set_support(self._expand(reads))
+                vnode.support = self._expand(reads)
                 vnode.local_dependent = any(s in self._blocking_support for s in reads)
             elif cnode.is_segment:
                 reads: Set[Signal] = set()
                 for stmt in cnode.stmts:
                     reads.update(stmt.read_signals())
                 vnode.reads = frozenset(reads)
-                vnode.set_support(self._expand(vnode.reads))
+                vnode.support = self._expand(vnode.reads)
             mapping[cnode.nid] = vnode
             self.nodes.append(vnode)
         for cnode in self.cfg.nodes:
@@ -142,13 +146,51 @@ class VisibilityDependencyGraph:
         self.exit = mapping[self.cfg.exit.nid]
 
     def _expand(self, reads: FrozenSet[Signal]) -> FrozenSet[Signal]:
-        """Expand a read set through the body's blocking-assignment support."""
+        """Expand a read set through the body's blocking-assignment support.
+
+        The block's locals are dropped after the expansion, which has already
+        brought in the inputs they are computed from.
+        """
         expanded: Set[Signal] = set(reads)
         for signal in reads:
             expanded.update(self._blocking_support.get(signal, ()))
-        return frozenset(expanded)
+        return frozenset(expanded) - self.behavioral_node.locals
 
     # ------------------------------------------------------------------- walk
+    def _flatten(self, trace: Dict[int, int]) -> Optional[GoodPath]:
+        """The good path ``trace`` takes, flattened for the per-fault check.
+
+        Returns ``(scalars, memories, decisions)``: the union of the path's
+        segment and ``local_dependent`` decision supports, split into scalars
+        and memories, and one ``(node, good_arm, read_scalars, read_memories)``
+        entry per other path decision, with the reads the support does not
+        already hold (a decision left with none is dropped: a fault divergent
+        on one of its reads already fails on the support).  ``None`` when a
+        path decision is missing from the trace.
+        """
+        support: Set[Signal] = set()
+        decisions = []
+        node = self.entry.succs[0]
+        while node is not self.exit:
+            if node.is_decision:
+                arm = trace.get(node.decision.uid)
+                if arm is None:
+                    return None
+                if node.local_dependent:
+                    support |= node.support
+                else:
+                    decisions.append((node, arm))
+                node = node.succs[arm]
+            else:
+                support |= node.support
+                node = node.succs[0]
+        checks = []
+        for decision, arm in decisions:
+            read_scalars, read_memories = split_reads(decision.reads - support)
+            if read_scalars or read_memories:
+                checks.append((decision, arm, read_scalars, read_memories))
+        return split_reads(support) + (checks,)
+
     def walk_is_redundant(self, store, fault_id: int, trace: Dict[int, int], fault_view) -> bool:
         """Algorithm 1: is the faulty execution redundant w.r.t. the traced good one?
 
@@ -161,36 +203,41 @@ class VisibilityDependencyGraph:
             The faulty machine to check.
         trace:
             The good execution trace (decision uid -> arm index) recorded by
-            the interpreter for this activation.
+            the interpreter for this activation.  The flattened good path is
+            memoized on this dict, so it must not change between calls.
         fault_view:
             The evaluation view of the faulty machine (pre-execution values).
         """
-        node = self.entry
-        guard = 0
-        limit = len(self.nodes) + 2
-        while node is not self.exit:
-            guard += 1
-            if guard > limit:  # pragma: no cover - CFGs are acyclic by construction
-                raise SimulationError("VDG walk did not terminate")
-            if node.is_decision:
-                good_arm = trace.get(node.decision.uid)
-                if good_arm is None:
-                    # The good execution never reached this decision (should not
-                    # happen when walking the traced path); be conservative.
-                    return False
-                if node.local_dependent:
-                    if node.support_diverges(store, fault_id):
-                        return False
+        if trace is not self._path_trace:
+            # one walk per activation: every fault of it shares the trace dict
+            self._path_trace = trace
+            self._path = self._flatten(trace)
+        path = self._path
+        if path is None:
+            # the good execution never reached a path decision (should not
+            # happen for a recorded trace): be conservative
+            return False
+        scalars, memories, decisions = path
+        div = store.div
+        for signal in scalars:
+            if fault_id in div[signal]:
+                return False
+        mem_div = store.mem_div
+        for signal in memories:
+            if mem_div[signal].get(fault_id):
+                return False
+        for node, good_arm, read_scalars, read_memories in decisions:
+            for signal in read_scalars:
+                if fault_id in div[signal]:
+                    break
+            else:
+                for signal in read_memories:
+                    if mem_div[signal].get(fault_id):
+                        break
                 else:
-                    if node.select_arm(fault_view) != good_arm:
-                        return False
-                node = node.succs[good_arm]
-            elif node.is_segment:
-                if node.support_diverges(store, fault_id):
-                    return False
-                node = node.succs[0]
-            else:  # entry node
-                node = node.succs[0]
+                    continue  # equal reads select the good arm
+            if node.select_arm(fault_view) != good_arm:
+                return False
         return True
 
     # ------------------------------------------------------------------ stats

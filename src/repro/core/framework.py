@@ -323,10 +323,10 @@ class EraserSimulator:
             if self.mode is EraserMode.NO_ELIMINATION:
                 considered = set(self.live)
             else:
+                # a fault divergent only on a written signal has equal inputs:
+                # it is counted explicitly redundant below without a check
                 considered = set()
                 for signal in node.reads:
-                    considered.update(store.divergent_faults(signal))
-                for signal in node.writes:
                     considered.update(store.divergent_faults(signal))
                 considered &= self.live
                 if activation is not None:

@@ -6,7 +6,9 @@ this faulty behavioral code produce exactly the good result, even though some
 of its inputs diverge?*  It does so by walking the good execution path recorded
 by the interpreter and checking, at every path decision node, that the faulty
 machine selects the same successor, and at every path dependency node, that no
-signal the segment depends on is visible for the fault.
+signal the segment depends on is visible for the fault.  The path is walked
+once per activation and every fault is checked against its flattened form
+(see :mod:`repro.cfg.vdg`).
 """
 
 from __future__ import annotations

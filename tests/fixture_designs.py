@@ -132,3 +132,28 @@ module fsm(
   end
 endmodule
 """
+
+# ``u`` is a block local (assigned on every path before it is read); ``t`` is
+# not: with ``en`` low, ``q <= t`` reads the previous activation's value.
+TEMPS_SRC = """
+module temps(
+  input clk,
+  input en,
+  input sel,
+  input [7:0] x,
+  input [7:0] y,
+  output reg [7:0] q,
+  output reg [7:0] r
+);
+  wire [7:0] m;
+  reg [7:0] t;
+  reg [7:0] u;
+  assign m = sel ? x : y;
+  always @(posedge clk) begin
+    if (en) t = m + 1;
+    u = m ^ 8'h5a;
+    q <= t;
+    r <= u + t;
+  end
+endmodule
+"""

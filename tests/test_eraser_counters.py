@@ -10,7 +10,8 @@ committed table ``golden/eraser_counters.json``.
 
 The table is data, not a snapshot this module writes: a missing or stale
 entry fails.  A change that is meant to move a counter must say why and
-commit the new table with it.
+commit the new table with it.  Whatever the counts, the committed rows must
+also keep the ablation's invariants between the three modes.
 """
 
 import json
@@ -72,3 +73,35 @@ def test_table_matches_the_measured_shape():
 def test_counters_match_the_committed_table(name, mode):
     expected = _table()["rows"][f"{name}/{mode.value}"]
     assert measure(name, mode) == expected
+
+
+# ------------------------------------------------------ ablation invariants
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_committed_rows_satisfy_the_ablation_invariants(name):
+    """How the three modes' counters must relate, on every committed row.
+
+    Each potential execution is eliminated explicitly, eliminated implicitly
+    or executed.  The modes share potential executions, detections and (with
+    elimination on) the explicit check; the implicit check only turns
+    Eraser- executions into eliminations, and Eraser-- executes everything.
+    """
+    table = _table()["rows"]
+    rows = {mode: table[f"{name}/{mode.value}"] for mode in EraserMode}
+    for row in rows.values():
+        assert (
+            row["bn_explicit_eliminations"]
+            + row["bn_implicit_eliminations"]
+            + row["bn_fault_executions"]
+            == row["bn_potential_executions"]
+        )
+    full = rows[EraserMode.FULL]
+    explicit_only = rows[EraserMode.EXPLICIT_ONLY]
+    none = rows[EraserMode.NO_ELIMINATION]
+    for counter in ("bn_potential_executions", "detected"):
+        assert full[counter] == explicit_only[counter] == none[counter]
+    assert full["bn_explicit_eliminations"] == explicit_only["bn_explicit_eliminations"]
+    assert (
+        full["bn_implicit_eliminations"] + full["bn_fault_executions"]
+        == explicit_only["bn_fault_executions"]
+    )
+    assert none["bn_fault_executions"] == none["bn_potential_executions"]

@@ -6,11 +6,15 @@ path nor the data the path depends on must be classified redundant; faults
 that flip a branch decision or touch a path dependency must not.
 """
 
+import random
+
 import pytest
 
+import fixture_designs
 from repro.api import compile_design
 from repro.core.explicit import divergent_read_signals, is_explicitly_redundant
 from repro.core.redundancy import ImplicitRedundancyChecker
+from repro.designs.registry import get_benchmark
 from repro.sim.interpreter import execute_behavioral
 from repro.sim.values import ConcurrentValueStore, FaultView, GoodView
 
@@ -259,3 +263,117 @@ def test_walk_sees_a_memory_word_in_segment_support(memread):
     assert not vdg.walk_is_redundant(store, 4, good_trace(node, store), FaultView(store, 4))
     store.set(design.signal("sel"), 0)  # the taken path reads d only
     assert vdg.walk_is_redundant(store, 4, good_trace(node, store), FaultView(store, 4))
+
+
+# ------------------------------------------------- flattened-walk oracle
+def per_node_walk(vdg, store, fault_id, trace, fault_view):
+    """Algorithm 1 as a walk over the VDG's nodes, one fault at a time.
+
+    The reference for :meth:`VisibilityDependencyGraph.walk_is_redundant`,
+    which walks the good path once per trace and flattens it.
+    """
+    node = vdg.entry
+    while node is not vdg.exit:
+        if node.is_decision:
+            good_arm = trace.get(node.decision.uid)
+            if good_arm is None:
+                return False
+            if node.local_dependent:
+                if any(store.diverges(signal, fault_id) for signal in node.support):
+                    return False
+            elif node.select_arm(fault_view) != good_arm:
+                return False
+            node = node.succs[good_arm]
+            continue
+        if node.is_segment and any(
+            store.diverges(signal, fault_id) for signal in node.support
+        ):
+            return False
+        node = node.succs[0]
+    return True
+
+
+# ``t`` is blocking-assigned on one branch only, so the second decision reads
+# either ``a`` or the previous activation's ``t``.
+STALE_DECISION_SRC = """
+module stale(
+  input clk,
+  input en,
+  input [7:0] a,
+  input [7:0] b,
+  output reg [7:0] y
+);
+  reg [7:0] t;
+  always @(posedge clk) begin
+    if (en) t = a;
+    if (t[0]) y <= b;
+    else y <= a;
+  end
+endmodule
+"""
+
+
+def _oracle_designs():
+    sources = [
+        (STALE_DECISION_SRC, "stale"),
+        (fixture_designs.COUNTER_SRC, "counter"),
+        (fixture_designs.MUX_PIPELINE_SRC, "mux_pipeline"),
+        (fixture_designs.MEMORY_SRC, "scratchpad"),
+        (fixture_designs.CASE_FSM_SRC, "fsm"),
+        (fixture_designs.TEMPS_SRC, "temps"),
+        (FIG5_SRC, "fig5"),
+        (LOCAL_SRC, "localdep"),
+        (MEM_SRC, "memread"),
+    ]
+    designs = [compile_design(source, top=top) for source, top in sources]
+    return designs + [get_benchmark("sha256_hv").compile()]
+
+
+def _random_store(rng, design, node, fault_ids):
+    """Random good state; each fault diverges on up to three of ``node``'s reads."""
+    store = ConcurrentValueStore(design)
+    for signal in design.signals:
+        if signal.is_memory:
+            store.memories[signal] = [rng.randrange(1 << signal.width) for _ in range(signal.depth)]
+        else:
+            store.set(signal, rng.randrange(1 << signal.width))
+    reads = sorted(node.reads, key=lambda signal: signal.sid)
+    for fault_id in fault_ids:
+        for signal in rng.sample(reads, min(len(reads), rng.randrange(4))):
+            value = rng.randrange(1 << signal.width)
+            if signal.is_memory:
+                store.set_fault_word(signal, rng.randrange(signal.depth), fault_id, value)
+            else:
+                store.set_fault_value(signal, fault_id, value)
+    return store
+
+
+def test_flattened_walk_equals_the_per_node_walk():
+    """Random stores, faults and good traces: both walks give the same answer.
+
+    Every trial's faults share one trace dict, so the memoized good path is
+    reused; a trial sometimes also drops a decision from a copy of the trace,
+    which both walks must answer conservatively.
+    """
+    rng = random.Random(19)
+    fault_ids = range(8)
+    for design in _oracle_designs():
+        checker = ImplicitRedundancyChecker(design)
+        outcomes = set()
+        for node in design.behavioral_nodes:
+            vdg = checker.vdg_for(node)
+            for _ in range(40):
+                store = _random_store(rng, design, node, fault_ids)
+                trace = good_trace(node, store)
+                traces = [trace]
+                if trace and rng.random() < 0.25:
+                    partial = dict(trace)
+                    del partial[rng.choice(sorted(partial))]
+                    traces.append(partial)
+                for walked in traces:
+                    for fault_id in fault_ids:
+                        view = FaultView(store, fault_id)
+                        expected = per_node_walk(vdg, store, fault_id, walked, view)
+                        assert vdg.walk_is_redundant(store, fault_id, walked, view) == expected
+                        outcomes.add(expected)
+        assert outcomes == {True, False}, design.name
