@@ -11,8 +11,8 @@ N cycles per engine — and writes the measurements to a JSON report
 * the vectorized lane backend (``packed-numpy``) is at least 2x faster than
   the packed-bigint PPSFP campaign on the full sha256 fault population at
   8192-lane array words — the check that array words actually beat bigint
-  words once the lane count passes the 64-lane ceiling (the section is
-  skipped, with a note, when NumPy is not installed),
+  words far past the few hundred lanes bigint words pay up to (the section
+  is skipped, with a note, when NumPy is not installed),
 * the process-pool executor at ``workers=2`` (the CI runner's vCPU count) is
   at least 1.5x faster than the single-process packed simulator on a large
   sha256 fault campaign — the check that multiprocessing actually converts
@@ -106,8 +106,8 @@ FAULT_WORKLOADS = [("sha256_c2v", 120, 64), ("riscv_mini", 120, 64)]
 #: and lane compaction can shed detected columns.
 VECTOR_WORKLOADS = [("sha256_c2v", 120, None)]
 
-#: Faulty machines per NumPy array word in the vector harness (well past the
-#: 64-lane bigint ceiling; the gate requires >= 512 live lanes).
+#: Faulty machines per NumPy array word in the vector harness (far past the
+#: few hundred lanes bigint words pay up to; the gate requires >= 512 live lanes).
 VECTOR_WIDTH = 8192
 
 #: (benchmark, cycles, fault-sample size, workers) for the process-pool

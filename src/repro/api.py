@@ -37,7 +37,6 @@ from repro.sim.parallel import (  # re-export
 from repro.sim.resilience import RetryPolicy  # re-export
 from repro.sim.result_cache import ResultCache, stimulus_hash  # re-export
 from repro.sim.stimulus import Stimulus
-from repro.sim.vector import VectorCodegenEngine, VectorFaultSimulator  # re-export
 from repro.sim.verdict_plane import VerdictPlane  # re-export
 
 __all__ = [
@@ -71,6 +70,20 @@ __all__ = [
     "stimulus_hash",
 ]
 
+#: Re-exports of :mod:`repro.sim.vector`, which imports NumPy: they resolve
+#: on first access (:func:`__getattr__`), so ``import repro`` never loads it.
+_VECTOR_EXPORTS = frozenset({"VectorCodegenEngine", "VectorFaultSimulator"})
+
+
+def __getattr__(name: str):
+    """Resolve the :mod:`repro.sim.vector` re-exports on first access (PEP 562)."""
+    if name in _VECTOR_EXPORTS:
+        from repro.sim import vector
+
+        return getattr(vector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class EngineSpec(NamedTuple):
     """One registry row: how to build an engine, and its one-line story.
 
@@ -96,6 +109,13 @@ def _auto_factory(design: Design, force_hook: Optional[ForceHook] = None, **kw):
 
     resolved = resolve_engine(design, fault_count=1)
     return ENGINE_SPECS[resolved].factory(design, force_hook=force_hook, **kw)
+
+
+def _vector_factory(design: Design, force_hook: Optional[ForceHook] = None, **kw):
+    """Build the NumPy lane-array kernel, importing :mod:`repro.sim.vector` now."""
+    from repro.sim.vector import VectorCodegenEngine
+
+    return VectorCodegenEngine(design, force_hook=force_hook, **kw)
 
 
 #: The selectable good-machine simulation kernels, by short name.  All of them
@@ -124,7 +144,7 @@ ENGINE_SPECS: Dict[str, EngineSpec] = {
         "bit-parallel PPSFP codegen over bigint lane words (good + W faulty)",
     ),
     "packed-numpy": EngineSpec(
-        VectorCodegenEngine,
+        _vector_factory,
         "vectorized PPSFP codegen over NumPy lane arrays (needs the vector extra)",
     ),
     "eraser-codegen": EngineSpec(

@@ -401,6 +401,13 @@ AUTO_VECTOR_MIN_FAULTS = 256
 #: moderate fault counts already.
 AUTO_WIDE_STRIDE = 128
 
+#: Default number of faulty machines per vector word, the width ``auto``
+#: gives a campaign it sends to ``packed-numpy``.  Wider than the packed
+#: default by design: array columns are cheap, and per-pass fixed costs
+#: (stimulus replay, observation) amortize over more lanes.  It lives here,
+#: not in :mod:`repro.sim.vector`, so reading it does not import NumPy.
+DEFAULT_VECTOR_WIDTH = 1024
+
 
 def choose_engine(
     fault_count: int,

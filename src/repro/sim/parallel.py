@@ -49,9 +49,7 @@ import os
 import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from multiprocessing import get_context
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -69,7 +67,7 @@ from repro.errors import SimulationError, UnknownOptionError
 from repro.ir.design import Design
 from repro.sim.chaos import ChaosPlan
 from repro.sim.codegen import design_fingerprint
-from repro.sim import vector
+from repro.sim.emitter import DEFAULT_VECTOR_WIDTH, numpy_is_available
 from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator
 from repro.sim.result_cache import CACHE_MODES, DEFAULT_CACHE_MODE, ResultCache, stimulus_hash
 from repro.sim.resilience import (
@@ -82,7 +80,9 @@ from repro.sim.resilience import (
 from repro.sim.stimulus import Stimulus, VectorStimulus
 from repro.sim.verdict_plane import VerdictPlane, campaign_fingerprint
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
+if TYPE_CHECKING:  # imported lazily at runtime: an import cycle, or the pool stack
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.fault.faultlist import FaultList
     from repro.fault.result import FaultSimResult
 
@@ -427,7 +427,9 @@ def _packed_runner(design: Design, width: int, options: Dict[str, object], hooks
 
 def _vector_runner(design: Design, width: int, options: Dict[str, object], hooks):
     """NumPy lane arrays (:class:`~repro.sim.vector.VectorFaultSimulator`)."""
-    return vector.VectorFaultSimulator(
+    from repro.sim.vector import VectorFaultSimulator
+
+    return VectorFaultSimulator(
         design, width=width, early_exit=bool(options.get("early_exit", True)), **hooks
     )
 
@@ -458,9 +460,7 @@ class _RunnerKind(NamedTuple):
 #: Every concrete runner kind (``"auto"`` is resolved to one in the parent).
 _RUNNERS: Dict[str, _RunnerKind] = {
     "packed": _RunnerKind("PackedPPSFP-MP", DEFAULT_WORD_WIDTH, "packed", _packed_runner),
-    "vector": _RunnerKind(
-        "VectorPPSFP-MP", vector.DEFAULT_VECTOR_WIDTH, "packed", _vector_runner
-    ),
+    "vector": _RunnerKind("VectorPPSFP-MP", DEFAULT_VECTOR_WIDTH, "packed", _vector_runner),
     "serial": _RunnerKind("serial-MP", 0, "serial", _serial_runner),
 }
 
@@ -499,10 +499,13 @@ def _inline_runner(runner: RunnerSpec) -> RunnerSpec:
     """The runner for a chunk run in the parent, which may lack NumPy.
 
     Packed takes any lane width, so degrading vector to it keeps the word
-    geometry, and with it every verdict and detection cycle.
+    geometry, and with it every verdict and detection cycle.  NumPy is
+    probed only for a runner that has a fallback, so a packed or serial
+    campaign never imports it.
     """
-    if vector.np is None:
-        return (_RUNNERS[runner[0]].without_numpy, dict(runner[1]))
+    fallback = _RUNNERS[runner[0]].without_numpy
+    if fallback != runner[0] and not numpy_is_available():
+        return (fallback, dict(runner[1]))
     return runner
 
 
@@ -664,7 +667,7 @@ def _concrete_runner(design: Design, config: CampaignConfig, fault_count: int) -
 
     options = dict(runner[1])
     if resolve_engine(design, fault_count=fault_count) == "packed-numpy":
-        options.setdefault("width", vector.DEFAULT_VECTOR_WIDTH)
+        options.setdefault("width", DEFAULT_VECTOR_WIDTH)
         options.pop("repack", None)
         return ("vector", options)
     options.setdefault("width", config.width)
@@ -945,8 +948,11 @@ class _Campaign:
         # in the chunks that completed): salvage them
         self.partial = bool(failed)
 
-    def make_pool(self) -> ProcessPoolExecutor:
+    def make_pool(self) -> "ProcessPoolExecutor":
         """A fresh spawn pool; one is built per supervision generation."""
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=get_context("spawn"),
@@ -954,7 +960,7 @@ class _Campaign:
             initargs=(self.spec, self.plane.name if self.plane is not None else None),
         )
 
-    def submit(self, pool: ProcessPoolExecutor, state: ChunkState):
+    def submit(self, pool: "ProcessPoolExecutor", state: ChunkState):
         """Submit one chunk attempt (0-based attempt for the chaos plan)."""
         return pool.submit(
             _simulate_chunk,

@@ -48,10 +48,12 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:  # the pool stack is imported where a pool generation runs
+    from concurrent.futures import Future
 
 #: Default total submission attempts per chunk (1 first run + 2 retries).
 DEFAULT_MAX_ATTEMPTS = 3
@@ -317,6 +319,8 @@ class ChunkSupervisor:
 
     def _run_generation(self, runnable: List[ChunkState]) -> bool:
         """One pool generation: submit, supervise, blame.  True = pool broke."""
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
         try:
             pool = self.make_pool()
         except OSError:

@@ -1,9 +1,9 @@
 """Vectorized (NumPy) PPSFP fault simulation on the vector codegen kernel.
 
 The packed backend stores all lanes in one arbitrary-precision Python int per
-signal, which caps practical word width at ~64 faulty machines and taxes every
-operation with bigint overhead.  This backend breaks that ceiling: lanes are
-*columns* of NumPy ``uint64`` arrays — one ``(planes, lanes)`` array per
+signal, which caps practical word width at a few hundred faulty machines and
+taxes every operation with bigint overhead.  This backend breaks that ceiling:
+lanes are *columns* of NumPy ``uint64`` arrays — one ``(planes, lanes)`` array per
 signal, bit-sliced value planes for signals wider than 64 bits — and the
 generated kernel (see :func:`~repro.sim.codegen.generate_vector_source`)
 advances every lane with whole-array operations, so one pass carries hundreds
@@ -49,7 +49,12 @@ from repro.ir.design import Design
 from repro.ir.signal import Signal
 from repro.sim.codegen import edge_signals, load_vector_kernel, vector_planes
 from repro.sim.compiled import MAX_PASSES
-from repro.sim.emitter import EmitterPasses, coerce_passes, scheduler_slot_count
+from repro.sim.emitter import (  # DEFAULT_VECTOR_WIDTH: re-export
+    DEFAULT_VECTOR_WIDTH,
+    EmitterPasses,
+    coerce_passes,
+    scheduler_slot_count,
+)
 from repro.sim.engine import ForceHook, SimulationTrace
 from repro.sim.stimulus import Stimulus
 
@@ -58,11 +63,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
     from repro.fault.faultlist import FaultList
     from repro.fault.model import StuckAtFault
     from repro.fault.result import FaultSimResult
-
-#: Default number of faulty machines per vector word.  Wider than the packed
-#: default by design: array columns are cheap, and per-pass fixed costs
-#: (stimulus replay, observation) amortize over more lanes.
-DEFAULT_VECTOR_WIDTH = 1024
 
 
 def _require_numpy() -> None:

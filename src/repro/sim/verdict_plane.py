@@ -51,12 +51,13 @@ import hashlib
 import os
 import secrets
 import struct
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import CheckpointError, SimulationError
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
+if TYPE_CHECKING:  # imported lazily at runtime: an import cycle, or shared memory
+    from multiprocessing.shared_memory import SharedMemory
+
     from repro.core.design import Design
     from repro.fault.faultlist import FaultList
     from repro.sim.stimulus import Stimulus
@@ -95,7 +96,7 @@ def _segment_size(n_faults: int) -> int:
     return _cycles_offset(n_faults) + 4 * n_faults
 
 
-def _open_untracked(name: str) -> shared_memory.SharedMemory:
+def _open_untracked(name: str) -> "SharedMemory":
     """Map an existing segment WITHOUT registering it for cleanup.
 
     Every ``SharedMemory`` constructor call registers the segment with the
@@ -108,8 +109,10 @@ def _open_untracked(name: str) -> shared_memory.SharedMemory:
     grew ``track=False`` for exactly this; on older versions the only seam
     is suppressing the constructor's ``register`` call.
     """
+    from multiprocessing.shared_memory import SharedMemory
+
     try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
+        return SharedMemory(name=name, track=False)  # type: ignore[call-arg]
     except TypeError:  # pragma: no cover - Python < 3.13
         pass
     from multiprocessing import resource_tracker
@@ -117,7 +120,7 @@ def _open_untracked(name: str) -> shared_memory.SharedMemory:
     original_register = resource_tracker.register
     resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
     try:
-        return shared_memory.SharedMemory(name=name)
+        return SharedMemory(name=name)
     finally:
         resource_tracker.register = original_register
 
@@ -181,7 +184,7 @@ class VerdictPlane:
     """
 
     def __init__(
-        self, shm: shared_memory.SharedMemory, n_faults: int, owner: bool
+        self, shm: "SharedMemory", n_faults: int, owner: bool
     ) -> None:
         """Wrap an already-open segment; use :meth:`create`/:meth:`attach`."""
         self._shm = shm
@@ -204,11 +207,13 @@ class VerdictPlane:
         """
         if n_faults < 1:
             raise SimulationError("a verdict plane needs at least one fault")
+        from multiprocessing.shared_memory import SharedMemory
+
         size = _segment_size(n_faults)
         while True:
             name = segment_prefix() + secrets.token_hex(4)
             try:
-                shm = shared_memory.SharedMemory(name=name, create=True, size=size)
+                shm = SharedMemory(name=name, create=True, size=size)
                 break
             except FileExistsError:  # a clash with a live name: draw another
                 continue

@@ -89,6 +89,45 @@ def test_fig7_row_runs():
     assert row.speedups["Eraser"] >= row.speedups["Eraser-"] * 0.8
 
 
+@pytest.mark.parametrize("odd_run", [None, 0, 7], ids=["agree", "first", "round3"])
+def test_fig7_reports_each_variants_fastest_round(monkeypatch, odd_run):
+    """Rounds interleave the variants, each keeps its fastest wall time, and a
+    verdict that differs in any run of any round clears ``verdicts_agree``."""
+    from types import SimpleNamespace
+
+    # three rounds of (Eraser--, Eraser-, Eraser)
+    walls = [0.9, 0.5, 0.3, 0.4, 0.6, 0.2, 0.8, 0.7, 0.35]
+    modes = []
+
+    class Coverage:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def same_verdicts(self, other):
+            return self.tag == other.tag
+
+    class ScriptedSimulator:
+        def __init__(self, design, mode, engine):
+            self.mode = mode
+
+        def run(self, stimulus, faults):
+            run = len(modes)
+            modes.append(self.mode)
+            tag = "odd" if run == odd_run else "same"
+            return SimpleNamespace(wall_time=walls[run], coverage=Coverage(tag))
+
+    monkeypatch.setattr(fig7, "ROUNDS", 3)
+    monkeypatch.setattr(fig7, "EraserSimulator", ScriptedSimulator)
+    workload = SimpleNamespace(
+        name="alu", paper_name="ALU", design=None, stimulus=None, faults=None
+    )
+    row = fig7.run_benchmark(workload)
+    assert modes == [fig7._MODES[variant] for variant in fig7.VARIANT_ORDER] * 3
+    assert row.times == {"Eraser--": 0.4, "Eraser-": 0.5, "Eraser": 0.2}
+    assert row.speedups["Eraser"] == pytest.approx(2.0)
+    assert row.verdicts_agree is (odd_run is None)
+
+
 def test_table3_row_runs():
     rows = table3.run(["apb"], QUICK_PROFILE, print_output=False)
     row = rows[0]

@@ -107,12 +107,13 @@ def test_process_executor_across_widths(width, cross_drop):
 
 def test_single_worker_short_circuits_to_inline(monkeypatch):
     """workers=1 must never pay pool startup (no executor is constructed)."""
-    import repro.sim.parallel as parallel_mod
+    import concurrent.futures
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor constructed for workers=1")
 
-    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", forbidden)
+    # the campaign imports the executor where it builds a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     design, stimulus, faults, reference = _workload("apb")
     result = run_multiprocess(design, stimulus, faults, workers=1, width=8)
     assert result.coverage.detections == reference.coverage.detections
