@@ -21,8 +21,8 @@ N cycles per engine — and writes the measurements to a JSON report
   faster than the interpreted ``EraserSimulator`` on the sha256 concurrent
   fault campaign (verdicts are cross-checked fault by fault before timing
   counts),
-* cross-chunk fault dropping pays: a resume-seeded sha256 re-run (the plane
-  pre-loaded with a first run's verdicts — the early-exit-heavy shape) with
+* cross-chunk fault dropping pays: a resume-seeded sha256 re-run (seeded
+  with a first run's verdicts — the early-exit-heavy shape) with
   ``cross_drop=True`` is at least 1.3x faster than the identical re-run
   with dropping disabled.  This section runs single-core (``workers=1``),
   so it binds on every runner, and the verdicts of both sides are
@@ -122,8 +122,8 @@ PARALLEL_WORKLOADS = [("sha256_c2v", 120, None, 2)]
 #: harness: a packed first pass supplies verdicts, then the identical
 #: campaign re-runs resume-seeded with cross-chunk dropping on vs off.  The
 #: seeded re-run is the early-exit-heavy shape dropping exists for — most
-#: faults are already flagged in the verdict plane, so the drop side skips
-#: them at chunk start while the no-drop side re-simulates everything.
+#: faults are already seeded, so the drop side leaves them out of the
+#: positions it simulates while the no-drop side re-simulates everything.
 #: Runs inline (``workers=1``), so the ratio is honest on single-core boxes.
 STREAMING_WORKLOADS = [("sha256_c2v", 120, 256)]
 

@@ -42,7 +42,6 @@ from repro.api import (
     PackedCodegenSimulator,
     ResultCache,
     RetryPolicy,
-    VerdictPlane,
     WorkloadSpec,
     compile_design,
     compile_file,
@@ -84,7 +83,6 @@ __all__ = [
     "Stimulus",
     "VFsimSimulator",
     "VectorStimulus",
-    "VerdictPlane",
     "WorkloadSpec",
     "Z01XSurrogateSimulator",
     "__version__",

@@ -37,7 +37,6 @@ from repro.sim.parallel import (  # re-export
 from repro.sim.resilience import RetryPolicy  # re-export
 from repro.sim.result_cache import ResultCache, stimulus_hash  # re-export
 from repro.sim.stimulus import Stimulus
-from repro.sim.verdict_plane import VerdictPlane  # re-export
 
 __all__ = [
     "CampaignConfig",
@@ -55,7 +54,6 @@ __all__ = [
     "RetryPolicy",
     "VectorCodegenEngine",
     "VectorFaultSimulator",
-    "VerdictPlane",
     "WorkloadSpec",
     "compile_design",
     "compile_file",

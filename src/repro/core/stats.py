@@ -33,7 +33,6 @@ class SimulationStats:
         "chunks_quarantined",
         "chunks_failed",
         "chunk_retries",
-        "checkpoints_written",
         "cache_hits",
         "cache_misses",
         "cache_writes",
@@ -56,15 +55,15 @@ class SimulationStats:
         # word-aligned chunks of a fault campaign actually finished.  A chunk
         # is *simulated* when a worker (or the inline quarantine fallback) ran
         # it, *skipped* when the verdict plane already proved every fault in
-        # it (resume/checkpoint hits), *quarantined* when repeated worker
-        # deaths/stalls degraded it to inline execution, and *failed* when
-        # even the last resort could not finish it (a partial result).
+        # it (an earlier attempt detected them all), *quarantined* when
+        # repeated worker deaths/stalls degraded it to inline execution, and
+        # *failed* when even the last resort could not finish it (a partial
+        # result).
         self.chunks_simulated = 0
         self.chunks_skipped = 0
         self.chunks_quarantined = 0
         self.chunks_failed = 0
         self.chunk_retries = 0
-        self.checkpoints_written = 0
         # persistent result-cache counters (campaigns run with ``cache=``):
         # faults resolved straight from the on-disk cache, faults that had to
         # be simulated, and fresh verdicts written back after the run
@@ -129,7 +128,6 @@ class SimulationStats:
             "chunks_quarantined": self.chunks_quarantined,
             "chunks_failed": self.chunks_failed,
             "chunk_retries": self.chunk_retries,
-            "checkpoints_written": self.checkpoints_written,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_writes": self.cache_writes,

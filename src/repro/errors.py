@@ -61,16 +61,6 @@ class ConvergenceError(SimulationError):
     """Raised when combinational propagation fails to reach a fixed point."""
 
 
-class CheckpointError(SimulationError):
-    """Raised for unusable campaign checkpoints (bad magic, truncated file,
-    or a fingerprint that does not match the current design + fault list).
-
-    A checkpoint seeding the *wrong* campaign would silently mark faults as
-    proven that were never simulated, so mismatches are always fatal rather
-    than warnings.
-    """
-
-
 class ChaosError(SimulationError):
     """Raised for malformed chaos-injection plans, and *by* the ``raise``
     chaos action inside a worker chunk (the structured stand-in for an

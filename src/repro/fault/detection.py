@@ -33,7 +33,7 @@ class ObservationManager:
 
     ``on_detect`` is the streaming seam: a ``(fault_id, cycle)`` callback fired
     exactly once per fault, at the moment :meth:`mark_detected` flips it from
-    live to detected.  The multiprocess campaign passes a callback that writes
+    live to detected.  A pooled campaign's workers pass a callback that writes
     the verdict straight into the shared-memory
     :class:`~repro.sim.verdict_plane.VerdictPlane`, so detections cross the
     process boundary the cycle they happen instead of at merge time.
@@ -61,7 +61,7 @@ class ObservationManager:
 
     @property
     def live_count(self) -> int:
-        """Number of faults still undetected and not retired."""
+        """Number of faults still undetected."""
         return len(self.live)
 
     def is_detected(self, fault_id: int) -> bool:
@@ -83,20 +83,6 @@ class ObservationManager:
             self.detected[fault_id] = cycle
             if self.on_detect is not None:
                 self.on_detect(fault_id, cycle)
-            return True
-        return False
-
-    def retire(self, fault_id: int) -> bool:
-        """Drop a fault from the live set *without* recording a verdict here.
-
-        The cross-chunk dropping seam: when the shared verdict plane shows a
-        fault some other process already detected, this process stops
-        simulating it but must not claim the detection — the authoritative
-        (cycle-exact) verdict lives in the plane.  Returns True if the fault
-        was still live.
-        """
-        if fault_id in self.live:
-            self.live.discard(fault_id)
             return True
         return False
 

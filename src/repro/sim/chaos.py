@@ -1,13 +1,14 @@
 """Structured fault injection for the campaign runtime itself.
 
 The multiprocess campaign executor promises to *self-heal*: retry crashed
-chunks, time out hung workers, quarantine poison chunks, and resume from disk
-checkpoints.  None of those paths can be trusted without a way to trigger them
-on demand, deterministically, on every platform the CI matrix covers.  This
-module is that trigger: a :class:`ChaosPlan` is a small list of
-:class:`ChaosRule`\\ s, each saying *what* to do to a worker (``crash``,
-``hang``, ``slow``, ``raise``) and *when* to do it (to one chunk index, past a
-global fault-index threshold, only on early attempts).
+chunks, time out hung workers, quarantine poison chunks, and leave a killed
+campaign's detections in the result cache.  None of those paths can be
+trusted without a way to trigger them on demand, deterministically, on every
+platform the CI matrix covers.  This module is that trigger: a
+:class:`ChaosPlan` is a small list of :class:`ChaosRule`\\ s, each saying
+*what* to do to a worker (``crash``, ``hang``, ``slow``, ``raise``) and *when*
+to do it (to one chunk index, past a global fault-index threshold, only on
+early attempts).
 
 Plans are drivable two ways:
 

@@ -478,11 +478,13 @@ def resolve_engine(
     and packed stride, then downgrades ``packed-numpy`` to ``packed`` when
     the design sits outside the vector layout's envelope (memory words wider
     than 64 bits — see :func:`~repro.sim.codegen.generate_vector_source`).
+    NumPy is probed (and so imported) only for a fault count the table can
+    send to ``packed-numpy``.
     """
     from repro.sim.codegen import packed_stride
 
     if numpy_available is None:
-        numpy_available = numpy_is_available()
+        numpy_available = fault_count >= AUTO_PACKED_MIN_FAULTS and numpy_is_available()
     engine = choose_engine(
         fault_count,
         activity=estimate_activity(design),

@@ -346,22 +346,10 @@ class PackedCodegenSimulator:
     With ``early_exit`` (the PPSFP equivalent of serial fault dropping) a
     word's run stops as soon as all of its lanes are detected.
 
-    Two optional hooks tie a simulator instance into a fleet-wide campaign:
-
-    ``on_detect``
-        A ``(fault_id, cycle)`` callback streamed through
-        :class:`~repro.fault.detection.ObservationManager` the moment each
-        lane drops — the multiprocess workers point it at the shared
-        :class:`~repro.sim.verdict_plane.VerdictPlane`.
-    ``drop_hook`` / ``drop_stride``
-        Cross-chunk fault dropping.  ``drop_hook(fault_ids)`` returns the
-        subset some *other* process already detected; it is consulted once as
-        each fault word is filled, and again every ``drop_stride`` cycles
-        mid-run (0 disables the mid-run consult).  Dropped faults are retired
-        — masked out of the live-lane set without a local verdict, the
-        authoritative one being in the shared plane.  Dropping only removes
-        redundant work: lanes are independent, so the surviving lanes' values
-        (and therefore every verdict and detection cycle) are unchanged.
+    ``on_detect`` is a ``(fault_id, cycle)`` callback streamed through
+    :class:`~repro.fault.detection.ObservationManager` the moment each lane
+    drops — the workers of a pooled campaign point it at the shared
+    :class:`~repro.sim.verdict_plane.VerdictPlane`.
     """
 
     name = "PackedPPSFP"
@@ -373,8 +361,6 @@ class PackedCodegenSimulator:
         early_exit: bool = True,
         use_cache: bool = True,
         on_detect: Optional[Callable[[int, int], None]] = None,
-        drop_hook: Optional[Callable[[List[int]], List[int]]] = None,
-        drop_stride: int = 0,
         passes: Optional[EmitterPasses] = None,
         repack: bool = False,
     ) -> None:
@@ -391,15 +377,11 @@ class PackedCodegenSimulator:
         design.check_finalized()
         if width < 1:
             raise SimulationError(f"fault word width must be >= 1, got {width}")
-        if drop_stride < 0:
-            raise SimulationError(f"drop stride must be >= 0, got {drop_stride}")
         self.design = design
         self.width = width
         self.early_exit = early_exit
         self.use_cache = use_cache
         self.on_detect = on_detect
-        self.drop_hook = drop_hook
-        self.drop_stride = drop_stride
         self.kernel_passes = coerce_passes(passes)
         self.repack = repack
         from repro.core.stats import SimulationStats
@@ -423,15 +405,6 @@ class PackedCodegenSimulator:
         cycles = 0
         passes = 0
         for word in pack_fault_words(faults, self.width):
-            if self.drop_hook is not None:
-                # word-fill consult: skip lanes the wider campaign resolved
-                dropped = set(self.drop_hook([f.fault_id for f in word]))
-                if dropped:
-                    for fault_id in dropped:
-                        observation.retire(fault_id)
-                    word = [f for f in word if f.fault_id not in dropped]
-                    if not word:
-                        continue
             cycles += self._run_word(stimulus, word, lanes, observation)
             passes += 1
         wall = time.perf_counter() - start
@@ -466,28 +439,16 @@ class PackedCodegenSimulator:
         lane_field = (1 << layout.stride) - 1
         # all-ones fields over the live lanes; shrinks as lanes are detected
         state = {"mask": sum(lane_field << (lane * layout.stride) for lane in live)}
-        drop_hook, drop_stride = self.drop_hook, self.drop_stride
-
-        def drop_lane(lane: int) -> None:
-            """Retire one lane: out of the live set and the comparison mask."""
-            live.discard(lane)
-            state["mask"] &= ~(lane_field << (lane * layout.stride))
 
         def observer(cycle: int) -> bool:
-            """Per-cycle strobe: record detections, consult the drop hook, early-exit."""
+            """Per-cycle strobe: record detections, drop their lanes, early-exit."""
             nonlocal layout, lane_faults, live
             newly = observation.observe_packed(
                 engine.output_words(), lane_faults, cycle, layout, state["mask"]
             )
             for lane in newly:
-                drop_lane(lane)
-            consult = drop_hook is not None and drop_stride and live
-            if consult and cycle % drop_stride == 0:
-                # mid-run consult: retire lanes another process resolved
-                lane_of = {lane_faults[lane]: lane for lane in live}
-                for fault_id in drop_hook(list(lane_of)):
-                    if observation.retire(fault_id):
-                        drop_lane(lane_of[fault_id])
+                live.discard(lane)
+                state["mask"] &= ~(lane_field << (lane * layout.stride))
             if self.early_exit and not live:
                 return True
             # survivor re-packing: once MOST of a word is detected (>= 3/4 of

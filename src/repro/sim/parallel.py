@@ -15,31 +15,32 @@ the knobs (field, CLI flag, default, meaning) are tabled in one place, the
   for roughly the cost of an import.
 * :func:`run_multiprocess` — runs one campaign in four phases over one index
   space, each fault's position in the caller's fault list: *plan* (runner,
-  seeds, result-cache lookup), *seed* (the shared-memory
+  seeds, result-cache lookup), *seed* (a pooled campaign's shared-memory
   :class:`~repro.sim.verdict_plane.VerdictPlane`), *supervise* (word-aligned
   chunks, :data:`OVERSUBSCRIBE` per worker, under a
-  :class:`~repro.sim.resilience.ChunkSupervisor`; a pool of one runs inline)
-  and *assemble* (verdicts, cache write, the final progress event).  Inside a
-  worker each chunk runs the ordinary
+  :class:`~repro.sim.resilience.ChunkSupervisor` that flushes detections to
+  the result cache every :data:`CACHE_FLUSH_INTERVAL`; a pool of one runs
+  inline) and *assemble* (verdicts, cache write, the final progress event).
+  Inside a worker each chunk runs the ordinary
   :class:`~repro.sim.packed.PackedCodegenSimulator` (or the vector/serial
   runner a :data:`RunnerSpec` selects), so lane-granular dropping and the
   first-difference detection cycles are exactly the single-process semantics.
 
 The phases are drawn in ``docs/architecture.md`` ("Campaign data flow"); the
-verdict plane, the supervision ladder, checkpoints and the result cache are
-specified in ``docs/internals-packing.md``, ``docs/resilience.md`` and
-``docs/caching.md``.  Chunk idempotency is what makes all of it verdict-safe:
-re-running any chunk can only rewrite the same bytes.
+verdict plane, the supervision ladder and the result cache are specified in
+``docs/internals-packing.md``, ``docs/resilience.md`` and ``docs/caching.md``.
+Chunk idempotency is what makes all of it verdict-safe: re-running any chunk
+can only rewrite the same bytes.
 
 Workers are spawned (never forked): spawn is the only start method that is
 safe on every platform the CI matrix covers (macOS defaults to it, fork is
 unsound under threads), and the disk cache makes the usual spawn penalty —
 re-importing and re-deriving everything — a non-issue here.
 
-Where POSIX shared memory is unavailable (``VerdictPlane.create`` raising
-``OSError``), the campaign falls back transparently to a pickled-dict merge:
-verdicts stay exact, only streaming granularity and cross-chunk dropping
-degrade.
+A one-worker campaign, and a pooled one where POSIX shared memory is
+unavailable (``VerdictPlane.create`` raising ``OSError``), merges the pickled
+per-chunk dicts instead: verdicts stay exact, only streaming granularity and
+the skipping of what a failed attempt already detected degrade.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     TextIO,
     Tuple,
     Union,
@@ -78,7 +80,7 @@ from repro.sim.resilience import (
     require_positive,
 )
 from repro.sim.stimulus import Stimulus, VectorStimulus
-from repro.sim.verdict_plane import VerdictPlane, campaign_fingerprint
+from repro.sim.verdict_plane import VerdictPlane
 
 if TYPE_CHECKING:  # imported lazily at runtime: an import cycle, or the pool stack
     from concurrent.futures import ProcessPoolExecutor
@@ -92,22 +94,18 @@ if TYPE_CHECKING:  # imported lazily at runtime: an import cycle, or the pool st
 #: ~4x lets fast workers pull extra work from the queue.
 OVERSUBSCRIBE = 4
 
-#: Cycles between mid-run consults of the shared verdict plane.  Each consult
-#: is a handful of byte reads per live lane, so small strides are cheap; this
-#: keeps the consult cost well under the per-cycle simulation cost even on
-#: the smallest corpus designs.
-DROP_STRIDE = 32
-
 #: Seconds between streaming progress events while chunk futures are in
 #: flight (only consulted when an ``on_progress`` callback is installed).
 PROGRESS_INTERVAL = 0.5
 
+#: Seconds between flushes of a pooled campaign's detections to its result
+#: cache (``cache_mode="readwrite"`` only): what a killed campaign leaves for
+#: its rerun to hit.
+CACHE_FLUSH_INTERVAL = 30.0
+
 #: Default retry budget: submissions after the first attempt a failed chunk
 #: may consume before it is quarantined (or, with ``degrade=False``, failed).
 DEFAULT_RETRIES = 2
-
-#: Seconds between periodic checkpoint snapshots while ``checkpoint=`` is set.
-DEFAULT_CHECKPOINT_INTERVAL = 30.0
 
 #: One stuck-at fault as it crosses the process boundary: (signal name, bit,
 #: stuck-at value).  Names are the stable cross-process identity — fault ids
@@ -343,8 +341,6 @@ class CampaignConfig:
     salvage: bool = True
     retries: Union[int, RetryPolicy] = DEFAULT_RETRIES
     chunk_timeout: Optional[float] = None
-    checkpoint: Optional[str] = None
-    checkpoint_interval: float = DEFAULT_CHECKPOINT_INTERVAL
     chaos: Union[ChaosPlan, str, None] = None
     degrade: bool = True
     cache: Union[ResultCache, str, bool, None] = None
@@ -362,7 +358,6 @@ class CampaignConfig:
         RetryPolicy.from_retries(self.retries)
         if self.chunk_timeout is not None:
             require_positive("chunk_timeout", self.chunk_timeout)
-        require_positive("checkpoint_interval", self.checkpoint_interval)
         ChaosPlan.coerce(self.chaos)
         if self.cache_mode not in CACHE_MODES:
             raise UnknownOptionError.for_option("cache_mode", self.cache_mode, CACHE_MODES)
@@ -414,28 +409,31 @@ def _worker_plane() -> Optional[VerdictPlane]:
     return _WORKER_WORKLOAD["plane"]  # type: ignore[return-value]
 
 
-def _packed_runner(design: Design, width: int, options: Dict[str, object], hooks):
+def _packed_runner(design: Design, width: int, options: Dict[str, object], on_detect):
     """Bigint lane words (:class:`PackedCodegenSimulator`)."""
     return PackedCodegenSimulator(
         design,
         width=width,
         early_exit=bool(options.get("early_exit", True)),
         repack=bool(options.get("repack", False)),
-        **hooks,
+        on_detect=on_detect,
     )
 
 
-def _vector_runner(design: Design, width: int, options: Dict[str, object], hooks):
+def _vector_runner(design: Design, width: int, options: Dict[str, object], on_detect):
     """NumPy lane arrays (:class:`~repro.sim.vector.VectorFaultSimulator`)."""
     from repro.sim.vector import VectorFaultSimulator
 
     return VectorFaultSimulator(
-        design, width=width, early_exit=bool(options.get("early_exit", True)), **hooks
+        design,
+        width=width,
+        early_exit=bool(options.get("early_exit", True)),
+        on_detect=on_detect,
     )
 
 
-def _serial_runner(design: Design, width: int, options: Dict[str, object], hooks):
-    """One fault at a time; it has no lane hooks, so ``hooks`` are ignored."""
+def _serial_runner(design: Design, width: int, options: Dict[str, object], on_detect):
+    """One fault at a time; it has no streaming seam, so ``on_detect`` is ignored."""
     from repro.baselines.base import SerialFaultSimulator
 
     return SerialFaultSimulator(
@@ -448,8 +446,8 @@ def _serial_runner(design: Design, width: int, options: Dict[str, object], hooks
 class _RunnerKind(NamedTuple):
     """One concrete runner kind: its result label, its lanes per word when the
     options name no ``width`` (0: one fault at a time), the kind it runs as
-    where the parent lacks NumPy, and ``build(design, width, options, lane
-    hooks) -> fault simulator``."""
+    where the parent lacks NumPy, and ``build(design, width, options,
+    on_detect) -> fault simulator``."""
 
     label: str
     width: int
@@ -475,24 +473,20 @@ def make_campaign_runner(
     design: Design,
     runner: RunnerSpec,
     on_detect: Optional[Callable[[int, int], None]] = None,
-    drop_hook: Optional[Callable[[List[int]], List[int]]] = None,
-    drop_stride: int = 0,
 ):
     """Instantiate the fault simulator a :data:`RunnerSpec` describes.
 
-    ``on_detect``/``drop_hook``/``drop_stride`` wire the packed and vector
-    runners into the shared verdict plane (streaming detection writes plus
-    word-fill and mid-run drop consults).  The serial baselines have no lane
-    hooks — for them the chunk-start filter and the idempotent post-run
-    re-mark in :func:`_run_chunk` provide the same campaign semantics, so the
-    hooks are accepted and ignored here.  An ``("auto", ...)`` spec never
-    reaches this function: :func:`run_multiprocess` resolves it in the parent.
+    ``on_detect`` streams the packed and vector runners' detections into the
+    shared verdict plane.  The serial baselines have no streaming seam — for
+    them the idempotent post-run re-mark in :func:`_run_chunk` provides the
+    same campaign semantics, so it is accepted and ignored here.  An
+    ``("auto", ...)`` spec never reaches this function:
+    :func:`run_multiprocess` resolves it in the parent.
     """
     kind, options = runner
     if kind not in _RUNNERS:
         raise UnknownOptionError.for_option("campaign runner kind", kind, tuple(_RUNNERS))
-    hooks = {"on_detect": on_detect, "drop_hook": drop_hook, "drop_stride": drop_stride}
-    return _RUNNERS[kind].build(design, _word_width(runner), options, hooks)
+    return _RUNNERS[kind].build(design, _word_width(runner), options, on_detect)
 
 
 def _inline_runner(runner: RunnerSpec) -> RunnerSpec:
@@ -522,10 +516,11 @@ def _run_chunk(
 
     ``sites[j]`` is the fault at campaign position ``positions[j]``, in
     wire format.  With a plane and ``cross_drop`` the chunk first drops
-    every fault the plane already flags — re-packing the survivors is
-    verdict-safe because lanes are independent — and the runner gets
-    word-fill/mid-run drop hooks plus a streaming ``on_detect`` writer.
-    Returns ``(detections by fault name, simulated cycles)``.
+    every fault the plane already flags, which an earlier attempt of this
+    chunk streamed before it failed; re-packing the survivors is
+    verdict-safe because lanes are independent.  With a plane the runner
+    streams each detection into it.  Returns ``(detections by fault name,
+    simulated cycles)``.
     """
     from repro.fault.faultlist import FaultList
     from repro.fault.model import StuckAtFault
@@ -542,7 +537,6 @@ def _run_chunk(
         [StuckAtFault(design.signal(name), bit, value) for name, bit, value in sites]
     )
     on_detect: Optional[Callable[[int, int], None]] = None
-    drop_hook: Optional[Callable[[List[int]], List[int]]] = None
     if plane is not None:
         mark = plane.mark
 
@@ -550,21 +544,7 @@ def _run_chunk(
             mark(positions[fault_id], cycle)
 
         on_detect = _stream_detection
-        if cross_drop:
-            is_detected = plane.is_detected
-
-            def _consult_plane(fault_ids: List[int]) -> List[int]:
-                return [fid for fid in fault_ids if is_detected(positions[fid])]
-
-            drop_hook = _consult_plane
-
-    simulator = make_campaign_runner(
-        design,
-        runner,
-        on_detect=on_detect,
-        drop_hook=drop_hook,
-        drop_stride=DROP_STRIDE if cross_drop else 0,
-    )
+    simulator = make_campaign_runner(design, runner, on_detect=on_detect)
     result = simulator.run(stimulus, faults)
     detections = dict(result.coverage.detections)
     if plane is not None and detections:
@@ -595,9 +575,10 @@ def _simulate_chunk(
     the supervisor's counters; a rule's ``base`` is the chunk's first
     position.  Detections stream into the worker's verdict plane as they
     happen; the returned ``(detections by fault name, simulated cycles,
-    wall seconds)`` tuple — small, plain and picklable — doubles as the
-    merge payload where shared memory is unavailable and feeds the
-    supervisor's adaptive watchdog.
+    wall seconds)`` tuple — small, plain and picklable — is what the
+    parent merges and flushes to the result cache, the verdicts themselves
+    where shared memory is unavailable, and what feeds the supervisor's
+    adaptive watchdog.
     """
     begin = time.perf_counter()
     if chaos is not None:
@@ -682,7 +663,6 @@ def run_multiprocess(
     config: Optional[CampaignConfig] = None,
     *,
     resume_from: Optional[Dict[str, int]] = None,
-    plane: Optional[VerdictPlane] = None,
     label: Optional[str] = None,
     **fields: object,
 ) -> "FaultSimResult":
@@ -697,20 +677,17 @@ def run_multiprocess(
     The campaign runs in four phases — plan, seed, supervise, assemble —
     over one index space, each fault's position in ``faults``.  The phases
     are drawn in the "Campaign data flow" section of
-    ``docs/architecture.md``; what the result cache, ``resume_from=`` and
-    checkpoints add to them is in ``docs/caching.md``.  Verdicts and
-    detection cycles are exact against a single-process run — caching,
-    dropping and chunking only remove redundant work.
+    ``docs/architecture.md``; what the result cache and ``resume_from=`` add
+    to them is in ``docs/caching.md``.  Verdicts and detection cycles are
+    exact against a single-process run — caching, dropping and chunking only
+    remove redundant work.
 
-    The three per-call values are not knobs:
+    The two per-call values are not knobs:
 
     * ``resume_from`` — ``fault name -> detection cycle`` verdicts already
-      known (e.g. a previous partial result's ``coverage.detections``); they
-      seed the plane, are dropped from simulation, and appear in the final
-      report.  Unknown fault names are an error.
-    * ``plane`` — an externally created :class:`VerdictPlane` sized to this
-      fault list, letting concurrent campaigns share verdicts; the caller
-      keeps ownership (this function will not unlink it).
+      known (e.g. a previous partial result's ``coverage.detections``); with
+      ``cross_drop`` they are not simulated again, and either way they
+      appear in the final report.  Unknown fault names are an error.
     * ``label`` — the result's simulator name (default: from the runner).
 
     The result's ``stats.cycles`` is the *sum of cycles simulated across all
@@ -721,7 +698,7 @@ def run_multiprocess(
     config = (config or CampaignConfig()).with_fields(**fields)
     campaign = _Campaign(design, stimulus, faults, config, resume_from, label)  # plan
     try:
-        campaign.seed(plane)
+        campaign.seed()
         campaign.supervise()
         return campaign.assemble()
     finally:
@@ -732,10 +709,9 @@ class _Campaign:
     """One campaign: constructing it is the *plan* phase, then :meth:`seed`,
     :meth:`supervise` and :meth:`assemble` run, and :meth:`release` frees it.
 
-    Every index is a position in the caller's fault list: resume and
-    checkpoint seeds, cache hits, the verdict plane and each chunk's
-    ``positions`` all share it.  The :class:`ChunkSupervisor` hooks are
-    methods here.
+    Every index is a position in the caller's fault list: resume seeds,
+    cache hits, the verdict plane and each chunk's ``positions`` all share
+    it.  The :class:`ChunkSupervisor` hooks are methods here.
     """
 
     def __init__(
@@ -749,8 +725,9 @@ class _Campaign:
     ) -> None:
         """Plan: resolve the runner, the seeds and the positions left to simulate.
 
-        A cached verdict, detected or not, wins over a checkpoint or
-        ``resume_from`` seed for the same fault.
+        A cached verdict, detected or not, wins over a ``resume_from`` seed
+        for the same fault.  With ``cross_drop`` a seed, like a cache hit,
+        leaves the positions to simulate.
         """
         from repro.core.stats import SimulationStats
 
@@ -774,18 +751,8 @@ class _Campaign:
                     f"resume_from names faults not in this campaign: {unknown[:5]}"
                 )
             self.seeds = {index[name]: cycle for name, cycle in resume_from.items()}
-        self.fingerprint = ""
-        if config.checkpoint is not None:
-            self.fingerprint = campaign_fingerprint(design, stimulus, faults)
-            if os.path.exists(config.checkpoint):
-                with VerdictPlane.load(
-                    config.checkpoint, expect_fingerprint=self.fingerprint
-                ) as snapshot:
-                    for position in range(snapshot.n_faults):
-                        cycle = snapshot.cycle(position)
-                        if cycle is not None:
-                            self.seeds.setdefault(position, cycle)
-        #: Positions left to simulate: those the result cache does not answer.
+        #: Positions left to simulate: those no cache hit and, with
+        #: ``cross_drop``, no seed answers.
         self.todo = list(range(len(faults)))
         self.store = ResultCache.coerce(config.cache)
         if self.store is not None:
@@ -802,48 +769,40 @@ class _Campaign:
                     self.seeds[position] = hits[name]
             self.stats.cache_hits = len(hits)
             self.stats.cache_misses = len(self.todo)
+        if config.cross_drop and self.seeds:
+            self.todo = [position for position in self.todo if position not in self.seeds]
+        self.writes_cache = self.store is not None and config.cache_mode == "readwrite"
+        #: Names of the verdicts already written to the cache by this campaign.
+        self.flushed: Set[str] = set()
         units = math.ceil(len(self.todo) / max(1, _word_width(self.runner)))
         workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
         self.workers = max(1, min(workers, units))
         self.plane: Optional[VerdictPlane] = None
-        self.owns_plane = False
         self.spec: Optional[WorkloadSpec] = None
         self.chaos: Optional[ChaosPlan] = None
         self.merged: Dict[str, int] = {}
         self.chunks_done = 0
         self.chunks_total = 0
         self.partial = False
-        self.saved = False
+        self.supervised = False
         self.chunk_event = False
-        self.last_emit = self.last_checkpoint = self.start
+        self.last_emit = self.last_flush = self.start
 
     # ------------------------------------------------------------- the phases
-    def seed(self, plane: Optional[VerdictPlane]) -> None:
-        """Adopt the caller's plane, or create one sized to the whole list, and seed it.
+    def seed(self) -> None:
+        """Give a pooled campaign its shared plane, holding every seed.
 
-        With nothing left to simulate no plane is created.
+        A one-worker campaign runs inline and merges its chunk's dict, so it
+        creates no plane.
         """
-        if plane is not None and plane.n_faults != len(self.faults):
-            raise SimulationError(
-                f"verdict plane is sized for {plane.n_faults} faults but the "
-                f"campaign has {len(self.faults)}"
-            )
-        if plane is None and self.todo:
-            try:
-                plane = VerdictPlane.create(len(self.faults))
-            except OSError:
-                pass  # no POSIX shared memory here: the pickled-dict fallback
-            else:
-                self.owns_plane = True
-        self.plane = plane
-        if plane is None and self.todo and self.config.checkpoint is not None:
-            raise SimulationError(
-                "checkpoint= requires the shared verdict plane, which is "
-                "unavailable here (no POSIX shared memory)"
-            )
-        if plane is not None:
-            for position, cycle in self.seeds.items():
-                plane.seed(position, cycle)
+        if self.workers == 1:
+            return
+        try:
+            self.plane = VerdictPlane.create(len(self.faults))
+        except OSError:
+            return  # no POSIX shared memory here: the pickled-dict fallback
+        for position, cycle in self.seeds.items():
+            self.plane.seed(position, cycle)
 
     def supervise(self) -> None:
         """Simulate the positions left: inline for one worker, else over a pool."""
@@ -866,8 +825,7 @@ class _Campaign:
                 self.on_complete(state, detections, cycles)
             else:
                 self.run_pool(states)
-        self.save_checkpoint()
-        self.saved = True
+        self.supervised = True
 
     def assemble(self) -> "FaultSimResult":
         """Collect the verdicts, write the cache, emit the final event."""
@@ -875,24 +833,19 @@ class _Campaign:
         from repro.fault.result import FaultSimResult
 
         detections = self.detections()
-        if self.store is not None and self.config.cache_mode == "readwrite":
+        if self.writes_cache:
             # a salvaged campaign cannot tell "undetected" from "never
             # simulated", so only a complete one records undetected faults
             fresh: Dict[str, Optional[int]] = {}
             for position in self.todo:
                 name = self.faults[position].name
+                if name in self.flushed:
+                    continue
                 if name in detections:
                     fresh[name] = detections[name]
                 elif not self.partial:
                     fresh[name] = None
-            if fresh and self.store.store(
-                *self.cache_key,
-                fresh,
-                design_name=self.design.name,
-                clock=self.stimulus.clock,
-                cycles=self.stimulus.num_cycles(),
-            ):
-                self.stats.cache_writes = len(fresh)
+            self.store_verdicts(fresh)
         wall = time.perf_counter() - self.start
         self.stats.time_total = wall
         self.emit(final=True)
@@ -902,14 +855,14 @@ class _Campaign:
         return FaultSimResult(self.label, coverage, wall, self.stats, partial=self.partial)
 
     def release(self) -> None:
-        """Snapshot a dying campaign's plane (best effort), then free an owned one."""
-        if not self.saved:
-            # salvage raise, KeyboardInterrupt...: leave something to resume
+        """Flush a dying campaign's detections (best effort), then free its plane."""
+        if not self.supervised:
+            # salvage raise, KeyboardInterrupt...: leave the rerun some hits
             try:
-                self.save_checkpoint()
-            except Exception:  # pragma: no cover - snapshot is best-effort here
+                self.flush()
+            except Exception:  # pragma: no cover - the flush is best-effort here
                 pass
-        if self.owns_plane:
+        if self.plane is not None:
             self.plane.close()
             self.plane.unlink()
 
@@ -988,8 +941,8 @@ class _Campaign:
         return detections, cycles, time.perf_counter() - begin
 
     def chunk_proven(self, state: ChunkState) -> bool:
-        """Is every fault of this chunk already flagged on the plane?"""
-        if self.plane is None:
+        """With ``cross_drop``, is every fault of this chunk flagged on the plane?"""
+        if self.plane is None or not self.config.cross_drop:
             return False
         return len(self.plane.detected_among(state.positions)) == len(state.positions)
 
@@ -1005,14 +958,15 @@ class _Campaign:
         self.chunk_event = True
 
     def on_tick(self) -> None:
-        """Per-poll cadence: progress events and periodic checkpoints."""
+        """Per-poll cadence: progress events and periodic cache flushes."""
         now = time.perf_counter()
         if self.chunk_event or now - self.last_emit >= PROGRESS_INTERVAL:
             self.chunk_event = False
             self.last_emit = now
             self.emit()
-        if now - self.last_checkpoint >= self.config.checkpoint_interval:
-            self.save_checkpoint()
+        if now - self.last_flush >= CACHE_FLUSH_INTERVAL:
+            self.last_flush = now
+            self.flush()
 
     # ---------------------------------------------------------------- helpers
     def sites(self, state: ChunkState) -> List[FaultSite]:
@@ -1027,6 +981,30 @@ class _Campaign:
         found = {self.faults[p].name: cycle for p, cycle in self.seeds.items()}
         found.update(self.merged)
         return found
+
+    def flush(self) -> None:
+        """Write the detections of resolved chunks that the cache still lacks.
+
+        They come from the merged chunk results, not the plane, whose cycles
+        are safe to read only once their writers are done (see
+        :mod:`repro.sim.verdict_plane`).
+        """
+        if self.writes_cache:
+            self.store_verdicts(
+                {name: cycle for name, cycle in self.merged.items() if name not in self.flushed}
+            )
+
+    def store_verdicts(self, verdicts: Dict[str, Optional[int]]) -> None:
+        """Merge ``verdicts`` into the cache shard, counting each verdict once."""
+        if verdicts and self.store.store(
+            *self.cache_key,
+            verdicts,
+            design_name=self.design.name,
+            clock=self.stimulus.clock,
+            cycles=self.stimulus.num_cycles(),
+        ):
+            self.flushed.update(verdicts)
+            self.stats.cache_writes += len(verdicts)
 
     def emit(self, final: bool = False) -> None:
         """Snapshot the campaign into one CampaignProgress event, if streaming."""
@@ -1057,25 +1035,15 @@ class _Campaign:
             )
         )
 
-    def save_checkpoint(self) -> None:
-        """Atomically snapshot the plane to the checkpoint path, stamped."""
-        if self.config.checkpoint is None or self.plane is None:
-            return
-        self.plane.save(self.config.checkpoint, self.fingerprint)
-        self.stats.checkpoints_written += 1
-        self.last_checkpoint = time.perf_counter()
-
 
 __all__ = [
+    "CACHE_FLUSH_INTERVAL",
     "CampaignConfig",
     "CampaignProgress",
-    "DEFAULT_CHECKPOINT_INTERVAL",
     "DEFAULT_RETRIES",
-    "DROP_STRIDE",
     "OVERSUBSCRIBE",
     "PROGRESS_INTERVAL",
     "RUNNER_KINDS",
-    "VerdictPlane",
     "WorkloadSpec",
     "chunk_positions",
     "make_campaign_runner",

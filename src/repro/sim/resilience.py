@@ -66,7 +66,7 @@ WATCHDOG_FACTOR = 20.0
 WATCHDOG_MIN_DEADLINE = 10.0
 
 #: Upper bound on the supervisor's poll sleep (seconds): the granularity of
-#: watchdog checks, backoff requeues and checkpoint ticks.
+#: watchdog checks, backoff requeues and cache-flush ticks.
 POLL_INTERVAL = 0.25
 
 #: What a worker chunk task resolves to: (detections by fault name,
@@ -78,7 +78,7 @@ def require_at_least(name: str, value, minimum) -> None:
     """Validate a numeric campaign knob up front, naming the argument.
 
     Raises a clear :class:`~repro.errors.SimulationError` instead of letting
-    a bad value (``workers=0``, ``drop_stride=-1``...) fail deep inside the
+    a bad value (``workers=0``, ``retries=-1``...) fail deep inside the
     pool loop with an unrelated traceback.
     """
     if not isinstance(value, (int, float)) or isinstance(value, bool) or value < minimum:
@@ -225,7 +225,7 @@ class ChunkSupervisor:
         payload (``completed``/``inline``; ``skipped`` chunks call it with
         an empty payload).
     ``on_tick``
-        Called every poll wake-up — the progress/checkpoint cadence hook.
+        Called every poll wake-up — the progress/cache-flush cadence hook.
     """
 
     def __init__(

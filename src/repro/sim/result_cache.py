@@ -21,8 +21,7 @@ layout mirroring the codegen cache conventions
   warm replay does not re-simulate the undetected tail (usually the most
   expensive faults of a campaign).
 
-Shards are written read-merge-replace with the same atomic discipline as
-:meth:`~repro.sim.verdict_plane.VerdictPlane.save` (temp file in the target
+Shards are written read-merge-replace atomically (temp file in the target
 directory, fsync, ``os.replace``), so a crashed writer can never leave a
 torn shard, and overlapping campaigns over the same pair accumulate into one
 shard instead of clobbering each other.  All cache I/O is best-effort: an

@@ -359,12 +359,8 @@ class VectorFaultSimulator:
     fault.  With ``early_exit`` (the PPSFP equivalent of serial fault
     dropping) a word's run stops as soon as all of its lanes are detected.
 
-    ``on_detect``, ``drop_hook`` and ``drop_stride`` mirror
-    :class:`~repro.sim.packed.PackedCodegenSimulator`: a streaming detection
-    callback plus cross-chunk dropping against a fleet-shared verdict source
-    (consulted at word fill and every ``drop_stride`` cycles mid-run; dropped
-    lanes are retired without a local verdict).  Lanes are independent
-    columns, so dropping never changes a surviving lane's verdict or cycle.
+    ``on_detect`` mirrors :class:`~repro.sim.packed.PackedCodegenSimulator`:
+    a ``(fault_id, cycle)`` callback fired the moment each lane drops.
     """
 
     name = "VectorPPSFP"
@@ -376,8 +372,6 @@ class VectorFaultSimulator:
         early_exit: bool = True,
         use_cache: bool = True,
         on_detect: Optional[Callable[[int, int], None]] = None,
-        drop_hook: Optional[Callable[[List[int]], List[int]]] = None,
-        drop_stride: int = 0,
         passes: Optional[EmitterPasses] = None,
     ) -> None:
         """Build a campaign driver for ``design``; see the class docstring."""
@@ -385,15 +379,11 @@ class VectorFaultSimulator:
         design.check_finalized()
         if width < 1:
             raise SimulationError(f"fault word width must be >= 1, got {width}")
-        if drop_stride < 0:
-            raise SimulationError(f"drop stride must be >= 0, got {drop_stride}")
         self.design = design
         self.width = width
         self.early_exit = early_exit
         self.use_cache = use_cache
         self.on_detect = on_detect
-        self.drop_hook = drop_hook
-        self.drop_stride = drop_stride
         self.kernel_passes = coerce_passes(passes)
         from repro.core.stats import SimulationStats
 
@@ -414,15 +404,6 @@ class VectorFaultSimulator:
         cycles = 0
         passes = 0
         for word in pack_fault_words(faults, self.width):
-            if self.drop_hook is not None:
-                # word-fill consult: skip lanes the wider campaign resolved
-                dropped = set(self.drop_hook([f.fault_id for f in word]))
-                if dropped:
-                    for fault_id in dropped:
-                        observation.retire(fault_id)
-                    word = [f for f in word if f.fault_id not in dropped]
-                    if not word:
-                        continue
             cycles += self._run_word(stimulus, word, observation)
             passes += 1
         wall = time.perf_counter() - start
@@ -454,25 +435,15 @@ class VectorFaultSimulator:
         lane_faults: List[Optional[int]] = [None] + [f.fault_id for f in word]
         live = np.zeros(engine.lanes, dtype=bool)
         live[1 : len(word) + 1] = True
-        drop_hook, drop_stride = self.drop_hook, self.drop_stride
 
         def observer(cycle: int) -> bool:
-            """Per-cycle strobe: record detections, consult the drop hook, compact."""
+            """Per-cycle strobe: record detections, drop their lanes, compact."""
             nonlocal lane_faults, live
             newly = observation.observe_vector(
                 engine.output_arrays(), lane_faults, cycle, live
             )
             for lane in newly:
                 live[lane] = False  # lane-granular drop
-            if drop_hook is not None and drop_stride and cycle % drop_stride == 0:
-                # mid-run consult: retire lanes another process resolved
-                lane_of = {
-                    lane_faults[lane]: lane for lane in np.flatnonzero(live).tolist()
-                }
-                if lane_of:
-                    for fault_id in drop_hook(list(lane_of)):
-                        if observation.retire(fault_id):
-                            live[lane_of[fault_id]] = False
             if not self.early_exit:
                 return False
             alive = int(live.sum())

@@ -1,12 +1,12 @@
 """The shared-memory verdict plane: zero-copy fault verdicts across processes.
 
-:func:`repro.sim.parallel.run_multiprocess` used to learn its verdicts only at
-the very end of a campaign, as pickled per-chunk ``name -> cycle`` dicts.  The
-verdict plane replaces that with one :mod:`multiprocessing.shared_memory`
-segment every process maps: workers write each detection the moment their
-observation drops the lane, and the parent reads the same bytes zero-copy —
-for live progress streaming, for cross-chunk fault dropping, and for salvaging
-partial verdicts when a worker dies mid-campaign.
+A one-worker campaign of :func:`repro.sim.parallel.run_multiprocess` learns
+its verdicts from the pickled ``name -> cycle`` dict its one chunk returns.  A
+pooled campaign also keeps one :mod:`multiprocessing.shared_memory` segment
+every process maps: workers write each detection the moment their observation
+drops the lane, and the parent reads the same bytes zero-copy — for live
+progress streaming, for skipping what a failed chunk attempt already
+detected, and for salvaging partial verdicts when a worker dies mid-campaign.
 
 Wire format
 -----------
@@ -29,12 +29,12 @@ Two deliberate choices make the plane lock-free:
   flag has exactly one writer and plain stores are race-free.  The 8x size
   cost is noise: the full sha256_c2v fault population costs ~70 KiB.
 * **The cycle is written before the flag.**  Concurrent readers (the parent's
-  progress poll, other workers' drop consults) only ever act on the *flags*;
-  cycles are read for verdicts only after the writing process has exited (pool
-  shutdown or death are both full barriers), so a reordered or torn cycle
-  store can never reach a verdict.  Detection cycles are deterministic per
-  fault, so even the one multi-writer case — re-marking an already-seeded
-  fault — writes identical bytes.
+  progress poll and proven-chunk check, a retried chunk's start filter) only
+  ever act on the *flags*; cycles are read for verdicts only after the
+  writing process has exited (pool shutdown or death are both full
+  barriers), so a reordered or torn cycle store can never reach a verdict.
+  Detection cycles are deterministic per fault, so even the one multi-writer
+  case — re-marking an already-seeded fault — writes identical bytes.
 
 Lifecycle: the campaign parent :meth:`~VerdictPlane.create`\\ s the segment,
 named after its pid (:func:`segment_prefix`), and is the only process that
@@ -47,33 +47,23 @@ rest of the fleet.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import secrets
 import struct
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # imported lazily at runtime: an import cycle, or shared memory
     from multiprocessing.shared_memory import SharedMemory
 
-    from repro.core.design import Design
     from repro.fault.faultlist import FaultList
-    from repro.sim.stimulus import Stimulus
 
 #: Layout version stamp at offset 0; bump when the wire format changes.
 MAGIC = b"RVP1"
 
-#: Checkpoint-file version stamp; a checkpoint is this header followed by a
-#: complete :data:`MAGIC` segment image (see :meth:`VerdictPlane.save`).
-CHECKPOINT_MAGIC = b"RVPC"
-
 #: Bytes before the flag table: the magic plus the uint32 fault count.
 _HEADER_BYTES = 8
-
-#: Fixed part of the checkpoint header: magic + uint32 fingerprint length.
-_CHECKPOINT_HEADER_BYTES = 8
 
 
 def segment_prefix(pid: Optional[int] = None) -> str:
@@ -123,55 +113,6 @@ def _open_untracked(name: str) -> "SharedMemory":
         return SharedMemory(name=name)
     finally:
         resource_tracker.register = original_register
-
-
-def campaign_fingerprint(
-    design: "Design", stimulus: "Stimulus", faults: "FaultList"
-) -> str:
-    """Identity hash of one campaign: design content, stimulus, fault order.
-
-    Stamped into checkpoint files so a snapshot can never seed a different
-    design, stimulus or a reordered fault list — a verdict holds only for
-    the stimulus that produced it, and global fault indexes are only
-    meaningful relative to the exact list the plane was created over.
-    """
-    from repro.sim.codegen import design_fingerprint  # lazy: import cycle
-    from repro.sim.result_cache import stimulus_hash
-
-    digest = hashlib.sha256()
-    digest.update(design_fingerprint(design).encode())
-    digest.update(b"\x00")
-    digest.update(stimulus_hash(stimulus).encode())
-    for fault in faults:
-        digest.update(b"\x00")
-        digest.update(fault.name.encode())
-    return digest.hexdigest()
-
-
-class _LocalSegment:
-    """A private, file-backed stand-in for a ``SharedMemory`` segment.
-
-    :meth:`VerdictPlane.load` rehydrates a checkpoint into plain process
-    memory — there is nothing to share yet, and creating a real segment just
-    to read a file would leak on every early error path.  This shim exposes
-    the three members :class:`VerdictPlane` touches (``buf``, ``name``,
-    ``close``); ``unlink`` exists because a loaded plane is never ``owner``
-    but defensive code may still call it.
-    """
-
-    def __init__(self, data: bytearray, name: str) -> None:
-        """Wrap the checkpoint's segment image."""
-        self._data = data
-        self.buf = memoryview(data)
-        self.name = name
-        self.size = len(data)
-
-    def close(self) -> None:
-        """Release the memoryview so the bytearray can be collected."""
-        self.buf.release()
-
-    def unlink(self) -> None:
-        """Nothing system-wide to remove for process-local storage."""
 
 
 class VerdictPlane:
@@ -249,88 +190,6 @@ class VerdictPlane:
             )
         return cls(shm, n_faults, owner=False)
 
-    @classmethod
-    def load(
-        cls, path: str, expect_fingerprint: Optional[str] = None
-    ) -> "VerdictPlane":
-        """Rehydrate a checkpoint file written by :meth:`save`.
-
-        The returned plane lives in private process memory (it is a seed
-        source, not a shared segment) and carries the stamped campaign
-        fingerprint as ``plane.fingerprint``.  A bad magic, a truncated
-        file, or — when ``expect_fingerprint`` is given — a fingerprint
-        mismatch raises :class:`~repro.errors.CheckpointError`: seeding the
-        wrong campaign would silently fabricate verdicts.
-        """
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-        if len(blob) < _CHECKPOINT_HEADER_BYTES or blob[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(
-                f"{path!r} is not a campaign checkpoint "
-                f"(bad magic; expected {CHECKPOINT_MAGIC!r})"
-            )
-        (fp_len,) = struct.unpack_from("<I", blob, 4)
-        body = _CHECKPOINT_HEADER_BYTES + fp_len
-        if len(blob) < body + _HEADER_BYTES:
-            raise CheckpointError(f"checkpoint {path!r} is truncated")
-        fingerprint = blob[_CHECKPOINT_HEADER_BYTES:body].decode("ascii", "replace")
-        if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-            raise CheckpointError(
-                f"checkpoint {path!r} belongs to a different campaign "
-                f"(fingerprint {fingerprint[:12]}..., expected "
-                f"{expect_fingerprint[:12]}...); refusing to seed verdicts "
-                "from the wrong design, stimulus or fault list"
-            )
-        image = blob[body:]
-        if image[:4] != MAGIC:
-            raise CheckpointError(
-                f"checkpoint {path!r} carries a corrupt verdict-plane image"
-            )
-        (n_faults,) = struct.unpack_from("<I", image, 4)
-        if len(image) < _segment_size(n_faults):
-            raise CheckpointError(
-                f"checkpoint {path!r} is truncated: header promises "
-                f"{n_faults} faults but the image holds {len(image)} bytes"
-            )
-        segment = _LocalSegment(bytearray(image), name=f"checkpoint:{path}")
-        plane = cls(segment, n_faults, owner=False)  # type: ignore[arg-type]
-        plane.fingerprint = fingerprint
-        return plane
-
-    def save(self, path: str, fingerprint: str) -> None:
-        """Atomically snapshot the plane to ``path`` (write-temp + rename).
-
-        The file is the :data:`CHECKPOINT_MAGIC` header, the campaign
-        ``fingerprint`` (see :func:`campaign_fingerprint`), and a complete
-        segment image.  ``os.replace`` makes the swap atomic, so a reader —
-        or a resuming campaign after this process is killed mid-write — only
-        ever sees the previous complete snapshot or the new one; the temp
-        file is removed on every failure path.  Safe to call while workers
-        are still marking: flags are single-writer bytes and a detection
-        missing from a torn read is merely re-proven on resume.
-        """
-        stamp = fingerprint.encode("ascii")
-        size = _segment_size(self.n_faults)
-        temp = f"{path}.tmp-{os.getpid()}"
-        try:
-            with open(temp, "wb") as handle:
-                handle.write(CHECKPOINT_MAGIC)
-                handle.write(struct.pack("<I", len(stamp)))
-                handle.write(stamp)
-                handle.write(bytes(self._shm.buf[:size]))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-            raise
-
     @property
     def name(self) -> str:
         """The segment name workers attach by."""
@@ -371,7 +230,7 @@ class VerdictPlane:
         self._flags[index] = 1
 
     def seed(self, index: int, cycle: int) -> None:
-        """Pre-mark a verdict known before the campaign starts (resume path)."""
+        """Pre-mark a verdict known before the campaign starts (a seed)."""
         self.mark(index, cycle)
 
     # ------------------------------------------------------------------ reads
@@ -418,4 +277,4 @@ class VerdictPlane:
         return f"VerdictPlane({self.name}, {self.n_faults} faults, {state})"
 
 
-__all__ = ["CHECKPOINT_MAGIC", "MAGIC", "VerdictPlane", "campaign_fingerprint"]
+__all__ = ["MAGIC", "VerdictPlane"]

@@ -10,7 +10,6 @@ the mid-campaign survivor re-pack it enables.
 
 import pytest
 
-from fixture_designs import COUNTER_SRC
 from repro.api import compile_design, make_engine, simulate_good
 from repro.errors import SimulationError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
@@ -120,6 +119,21 @@ def test_resolve_engine_small_campaign(counter_design):
     assert resolve_engine(counter_design, fault_count=16, numpy_available=False) == (
         "packed"
     )
+
+
+def test_resolve_engine_probes_numpy_only_where_it_can_pick_it(counter_design, monkeypatch):
+    import repro.sim.emitter as emitter
+
+    def no_probe():
+        raise AssertionError("NumPy probed for a count that cannot pick packed-numpy")
+
+    monkeypatch.setattr(emitter, "numpy_is_available", no_probe)
+    assert resolve_engine(counter_design, fault_count=1) in ("event", "codegen")
+    assert resolve_engine(counter_design, fault_count=AUTO_PACKED_MIN_FAULTS - 1) == (
+        "codegen"
+    )
+    with pytest.raises(AssertionError, match="NumPy probed"):
+        resolve_engine(counter_design, fault_count=AUTO_PACKED_MIN_FAULTS)
 
 
 def test_resolve_engine_numpy_downgrade_outside_vector_envelope(counter_design):

@@ -9,14 +9,16 @@ the structured injection plans of :mod:`repro.sim.chaos`:
 * a **hung** chunk is timed out by the watchdog and retried;
 * a **poison** chunk (crashes on every attempt) is quarantined and finished
   inline in the parent;
-* a parent **killed mid-campaign** resumes from its disk checkpoint and
-  simulates strictly fewer chunks the second time;
+* a parent **killed mid-campaign** leaves the detections it flushed in the
+  result cache, so the rerun simulates only the misses, and a campaign that
+  fails or raises leaves its detections there too;
 * the plan grammar itself round-trips and picks up the environment.
 
 Chunk idempotency is the invariant under test everywhere: no matter which
 failure fires, re-running work may only rewrite the same verdict bytes.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -27,16 +29,16 @@ import time
 
 import pytest
 
-from plane_leaks import verdict_plane_segments
+from plane_leaks import SHM_DIR, verdict_plane_segments
 from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES
-from repro.errors import ChaosError, CheckpointError
+from repro.errors import ChaosError, SimulationError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.chaos import CHAOS_ENV_VAR, ChaosPlan, ChaosRule
+from repro.sim.codegen import design_fingerprint
 from repro.sim.parallel import CampaignConfig, run_multiprocess
 from repro.sim.resilience import RetryPolicy
-from repro.sim.stimulus import truncated
-from repro.sim.verdict_plane import VerdictPlane, campaign_fingerprint
+from repro.sim.result_cache import ResultCache, stimulus_hash
 
 #: Mirrors the parity parameters of test_parallel.py: enough cycles for
 #: observable activity, a fault count that does not divide the word width.
@@ -294,223 +296,271 @@ def test_cli_rejects_campaign_flags_that_reach_no_campaign(argv, needle, capsys)
     assert needle in capsys.readouterr().err
 
 
-# ------------------------------------------------------------ disk checkpoints
-def test_checkpoint_resume_skips_proven_chunks(tmp_path):
-    """A completed campaign's checkpoint makes the rerun skip every chunk."""
+# ------------------------------------------------- crash recovery via the cache
+def _shard(root, design, stimulus):
+    """The verdicts the result cache under ``root`` holds for this campaign."""
+    return ResultCache(root).load(design_fingerprint(design), stimulus_hash(stimulus))
+
+
+def test_completed_pooled_campaign_leaves_nothing_to_simulate(tmp_path):
+    """A completed pooled campaign's cache makes its rerun simulate no chunk."""
     design, stimulus, faults, reference = _workload("apb")
-    path = str(tmp_path / "campaign.ckpt")
-    first = run_multiprocess(
-        design, stimulus, faults, workers=2, width=4, checkpoint=path
-    )
-    assert first.stats.checkpoints_written >= 1
-    snapshot = VerdictPlane.load(
-        path, expect_fingerprint=campaign_fingerprint(design, stimulus, faults)
-    )
-    detected = snapshot.detected_count()
-    snapshot.close()
-    assert detected == len(reference.coverage.detections)
-    # rerun over only the detected faults: every chunk is already proven
-    from repro.fault.faultlist import FaultList
-
-    proven = FaultList(
-        [f for f in faults if f.name in reference.coverage.detections]
-    )
-    if len(proven) < 2:
-        pytest.skip("benchmark sample detects too few faults to re-chunk")
-    proven_path = str(tmp_path / "proven.ckpt")
-    baseline = run_multiprocess(
-        design, stimulus, proven, workers=2, width=1, checkpoint=proven_path
-    )
-    assert baseline.stats.chunks_simulated > 0
-    resumed = run_multiprocess(
-        design, stimulus, proven, workers=2, width=1, checkpoint=proven_path
-    )
-    assert resumed.stats.chunks_simulated == 0
-    assert resumed.stats.chunks_skipped > 0
-    assert dict(resumed.coverage.detections) == dict(baseline.coverage.detections)
+    root = str(tmp_path / "results")
+    first = run_multiprocess(design, stimulus, faults, workers=2, width=4, cache=root)
+    assert first.stats.chunks_simulated > 0
+    assert _shard(root, design, stimulus) == {
+        fault.name: reference.coverage.detections.get(fault.name) for fault in faults
+    }
+    rerun = run_multiprocess(design, stimulus, faults, workers=2, width=4, cache=root)
+    assert rerun.stats.chunks_simulated == 0
+    assert rerun.stats.cache_hits == len(faults)
+    assert dict(rerun.coverage.detections) == dict(reference.coverage.detections)
 
 
-def test_checkpoint_of_another_stimulus_is_refused(tmp_path):
-    """A checkpoint seeds only a campaign over its own stimulus.
-
-    Before the stamp covered the stimulus, a shorter rerun over the same
-    design and faults loaded the longer run's verdicts and reported
-    detections at cycles its stimulus never reaches.
-    """
+@pytest.mark.parametrize(
+    "chaos", ["crash:base=4", "raise:chunk=1"], ids=["worker-death", "chunk-raise"]
+)
+def test_salvaged_campaign_leaves_its_detections_for_the_rerun(chaos, tmp_path):
+    """A campaign that failed still caches what it detected, so the rerun
+    with the same cache hits those faults and simulates only the rest."""
     design, stimulus, faults, reference = _workload("apb")
-    short = truncated(stimulus, 3)
-    clean = run_multiprocess(design, short, faults, workers=1, width=4)
-    assert len(clean.coverage.detections) < len(reference.coverage.detections)
-    path = str(tmp_path / "campaign.ckpt")
-    run_multiprocess(design, stimulus, faults, workers=1, width=4, checkpoint=path)
-    with pytest.raises(CheckpointError, match="different campaign"):
-        run_multiprocess(design, short, faults, workers=1, width=4, checkpoint=path)
-    fresh = str(tmp_path / "short.ckpt")
-    rerun = run_multiprocess(design, short, faults, workers=1, width=4, checkpoint=fresh)
-    assert dict(rerun.coverage.detections) == dict(clean.coverage.detections)
-
-
-def test_fig6_refuses_a_checkpointed_campaign(tmp_path):
-    """IFsim and VFsim share design, stimulus and faults, so VFsim would load
-    IFsim's checkpoint and skip every fault IFsim detected."""
-    from repro.errors import HarnessError
-    from repro.harness import fig6
-    from repro.harness.experiments import prepare_workload
-
-    workload = prepare_workload("alu", cycles=PARITY_CYCLES, fault_count=4)
-    path = tmp_path / "fig6.ckpt"
-    with pytest.raises(HarnessError, match="checkpoint"):
-        fig6.run_benchmark(
-            workload, campaign=CampaignConfig(workers=1, checkpoint=str(path))
-        )
-    assert not path.exists()
-
-
-def test_salvaged_campaign_checkpoint_seeds_the_retry(tmp_path):
-    """The finally-block snapshot fires on the salvage path, so even a
-    campaign that *failed* leaves a resumable checkpoint behind."""
-    design, stimulus, faults, reference = _workload("apb")
-    path = str(tmp_path / "salvage.ckpt")
+    knobs = dict(workers=2, width=4, cache=str(tmp_path / "results"))
     partial = run_multiprocess(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        width=4,
-        checkpoint=path,
-        chaos="crash:base=4",  # chunks past base 4 always crash
-        retries=0,
-        degrade=False,
+        design, stimulus, faults, chaos=chaos, retries=0, degrade=False, **knobs
     )
     assert partial.partial
-    assert os.path.exists(path)
-    healed = run_multiprocess(
-        design, stimulus, faults, workers=2, width=4, checkpoint=path
-    )
-    assert not healed.partial
-    assert dict(healed.coverage.detections) == dict(reference.coverage.detections)
-
-
-def test_cached_salvaged_campaign_resumes_from_its_checkpoint(tmp_path):
-    """The checkpoint is fingerprinted over the whole fault list, not over
-    the faults the cache left, so a salvaged cached campaign still resumes."""
-    design, stimulus, faults, reference = _workload("apb")
-    knobs = dict(
-        workers=2,
-        width=4,
-        cache=str(tmp_path / "results"),
-        checkpoint=str(tmp_path / "salvage.ckpt"),
-    )
-    partial = run_multiprocess(
-        design, stimulus, faults, chaos="raise:chunk=1", retries=0, degrade=False, **knobs
-    )
-    assert partial.partial
-    assert partial.stats.cache_writes > 0  # its detections reached the cache
+    assert partial.stats.cache_writes > 0
     healed = run_multiprocess(design, stimulus, faults, **knobs)
     assert not healed.partial
     assert healed.stats.cache_hits == partial.stats.cache_writes
+    assert healed.stats.cache_writes == len(faults) - healed.stats.cache_hits
     assert dict(healed.coverage.detections) == dict(reference.coverage.detections)
 
 
+def test_campaign_that_raises_leaves_its_streamed_detections_in_the_cache(tmp_path):
+    """salvage=False raises, yet the detections the campaign had streamed
+    are in the shard, and no undetected verdict: only a complete campaign
+    may record one."""
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    with pytest.raises(SimulationError, match="worker process died"):
+        run_multiprocess(
+            design, stimulus, faults, workers=2, width=4, cache=root,
+            salvage=False, retries=0, degrade=False, chaos="crash:base=4",
+        )
+    verdicts = _shard(root, design, stimulus)
+    assert verdicts
+    for name, cycle in verdicts.items():
+        assert cycle is not None
+        assert reference.coverage.detections[name] == cycle
+
+
+def test_pool_without_shared_memory_flushes_its_finished_chunks(
+    tmp_path, without_shared_memory
+):
+    """A pool with no plane merges pickled chunk results; a campaign that
+    raises still leaves the finished chunks' detections in the shard."""
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    with pytest.raises(SimulationError, match="worker process died"):
+        run_multiprocess(
+            design, stimulus, faults, workers=2, width=4, cache=root,
+            salvage=False, retries=0, degrade=False, chaos="crash:base=4",
+        )
+    verdicts = _shard(root, design, stimulus)
+    assert verdicts
+    for name, cycle in verdicts.items():
+        assert cycle is not None
+        assert reference.coverage.detections[name] == cycle
+
+
+def test_periodic_flush_writes_each_verdict_once(tmp_path, monkeypatch):
+    """Flushing on every poll streams detections to the shard as chunks
+    finish; the final write adds only the rest, so cache_writes counts each
+    verdict once and the shard holds the reference verdicts."""
+    import repro.sim.parallel as parallel
+
+    monkeypatch.setattr(parallel, "CACHE_FLUSH_INTERVAL", 0.0)
+    writes = []
+    real_store = ResultCache.store
+
+    def recording_store(self, fingerprint, stim_hash, verdicts, **kwargs):
+        writes.append(dict(verdicts))
+        return real_store(self, fingerprint, stim_hash, verdicts, **kwargs)
+
+    monkeypatch.setattr(ResultCache, "store", recording_store)
+    design, stimulus, faults, reference = _workload("apb")
+    detected = reference.coverage.detections
+    assert 0 < len(detected) < len(faults)
+    root = str(tmp_path / "results")
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=4, cache=root)
+    assert dict(result.coverage.detections) == dict(detected)
+    assert len(writes) >= 2
+    assert None not in writes[0].values()  # a mid-run flush: detections only
+    written = [name for batch in writes for name in batch]
+    assert sorted(written) == sorted(fault.name for fault in faults)
+    assert result.stats.cache_writes == len(faults)
+    assert _shard(root, design, stimulus) == {
+        fault.name: detected.get(fault.name) for fault in faults
+    }
+
+
+def test_read_mode_cache_is_never_flushed(tmp_path, monkeypatch):
+    """cache_mode="read" writes nothing, neither on the periodic flush nor
+    when the campaign dies."""
+    import repro.sim.parallel as parallel
+
+    monkeypatch.setattr(parallel, "CACHE_FLUSH_INTERVAL", 0.0)
+    design, stimulus, faults, _ = _workload("apb")
+    root = str(tmp_path / "results")
+    with pytest.raises(SimulationError, match="worker process died"):
+        run_multiprocess(
+            design, stimulus, faults, workers=2, width=4, cache=root, cache_mode="read",
+            salvage=False, retries=0, degrade=False, chaos="crash:base=4",
+        )
+    assert _shard(root, design, stimulus) == {}
+
+
+def test_interrupted_campaign_leaves_its_finished_chunks_in_the_cache(tmp_path):
+    """A KeyboardInterrupt mid-campaign: release() flushes the chunks that
+    had finished, so the rerun hits them and simulates only the rest."""
+    from repro.fault.faultlist import FaultList
+    from repro.fault.model import StuckAtFault
+
+    design, stimulus, faults, reference = _workload("apb")
+    # detected faults only, so the first chunk to finish has a detection to
+    # flush; fresh copies, since FaultList renumbers what it holds
+    detected = FaultList(
+        [
+            StuckAtFault(fault.signal, fault.bit, fault.value)
+            for fault in faults
+            if fault.name in reference.coverage.detections
+        ]
+    )
+    root = str(tmp_path / "results")
+
+    def interrupt(event):
+        if event.chunks_done and not event.final:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_multiprocess(
+            design, stimulus, detected, workers=2, width=2, cache=root,
+            on_progress=interrupt,
+        )
+    flushed = _shard(root, design, stimulus)
+    assert flushed
+    for name, cycle in flushed.items():
+        assert reference.coverage.detections[name] == cycle
+    rerun = run_multiprocess(design, stimulus, detected, workers=2, width=2, cache=root)
+    assert rerun.stats.cache_hits == len(flushed)
+    assert rerun.stats.cache_misses == len(detected) - len(flushed)
+    assert dict(rerun.coverage.detections) == dict(reference.coverage.detections)
+
+
 _CHILD_SCRIPT = """
-import json, sys
+import json, os, sys
+from multiprocessing import resource_tracker
+
+import repro.sim.parallel as parallel
 from repro.fault.faultlist import FaultList
 from repro.fault.model import StuckAtFault
 from repro.harness.experiments import prepare_workload
-from repro.sim.parallel import run_multiprocess
 
-benchmark, cycles, checkpoint, sites_json = sys.argv[1:5]
+benchmark, cycles, cache_root, sites_json = sys.argv[1:5]
 prepared = prepare_workload(benchmark, cycles=int(cycles))
 design = prepared.design
 faults = FaultList(
     [StuckAtFault(design.signal(n), b, v) for n, b, v in json.loads(sites_json)]
 )
-print("CHILD-READY", flush=True)
-run_multiprocess(
+# the resource tracker stays in the test's process group and outlives the
+# kill, so it unlinks the dead campaign's semaphores and plane; the campaign
+# and its workers get a session of their own, which the test kills
+resource_tracker.ensure_running()
+os.setsid()
+parallel.CACHE_FLUSH_INTERVAL = 0.05
+# chunk 0 finishes at once and is flushed; the others stall long enough
+# for the test to kill the campaign while they run
+parallel.run_multiprocess(
     design, prepared.stimulus, faults, workers=2, width=1,
-    checkpoint=checkpoint, checkpoint_interval=0.05,
-    chaos="slow:seconds=0.8",
+    cache=cache_root, chaos="slow:chunk=0,seconds=0.1;slow:seconds=3",
 )
 """
 
 
-def test_parent_killed_mid_campaign_resumes_from_checkpoint(tmp_path):
-    """Acceptance: SIGKILL the campaign *parent* mid-run; a resume from its
-    checkpoint skips the proven chunks (strictly fewer simulated chunks)."""
+def _semaphores():
+    """The named POSIX semaphores multiprocessing left under /dev/shm."""
+    return {entry for entry in os.listdir(SHM_DIR) if entry.startswith("sem.mp-")}
+
+
+def test_parent_killed_mid_campaign_leaves_its_detections_in_the_cache(tmp_path):
+    """Acceptance: SIGKILL the campaign parent and its workers mid-run; the
+    rerun with the same cache hits what the killed campaign flushed,
+    simulates only the misses, and /dev/shm is left as it was found."""
     design, stimulus, faults, reference = _workload("apb")
-    # a detected-only fault list: every completed chunk is fully proven, so
-    # skipped-chunk counting is deterministic
     from repro.fault.faultlist import FaultList
 
+    # a detected-only fault list: whatever the child flushes is a detection
     proven = FaultList(
         [f for f in faults if f.name in reference.coverage.detections]
     )
     if len(proven) < 3:
         pytest.skip("benchmark sample detects too few faults to re-chunk")
     sites = [[f.signal.name, f.bit, f.value] for f in proven]
-    path = str(tmp_path / "killed.ckpt")
+    root = str(tmp_path / "results")
+    has_shm = os.path.isdir(SHM_DIR)
+    semaphores_before = _semaphores() if has_shm else set()
     import repro
 
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    child = subprocess.Popen(
-        [sys.executable, "-c", _CHILD_SCRIPT, "apb", str(PARITY_CYCLES), path,
-         json.dumps(sites)],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        start_new_session=True,  # its own process group: killable with workers
-    )
-    try:
-        fingerprint = campaign_fingerprint(design, stimulus, proven)
-        deadline = time.monotonic() + 120
-        progressed = False
-        while time.monotonic() < deadline:
-            if child.poll() is not None:
-                break  # finished before we could kill it: resume still skips
-            if os.path.exists(path):
-                try:
-                    snapshot = VerdictPlane.load(path, expect_fingerprint=fingerprint)
-                except Exception:
-                    time.sleep(0.05)
-                    continue
-                detected = snapshot.detected_count()
-                snapshot.close()
-                if 0 < detected:
-                    progressed = True
-                    break
-            time.sleep(0.05)
-        assert progressed or child.poll() is not None, (
-            "the child campaign never wrote a usable checkpoint"
+    log_path = tmp_path / "child.log"
+    with open(log_path, "wb") as log:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _CHILD_SCRIPT, "apb", str(PARITY_CYCLES), root,
+             json.dumps(sites)],
+            env=env,
+            stdout=log,
+            stderr=subprocess.STDOUT,
         )
+    flushed = False
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline and child.poll() is None:
+            if any(cycle is not None for cycle in _shard(root, design, stimulus).values()):
+                flushed = True
+                break
+            time.sleep(0.05)
     finally:
         if child.poll() is None:
-            os.killpg(child.pid, signal.SIGKILL)
-        child.wait(timeout=30)
-        child.stdout.close()
-        # the killed parent could not unlink its plane: reap it here (its
-        # name carries the child's pid, so no other process's plane is hit)
-        for name in verdict_plane_segments(child.pid):
             try:
-                from multiprocessing import shared_memory
-
-                segment = shared_memory.SharedMemory(name=name)
-                segment.close()
-                segment.unlink()
-            except OSError:
-                pass
-    time.sleep(0.3)  # let any orphaned workers drain before resuming
-    resumed = run_multiprocess(
-        design, stimulus, proven, workers=2, width=1, checkpoint=path
-    )
-    total = resumed.stats.chunks_simulated + resumed.stats.chunks_skipped
-    assert resumed.stats.chunks_skipped >= 1
-    assert resumed.stats.chunks_simulated < total
-    assert not resumed.partial
-    expected = {
-        name: cycle
-        for name, cycle in reference.coverage.detections.items()
-        if name in {f.name for f in proven}
-    }
-    assert dict(resumed.coverage.detections) == expected
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:  # killed before it left the test's group
+                child.kill()
+        child.wait(timeout=30)
+    output = log_path.read_text(errors="replace")
+    assert flushed, f"the campaign flushed no detection while it ran:\n{output}"
+    assert child.returncode == -signal.SIGKILL, output
+    if has_shm:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and (
+            _semaphores() - semaphores_before or verdict_plane_segments(child.pid)
+        ):
+            time.sleep(0.1)
+        assert not _semaphores() - semaphores_before
+        assert not verdict_plane_segments(child.pid)
+    rerun = run_multiprocess(design, stimulus, proven, workers=2, width=1, cache=root)
+    hits = rerun.stats.cache_hits
+    assert 1 <= hits < len(proven), "the kill must land mid-campaign"
+    assert rerun.stats.cache_misses == len(proven) - hits
+    assert rerun.stats.cache_writes == rerun.stats.cache_misses
+    assert not rerun.partial
+    expected = {f.name: reference.coverage.detections[f.name] for f in proven}
+    assert dict(rerun.coverage.detections) == expected
+    if has_shm:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and _semaphores() - semaphores_before:
+            gc.collect()
+            time.sleep(0.1)
+        assert not _semaphores() - semaphores_before

@@ -1,10 +1,10 @@
 """NumPy and the process-pool stack load only when a campaign uses them.
 
-``import repro`` and an interpreted Eraser campaign load neither NumPy (the
-optional ``vector`` extra) nor ``multiprocessing`` / ``concurrent.futures``,
-and a packed campaign run inline loads neither NumPy nor the executor.  Each
-check runs in a fresh interpreter, since this test process has long imported
-all of them.
+``import repro``, an interpreted Eraser campaign and a packed campaign run
+inline load neither NumPy (the optional ``vector`` extra) nor
+``multiprocessing`` / ``concurrent.futures``, and resolving ``engine="auto"``
+for one machine loads no NumPy.  Each check runs in a fresh interpreter,
+since this test process has long imported all of them.
 """
 
 import importlib.util
@@ -41,6 +41,8 @@ report["eraser"] = loaded()
 packed = repro.run_multiprocess(design, stimulus, faults, workers=1)
 report["packed_campaign"] = loaded()
 report["same_verdicts"] = eraser.coverage.same_verdicts(packed.coverage)
+repro.make_engine(design, "auto")
+report["auto_engine"] = loaded()
 if "--vector" in sys.argv:
     import repro.api
     import repro.sim.vector
@@ -77,11 +79,13 @@ def test_eraser_campaign_loads_neither_numpy_nor_the_pool_stack(report):
     assert report["eraser"] == []
 
 
-def test_inline_packed_campaign_loads_neither_numpy_nor_futures(report):
-    # the verdict plane's shared memory may load multiprocessing, never a pool
+def test_inline_packed_campaign_loads_neither_numpy_nor_the_pool_stack(report):
     assert report["same_verdicts"]
-    assert "numpy" not in report["packed_campaign"]
-    assert "concurrent.futures" not in report["packed_campaign"]
+    assert report["packed_campaign"] == []
+
+
+def test_single_machine_auto_engine_loads_no_numpy(report):
+    assert "numpy" not in report["auto_engine"]
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")

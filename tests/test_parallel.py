@@ -6,11 +6,11 @@ cycles must exactly match the serial codegen baseline — chunking over worker
 processes may only change wall-clock, never a verdict.  The remaining tests
 pin the seams around it: :class:`WorkloadSpec` pickling in all three modes,
 word-aligned chunking, the inline ``workers=1`` short-circuit, the serial
-baselines' ``campaign=`` loop, and the verdict-plane campaign seams:
-cross-chunk dropping (parity with dropping on AND off), streaming progress
-event ordering, resume seeding, the pickled-dict fallback, partial-verdict
-salvage when a worker dies, and shared-memory segment cleanup after both
-clean and crashed campaigns.
+baselines' ``campaign=`` loop, and the campaign seams: cross-chunk dropping
+(parity with dropping on AND off), streaming progress event ordering, resume
+seeding, the plane-free one-worker path and the pickled-dict fallback,
+partial-verdict salvage when a worker dies, and shared-memory segment cleanup
+after both clean and crashed campaigns.
 """
 
 import pickle
@@ -271,31 +271,95 @@ def test_resume_rejects_unknown_fault_names():
         )
 
 
-def test_external_plane_is_shared_and_left_alive():
-    """A caller-owned plane accumulates verdicts and is never unlinked here."""
+def test_single_worker_campaign_creates_no_plane(monkeypatch):
+    """A one-worker campaign runs inline on the pickled-dict path: no shared
+    plane, exact verdicts, and resume seeds still cut the simulated work."""
+
+    def forbidden(cls, n_faults):
+        raise AssertionError("a one-worker campaign created a verdict plane")
+
+    monkeypatch.setattr(VerdictPlane, "create", classmethod(forbidden))
     design, stimulus, faults, reference = _workload("apb")
-    with VerdictPlane.create(len(faults)) as plane:
-        result = run_multiprocess(
-            design, stimulus, faults, workers=2, width=8, plane=plane
-        )
-        assert result.coverage.detections == reference.coverage.detections
-        assert plane.detected_count() == len(reference.coverage.detections)
-        assert plane.named_detections(faults) == reference.coverage.detections
-        # a second campaign over the same plane drops every *detected* fault
-        # at chunk start: same verdicts, strictly less simulated work (the
-        # never-detected faults still have to run the full stimulus)
-        rerun = run_multiprocess(
-            design, stimulus, faults, workers=1, width=8, plane=plane
-        )
-        assert rerun.coverage.detections == reference.coverage.detections
-        assert rerun.stats.cycles < result.stats.cycles
+    full = run_multiprocess(design, stimulus, faults, workers=1, width=8)
+    assert full.coverage.detections == reference.coverage.detections
+    seeds = dict(list(reference.coverage.detections.items())[:3])
+    resumed = run_multiprocess(
+        design, stimulus, faults, workers=1, width=8, resume_from=seeds
+    )
+    assert resumed.coverage.detections == reference.coverage.detections
+    assert resumed.stats.cycles < full.stats.cycles
 
 
-def test_mis_sized_external_plane_is_rejected():
-    design, stimulus, faults, _ = _workload("apb")
-    with VerdictPlane.create(len(faults) + 3) as plane:
-        with pytest.raises(SimulationError, match="sized for"):
-            run_multiprocess(design, stimulus, faults, workers=1, plane=plane)
+def test_pool_resolved_to_one_worker_creates_no_plane(monkeypatch):
+    """workers= is a ceiling: a fault list that fits in one word resolves to
+    one worker, which runs inline without a pool or a shared plane."""
+    import concurrent.futures
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-word campaign built a pool or a verdict plane")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(VerdictPlane, "create", classmethod(forbidden))
+    design, stimulus, faults, reference = _workload("apb")
+    assert len(faults) <= 64
+    result = run_multiprocess(design, stimulus, faults, workers=4, width=64)
+    assert result.coverage.detections == reference.coverage.detections
+    assert result.stats.chunks_simulated == 1
+
+
+def _detected_only(faults, reference):
+    """Fresh copies of the faults the reference detects.
+
+    Copies, because ``FaultList`` renumbers what it holds and the originals
+    belong to the shared per-session workload.
+    """
+    from repro.fault.faultlist import FaultList
+    from repro.fault.model import StuckAtFault
+
+    return FaultList(
+        [
+            StuckAtFault(fault.signal, fault.bit, fault.value)
+            for fault in faults
+            if fault.name in reference.coverage.detections
+        ]
+    )
+
+
+def test_resume_seeds_answering_every_fault_leave_nothing_to_simulate(monkeypatch):
+    """With cross_drop a seed is settled in the plan phase, like a cache
+    hit: seeds for every fault leave no chunk, no pool and no plane."""
+
+    def forbidden(cls, n_faults):
+        raise AssertionError("a campaign with nothing to simulate created a verdict plane")
+
+    monkeypatch.setattr(VerdictPlane, "create", classmethod(forbidden))
+    design, stimulus, faults, reference = _workload("apb")
+    detected = _detected_only(faults, reference)
+    events = []
+    result = run_multiprocess(
+        design, stimulus, detected, workers=2, width=4,
+        resume_from=dict(reference.coverage.detections), on_progress=events.append,
+    )
+    assert result.coverage.detections == reference.coverage.detections
+    assert result.stats.cycles == 0
+    assert result.stats.chunks_simulated == result.stats.chunks_skipped == 0
+    assert events[-1].final and events[-1].chunks_total == 0
+    assert events[-1].detected == len(detected)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_seeds_without_cross_drop_are_simulated_again(workers):
+    """cross_drop=False simulates every seed again: the same chunks and
+    cycles as a run without seeds, and the same verdicts."""
+    design, stimulus, faults, reference = _workload("apb")
+    knobs = dict(workers=workers, width=4, cross_drop=False)
+    full = run_multiprocess(design, stimulus, faults, **knobs)
+    seeded = run_multiprocess(
+        design, stimulus, faults, resume_from=dict(reference.coverage.detections), **knobs
+    )
+    assert seeded.coverage.detections == reference.coverage.detections
+    assert seeded.stats.chunks_simulated == full.stats.chunks_simulated
+    assert seeded.stats.cycles == full.stats.cycles > 0
 
 
 def test_legacy_pickled_merge_fallback_is_exact(without_shared_memory):

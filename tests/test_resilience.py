@@ -57,7 +57,7 @@ def test_validation_helpers_name_the_argument():
         require_at_least("workers", True, 1)  # bools are not counts
     with pytest.raises(SimulationError, match="chunk_timeout"):
         require_positive("chunk_timeout", 0)
-    require_at_least("drop_stride", 0, 0)
+    require_at_least("retries", 0, 0)
     require_positive("interval", 0.1)
 
 

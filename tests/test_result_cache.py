@@ -426,23 +426,6 @@ def test_resume_from_composes_with_the_cache(tmp_path):
         )
 
 
-def test_external_plane_composes_with_the_cache(tmp_path):
-    """plane= and cache= index the same list: the cache still answers, and
-    its detections are left on the caller's plane with the simulated ones."""
-    design, stimulus, faults, reference = _workload("apb")
-    root = str(tmp_path / "results")
-    half = faults[: len(faults) // 2]
-    run_multiprocess(design, stimulus, half, workers=1, width=8, cache=root)
-    with VerdictPlane.create(len(faults)) as plane:
-        result = run_multiprocess(
-            design, stimulus, faults, workers=1, width=8, cache=root, plane=plane
-        )
-        assert result.stats.cache_hits == len(half)
-        assert result.stats.cache_misses == len(faults) - len(half)
-        assert plane.named_detections(faults) == reference.coverage.detections
-    assert result.coverage.detections == reference.coverage.detections
-
-
 @pytest.mark.parametrize("warm", [False, True], ids=["partial", "full"])
 def test_cached_wall_time_covers_cache_io(warm, tmp_path, monkeypatch):
     """wall_time and stats.time_total run from entry until after the write."""

@@ -82,10 +82,14 @@ def _campaign(counter_design, counter_stimulus, **kwargs):
         ("drop_stride", -1),
         ("progress_interval", 0),
         ("progress_interval", -0.5),
+        # removed with the on-disk checkpoints (the result cache is the one
+        # verdict store) and the caller-owned plane: rejected by name too
+        ("checkpoint", "campaign.ckpt"),
+        ("checkpoint_interval", 0),
+        ("plane", None),
         ("retries", -1),
         ("chunk_timeout", 0),
         ("chunk_timeout", -3.0),
-        ("checkpoint_interval", 0),
         ("chaos", "explode"),
     ],
 )
@@ -135,13 +139,6 @@ def test_campaign_config_rejects_unknown_field(counter_design, counter_stimulus)
         CampaignConfig().with_fields(retry_count=3)
     with pytest.raises(UnknownOptionError, match="shared_verdicts"):
         _campaign(counter_design, counter_stimulus, shared_verdicts=False)
-
-
-def test_checkpoint_requires_the_verdict_plane(
-    counter_design, counter_stimulus, without_shared_memory
-):
-    with pytest.raises(SimulationError, match="checkpoint"):
-        _campaign(counter_design, counter_stimulus, checkpoint="unused.ckpt")
 
 
 def test_campaign_rejects_unknown_cache_mode(counter_design, counter_stimulus):

@@ -134,88 +134,3 @@ def test_named_detections_maps_global_indexes_to_fault_names(counter_design):
         plane.mark(len(faults) - 1, 21)
         named = plane.named_detections(faults)
         assert named == {faults[0].name: 7, faults[len(faults) - 1].name: 21}
-
-
-# ---------------------------------------------------------------- checkpoints
-def test_checkpoint_save_load_roundtrip(tmp_path):
-    path = str(tmp_path / "campaign.ckpt")
-    with VerdictPlane.create(10) as plane:
-        plane.mark(2, 19)
-        plane.mark(9, 3)
-        plane.save(path, "fp-abc")
-    loaded = VerdictPlane.load(path, expect_fingerprint="fp-abc")
-    try:
-        assert loaded.fingerprint == "fp-abc"
-        assert loaded.n_faults == 10
-        assert loaded.detected_count() == 2
-        assert loaded.cycle(2) == 19 and loaded.cycle(9) == 3
-        assert not loaded.is_detected(0)
-    finally:
-        loaded.close()
-    # no temp file left behind by the atomic write
-    assert [p.name for p in tmp_path.iterdir()] == ["campaign.ckpt"]
-
-
-def test_checkpoint_load_rejects_wrong_fingerprint(tmp_path):
-    from repro.errors import CheckpointError
-
-    path = str(tmp_path / "campaign.ckpt")
-    with VerdictPlane.create(4) as plane:
-        plane.save(path, "fp-one")
-    with pytest.raises(CheckpointError, match="different campaign"):
-        VerdictPlane.load(path, expect_fingerprint="fp-two")
-    # without an expectation the stamp is surfaced, not checked
-    loaded = VerdictPlane.load(path)
-    assert loaded.fingerprint == "fp-one"
-    loaded.close()
-
-
-def test_checkpoint_load_rejects_garbage(tmp_path):
-    from repro.errors import CheckpointError
-
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(CheckpointError, match="bad magic"):
-        VerdictPlane.load(str(bad))
-    with pytest.raises(CheckpointError, match="cannot read"):
-        VerdictPlane.load(str(tmp_path / "missing.ckpt"))
-
-
-def test_checkpoint_load_rejects_truncation(tmp_path):
-    from repro.errors import CheckpointError
-
-    path = tmp_path / "campaign.ckpt"
-    with VerdictPlane.create(8) as plane:
-        plane.mark(1, 5)
-        plane.save(str(path), "fp")
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-10])
-    with pytest.raises(CheckpointError, match="truncated"):
-        VerdictPlane.load(str(path))
-
-
-def test_checkpoint_save_cleans_its_temp_on_failure(tmp_path):
-    target_dir = tmp_path / "gone"
-    with VerdictPlane.create(4) as plane:
-        with pytest.raises(OSError):
-            plane.save(str(target_dir / "campaign.ckpt"), "fp")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_campaign_fingerprint_tracks_design_stimulus_and_fault_order(
-    counter_design, counter_stimulus
-):
-    from repro.fault.faultlist import FaultList
-    from repro.sim.stimulus import truncated
-    from repro.sim.verdict_plane import campaign_fingerprint
-
-    faults = generate_stuck_at_faults(counter_design)
-    fp = campaign_fingerprint(counter_design, counter_stimulus, faults)
-    # deterministic
-    assert fp == campaign_fingerprint(counter_design, counter_stimulus, faults)
-    fewer = FaultList(list(faults)[:-1])
-    assert fp != campaign_fingerprint(counter_design, counter_stimulus, fewer)
-    reordered = FaultList(list(faults)[::-1])
-    assert fp != campaign_fingerprint(counter_design, counter_stimulus, reordered)
-    shorter = truncated(counter_stimulus, counter_stimulus.num_cycles() - 1)
-    assert fp != campaign_fingerprint(counter_design, shorter, faults)
