@@ -123,9 +123,11 @@ class ObservationManager:
         word is scanned lane by lane (only set bits are visited), and every
         differing live lane is marked detected at ``cycle``.  ``live_mask``
         (a packed word with all-ones fields for the still-live lanes) confines
-        the scan to lanes worth visiting — already-detected lanes keep
-        differing every cycle, so the caller should shrink it as lanes drop.
-        Returns the newly detected lane indices.
+        the scan to lanes worth visiting — a detected lane keeps differing
+        until the caller retires it into a copy of the good machine
+        (:meth:`~repro.sim.packed.PackedCodegenEngine.retire`), so the caller
+        should shrink the mask as lanes drop.  Returns the newly detected lane
+        indices.
         """
         stride = layout.stride
         lane_mask = (1 << stride) - 1

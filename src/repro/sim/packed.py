@@ -19,9 +19,10 @@ Two classes:
 * :class:`PackedCodegenSimulator` — the fault-campaign driver: chunks the
   fault list into words of ``width`` faults, runs each word once, observes
   word-level through :meth:`~repro.fault.detection.ObservationManager.observe_packed`
-  (XOR against the good lane) and drops faults at lane granularity — once
-  every lane of a word is detected the word's run stops early and the next
-  word is filled from the remaining list.
+  (XOR against the good lane) and drops faults at lane granularity: detected
+  lanes are retired into copies of the good machine, and once every lane of
+  a word is detected the word's run stops early and the next word is filled
+  from the remaining list.
 
 Fault forcing is per-lane mask injection at every write site: the same
 branch-on-mask guard the serial codegen engine compiles in, with the OR/AND
@@ -31,7 +32,7 @@ masks carrying each lane's stuck-at bits at that lane's offset.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConvergenceError, SimulationError
 from repro.ir.design import Design
@@ -48,8 +49,9 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
     from repro.fault.model import StuckAtFault
     from repro.fault.result import FaultSimResult
 
-#: Default number of faulty machines packed into one word (lanes = width + 1).
-DEFAULT_WORD_WIDTH = 64
+#: Default number of faulty machines packed into one word (lanes = width + 1):
+#: the pick of the committed sweep, ``benchmarks/width_sweep.json``.
+DEFAULT_WORD_WIDTH = 512
 
 
 class PackedCodegenEngine:
@@ -139,6 +141,8 @@ class PackedCodegenEngine:
             sid = signal.sid
             if self.FO[sid] or self.FN[sid] != signal.mask * ones:
                 self.FB[sid] = 1
+        # the only signals whose forcing retire() can change
+        self._fault_sids = sorted({fault.signal.sid for fault in faults})
         # initial forcing on the all-zero state (matches the other engines)
         self.V: List[int] = list(self.FO)
         self.M: List[Optional[List[int]]] = [None] * count
@@ -150,7 +154,16 @@ class PackedCodegenEngine:
         self._out_sids = [signal.sid for signal in design.outputs]
         self._initialized = False
         self._trace: Optional[SimulationTrace] = None
-        self.store = _PackedStore(self)
+
+    @property
+    def store(self) -> "_PackedStore":
+        """Lane-0 value-store facade, built per access.
+
+        Holding it in an attribute would tie the engine into a reference
+        cycle, so every finished word's state would wait for the cyclic
+        garbage collector instead of being freed when the word ends.
+        """
+        return _PackedStore(self)
 
     # ------------------------------------------------------------- evaluation
     def _settle_comb(self) -> None:
@@ -281,6 +294,58 @@ class PackedCodegenEngine:
         self.LS = [0] * len(self.LS)
         self.GC = [1]
 
+    # ------------------------------------------------------------- retirement
+    def retire(self, lanes: Iterable[int]) -> None:
+        """Turn the faulty ``lanes`` into copies of the good machine (mid-run).
+
+        A detected lane's machine no longer matters, but left alone it keeps
+        diverging from lane 0, and its addresses and shift amounts keep the
+        runtime helpers (``_mrd``, ``_pshl``, ``_pshr``) on their per-lane
+        paths.  Retiring copies lane 0's field into those lanes in every
+        value, memory and edge word and clears their forcing bits, so from
+        here on they compute exactly what lane 0 computes.  Lanes are
+        independent, so every other lane's values — and every later verdict
+        and detection cycle — are bit-identical to an unretired run: the
+        argument :meth:`compact` relies on.  A word that changed gets a fresh
+        ``VER`` stamp, so the event scheduler re-evaluates its readers.
+        """
+        stride = self.layout.stride
+        bases = 0
+        for lane in lanes:
+            if not 0 < lane < self.layout.lanes:
+                raise SimulationError(f"cannot retire lane {lane} of {self.layout.lanes}")
+            bases |= 1 << (lane * stride)
+        if not bases:
+            return
+        field = (1 << stride) - 1
+        keep = ~(field * bases)
+        VER, GC = self.VER, self.GC
+        V = self.V
+        for sid, word in enumerate(V):
+            new = (word & keep) | ((word & field) * bases)
+            if new != word:
+                V[sid] = new
+                GC[0] = VER[sid] = GC[0] + 1
+        for sid, words in enumerate(self.M):
+            if words is None:
+                continue
+            changed = False
+            for index, word in enumerate(words):
+                new = (word & keep) | ((word & field) * bases)
+                if new != word:
+                    words[index] = new
+                    changed = True
+            if changed:
+                GC[0] = VER[sid] = GC[0] + 1
+        EP = self.EP
+        for index, word in enumerate(EP):
+            EP[index] = (word & keep) | ((word & field) * bases)
+        FO, FN, FB, masks, ones = self.FO, self.FN, self.FB, self._masks, self._ones
+        for sid in self._fault_sids:
+            FO[sid] &= keep
+            FN[sid] |= masks[sid] * bases
+            FB[sid] = int(bool(FO[sid]) or FN[sid] != masks[sid] * ones)
+
     # ------------------------------------------------------------------ peeks
     def output_words(self) -> List[int]:
         """The packed words of every primary output (observation feed)."""
@@ -344,7 +409,9 @@ class PackedCodegenSimulator:
     are marked detected at that cycle — exactly the first-difference verdict
     the serial baselines produce, which the test-suite checks fault by fault.
     With ``early_exit`` (the PPSFP equivalent of serial fault dropping) a
-    word's run stops as soon as all of its lanes are detected.
+    word's run stops as soon as all of its lanes are detected.  Until then,
+    detected lanes are retired in batches (:meth:`PackedCodegenEngine.retire`),
+    so they stop diverging from the good machine.
 
     ``on_detect`` is a ``(fault_id, cycle)`` callback streamed through
     :class:`~repro.fault.detection.ObservationManager` the moment each lane
@@ -439,10 +506,12 @@ class PackedCodegenSimulator:
         lane_field = (1 << layout.stride) - 1
         # all-ones fields over the live lanes; shrinks as lanes are detected
         state = {"mask": sum(lane_field << (lane * layout.stride) for lane in live)}
+        # detected lanes still simulating their faulty machines
+        unretired: List[int] = []
 
         def observer(cycle: int) -> bool:
-            """Per-cycle strobe: record detections, drop their lanes, early-exit."""
-            nonlocal layout, lane_faults, live
+            """Per-cycle strobe: record detections, drop and retire their lanes."""
+            nonlocal layout, lane_faults, live, unretired
             newly = observation.observe_packed(
                 engine.output_words(), lane_faults, cycle, layout, state["mask"]
             )
@@ -451,6 +520,7 @@ class PackedCodegenSimulator:
                 state["mask"] &= ~(lane_field << (lane * layout.stride))
             if self.early_exit and not live:
                 return True
+            unretired.extend(newly)
             # survivor re-packing: once MOST of a word is detected (>= 3/4 of
             # its lanes dead), re-lay the surviving machines into a narrower
             # word so the tail of the stimulus pays for the stubborn faults
@@ -474,6 +544,15 @@ class PackedCodegenSimulator:
                 state["mask"] = sum(
                     lane_field << (lane * layout.stride) for lane in live
                 )
+                unretired = []
+            elif unretired and len(unretired) >= alive:
+                # retire in batches, once the detected lanes still simulating
+                # are at least as many as the live ones: a batch costs a walk
+                # over every word plus re-evaluating what it changed, and each
+                # one at least halves the lanes still simulating a fault, so a
+                # word pays about log2(width) batches at most
+                engine.retire(unretired)
+                unretired = []
             return False
 
         stopped = CycleDriver(engine, stimulus).run(observer)

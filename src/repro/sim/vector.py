@@ -197,7 +197,16 @@ class VectorCodegenEngine:
         self._out_sids = [signal.sid for signal in design.outputs]
         self._initialized = False
         self._trace: Optional[SimulationTrace] = None
-        self.store = _VectorStore(self)
+
+    @property
+    def store(self) -> "_VectorStore":
+        """Lane-0 value-store facade, built per access.
+
+        Holding it in an attribute would tie the engine into a reference
+        cycle, so every finished word's arrays would wait for the cyclic
+        garbage collector instead of being freed when the word ends.
+        """
+        return _VectorStore(self)
 
     # ------------------------------------------------------------- evaluation
     def _settle_comb(self) -> None:
@@ -451,9 +460,10 @@ class VectorFaultSimulator:
                 return True
             # lane compaction: once most of a word is detected, rebuild the
             # state arrays with only good + surviving columns, so the tail of
-            # the stimulus pays for the stubborn faults alone.  This is the
-            # structural advantage over bigint words, which must carry dead
-            # lanes until the whole word is done.
+            # the stimulus pays for the stubborn faults alone.  Bigint words
+            # keep their width instead: they retire detected lanes into
+            # copies of the good machine (PackedCodegenEngine.retire), which
+            # ends the lanes' divergence but not their share of every op.
             if alive + 1 <= (3 * engine.lanes) // 4 and engine.lanes > 8:
                 keep = np.concatenate(([0], np.flatnonzero(live)))
                 engine.compact(keep)

@@ -7,7 +7,8 @@ the identical sampled fault list through all seven engines —
 
 * ``event`` / ``compiled`` / ``codegen`` — serial per-fault re-simulation on
   the three single-machine kernels,
-* ``packed``  — the bit-parallel PPSFP campaign,
+* ``packed`` / ``packed-8`` — the bit-parallel PPSFP campaign at the
+  default word width and in words of eight faults,
 * ``packed-numpy`` — the vectorized (NumPy array lane) PPSFP campaign
   (skipped transparently when NumPy is not installed),
 * ``eraser`` / ``eraser-`` / ``eraser--`` — the interpreted concurrent
@@ -90,7 +91,8 @@ def _engines(design):
         "event": SerialFaultSimulator(design, engine="event").run,
         "compiled": SerialFaultSimulator(design, engine="compiled").run,
         "codegen": SerialFaultSimulator(design, engine="codegen").run,
-        "packed": PackedCodegenSimulator(design, width=8).run,
+        "packed": PackedCodegenSimulator(design).run,
+        "packed-8": PackedCodegenSimulator(design, width=8).run,
         "eraser": EraserSimulator(design).run,
         "eraser-": EraserSimulator(design, mode=EraserMode.EXPLICIT_ONLY).run,
         "eraser--": EraserSimulator(design, mode=EraserMode.NO_ELIMINATION).run,

@@ -4,11 +4,18 @@ The strongest check is the full-corpus parity sweep: on every one of the ten
 benchmark designs, the packed simulator's per-fault detection verdicts *and*
 detection cycles must exactly match the serial codegen baseline, across word
 widths that exercise the degenerate single-fault case (1), partial last words
-(the fault list does not divide the width evenly) and the full 64-lane
-production shape.  The remaining tests pin the engine seams: the ``"packed"``
-entry in the engine registry, good-machine trace parity, the lane layout and
-word-level observation, packed cache keying, and word-aligned sharding.
+(the fault list does not divide the width evenly) and the default width
+(``DEFAULT_WORD_WIDTH``).  Retiring detected lanes is checked twice: its
+word-level invariants, and verdict parity on the memory- and shift-heavy CPUs
+with a retirement firing mid-word.  The remaining tests pin the engine seams:
+the ``"packed"`` entry in the engine registry, good-machine trace parity, the
+lane layout and word-level observation, packed cache keying, word-aligned
+sharding, and that a finished word's engine is freed without the cyclic
+garbage collector.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -28,8 +35,9 @@ from repro.sim.codegen import (
     packed_stride,
 )
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.kernel import SimulationKernel
+from repro.sim.kernel import CycleDriver, SimulationKernel
 from repro.sim.packed import (
+    DEFAULT_WORD_WIDTH,
     PackedCodegenEngine,
     PackedCodegenSimulator,
     pack_fault_words,
@@ -38,11 +46,11 @@ from repro.sim.packed import (
 #: Cycles per benchmark for the corpus sweep; enough for observable activity.
 PARITY_CYCLES = 40
 
-#: Deliberately does not divide 8 or 64 evenly (partial last words).
+#: Deliberately does not divide 8 evenly (partial last words).
 PARITY_FAULTS = 10
 
-#: Word widths: degenerate serial shape, partial words, production shape.
-WIDTHS = [1, 8, 64]
+#: Word widths: degenerate serial shape, partial words, the default word.
+WIDTHS = [1, 8, DEFAULT_WORD_WIDTH]
 
 
 @pytest.fixture(autouse=True)
@@ -94,6 +102,135 @@ def test_packed_without_early_exit_matches(name):
         stimulus, faults
     )
     assert packed.coverage.detections == reference.coverage.detections
+
+
+# ------------------------------------------------------------ lane retirement
+def _fields(layout, word):
+    return [layout.lane_value(word, lane) for lane in range(layout.lanes)]
+
+
+def _state_words(engine):
+    """Every value, memory and edge word of ``engine``, in a fixed order."""
+    memories = [word for words in engine.M if words is not None for word in words]
+    return list(engine.V) + memories + list(engine.EP)
+
+
+def test_retire_copies_the_good_lane_and_clears_forcing():
+    """Retired lanes become lane 0 everywhere; the other lanes are untouched."""
+    design, stimulus, faults, _ = _workload("picorv32")
+    word = list(faults)
+    engine = PackedCodegenEngine(design, faults=word)
+    twin = PackedCodegenEngine(design, faults=word)
+    for kernel in (engine, twin):
+        kernel.initialize()
+        driver = CycleDriver(kernel, stimulus)
+        for cycle in range(20):
+            driver.step(cycle)
+    layout = engine.layout
+    retired = [1, 3, 4, 7]
+    before = _state_words(engine)
+    versions = list(engine.VER)
+    engine.retire(retired)
+    after = _state_words(engine)
+    assert before != after, "no retired lane differed from the good lane"
+    for old, new in zip(before, after):
+        old_fields, new_fields = _fields(layout, old), _fields(layout, new)
+        for lane in range(layout.lanes):
+            expected = new_fields[0] if lane in retired else old_fields[lane]
+            assert new_fields[lane] == expected
+    # a value word that changed carries a fresh stamp; the rest keep theirs
+    for sid, (old, new) in enumerate(zip(versions, engine.VER)):
+        if engine.M[sid] is None and before[sid] != after[sid]:
+            assert new > old
+        elif engine.M[sid] is None:
+            assert new == old
+    ones = layout.lane_ones
+    for signal in design.signals:
+        sid = signal.sid
+        if signal.is_memory:
+            assert engine.FB[sid] == 0
+            continue
+        for lane in retired:
+            assert layout.lane_value(engine.FO[sid], lane) == 0
+            assert layout.lane_value(engine.FN[sid], lane) == signal.mask
+        fresh = int(bool(engine.FO[sid]) or engine.FN[sid] != signal.mask * ones)
+        assert engine.FB[sid] == fresh
+    # from here on the retired lanes are the good machine, and every other
+    # lane computes exactly what it computes in the unretired twin
+    for kernel in (engine, twin):
+        driver = CycleDriver(kernel, stimulus)
+        for cycle in range(20, stimulus.num_cycles()):
+            driver.step(cycle)
+    for mine, theirs in zip(_state_words(engine), _state_words(twin)):
+        mine_fields, their_fields = _fields(layout, mine), _fields(layout, theirs)
+        for lane in range(layout.lanes):
+            expected = mine_fields[0] if lane in retired else their_fields[lane]
+            assert mine_fields[lane] == expected
+
+
+def test_retire_refuses_the_good_lane(counter_design):
+    faults = list(generate_stuck_at_faults(counter_design))[:3]
+    engine = PackedCodegenEngine(counter_design, faults=faults, use_cache=False)
+    with pytest.raises(SimulationError, match="retire"):
+        engine.retire([0])
+    with pytest.raises(SimulationError, match="retire"):
+        engine.retire([4])
+
+
+#: (benchmark, cycles): long enough for over half of a 128-fault word to be
+#: detected, so a retirement fires with live lanes left in the word.
+RETIRE_WORKLOADS = [("picorv32", 300), ("mips", 100), ("sodor", 200)]
+
+
+@pytest.mark.parametrize("name,cycles", RETIRE_WORKLOADS)
+def test_retirement_keeps_verdicts_exact(name, cycles, monkeypatch):
+    """Retiring mid-word changes no verdict or detection cycle of the live lanes.
+
+    These CPUs read memories and shift by variable amounts, so an unretired
+    detected lane would keep its own addresses and shift amounts.
+    """
+    spec = get_benchmark(name)
+    design = spec.compile()
+    stimulus = spec.stimulus(cycles=cycles)
+    faults = sample_faults(generate_stuck_at_faults(design), 128, seed=7)
+    assert len(faults) <= DEFAULT_WORD_WIDTH  # one word
+    batches = []
+    retire = PackedCodegenEngine.retire
+
+    def counting(engine, lanes):
+        lanes = list(lanes)
+        batches.append(lanes)
+        # live lanes remain whenever a batch retires
+        assert sum(len(batch) for batch in batches) < len(engine.faults)
+        retire(engine, lanes)
+
+    monkeypatch.setattr(PackedCodegenEngine, "retire", counting)
+    packed = PackedCodegenSimulator(design).run(stimulus, faults)
+    reference = SerialFaultSimulator(design, engine="codegen").run(stimulus, faults)
+    assert batches, "no retirement fired"
+    assert packed.coverage.detections == reference.coverage.detections
+    # detections kept arriving after the first retirement
+    assert len(packed.coverage.detections) > len(batches[0])
+
+
+def test_finished_words_are_freed_without_the_cycle_collector(monkeypatch):
+    """No reference cycle keeps a finished word's engine (and its state) alive."""
+    design, stimulus, faults, _ = _workload("apb")
+    engines = []
+
+    class Recorded(PackedCodegenEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr("repro.sim.packed.PackedCodegenEngine", Recorded)
+    gc.disable()
+    try:
+        PackedCodegenSimulator(design, width=4).run(stimulus, faults)
+        assert len(engines) == 3
+        assert [engine() for engine in engines] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_packed_word_count_and_partial_last_word(tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.errors import SimulationError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import design_fingerprint
-from repro.sim.packed import pack_fault_words
+from repro.sim.packed import DEFAULT_WORD_WIDTH, pack_fault_words
 from repro.sim.parallel import (
     CampaignConfig,
     WorkloadSpec,
@@ -38,11 +38,11 @@ from repro.sim.verdict_plane import VerdictPlane
 #: Cycles per benchmark for the corpus sweep; enough for observable activity.
 PARITY_CYCLES = 30
 
-#: Deliberately does not divide 8 or 64 evenly (partial last words).
+#: Deliberately does not divide 8 evenly (partial last words).
 PARITY_FAULTS = 10
 
-#: Word widths: degenerate serial shape, partial words, production shape.
-WIDTHS = [1, 8, 64]
+#: Word widths: degenerate serial shape, partial words, the default word.
+WIDTHS = [1, 8, DEFAULT_WORD_WIDTH]
 
 
 @pytest.fixture(autouse=True)

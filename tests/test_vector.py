@@ -4,14 +4,18 @@ The strongest check is parity: on corpus benchmarks the vector simulator's
 per-fault detection verdicts *and* detection cycles must exactly match both
 the serial codegen baseline and the packed-bigint PPSFP campaign, across lane
 counts that exercise the degenerate single-fault case (1), partial last words
-and lane counts far past the packed backend's 64-lane ceiling (512).  The
-remaining tests pin the seams the vector mode adds: bit-sliced value planes
-for signals wider than 64 bits, divergent per-lane memory addressing and
-dynamic bit selects, the ``"packed-numpy"`` registry entry and its
-missing-NumPy error, the lane-agnostic cache entry, and lane-word sharding.
+and 512 lanes, the packed backend's default word.  The remaining tests pin the
+seams the vector mode adds: bit-sliced value planes for signals wider than 64
+bits, divergent per-lane memory addressing and dynamic bit selects, the
+``"packed-numpy"`` registry entry and its missing-NumPy error, the
+lane-agnostic cache entry, lane-word sharding, and that a finished word's
+engine is freed without the cyclic garbage collector.
 
 The whole module skips without NumPy (the ``vector`` extra).
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -44,8 +48,8 @@ PARITY_CYCLES = 40
 #: Deliberately does not divide any tested width evenly (partial last words).
 PARITY_FAULTS = 10
 
-#: Lane-word widths: degenerate serial shape, partial words, and a lane count
-#: far beyond the packed backend's 64-lane bigint ceiling.
+#: Lane-word widths: degenerate serial shape, partial words, and the packed
+#: backend's default word.
 WIDTHS = [1, 8, 512]
 
 #: A corpus slice that covers the interesting emitter paths: ``alu`` carries a
@@ -116,6 +120,26 @@ def test_vector_partial_last_word_runs_fewer_lanes():
     result = sim.run(stimulus, faults)
     assert sim.passes == 2  # 10 faults at width 8 -> words of 8 and 2
     assert result.coverage.detections == serial.coverage.detections
+
+
+def test_finished_words_are_freed_without_the_cycle_collector(monkeypatch):
+    """No reference cycle keeps a finished word's engine (and its arrays) alive."""
+    design, stimulus, faults, _, _ = _workload("alu")
+    engines = []
+
+    class Recorded(VectorCodegenEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr("repro.sim.vector.VectorCodegenEngine", Recorded)
+    gc.disable()
+    try:
+        VectorFaultSimulator(design, width=4).run(stimulus, faults)
+        assert len(engines) == 3
+        assert [engine() for engine in engines] == [None] * 3
+    finally:
+        gc.enable()
 
 
 # -------------------------------------------------------- multi-plane signals
