@@ -1,21 +1,34 @@
 """Packed word-width sweep: the measurement behind ``DEFAULT_WORD_WIDTH``.
 
-Times ``PackedCodegenSimulator.run`` on every corpus design at each word
-width (faulty machines per packed word) and writes a JSON report::
+Times the packed campaign at each word width (faulty machines per packed
+word) and writes a JSON report::
 
     PYTHONPATH=src python benchmarks/width_sweep.py --out benchmarks/width_sweep.json
 
-Each design runs a sample of :data:`FAULTS` faults over its default
-stimulus (both drawn with ``--seed``).  Every width first runs once untimed,
-which compiles its kernel and records its verdicts; then ``--repeats``
-rounds each run every width once, in an order rotated per round, and the
-fastest run per width is kept.  The verdicts (detection cycle of every
-fault) must be identical at every width, or the sweep stops.
+A row is one workload: a sample of :data:`FAULTS` faults of one corpus
+design over its default stimulus, plus the short-stimulus rows of
+:data:`SHORT_ROWS`.  Every row is timed in two legs:
+
+* ``single`` — ``PackedCodegenSimulator.run`` in this process;
+* ``pooled`` — ``run_multiprocess`` with its default worker count (one per
+  CPU), which cuts the faults into word-aligned chunks, so a wider word
+  also means fewer chunks to spread over the workers.
+
+Every (row, leg, width) first runs once untimed, which compiles its kernel
+and records its verdicts; then :data:`REPEATS` rounds run every leg and
+width once, in an order rotated per round, and every time is kept.  Each
+run starts once the workers of the pooled run before it have exited.  The
+verdicts (detection cycle of every fault) must be identical in every leg at
+every width, or the sweep stops.
 
 The report's ``recommended_width`` applies the rule the package default
-follows: among the widths no slower than :data:`BASELINE_WIDTH` on any
-design, the one with the lowest geometric mean time.  A tier-1 test checks
-that the committed report recommends ``DEFAULT_WORD_WIDTH``.
+follows: among the widths no slower than :data:`BASELINE_WIDTH` on any row
+of either leg, the one with the lowest geometric mean of the median times
+over all of them.  A width is slower on a run when its median exceeds the
+baseline's median by more than the distance between the baseline's
+quartiles; a smaller excess is within the run's own noise, and the report
+lists those runs.  A tier-1 test checks that the committed report
+recommends ``DEFAULT_WORD_WIDTH``.
 """
 
 from __future__ import annotations
@@ -24,24 +37,60 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
+import statistics
 import sys
 import time
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.packed import DEFAULT_WORD_WIDTH, PackedCodegenSimulator
+from repro.sim.parallel import run_multiprocess
 
 #: The widths timed.
 WIDTHS = (64, 128, 256, 512)
 
-#: Faults sampled per design (a design with fewer runs all of its faults).
+#: Faults sampled per row (a design with fewer runs all of its faults).
 FAULTS = 1024
 
-#: The width every other width must be no slower than, on every design.
+#: Timed rounds per row.
+REPEATS = 10
+
+#: Seed of every stimulus and fault sample.
+SEED = 2025
+
+#: The width every other width must be no slower than, on every row.
 BASELINE_WIDTH = 64
+
+#: Extra rows, (design, cycles), whose stimulus is too short for most of
+#: the sample to be detected (about a fifth of it here), so words run to
+#: the end of the stimulus and retirement rarely fires.
+SHORT_ROWS = (("picorv32", 40),)
+
+#: The two ways a campaign is timed (see the module docstring).
+LEGS = ("single", "pooled")
+
+
+def run_leg(leg: str, design, stimulus, faults, width: int):
+    """One campaign of ``leg`` at ``width``: its result and chunk count (or None)."""
+    if leg == "single":
+        return PackedCodegenSimulator(design, width=width).run(stimulus, faults), None
+    result = run_multiprocess(design, stimulus, faults, width=width)
+    return result, result.stats.chunks_simulated
+
+
+def wait_for_workers() -> None:
+    """Block until every worker of the last pooled campaign has exited.
+
+    A campaign returns without waiting for its pool to wind down.  Without
+    this wait, a run that follows a pooled run shares the CPUs with the
+    exiting workers, and one that follows an in-process run does not.
+    """
+    while multiprocessing.active_children():
+        time.sleep(0.005)
 
 
 def digest(detections: Mapping[str, int]) -> str:
@@ -50,92 +99,127 @@ def digest(detections: Mapping[str, int]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def recommend(seconds: Mapping[str, Mapping[int, float]], widths) -> Dict:
-    """Apply the default-width rule to per-design best times.
+def quartiles(times: Sequence[float]):
+    """First quartile, median and third quartile of ``times``."""
+    return statistics.quantiles(times, n=4)
 
-    ``seconds`` maps design -> width -> seconds.  Returns the geometric mean
-    per width, the widths no slower than :data:`BASELINE_WIDTH` on any
-    design, and the one of those with the lowest geometric mean.
+
+def recommend(times: Mapping[str, Mapping[int, Sequence[float]]], widths) -> Dict:
+    """Apply the default-width rule to every round's time.
+
+    ``times`` maps a run (one row in one leg) -> width -> seconds of each
+    round.  Returns the geometric mean of the medians per width, the widths
+    no slower than :data:`BASELINE_WIDTH` on any run, the runs where a
+    width's median is above the baseline's but within its quartile spread,
+    and the eligible width with the lowest geometric mean.
     """
-    geomean = {}
+    geomean, eligible, within_noise = {}, [], {}
     for width in widths:
-        logs = [math.log(times[width]) for times in seconds.values()]
+        logs, slower, noisy = [], [], []
+        for run, by_width in times.items():
+            low, base, high = quartiles(by_width[BASELINE_WIDTH])
+            median = quartiles(by_width[width])[1]
+            logs.append(math.log(median))
+            if median - base > high - low:
+                slower.append(run)
+            elif median > base:
+                noisy.append(run)
         geomean[width] = math.exp(sum(logs) / len(logs))
-    eligible = [
-        width
-        for width in widths
-        if all(times[width] <= times[BASELINE_WIDTH] for times in seconds.values())
-    ]
+        within_noise[width] = noisy
+        if not slower:
+            eligible.append(width)
     return {
         "geomean_s": geomean,
         "no_slower_than_baseline": eligible,
+        "within_noise_of_baseline": within_noise,
         "recommended_width": min(eligible, key=geomean.get),
     }
 
 
-def sweep_design(name: str, widths, repeats: int, seed: int) -> Dict:
-    """Best-of-``repeats`` seconds per width on one design, verdicts cross-checked."""
+def sweep_row(name: str, cycles, widths) -> Dict:
+    """Every round's seconds per leg and width on one row."""
     spec = get_benchmark(name)
     design = spec.compile()
-    stimulus = spec.stimulus(seed=seed)
-    faults = sample_faults(generate_stuck_at_faults(design), FAULTS, seed=seed)
-    detections = {}
-    for width in widths:
-        result = PackedCodegenSimulator(design, width=width).run(stimulus, faults)
-        detections[width] = result.coverage.detections
-    digests = {width: digest(found) for width, found in detections.items()}
-    if len(set(digests.values())) != 1:
-        raise SystemExit(f"{name}: the widths disagree on the verdicts: {digests}")
-    best = {width: float("inf") for width in widths}
-    for round_index in range(repeats):
-        shift = round_index % len(widths)
-        for width in widths[shift:] + widths[:shift]:
-            simulator = PackedCodegenSimulator(design, width=width)
+    stimulus = spec.stimulus(cycles=cycles, seed=SEED)
+    faults = sample_faults(generate_stuck_at_faults(design), FAULTS, seed=SEED)
+    runs = [(leg, width) for leg in LEGS for width in widths]
+    digests = {leg: {} for leg in LEGS}
+    chunks = {}
+    detected = None
+    for leg, width in runs:
+        result, chunk_count = run_leg(leg, design, stimulus, faults, width)
+        wait_for_workers()
+        digests[leg][width] = digest(result.coverage.detections)
+        detected = len(result.coverage.detections)
+        if chunk_count is not None:
+            chunks[width] = chunk_count
+    if len({found for by_width in digests.values() for found in by_width.values()}) != 1:
+        raise SystemExit(f"{name}: the runs disagree on the verdicts: {digests}")
+    seconds = {leg: {width: [] for width in widths} for leg in LEGS}
+    for round_index in range(REPEATS):
+        shift = round_index % len(runs)
+        for leg, width in runs[shift:] + runs[:shift]:
             start = time.perf_counter()
-            simulator.run(stimulus, faults)
-            best[width] = min(best[width], time.perf_counter() - start)
+            run_leg(leg, design, stimulus, faults, width)
+            seconds[leg][width].append(round(time.perf_counter() - start, 6))
+            wait_for_workers()
     return {
+        "design": name,
         "cycles": stimulus.num_cycles(),
         "faults": len(faults),
-        "detected": len(detections[widths[0]]),
+        "detected": detected,
         "digests": digests,
-        "seconds": best,
+        "seconds": seconds,
+        "pooled_chunks": chunks,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="width_sweep.json", help="report output path")
-    parser.add_argument("--repeats", type=int, default=5, help="timed rounds per design")
-    parser.add_argument("--seed", type=int, default=2025, help="stimulus and sample seed")
     args = parser.parse_args(argv)
 
     widths = list(WIDTHS)
-    designs = {}
-    for name in BENCHMARK_NAMES:
-        row = sweep_design(name, widths, args.repeats, args.seed)
-        designs[name] = row
-        times = "  ".join(f"{width}={row['seconds'][width]:.3f}s" for width in widths)
-        print(f"{name:12s} cycles={row['cycles']:4d} faults={row['faults']:5d}  {times}")
-    rule = recommend({name: row["seconds"] for name, row in designs.items()}, widths)
+    rows = [(name, name, None) for name in BENCHMARK_NAMES]
+    rows += [(f"{name}@{cycles}", name, cycles) for name, cycles in SHORT_ROWS]
+    report_rows = {}
+    for label, name, cycles in rows:
+        row = sweep_row(name, cycles, widths)
+        report_rows[label] = row
+        for leg, times in row["seconds"].items():
+            shown = "  ".join(f"{width}={quartiles(times[width])[1]:.3f}s" for width in widths)
+            print(
+                f"{label:14s} {leg:6s} cycles={row['cycles']:4d} "
+                f"faults={row['faults']:5d}  median {shown}"
+            )
+    seconds = {
+        f"{label} {leg}": times
+        for label, row in report_rows.items()
+        for leg, times in row["seconds"].items()
+    }
+    rule = recommend(seconds, widths)
     report = {
         "meta": {
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
             "faults": FAULTS,
-            "repeats": args.repeats,
-            "seed": args.seed,
+            "repeats": REPEATS,
+            "seed": SEED,
             "widths": widths,
             "baseline_width": BASELINE_WIDTH,
+            "legs": list(LEGS),
         },
-        "designs": designs,
+        "rows": report_rows,
         **rule,
     }
     means = "  ".join(f"{width}={rule['geomean_s'][width]:.3f}s" for width in widths)
-    print(f"geometric mean: {means}")
+    print(f"geometric mean of the medians: {means}")
     print(f"no slower than {BASELINE_WIDTH} lanes anywhere: {rule['no_slower_than_baseline']}")
-    print(f"recommended width {rule['recommended_width']} (default {DEFAULT_WORD_WIDTH})")
+    pick = rule["recommended_width"]
+    noisy = rule["within_noise_of_baseline"][pick]
+    print(f"recommended width {pick} (default {DEFAULT_WORD_WIDTH})")
+    print(f"above {BASELINE_WIDTH} lanes' median within its quartile spread: {noisy}")
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

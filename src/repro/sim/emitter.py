@@ -91,9 +91,7 @@ everything else                       ``packed``
 :func:`resolve_engine` applies the same table for a concrete design (deriving
 activity and stride, probing NumPy) and downgrades ``packed-numpy`` when the
 design is outside the vector layout's envelope (memory words wider than 64
-bits).  Campaign drivers additionally re-pack survivors of partially-detected
-words mid-run (:meth:`repro.sim.packed.PackedCodegenEngine.compact`) when the
-policy is in charge.
+bits).
 """
 
 from __future__ import annotations

@@ -233,67 +233,6 @@ class PackedCodegenEngine:
             self._trace = None
         return trace
 
-    # ------------------------------------------------------------- compaction
-    def compact(self, keep: Sequence[int]) -> None:
-        """Re-pack the word state down to the ``keep`` lanes (mid-campaign).
-
-        ``keep`` is an ordered lane-index sequence that must start with lane 0
-        (the good machine — observation compares against it).  Each surviving
-        lane's field is extracted from every packed word and re-laid at its
-        new offset under a fresh, narrower :class:`PackedLayout`; the kernel
-        for the new geometry is reloaded through the disk cache (which the
-        campaign has almost always warmed — every trailing partial word of the
-        same width shares it).  Lanes are independent, so the surviving
-        machines' values — and therefore every later verdict and detection
-        cycle — are bit-identical to an uncompacted run; the event-scheduler
-        stamps are reset so the first pass after the re-pack re-evaluates
-        everything against the re-laid words.
-        """
-        keep = list(keep)
-        if not keep or keep[0] != 0:
-            raise SimulationError("compact() must keep lane 0 (the good machine)")
-        old = self.layout
-        if len(keep) >= old.lanes:
-            return
-        stride = old.stride
-
-        def repack(word: int) -> int:
-            out = 0
-            for i, lane in enumerate(keep):
-                out |= old.lane_value(word, lane) << (i * stride)
-            return out
-
-        self.layout = PackedLayout(len(keep), stride)
-        namespace, self.source, self.fingerprint, self.cache_hit = load_kernel(
-            self.design, self.use_cache, layout=self.layout, passes=self.passes
-        )
-        self._comb_pass = namespace.get("comb_pass")  # type: ignore
-        self._comb_once = namespace.get("comb_once")  # type: ignore
-        self._fire_clocked = namespace["fire_clocked"]  # type: ignore
-        self._ones = ones = self.layout.lane_ones
-        count = len(self.design.signals)
-        self.V = [repack(word) for word in self.V]
-        self.FO = [repack(word) for word in self.FO]
-        self.FN = [repack(word) for word in self.FN]
-        for signal in self.design.signals:
-            words = self.M[signal.sid]
-            if words is not None:
-                self.M[signal.sid] = [repack(word) for word in words]
-            else:
-                # the all-lanes-unforced test needs the new lane count
-                sid = signal.sid
-                self.FB[sid] = int(
-                    bool(self.FO[sid]) or self.FN[sid] != signal.mask * ones
-                )
-        self.EP = [repack(word) for word in self.EP]
-        self.faults = [
-            self.faults[lane - 1] for lane in keep[1:] if lane - 1 < len(self.faults)
-        ]
-        # conservative stamp reset: re-evaluate everything once after re-pack
-        self.VER = [1] * count
-        self.LS = [0] * len(self.LS)
-        self.GC = [1]
-
     # ------------------------------------------------------------- retirement
     def retire(self, lanes: Iterable[int]) -> None:
         """Turn the faulty ``lanes`` into copies of the good machine (mid-run).
@@ -305,9 +244,9 @@ class PackedCodegenEngine:
         value, memory and edge word and clears their forcing bits, so from
         here on they compute exactly what lane 0 computes.  Lanes are
         independent, so every other lane's values — and every later verdict
-        and detection cycle — are bit-identical to an unretired run: the
-        argument :meth:`compact` relies on.  A word that changed gets a fresh
-        ``VER`` stamp, so the event scheduler re-evaluates its readers.
+        and detection cycle — are bit-identical to an unretired run.  A word
+        that changed gets a fresh ``VER`` stamp, so the event scheduler
+        re-evaluates its readers.
         """
         stride = self.layout.stride
         bases = 0
@@ -429,17 +368,11 @@ class PackedCodegenSimulator:
         use_cache: bool = True,
         on_detect: Optional[Callable[[int, int], None]] = None,
         passes: Optional[EmitterPasses] = None,
-        repack: bool = False,
     ) -> None:
         """Build a campaign driver for ``design``; see the class docstring.
 
         ``passes`` selects the emitter-pass configuration for the generated
-        kernels; ``repack`` enables mid-word survivor re-packing (the
-        ``engine="auto"`` policy turns it on): once at least three quarters
-        of a word's lanes are detected — and enough stimulus remains to
-        amortize the re-pack — the surviving machines are re-laid into a
-        narrower word via :meth:`PackedCodegenEngine.compact`, so the tail
-        of the stimulus pays for the stubborn faults alone.
+        kernels.
         """
         design.check_finalized()
         if width < 1:
@@ -450,7 +383,6 @@ class PackedCodegenSimulator:
         self.use_cache = use_cache
         self.on_detect = on_detect
         self.kernel_passes = coerce_passes(passes)
-        self.repack = repack
         from repro.core.stats import SimulationStats
 
         self.stats = SimulationStats()
@@ -511,7 +443,6 @@ class PackedCodegenSimulator:
 
         def observer(cycle: int) -> bool:
             """Per-cycle strobe: record detections, drop and retire their lanes."""
-            nonlocal layout, lane_faults, live, unretired
             newly = observation.observe_packed(
                 engine.output_words(), lane_faults, cycle, layout, state["mask"]
             )
@@ -521,38 +452,14 @@ class PackedCodegenSimulator:
             if self.early_exit and not live:
                 return True
             unretired.extend(newly)
-            # survivor re-packing: once MOST of a word is detected (>= 3/4 of
-            # its lanes dead), re-lay the surviving machines into a narrower
-            # word so the tail of the stimulus pays for the stubborn faults
-            # alone.  A compact costs a kernel reload plus an O(signals x
-            # lanes) state re-pack, so it must amortize: the remaining-cycles
-            # guard keeps it off short tails, and the 3/4 threshold keeps one
-            # word from compacting more than a couple of times
-            alive = len(live)
-            if (
-                self.repack
-                and alive
-                and alive + 1 <= layout.lanes // 4
-                and layout.lanes > 8
-                and stimulus.num_cycles() - cycle >= 2 * layout.lanes
-            ):
-                keep = [0] + sorted(live)
-                engine.compact(keep)
-                layout = engine.layout
-                lane_faults = [lane_faults[i] for i in keep]
-                live = set(range(1, len(keep)))
-                state["mask"] = sum(
-                    lane_field << (lane * layout.stride) for lane in live
-                )
-                unretired = []
-            elif unretired and len(unretired) >= alive:
+            if unretired and len(unretired) >= len(live):
                 # retire in batches, once the detected lanes still simulating
                 # are at least as many as the live ones: a batch costs a walk
                 # over every word plus re-evaluating what it changed, and each
                 # one at least halves the lanes still simulating a fault, so a
                 # word pays about log2(width) batches at most
                 engine.retire(unretired)
-                unretired = []
+                unretired.clear()
             return False
 
         stopped = CycleDriver(engine, stimulus).run(observer)

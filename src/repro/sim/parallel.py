@@ -415,7 +415,6 @@ def _packed_runner(design: Design, width: int, options: Dict[str, object], on_de
         design,
         width=width,
         early_exit=bool(options.get("early_exit", True)),
-        repack=bool(options.get("repack", False)),
         on_detect=on_detect,
     )
 
@@ -636,8 +635,7 @@ def _concrete_runner(design: Design, config: CampaignConfig, fault_count: int) -
     ``auto`` is resolved HERE, in the parent, against the campaign's full
     fault count (:func:`repro.sim.emitter.resolve_engine`), so chunking,
     labels and degradation all see the concrete substrate: vector lanes when
-    the policy picks ``packed-numpy``, packed words with survivor
-    re-packing otherwise.
+    the policy picks ``packed-numpy``, packed words otherwise.
     """
     runner = config.runner
     if runner is None:
@@ -649,10 +647,8 @@ def _concrete_runner(design: Design, config: CampaignConfig, fault_count: int) -
     options = dict(runner[1])
     if resolve_engine(design, fault_count=fault_count) == "packed-numpy":
         options.setdefault("width", DEFAULT_VECTOR_WIDTH)
-        options.pop("repack", None)
         return ("vector", options)
     options.setdefault("width", config.width)
-    options.setdefault("repack", True)
     return ("packed", options)
 
 

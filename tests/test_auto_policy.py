@@ -4,15 +4,13 @@
 ``(fault count, activity, stride, numpy availability)``; this module pins the
 documented decision table row by row, the structural activity proxy, the
 design-level :func:`~repro.sim.emitter.resolve_engine` envelope (wide-memory
-NumPy downgrade), and the end-to-end exactness of ``engine="auto"`` including
-the mid-campaign survivor re-pack it enables.
+NumPy downgrade), and the end-to-end exactness of ``engine="auto"``.
 """
 
 import pytest
 
 from repro.api import compile_design, make_engine, simulate_good
 from repro.errors import SimulationError
-from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.emitter import (
     AUTO_LOW_ACTIVITY,
     AUTO_PACKED_MIN_FAULTS,
@@ -23,8 +21,6 @@ from repro.sim.emitter import (
     resolve_engine,
     vector_capable,
 )
-from repro.sim.packed import PackedCodegenEngine, PackedCodegenSimulator
-from repro.sim.stimulus import RandomStimulus
 
 #: A design outside the vector layout's envelope: memory words wider than the
 #: 64-bit NumPy lane planes support.
@@ -160,70 +156,3 @@ def test_auto_engine_is_registered_and_exact(counter_design, counter_stimulus):
     assert engine is not None
     reference = simulate_good(counter_design, counter_stimulus, engine="event")
     assert simulate_good(counter_design, counter_stimulus, engine="auto") == reference
-
-
-def test_repack_campaign_is_verdict_exact(counter_design, counter_stimulus):
-    """Survivor re-packing changes wall-clock only, never a verdict."""
-    faults = sample_faults(
-        generate_stuck_at_faults(counter_design), 16, seed=2025
-    )
-    plain = PackedCodegenSimulator(counter_design, width=8).run(
-        counter_stimulus, faults
-    )
-    repacked = PackedCodegenSimulator(counter_design, width=8, repack=True).run(
-        counter_stimulus, faults
-    )
-    assert repacked.coverage.detections == plain.coverage.detections
-
-
-def test_repack_fires_on_long_tails_and_stays_exact(counter_design, monkeypatch):
-    """A long stimulus with early detections actually triggers ``compact``.
-
-    The trigger demands three quarters of a word's lanes dead *and* enough
-    remaining cycles to amortize the re-pack; a 200-cycle counter run with 16
-    sampled faults satisfies both.  The re-pack must fire at least once and the
-    verdicts must still match the non-repacking run exactly.
-    """
-    long_stimulus = RandomStimulus(
-        {"en": 1, "load": 1, "din": 4},
-        cycles=200,
-        clock="clk",
-        per_cycle=lambda c, v: dict(v, rst=1 if c < 2 else 0),
-        seed=7,
-    )
-    faults = sample_faults(generate_stuck_at_faults(counter_design), 16, seed=2025)
-    compacts = []
-    original = PackedCodegenEngine.compact
-
-    def counting(self, keep):
-        compacts.append(len(keep))
-        return original(self, keep)
-
-    monkeypatch.setattr(PackedCodegenEngine, "compact", counting)
-    repacked = PackedCodegenSimulator(counter_design, width=16, repack=True).run(
-        long_stimulus, faults
-    )
-    plain = PackedCodegenSimulator(counter_design, width=16).run(long_stimulus, faults)
-    assert compacts, "the long tail should have triggered at least one re-pack"
-    assert all(kept >= 1 for kept in compacts)
-    assert repacked.coverage.detections == plain.coverage.detections
-
-
-def test_compact_requires_the_good_lane(counter_design):
-    faults = sample_faults(generate_stuck_at_faults(counter_design), 4, seed=1)
-    engine = PackedCodegenEngine(counter_design, faults=faults, use_cache=False)
-    with pytest.raises(SimulationError, match="lane 0"):
-        engine.compact([1, 2])
-
-
-def test_compact_reindexes_surviving_faults(counter_design):
-    faults = sample_faults(generate_stuck_at_faults(counter_design), 4, seed=1)
-    engine = PackedCodegenEngine(counter_design, faults=faults, use_cache=False)
-    before = engine.layout.lanes
-    engine.compact([0, 2, 4])
-    assert engine.layout.lanes == 2 + 1
-    assert engine.layout.lanes < before
-    assert [fault.fault_id for fault in engine.faults] == [
-        faults[1].fault_id,
-        faults[3].fault_id,
-    ]

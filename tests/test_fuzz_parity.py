@@ -220,9 +220,7 @@ def test_fuzz_auto_engine_parity(name, request):
 
     The serial seam (``SerialFaultSimulator(engine="auto")``) resolves to a
     single-machine kernel; the campaign seam (``run_multiprocess`` with an
-    ``("auto", {})`` runner) resolves the lane substrate and turns on
-    survivor re-packing, so this also exercises
-    :meth:`~repro.sim.packed.PackedCodegenEngine.compact` mid-campaign.
+    ``("auto", {})`` runner) resolves the lane substrate.
     """
     from repro.sim.parallel import run_multiprocess
 

@@ -5,9 +5,10 @@ benchmark designs, the packed simulator's per-fault detection verdicts *and*
 detection cycles must exactly match the serial codegen baseline, across word
 widths that exercise the degenerate single-fault case (1), partial last words
 (the fault list does not divide the width evenly) and the default width
-(``DEFAULT_WORD_WIDTH``).  Retiring detected lanes is checked twice: its
-word-level invariants, and verdict parity on the memory- and shift-heavy CPUs
-with a retirement firing mid-word.  The remaining tests pin the engine seams:
+(``DEFAULT_WORD_WIDTH``).  Retiring detected lanes is checked three times:
+its word-level invariants, verdict parity on the memory- and shift-heavy CPUs
+with a retirement firing mid-word, and one full default-width word against
+8-fault words.  The remaining tests pin the engine seams:
 the ``"packed"`` entry in the engine registry, good-machine trace parity, the
 lane layout and word-level observation, packed cache keying, word-aligned
 sharding, and that a finished word's engine is freed without the cyclic
@@ -211,6 +212,37 @@ def test_retirement_keeps_verdicts_exact(name, cycles, monkeypatch):
     assert packed.coverage.detections == reference.coverage.detections
     # detections kept arriving after the first retirement
     assert len(packed.coverage.detections) > len(batches[0])
+
+
+def test_full_default_word_matches_narrow_words(monkeypatch):
+    """A full default-width word, retiring mid-word, matches 8-fault words.
+
+    The corpus sweep checks 8-fault words against the serial baseline but
+    packs only ``PARITY_FAULTS`` faults, so its default-width case runs an
+    11-lane word.  Here one word holds ``DEFAULT_WORD_WIDTH`` faults and a
+    partial word follows it.
+    """
+    spec = get_benchmark("mips")
+    design = spec.compile()
+    stimulus = spec.stimulus(cycles=100)
+    faults = sample_faults(generate_stuck_at_faults(design), DEFAULT_WORD_WIDTH + 88, seed=7)
+    full_word_batches = []
+    retire = PackedCodegenEngine.retire
+
+    def counting(engine, lanes):
+        lanes = list(lanes)
+        if engine.layout.lanes == DEFAULT_WORD_WIDTH + 1:
+            full_word_batches.append(len(lanes))
+        retire(engine, lanes)
+
+    monkeypatch.setattr(PackedCodegenEngine, "retire", counting)
+    simulator = PackedCodegenSimulator(design)
+    wide = simulator.run(stimulus, faults)
+    narrow = PackedCodegenSimulator(design, width=8).run(stimulus, faults)
+    assert simulator.passes == 2
+    # the observer retires only while live lanes remain in the word
+    assert full_word_batches, "no retirement fired in the full word"
+    assert wide.coverage.detections == narrow.coverage.detections
 
 
 def test_finished_words_are_freed_without_the_cycle_collector(monkeypatch):
