@@ -16,10 +16,10 @@ design over its default stimulus, plus the short-stimulus rows of
 
 Every (row, leg, width) first runs once untimed, which compiles its kernel
 and records its verdicts; then :data:`REPEATS` rounds run every leg and
-width once, in an order rotated per round, and every time is kept.  Each
-run starts once the workers of the pooled run before it have exited.  The
-verdicts (detection cycle of every fault) must be identical in every leg at
-every width, or the sweep stops.
+width once, in an order rotated per round, and every time is kept.  A
+pooled run returns only once its workers have exited, so no run shares the
+CPUs with the one before it.  The verdicts (detection cycle of every fault)
+must be identical in every leg at every width, or the sweep stops.
 
 The report's ``recommended_width`` applies the rule the package default
 follows: among the widths no slower than :data:`BASELINE_WIDTH` on any row
@@ -37,7 +37,6 @@ import argparse
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import platform
 import statistics
@@ -80,17 +79,6 @@ def run_leg(leg: str, design, stimulus, faults, width: int):
         return PackedCodegenSimulator(design, width=width).run(stimulus, faults), None
     result = run_multiprocess(design, stimulus, faults, width=width)
     return result, result.stats.chunks_simulated
-
-
-def wait_for_workers() -> None:
-    """Block until every worker of the last pooled campaign has exited.
-
-    A campaign returns without waiting for its pool to wind down.  Without
-    this wait, a run that follows a pooled run shares the CPUs with the
-    exiting workers, and one that follows an in-process run does not.
-    """
-    while multiprocessing.active_children():
-        time.sleep(0.005)
 
 
 def digest(detections: Mapping[str, int]) -> str:
@@ -148,7 +136,6 @@ def sweep_row(name: str, cycles, widths) -> Dict:
     detected = None
     for leg, width in runs:
         result, chunk_count = run_leg(leg, design, stimulus, faults, width)
-        wait_for_workers()
         digests[leg][width] = digest(result.coverage.detections)
         detected = len(result.coverage.detections)
         if chunk_count is not None:
@@ -162,7 +149,6 @@ def sweep_row(name: str, cycles, widths) -> Dict:
             start = time.perf_counter()
             run_leg(leg, design, stimulus, faults, width)
             seconds[leg][width].append(round(time.perf_counter() - start, 6))
-            wait_for_workers()
     return {
         "design": name,
         "cycles": stimulus.num_cycles(),

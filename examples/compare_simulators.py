@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Compare the four fault simulators on a benchmark design (mini Fig. 6).
 
-Runs IFsim (serial, event-driven), VFsim (serial, compiled), the Z01X
+Runs IFsim (serial, event-driven), VFsim (serial, generated code), the Z01X
 surrogate (concurrent, explicit redundancy only) and Eraser (concurrent,
 explicit + implicit redundancy) on the same workload, then prints execution
 times, speedups over IFsim and the fault-coverage parity check.

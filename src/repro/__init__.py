@@ -7,8 +7,8 @@ Redundancy".  It contains:
 * a Verilog-subset front end (:mod:`repro.hdl`),
 * an RTL graph intermediate representation (:mod:`repro.ir`),
 * control-flow / visibility-dependency graph construction (:mod:`repro.cfg`),
-* an event-driven good-simulation kernel and a levelized compiled-style kernel
-  (:mod:`repro.sim`),
+* an event-driven good-simulation kernel and generated-code kernels (serial,
+  bit-parallel and concurrent; :mod:`repro.sim`),
 * stuck-at fault modelling and concurrent fault-simulation machinery
   (:mod:`repro.fault`),
 * the ERASER framework itself with explicit and implicit redundancy

@@ -18,7 +18,6 @@ from repro.hdl.elaborator import Elaborator
 from repro.hdl.parser import parse_source
 from repro.ir.design import Design
 from repro.sim.codegen import CodegenEngine
-from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import EventDrivenEngine, ForceHook, SimulationTrace
 from repro.sim.eraser_codegen import (  # re-export
     EraserCodegenEngine,
@@ -129,10 +128,6 @@ ENGINE_SPECS: Dict[str, EngineSpec] = {
         EventDrivenEngine,
         "interpreted event-driven kernel; only re-evaluates changed fan-out",
     ),
-    "compiled": EngineSpec(
-        CompiledEngine,
-        "interpreted levelized-schedule kernel; re-runs the whole schedule",
-    ),
     "codegen": EngineSpec(
         CodegenEngine,
         "design-specialized generated Python; fastest single-machine kernel",
@@ -175,8 +170,8 @@ def make_engine(
     """Instantiate a good-machine simulation kernel by short name.
 
     ``engine`` is one of the :data:`ENGINE_SPECS` keys (``"event"``,
-    ``"compiled"``, ``"codegen"``, ``"packed"``, ``"packed-numpy"``,
-    ``"eraser-codegen"`` or ``"auto"``).  The returned object implements the
+    ``"codegen"``, ``"packed"``, ``"packed-numpy"``, ``"eraser-codegen"`` or
+    ``"auto"``).  The returned object implements the
     shared :class:`~repro.sim.kernel.SimulationKernel` protocol plus the
     ``run`` / ``peek`` conveniences common to all engines.
     """
@@ -211,8 +206,8 @@ def simulate_good(
 ) -> SimulationTrace:
     """Run a fault-free simulation and return the per-cycle output trace.
 
-    ``engine`` selects the kernel (``"event"``, ``"compiled"``, ``"codegen"``
-    or ``"packed"``); every kernel implements the
+    ``engine`` selects the kernel (any :data:`ENGINE_SPECS` key, e.g.
+    ``"event"``, ``"codegen"`` or ``"packed"``); every kernel implements the
     :class:`~repro.sim.kernel.SimulationKernel` interface, is advanced by the
     shared :class:`CycleDriver` and produces an identical trace.
     """

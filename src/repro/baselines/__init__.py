@@ -8,7 +8,7 @@ substrate — see DESIGN.md for the substitution rationale:
 * :class:`~repro.baselines.ifsim.IFsimSimulator` — serial per-fault
   re-simulation on the event-driven kernel (Icarus + force style),
 * :class:`~repro.baselines.vfsim.VFsimSimulator` — serial per-fault
-  re-simulation on the levelized compiled kernel (Verilator style),
+  re-simulation on the generated serial kernel (Verilator style),
 * :class:`~repro.baselines.z01x.Z01XSurrogateSimulator` — concurrent batched
   fault simulation with explicit (input-comparison) redundancy elimination and
   fault dropping, the optimization class the paper attributes to commercial

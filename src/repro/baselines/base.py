@@ -31,13 +31,12 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
 class SerialFaultSimulator:
     """Base class for the IFsim / VFsim surrogates.
 
-    Each surrogate is defined by the kernel it re-runs per fault (IFsim =
-    event-driven, VFsim = compiled/levelized), but the kernel can be swapped
-    with ``engine=`` — e.g. ``engine="codegen"`` re-runs every faulty machine
-    on the generated-code kernel, which is the cheapest way to serially
-    simulate large fault lists (``engine="packed"`` runs the one-lane packed
-    variant; to actually pack many faults per pass use
-    :class:`~repro.sim.packed.PackedCodegenSimulator` instead of a serial
+    Each surrogate is defined by the kernel it re-runs per fault, named by
+    :attr:`serial_engine` (IFsim = the interpreted event-driven kernel,
+    VFsim = the generated serial kernel), but the kernel can be swapped with
+    ``engine=`` — any :data:`repro.api.ENGINE_SPECS` name (``engine="packed"``
+    runs the one-lane packed variant; to actually pack many faults per pass
+    use :class:`~repro.sim.packed.PackedCodegenSimulator` instead of a serial
     baseline).  ``engine="auto"`` defers the pick to the documented policy in
     :func:`repro.sim.emitter.resolve_engine` — per-fault runs are
     single-machine, so it resolves between the interpreted event kernel
@@ -57,7 +56,7 @@ class SerialFaultSimulator:
     #: The defining kernel as an ``ENGINE_SPECS`` name (``engine=`` overrides
     #: it).  A campaign rebuilds the simulator in worker processes from this
     #: name; the base class has no defining kernel, so it needs an explicit
-    #: ``engine=`` to cross the boundary.
+    #: ``engine=``.
     serial_engine: Optional[str] = None
 
     def __init__(
@@ -74,23 +73,21 @@ class SerialFaultSimulator:
         self.campaign = campaign
         self.stats = SimulationStats()
 
-    # ------------------------------------------------------------- overridden
+    # ------------------------------------------------------------- the kernel
+    def _engine_name(self) -> str:
+        """The ``ENGINE_SPECS`` name each machine runs on (``engine=`` first)."""
+        engine = self.engine or self.serial_engine
+        if engine is None:
+            raise SimulationError(
+                f"{self.name}: no defining kernel, so an explicit engine= is needed"
+            )
+        return engine
+
     def _make_engine(self, force_hook: Optional[Callable[[Signal, int], int]] = None):
-        """Create the underlying single-machine engine.
+        """Build the single-machine kernel from the shared engine registry."""
+        from repro.api import make_engine
 
-        With an ``engine=`` override the kernel comes from the shared
-        :func:`repro.api.make_engine` registry; otherwise the subclass picks
-        its defining kernel.
-        """
-        if self.engine is not None:
-            from repro.api import make_engine
-
-            return make_engine(self.design, self.engine, force_hook=force_hook)
-        return self._default_engine(force_hook)
-
-    def _default_engine(self, force_hook: Optional[Callable[[Signal, int], int]] = None):
-        """The kernel that defines this baseline (subclass-specific)."""
-        raise NotImplementedError
+        return make_engine(self.design, self._engine_name(), force_hook=force_hook)
 
     # ------------------------------------------------------------------- runs
     def run(self, stimulus: Stimulus, faults: FaultList) -> FaultSimResult:
@@ -117,13 +114,11 @@ class SerialFaultSimulator:
         return FaultSimResult(self.name, coverage, wall, self.stats)
 
     def _run_campaign(self, stimulus: Stimulus, faults: FaultList) -> FaultSimResult:
-        """Run the per-fault loop through the campaign entry point."""
-        engine = self.engine or self.serial_engine
-        if engine is None:
-            raise SimulationError(
-                f"{self.name}: a campaign needs an explicit engine= "
-                f"(the worker rebuilds the kernel by registry name)"
-            )
+        """Run the per-fault loop through the campaign entry point.
+
+        The workers rebuild the kernel by its registry name.
+        """
+        engine = self._engine_name()
         from repro.sim.parallel import run_multiprocess
 
         return run_multiprocess(
@@ -159,10 +154,10 @@ class SerialFaultSimulator:
     def _run_with_early_exit(self, engine, stimulus: Stimulus, golden) -> Optional[int]:
         """Run a faulty machine cycle by cycle, stopping at first output mismatch.
 
-        Both engine kernels implement the shared
+        Every engine implements the shared
         :class:`~repro.sim.kernel.SimulationKernel` interface, so one
-        :class:`~repro.sim.kernel.CycleDriver` drives either; the mismatch
-        check rides along as the driver's observer.
+        :class:`~repro.sim.kernel.CycleDriver` drives any of them; the
+        mismatch check rides along as the driver's observer.
         """
         from repro.sim.kernel import CycleDriver
 

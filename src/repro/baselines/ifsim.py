@@ -9,11 +9,7 @@ of the site signal.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.baselines.base import SerialFaultSimulator
-from repro.ir.signal import Signal
-from repro.sim.engine import EventDrivenEngine
 
 
 class IFsimSimulator(SerialFaultSimulator):
@@ -21,6 +17,3 @@ class IFsimSimulator(SerialFaultSimulator):
 
     name = "IFsim"
     serial_engine = "event"
-
-    def _default_engine(self, force_hook: Optional[Callable[[Signal, int], int]] = None):
-        return EventDrivenEngine(self.design, force_hook=force_hook)

@@ -3,24 +3,18 @@
 The open-source fault simulator the paper calls VFsim extends Verilator: a
 compiled, two-state, cycle-based simulator that is fast per simulation but
 still simulates one fault at a time and performs no cross-fault redundancy
-elimination.  The surrogate therefore runs one full levelized simulation per
-fault on the compiled kernel.
+elimination.  The surrogate therefore re-runs one full simulation per fault
+on the generated serial kernel (:class:`~repro.sim.codegen.CodegenEngine`),
+the design's levelized schedule specialized into Python source.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.baselines.base import SerialFaultSimulator
-from repro.ir.signal import Signal
-from repro.sim.compiled import CompiledEngine
 
 
 class VFsimSimulator(SerialFaultSimulator):
-    """Serial per-fault fault simulation on the levelized compiled kernel."""
+    """Serial per-fault fault simulation on the generated serial kernel."""
 
     name = "VFsim"
-    serial_engine = "compiled"
-
-    def _default_engine(self, force_hook: Optional[Callable[[Signal, int], int]] = None):
-        return CompiledEngine(self.design, force_hook=force_hook)
+    serial_engine = "codegen"

@@ -550,7 +550,7 @@ class EraserSimulator:
         """Initial evaluation of the combinational network from reset.
 
         No clock edge has occurred yet, so clocked activations are suppressed
-        (matching the compiled/cycle-based kernel).  When the simulator is
+        (matching the event-driven and generated kernels).  When the simulator is
         driven directly by a :class:`~repro.sim.kernel.CycleDriver` (outside
         :meth:`run`), this also prepares an empty fault list so the good
         machine can be advanced on its own.

@@ -5,7 +5,7 @@ engine; a pure-Python substrate cannot do that in interactive time, so each
 experiment here runs a deterministic, seeded *sample* of the fault list for a
 reduced cycle count.  Two profiles are provided:
 
-* ``QUICK_PROFILE`` — used by the pytest-benchmark suite and the examples;
+* ``QUICK_PROFILE`` — the harness CLI's default and the examples' profile;
   finishes in minutes on a laptop.
 * ``FULL_PROFILE``  — larger fault samples and the designs' full default
   stimulus lengths; used to produce the numbers recorded in EXPERIMENTS.md.

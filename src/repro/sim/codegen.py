@@ -1,12 +1,11 @@
 """Code-generating simulation kernel: specialize the design into Python source.
 
-The :class:`~repro.sim.compiled.CompiledEngine` already evaluates the design on
-a static levelized schedule, but it still *walks IR node objects* through the
-Python interpreter every cycle: each RTL node is a tree of ``Expr`` objects
-whose ``eval`` recursion re-dispatches on node type, and every signal value is
-a ``GoodValueStore`` dict lookup.  Verilator-class simulators win by emitting
-straight-line native code from that same schedule; this module reproduces the
-jump in pure Python.
+The interpreted :class:`~repro.sim.engine.EventDrivenEngine` *walks IR node
+objects* through the Python interpreter every cycle: each RTL node is a tree
+of ``Expr`` objects whose ``eval`` recursion re-dispatches on node type, and
+every signal value is a ``GoodValueStore`` dict lookup.  Verilator-class
+simulators win by emitting straight-line native code from the design's static
+levelized schedule; this module reproduces the jump in pure Python.
 
 :func:`generate_source` walks the elaborated design once and emits specialized
 Python source:
@@ -27,9 +26,9 @@ The source is ``compile()``/``exec``-ed into a namespace and driven by
 :class:`CodegenEngine`, which implements the same
 :class:`~repro.sim.kernel.SimulationKernel` protocol as the other engines, so
 the shared :class:`~repro.sim.kernel.CycleDriver` and the serial baselines can
-select it interchangeably.  Traces are
-cycle-exact against both existing engines (the test-suite sweeps all ten
-corpus benchmarks).
+select it interchangeably.  Traces are cycle-exact against the event-driven
+engine (the test-suite sweeps all ten corpus benchmarks).  It is the kernel
+the VFsim baseline re-runs per fault.
 
 Fault forcing
 -------------
@@ -108,7 +107,6 @@ from repro.ir.expr import (
 from repro.ir.rtlnode import RtlNode
 from repro.ir.signal import Signal
 from repro.ir.stmt import Assign, Case, If, LValue, Stmt
-from repro.sim.compiled import MAX_PASSES
 from repro.sim.emitter import (
     DEFAULT_PASSES,
     EmitterPasses,
@@ -120,8 +118,8 @@ from repro.sim.emitter import (
     rtl_schedule,
     scheduler_slot_count,
 )
-from repro.sim.engine import ForceHook, SimulationTrace
-from repro.sim.stimulus import Stimulus
+from repro.sim.engine import ForceHook, TracedRun
+from repro.sim.kernel import MAX_PASSES
 from repro.utils.bitvec import mask
 
 #: Historical names for the pieces that now live in the shared emitter core
@@ -2938,13 +2936,12 @@ def _exec_kernel(
 
 
 # ------------------------------------------------------------------ the engine
-class CodegenEngine:
+class CodegenEngine(TracedRun):
     """Cycle-based simulation on design-specialized generated Python code.
 
     Implements the same :class:`~repro.sim.kernel.SimulationKernel` protocol
     (and the same ``run``/``peek`` conveniences) as
-    :class:`~repro.sim.engine.EventDrivenEngine` and
-    :class:`~repro.sim.compiled.CompiledEngine`, and produces cycle-exact
+    :class:`~repro.sim.engine.EventDrivenEngine`, and produces cycle-exact
     identical traces; only the cost model differs.
 
     ``force_hook`` must be a per-bit constant forcing function (the stuck-at
@@ -3007,7 +3004,6 @@ class CodegenEngine:
                 # initial forcing on the all-zero state (matches the others)
                 self.V[sid] = self.FO[sid]
         self._initialized = False
-        self._trace: Optional[SimulationTrace] = None
         self.store = _CodegenStore(self)
 
     # ------------------------------------------------------------- evaluation
@@ -3060,24 +3056,6 @@ class CodegenEngine:
         raise ConvergenceError(
             f"design {self.design.name!r}: clocked feedback did not settle"
         )
-
-    def observe(self, cycle: int) -> None:
-        """Strobe the primary outputs into the trace of the current run."""
-        if self._trace is not None:
-            self._trace.record(self.store.snapshot_outputs())
-
-    # ------------------------------------------------------------------- runs
-    def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:
-        """Run the whole stimulus; return the per-cycle output trace."""
-        from repro.sim.kernel import CycleDriver
-
-        trace = SimulationTrace(tuple(s.name for s in self.design.outputs))
-        self._trace = trace if observe else None
-        try:
-            CycleDriver(self, stimulus).run()
-        finally:
-            self._trace = None
-        return trace
 
     # ------------------------------------------------------------------ debug
     def peek(self, name: str) -> int:

@@ -236,7 +236,7 @@ class SourceWriter:
 
 # ----------------------------------------------------------- the shared walk
 def rtl_schedule(design: Design) -> List[RtlNode]:
-    """The levelized evaluation order (identical to the compiled engine's)."""
+    """The levelized evaluation order: RTL nodes by level, then by node id."""
     return sorted(design.rtl_nodes, key=lambda n: (design.rtl_levels[n], n.nid))
 
 

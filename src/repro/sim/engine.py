@@ -26,6 +26,7 @@ from repro.ir.design import Design
 from repro.ir.rtlnode import RtlNode
 from repro.ir.signal import Signal
 from repro.sim.interpreter import NBAUpdate, execute_behavioral
+from repro.sim.kernel import CycleDriver
 from repro.sim.stimulus import Stimulus
 from repro.sim.values import GoodValueStore, GoodView
 
@@ -68,7 +69,35 @@ class SimulationTrace:
         return None
 
 
-class EventDrivenEngine:
+class TracedRun:
+    """The ``run``/``observe`` pair every good-machine kernel shares.
+
+    A kernel mixes this in beside its :class:`~repro.sim.kernel.SimulationKernel`
+    methods; it must expose ``design`` and a ``store`` whose
+    ``snapshot_outputs()`` reads the good machine's primary outputs (lane 0
+    of a multi-machine kernel).
+    """
+
+    #: The trace of the run in progress (``None`` when nothing records).
+    _trace: Optional[SimulationTrace] = None
+
+    def observe(self, cycle: int) -> None:
+        """Strobe the primary outputs into the trace of the current run."""
+        if self._trace is not None:
+            self._trace.record(self.store.snapshot_outputs())
+
+    def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:
+        """Run the whole stimulus; return the good machine's per-cycle output trace."""
+        trace = SimulationTrace(tuple(s.name for s in self.design.outputs))
+        self._trace = trace if observe else None
+        try:
+            CycleDriver(self, stimulus).run()
+        finally:
+            self._trace = None
+        return trace
+
+
+class EventDrivenEngine(TracedRun):
     """Single-machine, event-driven simulation of an elaborated design."""
 
     def __init__(self, design: Design, force_hook: Optional[ForceHook] = None) -> None:
@@ -85,7 +114,6 @@ class EventDrivenEngine:
         self._rtl_by_id = {node.nid: node for node in design.rtl_nodes}
         self._initialized = False
         self._suppress_edges = False
-        self._trace: Optional[SimulationTrace] = None
         if force_hook is not None:
             self._apply_initial_forcing()
 
@@ -185,7 +213,7 @@ class EventDrivenEngine:
         """Evaluate the whole combinational network once from the reset state.
 
         No clock edge has happened yet, so clocked behavioral nodes are not
-        activated by the initial evaluation (matching the compiled kernel).
+        activated by the initial evaluation (matching the generated kernels).
         """
         if self._initialized:
             return
@@ -205,24 +233,6 @@ class EventDrivenEngine:
     def apply_input(self, signal: Signal, value: int) -> None:
         """Drive one primary input (the :class:`SimulationKernel` interface)."""
         self.write(signal, value)
-
-    def observe(self, cycle: int) -> None:
-        """Strobe the primary outputs into the trace of the current run."""
-        if self._trace is not None:
-            self._trace.record(self.store.snapshot_outputs())
-
-    # ------------------------------------------------------------------- runs
-    def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:
-        """Run the whole stimulus; return the per-cycle output trace."""
-        from repro.sim.kernel import CycleDriver
-
-        trace = SimulationTrace(tuple(s.name for s in self.design.outputs))
-        self._trace = trace if observe else None
-        try:
-            CycleDriver(self, stimulus).run()
-        finally:
-            self._trace = None
-        return trace
 
     # ------------------------------------------------------------------ debug
     def peek(self, name: str) -> int:

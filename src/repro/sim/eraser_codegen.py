@@ -67,9 +67,9 @@ from repro.sim.codegen import (
     edge_signals,
     load_kernel_variant,
 )
-from repro.sim.compiled import MAX_PASSES
 from repro.sim.emitter import open_scheduler_guard
-from repro.sim.engine import ForceHook, SimulationTrace
+from repro.sim.engine import ForceHook, TracedRun
+from repro.sim.kernel import MAX_PASSES
 from repro.sim.stimulus import Stimulus
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
@@ -652,7 +652,7 @@ def load_eraser_kernel(design: Design, use_cache: bool = True):
 
 
 # ------------------------------------------------------------------ the engine
-class EraserCodegenEngine:
+class EraserCodegenEngine(TracedRun):
     """Concurrent (good + whole-fault-list) simulation on generated code.
 
     Implements the same :class:`~repro.sim.kernel.SimulationKernel` protocol
@@ -749,7 +749,6 @@ class EraserCodegenEngine:
         self._edge_sids = [signal.sid for signal in edge_signals(design)]
         self._out_sids = [signal.sid for signal in design.outputs]
         self._initialized = False
-        self._trace: Optional[SimulationTrace] = None
         self.store = _EraserStore(self)
 
     # ------------------------------------------------------------- evaluation
@@ -819,8 +818,7 @@ class EraserCodegenEngine:
 
     def observe(self, cycle: int) -> None:
         """Strobe the observation points; detect and drop divergent faults."""
-        if self._trace is not None:
-            self._trace.record(self.store.snapshot_outputs())
+        super().observe(cycle)
         observation = self.observation
         if observation is None:
             return
@@ -853,19 +851,6 @@ class EraserCodegenEngine:
             if entries:
                 for fault_id in fault_ids:
                     entries.pop(fault_id, None)
-
-    # ------------------------------------------------------------------- runs
-    def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:
-        """Run the whole stimulus; return the good machine's output trace."""
-        from repro.sim.kernel import CycleDriver
-
-        trace = SimulationTrace(tuple(s.name for s in self.design.outputs))
-        self._trace = trace if observe else None
-        try:
-            CycleDriver(self, stimulus).run()
-        finally:
-            self._trace = None
-        return trace
 
     # ------------------------------------------------------------------ peeks
     def peek(self, name: str) -> int:

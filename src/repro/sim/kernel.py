@@ -1,6 +1,6 @@
 """The shared cycle-driver kernel layer.
 
-Every simulator in the package — the event-driven and compiled good-machine
+Every simulator in the package — the event-driven and generated good-machine
 engines, the concurrent Eraser framework (all three modes) and the serial
 baselines built on top of the engines — advances time with exactly the same
 per-cycle protocol:
@@ -15,8 +15,8 @@ per-cycle protocol:
 :class:`CycleDriver` owns that protocol once.  A simulation substrate only has
 to implement the small :class:`SimulationKernel` interface (``apply_input``,
 ``settle``, ``observe`` plus one-time ``initialize``); how settling happens —
-event scheduling, levelized re-evaluation, concurrent multi-fault propagation
-— stays entirely inside the kernel.  Fault campaigns scale out one level up,
+event scheduling, generated levelized passes, concurrent multi-fault
+propagation — stays entirely inside the kernel.  Fault campaigns scale out one level up,
 in :func:`repro.sim.parallel.run_multiprocess`, which runs these same
 simulators over word-aligned fault chunks.
 """
@@ -31,6 +31,10 @@ from repro.sim.stimulus import Stimulus
 
 #: End-of-cycle callback: return a truthy value to stop the run early.
 Observer = Callable[[int], Optional[bool]]
+
+#: Safety bound on the settle passes of a generated kernel within one time
+#: step (combinational passes, and clocked firings between them).
+MAX_PASSES = 64
 
 
 @runtime_checkable

@@ -38,9 +38,9 @@ from repro.errors import ConvergenceError, SimulationError
 from repro.ir.design import Design
 from repro.ir.signal import Signal
 from repro.sim.codegen import PackedLayout, edge_signals, load_kernel, packed_stride
-from repro.sim.compiled import MAX_PASSES
 from repro.sim.emitter import EmitterPasses, coerce_passes, scheduler_slot_count
-from repro.sim.engine import ForceHook, SimulationTrace
+from repro.sim.engine import ForceHook, TracedRun
+from repro.sim.kernel import MAX_PASSES
 from repro.sim.stimulus import Stimulus
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
 DEFAULT_WORD_WIDTH = 512
 
 
-class PackedCodegenEngine:
+class PackedCodegenEngine(TracedRun):
     """Cycle-based simulation of ``W`` machines packed into one word per signal.
 
     Parameters
@@ -153,7 +153,6 @@ class PackedCodegenEngine:
         self._edge_sids = [signal.sid for signal in edge_signals(design)]
         self._out_sids = [signal.sid for signal in design.outputs]
         self._initialized = False
-        self._trace: Optional[SimulationTrace] = None
 
     @property
     def store(self) -> "_PackedStore":
@@ -214,24 +213,6 @@ class PackedCodegenEngine:
         raise ConvergenceError(
             f"design {self.design.name!r}: clocked feedback did not settle"
         )
-
-    def observe(self, cycle: int) -> None:
-        """Strobe the lane-0 primary outputs into the trace of the current run."""
-        if self._trace is not None:
-            self._trace.record(self.store.snapshot_outputs())
-
-    # ------------------------------------------------------------------- runs
-    def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:
-        """Run the whole stimulus; return the lane-0 per-cycle output trace."""
-        from repro.sim.kernel import CycleDriver
-
-        trace = SimulationTrace(tuple(s.name for s in self.design.outputs))
-        self._trace = trace if observe else None
-        try:
-            CycleDriver(self, stimulus).run()
-        finally:
-            self._trace = None
-        return trace
 
     # ------------------------------------------------------------- retirement
     def retire(self, lanes: Iterable[int]) -> None:

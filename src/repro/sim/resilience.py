@@ -264,7 +264,9 @@ class ChunkSupervisor:
 
         Never raises for chunk-level failures — the caller inspects the
         states and decides between a complete result, salvage, and an error.
-        ``KeyboardInterrupt`` propagates after the active pool is torn down.
+        Every pool's workers have exited by the time a generation ends, and
+        an exception such as ``KeyboardInterrupt`` propagates once the active
+        pool's workers are killed and joined.
         """
         while True:
             self._skip_proven()
@@ -384,11 +386,11 @@ class ChunkSupervisor:
                     and time.monotonic() - last_event > deadline
                     and any(f.running() for f in futures)
                 ):
-                    # stall: blame what was actually running, kill the pool
+                    # stall: blame what was actually running; the finally
+                    # below kills the pool
                     for future, state in futures.items():
                         if future.running():
                             self._blame(state)
-                    self._terminate_pool_processes(pool)
                     broke = True
                     break
         except BrokenExecutor:
@@ -407,7 +409,13 @@ class ChunkSupervisor:
                     self._blame(state)
             broke = True
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if futures:
+                # chunks still in flight (a stall, a broken pool or an
+                # exception such as KeyboardInterrupt): kill the workers so
+                # the join cannot wait on a running chunk
+                self._terminate_pool_processes(pool)
+            # join the workers: a campaign returns with no child alive
+            pool.shutdown(wait=True, cancel_futures=True)
         return broke
 
     def _run_quarantined_inline(self) -> None:

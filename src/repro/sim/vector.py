@@ -48,14 +48,14 @@ from repro.errors import ConvergenceError, SimulationError
 from repro.ir.design import Design
 from repro.ir.signal import Signal
 from repro.sim.codegen import edge_signals, load_vector_kernel, vector_planes
-from repro.sim.compiled import MAX_PASSES
 from repro.sim.emitter import (  # DEFAULT_VECTOR_WIDTH: re-export
     DEFAULT_VECTOR_WIDTH,
     EmitterPasses,
     coerce_passes,
     scheduler_slot_count,
 )
-from repro.sim.engine import ForceHook, SimulationTrace
+from repro.sim.engine import ForceHook, TracedRun
+from repro.sim.kernel import MAX_PASSES
 from repro.sim.stimulus import Stimulus
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
@@ -90,7 +90,7 @@ def _lane_int(arr, lane: int) -> int:
     return value
 
 
-class VectorCodegenEngine:
+class VectorCodegenEngine(TracedRun):
     """Cycle-based simulation of ``L`` machines as columns of uint64 arrays.
 
     Parameters
@@ -196,7 +196,6 @@ class VectorCodegenEngine:
         self._edge_sids = [signal.sid for signal in edge_signals(design)]
         self._out_sids = [signal.sid for signal in design.outputs]
         self._initialized = False
-        self._trace: Optional[SimulationTrace] = None
 
     @property
     def store(self) -> "_VectorStore":
@@ -260,24 +259,6 @@ class VectorCodegenEngine:
         raise ConvergenceError(
             f"design {self.design.name!r}: clocked feedback did not settle"
         )
-
-    def observe(self, cycle: int) -> None:
-        """Strobe the lane-0 primary outputs into the trace of the current run."""
-        if self._trace is not None:
-            self._trace.record(self.store.snapshot_outputs())
-
-    # ------------------------------------------------------------------- runs
-    def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:
-        """Run the whole stimulus; return the lane-0 per-cycle output trace."""
-        from repro.sim.kernel import CycleDriver
-
-        trace = SimulationTrace(tuple(s.name for s in self.design.outputs))
-        self._trace = trace if observe else None
-        try:
-            CycleDriver(self, stimulus).run()
-        finally:
-            self._trace = None
-        return trace
 
     # ------------------------------------------------------------- compaction
     def compact(self, keep) -> None:

@@ -12,6 +12,8 @@ the structured injection plans of :mod:`repro.sim.chaos`:
 * a parent **killed mid-campaign** leaves the detections it flushed in the
   result cache, so the rerun simulates only the misses, and a campaign that
   fails or raises leaves its detections there too;
+* an **interrupted** campaign does not wait for a hung chunk, and leaves no
+  worker alive;
 * the plan grammar itself round-trips and picks up the environment.
 
 Chunk idempotency is the invariant under test everywhere: no matter which
@@ -456,6 +458,27 @@ def test_interrupted_campaign_leaves_its_finished_chunks_in_the_cache(tmp_path):
     assert rerun.stats.cache_hits == len(flushed)
     assert rerun.stats.cache_misses == len(detected) - len(flushed)
     assert dict(rerun.coverage.detections) == dict(reference.coverage.detections)
+
+
+def test_interrupted_campaign_does_not_wait_out_a_stalled_chunk():
+    """A KeyboardInterrupt while a chunk hangs surfaces at once: the pool's
+    workers are killed and joined, so no child outlives the campaign."""
+    import multiprocessing
+
+    design, stimulus, faults, _ = _workload("apb")
+
+    def interrupt(event):
+        if event.chunks_done and not event.final:
+            raise KeyboardInterrupt
+
+    begin = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_multiprocess(
+            design, stimulus, faults, workers=2, width=4,
+            chaos="hang:chunk=0,seconds=120", on_progress=interrupt,
+        )
+    assert time.monotonic() - begin < 60, "the interrupt waited for the hung chunk"
+    assert multiprocessing.active_children() == []
 
 
 _CHILD_SCRIPT = """

@@ -1,8 +1,8 @@
 """Tests for the code-generating kernel: parity, caching, selection seams.
 
 The strongest check is the full-corpus sweep: every one of the ten benchmark
-designs must produce cycle-exact identical output traces on the event-driven,
-compiled and codegen engines.  The cache tests pin the on-disk round-trip
+designs must produce cycle-exact identical output traces on the event-driven
+and codegen engines.  The cache tests pin the on-disk round-trip
 (second construction loads the generated source from disk and still matches),
 and the seam tests cover the ``engine=`` selector in the API, the registry,
 the serial baselines and the sharded runner.
@@ -19,7 +19,6 @@ from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
 from repro.errors import SimulationError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import CodegenEngine, design_fingerprint, generate_source
-from repro.sim.compiled import CompiledEngine
 from repro.sim.engine import EventDrivenEngine
 from repro.sim.kernel import SimulationKernel
 from repro.sim.stimulus import RandomStimulus, VectorStimulus
@@ -49,9 +48,9 @@ def _workload(name):
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-@pytest.mark.parametrize("engine", ["event", "compiled", "codegen"])
+@pytest.mark.parametrize("engine", ["event", "codegen"])
 def test_engine_parity_on_corpus(name, engine):
-    """All ten corpus benchmarks x all three engines: identical traces."""
+    """All ten corpus benchmarks x both serial engines: identical traces."""
     design, stimulus, reference = _workload(name)
     if engine == "codegen":
         trace = CodegenEngine(design, use_cache=False).run(stimulus)
@@ -65,7 +64,7 @@ def test_engine_parity_on_corpus(name, engine):
 
 @pytest.mark.parametrize("name", ["apb", "alu", "mips"])
 def test_codegen_faulty_machine_parity(name):
-    """The branch-on-mask forcing guard reproduces compiled faulty traces."""
+    """The branch-on-mask forcing guard reproduces event-driven faulty traces."""
     design, stimulus, _ = _workload(name)
     faults = sample_faults(generate_stuck_at_faults(design), 6, seed=23)
     for fault in faults:
@@ -73,9 +72,9 @@ def test_codegen_faulty_machine_parity(name):
         def hook(signal, value, fault=fault):
             return fault.force(value) if signal is fault.signal else value
 
-        compiled = CompiledEngine(design, force_hook=hook).run(stimulus)
+        event = EventDrivenEngine(design, force_hook=hook).run(stimulus)
         codegen = CodegenEngine(design, force_hook=hook, use_cache=False).run(stimulus)
-        assert compiled == codegen, fault.name
+        assert event == codegen, fault.name
 
 
 @settings(max_examples=15, deadline=None)
@@ -248,15 +247,11 @@ def test_serial_baseline_engine_override():
 # ----------------------------------------------------------------- debug seams
 def test_codegen_peek_and_memory(memory_design, memory_stimulus):
     engine = CodegenEngine(memory_design, use_cache=False)
-    trace = engine.run(memory_stimulus)
-    assert trace == EventDrivenEngine(memory_design).run(memory_stimulus)
-    compiled = CompiledEngine(memory_design)
-    compiled.run(memory_stimulus)
-    assert engine.peek("rdata") == compiled.peek("rdata")
+    event = EventDrivenEngine(memory_design)
+    assert engine.run(memory_stimulus) == event.run(memory_stimulus)
+    assert engine.peek("rdata") == event.peek("rdata")
     for word in range(8):
-        assert engine.peek_word("mem", word) == compiled.store.get_word(
-            memory_design.signal("mem"), word
-        )
+        assert engine.peek_word("mem", word) == event.peek_word("mem", word)
 
 
 def test_codegen_force_hook_on_fixture(counter_design):

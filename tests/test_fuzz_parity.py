@@ -3,10 +3,10 @@
 Every simulation engine in the package claims the same semantics; this suite
 is the claim's enforcement.  For each corpus benchmark a *randomized* stimulus
 (the registry stimulus builders are seeded random-vector generators) drives
-the identical sampled fault list through all seven engines —
+the identical sampled fault list through every engine —
 
-* ``event`` / ``compiled`` / ``codegen`` — serial per-fault re-simulation on
-  the three single-machine kernels,
+* ``event`` / ``codegen`` — serial per-fault re-simulation on the two
+  single-machine kernels (the interpreted reference and generated code),
 * ``packed`` / ``packed-8`` — the bit-parallel PPSFP campaign at the
   default word width and in words of eight faults,
 * ``packed-numpy`` — the vectorized (NumPy array lane) PPSFP campaign
@@ -86,10 +86,9 @@ def _design(name):
 
 
 def _engines(design):
-    """The seven engines, Eraser in every mode: name -> run(stimulus, faults)."""
+    """Every engine, Eraser in every mode: name -> run(stimulus, faults)."""
     engines = {
         "event": SerialFaultSimulator(design, engine="event").run,
-        "compiled": SerialFaultSimulator(design, engine="compiled").run,
         "codegen": SerialFaultSimulator(design, engine="codegen").run,
         "packed": PackedCodegenSimulator(design).run,
         "packed-8": PackedCodegenSimulator(design, width=8).run,
@@ -179,7 +178,7 @@ class _PassSerial(SerialFaultSimulator):
         super().__init__(design, **kwargs)
         self._passes = passes
 
-    def _default_engine(self, force_hook=None):
+    def _make_engine(self, force_hook=None):
         return CodegenEngine(self.design, force_hook=force_hook, passes=self._passes)
 
 

@@ -79,6 +79,8 @@ def test_fig6_row_runs_and_orders_simulators():
     assert row.speedups["Eraser"] > 1.0
     summary = fig6.summarize(rows)
     assert summary["eraser_vs_ifsim_geomean"] > 1.0
+    table = fig6.build_figure(rows).render()
+    assert "Paper VFsim x" in table and "Paper Eraser x" in table
 
 
 def test_fig7_row_runs():

@@ -2,7 +2,7 @@
 
 
 from repro.core.framework import EraserSimulator
-from repro.sim.compiled import CompiledEngine
+from repro.sim.codegen import CodegenEngine
 from repro.sim.engine import EventDrivenEngine
 from repro.sim.kernel import CycleDriver, SimulationKernel
 
@@ -10,7 +10,7 @@ from repro.sim.kernel import CycleDriver, SimulationKernel
 def test_every_simulator_implements_the_kernel_protocol(counter_design):
     for kernel in (
         EventDrivenEngine(counter_design),
-        CompiledEngine(counter_design),
+        CodegenEngine(counter_design, use_cache=False),
         EraserSimulator(counter_design),
     ):
         assert isinstance(kernel, SimulationKernel)
@@ -53,5 +53,5 @@ def test_cycle_driver_gives_identical_traces_on_both_engines(
     counter_design, counter_stimulus
 ):
     event = EventDrivenEngine(counter_design).run(counter_stimulus)
-    compiled = CompiledEngine(counter_design).run(counter_stimulus)
-    assert event == compiled
+    codegen = CodegenEngine(counter_design, use_cache=False).run(counter_stimulus)
+    assert event == codegen

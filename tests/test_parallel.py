@@ -9,10 +9,12 @@ word-aligned chunking, the inline ``workers=1`` short-circuit, the serial
 baselines' ``campaign=`` loop, and the campaign seams: cross-chunk dropping
 (parity with dropping on AND off), streaming progress event ordering, resume
 seeding, the plane-free one-worker path and the pickled-dict fallback,
-partial-verdict salvage when a worker dies, and shared-memory segment cleanup
-after both clean and crashed campaigns.
+partial-verdict salvage when a worker dies, shared-memory segment cleanup
+after both clean and crashed campaigns, and a pooled campaign returning only
+after its workers have exited.
 """
 
+import multiprocessing
 import pickle
 import sys
 
@@ -486,6 +488,14 @@ def test_crashed_campaign_unlinks_its_segment(monkeypatch):
     assert result.partial
     with pytest.raises(FileNotFoundError):
         VerdictPlane.attach(name)
+
+
+def test_pooled_campaign_returns_after_its_workers_exit():
+    """No worker outlives the campaign, so the next one gets the CPUs to itself."""
+    design, stimulus, faults, reference = _workload("apb")
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=4)
+    assert multiprocessing.active_children() == []
+    assert result.coverage.detections == reference.coverage.detections
 
 
 # -------------------------------------------------------- alternative runners

@@ -182,8 +182,8 @@ def test_broken_pool_is_rebuilt_and_chunk_retried():
     # the culprit was blamed; the innocent completed chunk was not
     assert h.states[1].failures == 1
     assert h.states[0].failures == 0
-    # every pool generation is shut down without waiting, cancelling queues
-    assert all(pool.shutdowns == [(False, True)] for pool in h.pools)
+    # every pool generation is joined, cancelling queued chunks
+    assert all(pool.shutdowns == [(True, True)] for pool in h.pools)
 
 
 def test_watchdog_stalls_out_a_hung_chunk():
