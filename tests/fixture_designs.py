@@ -157,3 +157,20 @@ module temps(
   end
 endmodule
 """
+
+# A combinational loop through a behavioral node: with ``en`` high, ``y``
+# feeds its own inverse back, so the design never settles; with ``en`` low
+# it holds at zero.
+OSCILLATOR_SRC = """
+module oscillator(
+  input clk,
+  input en,
+  output reg q,
+  output wire y
+);
+  reg a;
+  always @(*) a = en ? ~y : 1'b0;
+  assign y = a;
+  always @(posedge clk) q <= y;
+endmodule
+"""

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.baselines.base import SerialFaultSimulator
 from repro.baselines.ifsim import IFsimSimulator
 from repro.baselines.vfsim import VFsimSimulator
 from repro.baselines.z01x import Z01XSurrogateSimulator
 from repro.core.framework import EraserSimulator
+from repro.errors import SimulationError
 from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 
 
@@ -30,6 +32,15 @@ def test_vfsim_matches_ifsim_verdicts(counter_workload):
     vfsim = VFsimSimulator(design).run(stim, faults)
     assert vfsim.simulator == "VFsim"
     assert vfsim.coverage.same_verdicts(ifsim.coverage)
+
+
+def test_serial_base_class_needs_an_explicit_engine(counter_workload):
+    """The base class names no kernel of its own: it runs only with ``engine=``."""
+    design, stim, faults = counter_workload
+    with pytest.raises(SimulationError, match="no defining kernel"):
+        SerialFaultSimulator(design).run(stim, faults)
+    named = SerialFaultSimulator(design, engine="event").run(stim, faults)
+    assert named.coverage.same_verdicts(IFsimSimulator(design).run(stim, faults).coverage)
 
 
 def test_z01x_matches_eraser_verdicts(counter_workload):

@@ -62,9 +62,10 @@ def test_engine_parity_on_corpus(name, engine):
     )
 
 
-@pytest.mark.parametrize("name", ["apb", "alu", "mips"])
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_codegen_faulty_machine_parity(name):
-    """The branch-on-mask forcing guard reproduces event-driven faulty traces."""
+    """The branch-on-mask forcing guard reproduces event-driven faulty traces
+    on the whole corpus: VFsim re-runs every fault on this kernel."""
     design, stimulus, _ = _workload(name)
     faults = sample_faults(generate_stuck_at_faults(design), 6, seed=23)
     for fault in faults:
@@ -236,12 +237,16 @@ def test_registry_spec_engine_selector(counter_design):
 
 
 def test_serial_baseline_engine_override():
-    """A serial baseline re-run on the codegen kernel keeps its verdicts."""
+    """``engine=`` swaps a serial baseline's kernel and keeps its verdicts."""
     design, stimulus, _ = _workload("apb")
     faults = sample_faults(generate_stuck_at_faults(design), 15, seed=7)
+    ifsim_on_codegen = IFsimSimulator(design, engine="codegen")
+    vfsim_on_event = VFsimSimulator(design, engine="event")
+    assert isinstance(ifsim_on_codegen._make_engine(), CodegenEngine)
+    assert isinstance(vfsim_on_event._make_engine(), EventDrivenEngine)
     reference = IFsimSimulator(design).run(stimulus, faults)
-    swapped = VFsimSimulator(design, engine="codegen").run(stimulus, faults)
-    assert swapped.coverage.same_verdicts(reference.coverage)
+    for swapped in (ifsim_on_codegen, vfsim_on_event):
+        assert swapped.run(stimulus, faults).coverage.same_verdicts(reference.coverage)
 
 
 # ----------------------------------------------------------------- debug seams

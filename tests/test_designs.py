@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.baselines.ifsim import IFsimSimulator
+from repro.baselines.vfsim import VFsimSimulator
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark, load_benchmark
 from repro.designs.stimuli import mips_asm, rv32i
 from repro.errors import HarnessError
+from repro.sim.codegen import CodegenEngine
 from repro.sim.engine import EventDrivenEngine
 
 
@@ -51,6 +54,29 @@ def test_registry_round_trip(name):
     stim = spec.stimulus()
     assert stim.num_cycles() == spec.default_cycles
     stim.validate(design)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_engine_traces_match_on_benchmark(name, tmp_path, monkeypatch):
+    """IFsim's kernel (event-driven) and VFsim's (generated code) must produce
+    identical per-cycle output traces on the whole corpus: both are driven by
+    the same CycleDriver; only the settling strategy differs.
+
+    The kernels are built the way the baselines build them, so VFsim's goes
+    through the on-disk code cache, and its second build (one per fault in a
+    campaign) must load from that cache and still match.
+    """
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
+    design, stim = load_benchmark(name, cycles=40)
+    event = IFsimSimulator(design)._make_engine()
+    vfsim = VFsimSimulator(design)
+    codegen, cached = vfsim._make_engine(), vfsim._make_engine()
+    assert isinstance(event, EventDrivenEngine)
+    assert isinstance(codegen, CodegenEngine)
+    assert not codegen.cache_hit and cached.cache_hit
+    golden = event.run(stim)
+    assert golden.first_difference(codegen.run(stim)) is None
+    assert golden.first_difference(cached.run(stim)) is None
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -1,9 +1,22 @@
-"""Tests for the event-driven good-simulation kernel (the reference engine)."""
+"""Tests for the event-driven good-simulation kernel (the reference engine).
 
-from repro.api import compile_design
+The last test holds every registered kernel to this reference under random
+stimuli.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.api import ENGINE_SPECS, compile_design, make_engine
 from repro.sim.engine import EventDrivenEngine
-from repro.sim.stimulus import VectorStimulus
-from fixture_designs import COUNTER_SRC
+from repro.sim.stimulus import RandomStimulus, VectorStimulus
+from fixture_designs import COUNTER_SRC, MUX_PIPELINE_SRC
+
+
+@pytest.fixture(autouse=True)
+def _isolated_codegen_cache(tmp_path, monkeypatch):
+    """Keep the generated kernels away from the developer's real code cache."""
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "codegen-cache"))
 
 
 def run_counter(engine_cls, vectors):
@@ -127,3 +140,20 @@ def test_trace_length_difference(counter_design):
     a = EventDrivenEngine(counter_design).run(VectorStimulus(vectors, clock="clk"))
     b = EventDrivenEngine(counter_design).run(VectorStimulus(vectors[:1], clock="clk"))
     assert a.first_difference(b) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_engines_equivalent_on_random_stimuli(seed):
+    """Every registered kernel reproduces the event-driven trace."""
+    design = compile_design(MUX_PIPELINE_SRC, top="mux_pipeline")
+    stim = RandomStimulus(
+        {"sel": 1, "a": 8, "b": 8, "c": 8},
+        cycles=15,
+        clock="clk",
+        per_cycle=lambda c, v: dict(v, rst=1 if c < 1 else 0),
+        seed=seed,
+    )
+    reference = EventDrivenEngine(design).run(stim)
+    for name in ENGINE_SPECS:
+        assert make_engine(design, name).run(stim) == reference, name
