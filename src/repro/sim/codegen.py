@@ -108,7 +108,6 @@ from repro.ir.rtlnode import RtlNode
 from repro.ir.signal import Signal
 from repro.ir.stmt import Assign, Case, If, LValue, Stmt
 from repro.sim.emitter import (
-    DEFAULT_PASSES,
     EmitterPasses,
     SourceWriter,
     coerce_passes,
@@ -3004,7 +3003,16 @@ class CodegenEngine(TracedRun):
                 # initial forcing on the all-zero state (matches the others)
                 self.V[sid] = self.FO[sid]
         self._initialized = False
-        self.store = _CodegenStore(self)
+
+    @property
+    def store(self) -> "_CodegenStore":
+        """Value-store facade, built per access.
+
+        Holding it in an attribute would tie the engine into a reference
+        cycle, so every finished per-fault engine would wait for the cyclic
+        garbage collector instead of being freed when its run ends.
+        """
+        return _CodegenStore(self)
 
     # ------------------------------------------------------------- evaluation
     def _settle_comb(self) -> None:

@@ -86,10 +86,10 @@ class TracedRun:
         if self._trace is not None:
             self._trace.record(self.store.snapshot_outputs())
 
-    def run(self, stimulus: Stimulus, observe: bool = True) -> SimulationTrace:
+    def run(self, stimulus: Stimulus) -> SimulationTrace:
         """Run the whole stimulus; return the good machine's per-cycle output trace."""
         trace = SimulationTrace(tuple(s.name for s in self.design.outputs))
-        self._trace = trace if observe else None
+        self._trace = trace
         try:
             CycleDriver(self, stimulus).run()
         finally:

@@ -749,7 +749,16 @@ class EraserCodegenEngine(TracedRun):
         self._edge_sids = [signal.sid for signal in edge_signals(design)]
         self._out_sids = [signal.sid for signal in design.outputs]
         self._initialized = False
-        self.store = _EraserStore(self)
+
+    @property
+    def store(self) -> "_EraserStore":
+        """Good-machine value-store facade, built per access.
+
+        Holding it in an attribute would tie the engine into a reference
+        cycle, so a finished campaign's engine would wait for the cyclic
+        garbage collector instead of being freed when it is dropped.
+        """
+        return _EraserStore(self)
 
     # ------------------------------------------------------------- evaluation
     def _settle_comb(self) -> None:

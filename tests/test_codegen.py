@@ -2,11 +2,15 @@
 
 The strongest check is the full-corpus sweep: every one of the ten benchmark
 designs must produce cycle-exact identical output traces on the event-driven
-and codegen engines.  The cache tests pin the on-disk round-trip
+engine and on each generated good-machine kernel (serial codegen and the
+packed-bigint and NumPy lane kernels).  The cache tests pin the on-disk round-trip
 (second construction loads the generated source from disk and still matches),
 and the seam tests cover the ``engine=`` selector in the API, the registry,
 the serial baselines and the sharded runner.
 """
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,9 +52,11 @@ def _workload(name):
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-@pytest.mark.parametrize("engine", ["event", "codegen"])
+@pytest.mark.parametrize("engine", ["codegen", "packed", "packed-numpy"])
 def test_engine_parity_on_corpus(name, engine):
-    """All ten corpus benchmarks x both serial engines: identical traces."""
+    """All ten corpus benchmarks x the generated kernels: the event-driven trace."""
+    if engine == "packed-numpy":
+        pytest.importorskip("numpy")
     design, stimulus, reference = _workload(name)
     if engine == "codegen":
         trace = CodegenEngine(design, use_cache=False).run(stimulus)
@@ -76,6 +82,30 @@ def test_codegen_faulty_machine_parity(name):
         event = EventDrivenEngine(design, force_hook=hook).run(stimulus)
         codegen = CodegenEngine(design, force_hook=hook, use_cache=False).run(stimulus)
         assert event == codegen, fault.name
+
+
+def test_finished_engines_are_freed_without_the_cycle_collector(monkeypatch):
+    """No reference cycle keeps a finished per-fault engine (and its state) alive."""
+    design, stimulus, _ = _workload("apb")
+    faults = sample_faults(generate_stuck_at_faults(design), 4, seed=23)
+    engines = []
+    build = VFsimSimulator._make_engine
+
+    def recorded(simulator, force_hook=None):
+        engine = build(simulator, force_hook)
+        assert isinstance(engine, CodegenEngine)
+        engines.append(weakref.ref(engine))
+        return engine
+
+    monkeypatch.setattr(VFsimSimulator, "_make_engine", recorded)
+    gc.disable()
+    try:
+        VFsimSimulator(design).run(stimulus, faults)
+        # the golden run plus one engine per fault
+        assert len(engines) == 5
+        assert [engine() for engine in engines] == [None] * 5
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=15, deadline=None)

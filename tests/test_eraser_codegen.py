@@ -10,7 +10,9 @@ short of full detection-dict equality is accepted.  The seam tests cover the
 selector, the shared disk cache and the fault/force_hook exclusivity.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -128,6 +130,20 @@ def test_peeks_and_store(counter_design, counter_stimulus):
     assert engine.peek("count") == engine.store.get(counter_design.signal("count"))
     with pytest.raises(SimulationError, match="memory"):
         engine.peek_word("count", 0)
+
+
+def test_finished_engine_is_freed_without_the_cycle_collector():
+    """No reference cycle keeps a finished campaign's engine (and its state) alive."""
+    design, stimulus, faults = _workload("apb")
+    gc.disable()
+    try:
+        simulator = EraserCodegenSimulator(design)
+        simulator.run(stimulus, faults)
+        engine = weakref.ref(simulator.engine)
+        del simulator
+        assert engine() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------ engine selector
