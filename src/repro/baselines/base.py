@@ -162,5 +162,5 @@ class SerialFaultSimulator:
         from repro.sim.kernel import CycleDriver
 
         return CycleDriver(engine, stimulus).run(
-            lambda cycle: engine.store.snapshot_outputs() != golden[cycle]
+            lambda cycle: engine.snapshot_outputs() != golden[cycle]
         )

@@ -89,7 +89,7 @@ import tempfile
 from types import CodeType
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.ir.behavioral import BehavioralNode, EdgeKind
 from repro.ir.design import Design
 from repro.ir.expr import (
@@ -113,19 +113,10 @@ from repro.sim.emitter import (
     coerce_passes,
     edge_signals,
     emit_kernel,
-    rtl_acyclic,
     rtl_schedule,
-    scheduler_slot_count,
 )
-from repro.sim.engine import ForceHook, TracedRun
-from repro.sim.kernel import MAX_PASSES
+from repro.sim.engine import ForceHook, GeneratedEngine
 from repro.utils.bitvec import mask
-
-#: Historical names for the pieces that now live in the shared emitter core
-#: (:mod:`repro.sim.emitter`); kept importable from here for older callers.
-_Writer = SourceWriter
-_rtl_schedule = rtl_schedule
-_rtl_acyclic = rtl_acyclic
 
 #: Bump whenever the generated-source format changes: the version participates
 #: in the cache key, so stale cache entries are never reused.
@@ -228,7 +219,7 @@ def design_fingerprint(design: Design) -> str:
             f"s{signal.sid}:{signal.name}:{signal.width}:{signal.kind.value}"
             f":{signal.depth}:{signal.lsb}"
         )
-    for node in _rtl_schedule(design):
+    for node in rtl_schedule(design):
         parts.append(
             f"r{node.nid}:{node.output.sid}:{design.rtl_levels[node]}"
             f":{_expr_key(node.expr)}"
@@ -375,7 +366,7 @@ class _ReadContext:
 
 
 # ------------------------------------------------------- expression compilation
-def _emit_expr(expr: Expr, ctx: _ReadContext, w: _Writer) -> str:
+def _emit_expr(expr: Expr, ctx: _ReadContext, w: SourceWriter) -> str:
     """Compile ``expr`` to a Python expression string (preludes go through ``w``).
 
     The emitted code reproduces :meth:`Expr.eval` exactly, relying on the
@@ -433,7 +424,7 @@ def _emit_expr(expr: Expr, ctx: _ReadContext, w: _Writer) -> str:
     raise SimulationError(f"cannot compile expression {expr!r}")
 
 
-def _emit_binary(expr: Binary, ctx: _ReadContext, w: _Writer) -> str:
+def _emit_binary(expr: Binary, ctx: _ReadContext, w: SourceWriter) -> str:
     op = expr.op
     m = mask(expr.width)
     lhs = _emit_expr(expr.left, ctx, w)
@@ -492,7 +483,7 @@ def _emit_binary(expr: Binary, ctx: _ReadContext, w: _Writer) -> str:
     raise SimulationError(f"cannot compile binary operator {op!r}")
 
 
-def _emit_unary(expr: Unary, ctx: _ReadContext, w: _Writer) -> str:
+def _emit_unary(expr: Unary, ctx: _ReadContext, w: SourceWriter) -> str:
     op = expr.op
     m = mask(expr.width)
     operand_mask = mask(expr.operand.width)
@@ -521,7 +512,7 @@ def _emit_unary(expr: Unary, ctx: _ReadContext, w: _Writer) -> str:
 
 
 # -------------------------------------------------------- statement compilation
-def _emit_body(body: List[Stmt], ctx: _ReadContext, w: _Writer) -> None:
+def _emit_body(body: List[Stmt], ctx: _ReadContext, w: SourceWriter) -> None:
     if not body:
         w.line("pass")
         return
@@ -529,7 +520,7 @@ def _emit_body(body: List[Stmt], ctx: _ReadContext, w: _Writer) -> None:
         _emit_stmt(stmt, ctx, w)
 
 
-def _emit_stmt(stmt: Stmt, ctx: _ReadContext, w: _Writer) -> None:
+def _emit_stmt(stmt: Stmt, ctx: _ReadContext, w: SourceWriter) -> None:
     if isinstance(stmt, Assign):
         _emit_assign(stmt, ctx, w)
         return
@@ -568,7 +559,7 @@ def _emit_stmt(stmt: Stmt, ctx: _ReadContext, w: _Writer) -> None:
     raise SimulationError(f"cannot compile statement {stmt!r}")
 
 
-def _emit_assign(stmt: Assign, ctx: _ReadContext, w: _Writer) -> None:
+def _emit_assign(stmt: Assign, ctx: _ReadContext, w: SourceWriter) -> None:
     lhs = stmt.lhs
     signal = lhs.signal
     sid = signal.sid
@@ -610,7 +601,7 @@ def _emit_assign(stmt: Assign, ctx: _ReadContext, w: _Writer) -> None:
         w.line(f"n.append(({sid}, None, None, None, ({rhs}) & {value_mask}))")
 
 
-def _emit_dynamic_bit(lhs: LValue, ctx: _ReadContext, w: _Writer) -> str:
+def _emit_dynamic_bit(lhs: LValue, ctx: _ReadContext, w: SourceWriter) -> str:
     idx = _emit_expr(lhs.index, ctx, w)
     if lhs.signal.lsb:
         idx = f"{w.as_temp(idx)} - {lhs.signal.lsb}"
@@ -637,7 +628,7 @@ def _blocking_targets(node: BehavioralNode) -> Tuple[Set[Signal], Set[Signal]]:
     return scalars, memories
 
 
-def _emit_behavioral_fn(node: BehavioralNode, w: _Writer) -> str:
+def _emit_behavioral_fn(node: BehavioralNode, w: SourceWriter) -> str:
     """One flat function per behavioral block.
 
     Executes the block body and appends its combined updates to ``upd``:
@@ -671,7 +662,7 @@ class _SerialBackend:
     """Scalar lane layout for the shared emitter walk (one machine per value).
 
     Values are plain Python ints, control flow is branchy (no predication) and
-    constants are literals (the ``const_pool`` pass is inert).  Commits stamp
+    constants are literals (there is no constant pool).  Commits stamp
     per-signal versions for the ``event_scheduler`` pass through the
     generated ``_publish`` and the inline RTL commit lines.
     """
@@ -684,14 +675,14 @@ class _SerialBackend:
     def read_context(self) -> _ReadContext:
         return _ReadContext()
 
-    def behavioral_fn(self, node: BehavioralNode, w: _Writer) -> str:
+    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
         return _emit_behavioral_fn(node, w)
 
     def rtl_node(
         self,
         node: RtlNode,
         ctx: _ReadContext,
-        w: _Writer,
+        w: SourceWriter,
         track_change: bool = True,
         stamp: bool = False,
     ) -> None:
@@ -712,12 +703,12 @@ class _SerialBackend:
         else:
             w.line(f"V[{sid}] = _x")
 
-    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: _Writer) -> None:
+    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
         w.line("upd = []")
         w.line(f"{fn_name}(V, M, FA, FO, FN, upd)")
         w.line("if _publish(upd, V, M, FA, FO, FN, VER, GC): ch = True")
 
-    def fire_clocked(self, fn_names: Dict[int, str], w: _Writer) -> None:
+    def fire_clocked(self, fn_names: Dict[int, str], w: SourceWriter) -> None:
         design = self.design
         clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
         ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
@@ -753,7 +744,7 @@ class _SerialBackend:
 
     def assemble(self, body: str) -> str:
         design = self.design
-        w = _Writer()
+        w = SourceWriter()
         w.line(f"# repro codegen kernel v{CODEGEN_VERSION}")
         w.line(f"# design: {design.name}")
         w.line(f"# signals={len(design.signals)} rtl={len(design.rtl_nodes)}"
@@ -1078,15 +1069,9 @@ class _PackedEmitter:
 
     comb_params = "V, M, FB, FO, FN, VER, LS, GC"
 
-    def __init__(
-        self,
-        design: Design,
-        layout: PackedLayout,
-        passes: Optional[EmitterPasses] = None,
-    ) -> None:
+    def __init__(self, design: Design, layout: PackedLayout) -> None:
         self.design = design
         self.layout = layout
-        self.passes = coerce_passes(passes)
         self._pool: Dict[int, str] = {}
         self._pool_lines: List[str] = []
 
@@ -1095,17 +1080,11 @@ class _PackedEmitter:
 
     # -------------------------------------------------------- constant pool
     def repl(self, lane_value: int) -> str:
-        """Name of a module-level constant replicating ``lane_value`` per lane.
-
-        With the ``const_pool`` pass off the replication is emitted inline at
-        every use site instead (same value, no module-level pool).
-        """
+        """Name of a module-level constant replicating ``lane_value`` per lane."""
         if lane_value == 0:
             return "0"
         if lane_value == 1:
             return "_R1"
-        if not self.passes.const_pool:
-            return f"_repl({lane_value})"
         name = self._pool.get(lane_value)
         if name is None:
             name = f"_K{len(self._pool)}"
@@ -1116,7 +1095,7 @@ class _PackedEmitter:
     def rmask(self, width: int) -> str:
         return self.repl(mask(width))
 
-    def expand(self, pred: str, width: int, w: _Writer) -> str:
+    def expand(self, pred: str, width: int, w: SourceWriter) -> str:
         """Predicate lane bits expanded to ``width``-bit all-ones lane fields."""
         if pred == "_R1":
             return self.rmask(width)
@@ -1137,7 +1116,7 @@ class _PackedEmitter:
         return self.nz(code)
 
     # ------------------------------------------------------------ expressions
-    def expr(self, expr: Expr, ctx: _ReadContext, w: _Writer) -> str:
+    def expr(self, expr: Expr, ctx: _ReadContext, w: SourceWriter) -> str:
         if isinstance(expr, Const):
             return self.repl(expr.value)
         if isinstance(expr, SigRef):
@@ -1180,7 +1159,7 @@ class _PackedEmitter:
             return f"(({part}) * {repl})"
         raise SimulationError(f"cannot compile expression {expr!r}")
 
-    def _binary(self, expr: Binary, ctx: _ReadContext, w: _Writer) -> str:
+    def _binary(self, expr: Binary, ctx: _ReadContext, w: SourceWriter) -> str:
         op = expr.op
         n = expr.width
         rm = self.rmask(n)
@@ -1256,7 +1235,7 @@ class _PackedEmitter:
             return f"_psra({lhs}, {rhs}, {n}, {mask(n)})"
         raise SimulationError(f"cannot compile binary operator {op!r}")
 
-    def _unary(self, expr: Unary, ctx: _ReadContext, w: _Writer) -> str:
+    def _unary(self, expr: Unary, ctx: _ReadContext, w: SourceWriter) -> str:
         op = expr.op
         opw = expr.operand.width
         x = self.expr(expr.operand, ctx, w)
@@ -1295,14 +1274,14 @@ class _PackedEmitter:
         raise SimulationError(f"cannot compile unary operator {op!r}")
 
     # ------------------------------------------------------------- statements
-    def body(self, body: List[Stmt], ctx: _ReadContext, w: _Writer, pred: str) -> None:
+    def body(self, body: List[Stmt], ctx: _ReadContext, w: SourceWriter, pred: str) -> None:
         if not body:
             w.line("pass")
             return
         for stmt in body:
             self.stmt(stmt, ctx, w, pred)
 
-    def stmt(self, stmt: Stmt, ctx: _ReadContext, w: _Writer, pred: str) -> None:
+    def stmt(self, stmt: Stmt, ctx: _ReadContext, w: SourceWriter, pred: str) -> None:
         if isinstance(stmt, Assign):
             self.assign(stmt, ctx, w, pred)
             return
@@ -1354,7 +1333,7 @@ class _PackedEmitter:
             return
         raise SimulationError(f"cannot compile statement {stmt!r}")
 
-    def assign(self, stmt: Assign, ctx: _ReadContext, w: _Writer, pred: str) -> None:
+    def assign(self, stmt: Assign, ctx: _ReadContext, w: SourceWriter, pred: str) -> None:
         lhs = stmt.lhs
         signal = lhs.signal
         sid = signal.sid
@@ -1418,7 +1397,7 @@ class _PackedEmitter:
             w.line(f"n.append(({sid}, {pm}, None, {value}))")
 
     # ------------------------------------------------------------------ nodes
-    def behavioral_fn(self, node: BehavioralNode, w: _Writer) -> str:
+    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
         """One predicated flat function per behavioral block.
 
         ``p`` carries the active-lane mask (clocked nodes: the lanes whose
@@ -1456,7 +1435,7 @@ class _PackedEmitter:
         self,
         node: RtlNode,
         ctx: _ReadContext,
-        w: _Writer,
+        w: SourceWriter,
         track_change: bool = True,
         stamp: bool = False,
     ) -> None:
@@ -1478,12 +1457,12 @@ class _PackedEmitter:
             w.line(f"V[{sid}] = _x")
 
     # ----------------------------------------------------------------- source
-    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: _Writer) -> None:
+    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
         w.line("upd = []")
         w.line(f"{fn_name}(V, M, FB, FO, FN, upd, _R1)")
         w.line("if _publish(upd, V, M, FB, FO, FN, VER, GC): ch = True")
 
-    def fire_clocked(self, fn_names: Dict[int, str], fns: _Writer) -> None:
+    def fire_clocked(self, fn_names: Dict[int, str], fns: SourceWriter) -> None:
         design = self.design
         clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
         ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
@@ -1523,7 +1502,7 @@ class _PackedEmitter:
     def assemble(self, body: str) -> str:
         design = self.design
         layout = self.layout
-        head = _Writer()
+        head = SourceWriter()
         head.line(f"# repro packed codegen kernel v{PACKED_VERSION}")
         head.line(f"# design: {design.name}")
         head.line(f"# lanes={layout.lanes} stride={layout.stride}")
@@ -1555,7 +1534,7 @@ def generate_packed_source(
             f"packed stride {layout.stride} too narrow for design "
             f"{design.name!r} (needs {packed_stride(design)})"
         )
-    return emit_kernel(design, _PackedEmitter(design, layout, passes), passes)
+    return emit_kernel(design, _PackedEmitter(design, layout), passes)
 
 
 # ------------------------------------------------------- vector (NumPy) mode
@@ -2132,11 +2111,8 @@ class _VectorEmitter:
 
     comb_params = "V, M, FB, FO, FN, VER, LS, GC"
 
-    def __init__(
-        self, design: Design, passes: Optional[EmitterPasses] = None
-    ) -> None:
+    def __init__(self, design: Design) -> None:
         self.design = design
-        self.passes = coerce_passes(passes)
         self._pool: Dict[Tuple[int, int], str] = {}
         self._pool_lines: List[str] = []
 
@@ -2147,8 +2123,6 @@ class _VectorEmitter:
     def pconst(self, value: int, planes: int) -> str:
         if planes == 1:
             return repr(value)
-        if not self.passes.const_pool:
-            return f"_kc({value}, {planes})"
         key = (value, planes)
         name = self._pool.get(key)
         if name is None:
@@ -2191,7 +2165,7 @@ class _VectorEmitter:
         return f"_mtp({code}, {_vector_topmask(dst_width)})"
 
     # ------------------------------------------------------------ expressions
-    def expr(self, expr: Expr, ctx: _ReadContext, w: _Writer) -> str:
+    def expr(self, expr: Expr, ctx: _ReadContext, w: SourceWriter) -> str:
         if next(expr.signals(), None) is None:
             # signal-free subtree: fold now, so constants never meet at runtime
             return self.kconst(expr.eval(None), expr.width)
@@ -2254,7 +2228,7 @@ class _VectorEmitter:
             return f"_cat([{items}], {n})"
         raise SimulationError(f"cannot compile expression {expr!r}")
 
-    def _binary(self, expr: Binary, ctx: _ReadContext, w: _Writer) -> str:
+    def _binary(self, expr: Binary, ctx: _ReadContext, w: SourceWriter) -> str:
         op = expr.op
         n = expr.width
         p = vector_planes(n)
@@ -2354,7 +2328,7 @@ class _VectorEmitter:
             return f"_plf('sra', {lhs}, {rhs}, {n}, {p})"
         raise SimulationError(f"cannot compile binary operator {op!r}")
 
-    def _unary(self, expr: Unary, ctx: _ReadContext, w: _Writer) -> str:
+    def _unary(self, expr: Unary, ctx: _ReadContext, w: SourceWriter) -> str:
         op = expr.op
         opw = expr.operand.width
         opp = vector_planes(opw)
@@ -2394,7 +2368,7 @@ class _VectorEmitter:
             return f"(_par({x}) ^ _T1)"
         raise SimulationError(f"cannot compile unary operator {op!r}")
 
-    def boolexpr(self, expr: Expr, ctx: _ReadContext, w: _Writer) -> str:
+    def boolexpr(self, expr: Expr, ctx: _ReadContext, w: SourceWriter) -> str:
         """Compile a condition straight to a boolean lane predicate."""
         if next(expr.signals(), None) is None:
             return f"np.bool_({bool(expr.eval(None))})"
@@ -2427,7 +2401,7 @@ class _VectorEmitter:
 
     # ------------------------------------------------------------- statements
     def body(
-        self, body: List[Stmt], ctx: _ReadContext, w: _Writer, pred: Optional[str]
+        self, body: List[Stmt], ctx: _ReadContext, w: SourceWriter, pred: Optional[str]
     ) -> None:
         if not body:
             w.line("pass")
@@ -2436,7 +2410,7 @@ class _VectorEmitter:
             self.stmt(stmt, ctx, w, pred)
 
     def stmt(
-        self, stmt: Stmt, ctx: _ReadContext, w: _Writer, pred: Optional[str]
+        self, stmt: Stmt, ctx: _ReadContext, w: SourceWriter, pred: Optional[str]
     ) -> None:
         if isinstance(stmt, Assign):
             self.assign(stmt, ctx, w, pred)
@@ -2499,7 +2473,7 @@ class _VectorEmitter:
         raise SimulationError(f"cannot compile statement {stmt!r}")
 
     def _case_eq(
-        self, subject: str, sp: int, label: Expr, ctx: _ReadContext, w: _Writer
+        self, subject: str, sp: int, label: Expr, ctx: _ReadContext, w: SourceWriter
     ) -> str:
         lab = self.expr(label, ctx, w)
         if _VNUM.fullmatch(subject) and _VNUM.fullmatch(lab):
@@ -2513,7 +2487,7 @@ class _VectorEmitter:
         return f"np.all({s} == {l}, axis=0, keepdims=True)"
 
     def assign(
-        self, stmt: Assign, ctx: _ReadContext, w: _Writer, pred: Optional[str]
+        self, stmt: Assign, ctx: _ReadContext, w: SourceWriter, pred: Optional[str]
     ) -> None:
         lhs = stmt.lhs
         signal = lhs.signal
@@ -2592,7 +2566,7 @@ class _VectorEmitter:
             w.line(f"n.append(({sid}, {pc}, None, {value}))")
 
     # ------------------------------------------------------------------ nodes
-    def behavioral_fn(self, node: BehavioralNode, w: _Writer) -> str:
+    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
         """One predicated flat function per behavioral block.
 
         Combinational nodes run under the statically-known all-lanes predicate
@@ -2627,7 +2601,7 @@ class _VectorEmitter:
         self,
         node: RtlNode,
         ctx: _ReadContext,
-        w: _Writer,
+        w: SourceWriter,
         track_change: bool = True,
         stamp: bool = False,
     ) -> None:
@@ -2654,12 +2628,12 @@ class _VectorEmitter:
             w.line(bump)
 
     # ----------------------------------------------------------------- source
-    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: _Writer) -> None:
+    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
         w.line("upd = []")
         w.line(f"{fn_name}(V, M, FB, FO, FN, upd, None)")
         w.line("if _publish(upd, V, M, FB, FO, FN, VER, GC): ch = True")
 
-    def fire_clocked(self, fn_names: Dict[int, str], fns: _Writer) -> None:
+    def fire_clocked(self, fn_names: Dict[int, str], fns: SourceWriter) -> None:
         design = self.design
         clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
         ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
@@ -2698,7 +2672,7 @@ class _VectorEmitter:
 
     def assemble(self, body: str) -> str:
         design = self.design
-        head = _Writer()
+        head = SourceWriter()
         head.line(f"# repro vector codegen kernel v{VECTOR_VERSION}")
         head.line(f"# design: {design.name}")
         head.line("# lane layout: fault-major columns of uint64 plane arrays;")
@@ -2732,16 +2706,16 @@ def generate_vector_source(
                 f"memory {signal.name!r} of design {design.name!r} is "
                 f"{signal.width} bits wide (> 64)"
             )
-    return emit_kernel(design, _VectorEmitter(design, passes), passes)
+    return emit_kernel(design, _VectorEmitter(design), passes)
 
 
 def _pass_suffix(base: Optional[str], passes: EmitterPasses) -> Optional[str]:
     """Compose a cache-key suffix from a variant base and the pass config.
 
     The default configuration keeps the historical suffixes (and the serial
-    ``None``); any non-default toggle combination appends ``-<suffix>`` (or
-    becomes the suffix outright for the serial layout), so every pass
-    configuration owns its own cache entry and sidecar.
+    ``None``); the scheduler-off configuration appends ``-es0`` (or is the
+    suffix outright for the serial layout), so each configuration owns its
+    own cache entry and sidecar.
     """
     frag = passes.suffix()
     if not frag:
@@ -2758,8 +2732,8 @@ def load_vector_kernel(
 
     The vector module is lane-agnostic, so — unlike the packed per-geometry
     keys — every campaign width shares ONE cache entry per design, under the
-    ``vec{VECTOR_VERSION}`` suffix (plus the pass suffix for non-default
-    pass configurations).
+    ``vec{VECTOR_VERSION}`` suffix (plus the pass suffix of the scheduler-off
+    configuration).
     """
     passes = coerce_passes(passes)
     return load_kernel_variant(
@@ -2801,43 +2775,13 @@ def _atomic_write(path: str, data: bytes, prefix: str) -> None:
         pass
 
 
-#: In-process compiled-code memo keyed by the source digest: the serial
-#: baselines construct one engine per fault, so within a process only the
-#: first construction pays ``compile()`` (or the sidecar unmarshal).
-_CODE_MEMO: Dict[str, CodeType] = {}
-
-
-def _kernel_code(source: str, filename: str, cache_key: Optional[str]) -> CodeType:
-    """Compiled code for ``source``, via the in-process memo and disk sidecar.
-
-    The sidecar stores ``(source digest, code object)``; a digest mismatch
-    (stale sidecar for a regenerated source) or any unmarshalling error falls
-    back to compiling the source and rewriting the sidecar — corrupt entries
-    heal themselves.
-    """
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    sidecar = _sidecar_path(cache_key) if cache_key is not None else None
-    code = _CODE_MEMO.get(digest)
-    if code is not None:
-        # memo hit in this process: still backfill the sidecar so the NEXT
-        # process skips compile() too
-        if sidecar is not None and not os.path.exists(sidecar):
-            _atomic_write(sidecar, marshal.dumps((digest, code)), prefix="bc")
-        return code
-    if sidecar is not None:
-        try:
-            with open(sidecar, "rb") as handle:
-                stored_digest, code = marshal.loads(handle.read())
-            if stored_digest != digest or not isinstance(code, CodeType):
-                code = None
-        except (OSError, ValueError, EOFError, TypeError):
-            code = None
-    if code is None:
-        code = compile(source, filename, "exec")
-        if sidecar is not None:
-            _atomic_write(sidecar, marshal.dumps((digest, code)), prefix="bc")
-    _CODE_MEMO[digest] = code
-    return code
+#: In-process memo of executed kernels, keyed by source digest: every engine
+#: of one kernel shares one namespace (functions, constant pool and the
+#: vector runtime's pure caches; generated kernels keep no other module
+#: state).  Executing a fresh namespace per engine would leave each one, a
+#: functions-to-globals reference cycle, for the cyclic collector.  The code
+#: object is kept for the sidecar backfill.
+_KERNEL_MEMO: Dict[str, Tuple[CodeType, Dict[str, object]]] = {}
 
 
 def load_kernel(
@@ -2851,7 +2795,7 @@ def load_kernel(
     ``layout=None`` loads the serial kernel; a :class:`PackedLayout` loads the
     packed variant, cached under a distinct key carrying the lane geometry.
     A non-default ``passes`` configuration extends the key with the pass
-    suffix so every toggle combination owns its own entry.  See
+    suffix so it owns its own entry.  See
     :func:`load_kernel_variant` for the cache behaviour.
     """
     passes = coerce_passes(passes)
@@ -2885,8 +2829,8 @@ def load_kernel_variant(
     The source file is deliberately re-read (and re-hashed) on every
     construction rather than memoized per cache key: the disk is the source
     of truth, which is what lets a corrupt or hand-edited entry be detected
-    and regenerated mid-process.  Only the ``compile()`` step is memoized
-    (keyed by source digest, so stale code can never be served).
+    and regenerated mid-process.  Only the executed namespace is memoized
+    (keyed by source digest, so a stale kernel can never be served).
     """
     fingerprint = design_fingerprint(design)
     cache_key = fingerprint if suffix is None else f"{fingerprint}-{suffix}"
@@ -2926,32 +2870,62 @@ def load_kernel_variant(
 def _exec_kernel(
     source: str, filename: str, cache_key: Optional[str] = None
 ) -> Dict[str, object]:
-    namespace: Dict[str, object] = {}
-    exec(_kernel_code(source, filename, cache_key), namespace)
+    """The executed namespace of ``source``, via the memo and disk sidecar.
+
+    The sidecar stores ``(source digest, code object)``; a digest mismatch
+    (stale sidecar for a regenerated source) or any unmarshalling error falls
+    back to compiling the source and rewriting the sidecar — corrupt entries
+    heal themselves.
+    """
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    sidecar = _sidecar_path(cache_key) if cache_key is not None else None
+    memo = _KERNEL_MEMO.get(digest)
+    if memo is not None:
+        code, namespace = memo
+        # memo hit in this process: still backfill the sidecar so the NEXT
+        # process skips compile() too
+        if sidecar is not None and not os.path.exists(sidecar):
+            _atomic_write(sidecar, marshal.dumps((digest, code)), prefix="bc")
+        return namespace
+    code: Optional[CodeType] = None
+    if sidecar is not None:
+        try:
+            with open(sidecar, "rb") as handle:
+                stored_digest, code = marshal.loads(handle.read())
+            if stored_digest != digest or not isinstance(code, CodeType):
+                code = None
+        except (OSError, ValueError, EOFError, TypeError):
+            code = None
+    if code is None:
+        code = compile(source, filename, "exec")
+        if sidecar is not None:
+            _atomic_write(sidecar, marshal.dumps((digest, code)), prefix="bc")
+    namespace = {}
+    exec(code, namespace)
     settles = "comb_pass" in namespace or "comb_once" in namespace
     if not settles or "fire_clocked" not in namespace:
         raise SimulationError(f"generated kernel {filename} is incomplete")
+    _KERNEL_MEMO[digest] = (code, namespace)
     return namespace
 
 
 # ------------------------------------------------------------------ the engine
-class CodegenEngine(TracedRun):
+class CodegenEngine(GeneratedEngine):
     """Cycle-based simulation on design-specialized generated Python code.
 
     Implements the same :class:`~repro.sim.kernel.SimulationKernel` protocol
     (and the same ``run``/``peek`` conveniences) as
     :class:`~repro.sim.engine.EventDrivenEngine`, and produces cycle-exact
-    identical traces; only the cost model differs.
+    identical traces; only the cost model differs.  The settle loops,
+    scheduler stamps and peeks are the shared
+    :class:`~repro.sim.engine.GeneratedEngine` driver's.
 
     ``force_hook`` must be a per-bit constant forcing function (the stuck-at
     contract) — it is probed per signal into OR/AND masks compiled into every
-    write as a branch-on-mask guard.
+    write as a branch-on-mask guard, taken only when ``FA`` is set.
 
-    ``passes`` selects the emitter-pass configuration (``None``: all passes
-    on).  With the event scheduler on, the engine owns the stamp state the
-    kernel reads: per-signal version stamps ``VER`` (seeded to 1 so the first
-    pass evaluates everything), per-node last-evaluation stamps ``LS`` (seeded
-    to 0) and the global counter ``GC``.
+    ``passes`` selects the emitter-pass configuration (``None``: the
+    default, event scheduler on).
     """
 
     def __init__(
@@ -2961,86 +2935,21 @@ class CodegenEngine(TracedRun):
         use_cache: bool = True,
         passes: Optional[EmitterPasses] = None,
     ) -> None:
-        design.check_finalized()
-        self.design = design
-        self.force_hook = force_hook
+        super().__init__(design, force_hook)
         self.passes = coerce_passes(passes)
         namespace, self.source, self.fingerprint, self.cache_hit = load_kernel(
             design, use_cache, passes=self.passes
         )
-        # a kernel ships comb_once (feed-forward designs) or comb_pass
-        self._comb_pass: Optional[Callable] = namespace.get("comb_pass")  # type: ignore
-        self._comb_once: Optional[Callable] = namespace.get("comb_once")  # type: ignore
-        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
-        count = len(design.signals)
-        # event-scheduler stamp state (see the class docstring); allocated
-        # unconditionally — with the scheduler off the kernel never reads LS
-        # and only _publish/apply_input touch VER/GC, which stays cheap
-        self.VER: List[int] = [1] * count
-        self.LS: List[int] = [0] * scheduler_slot_count(design)
-        self.GC: List[int] = [1]
-        self.V: List[int] = [0] * count
-        self.M: List[Optional[List[int]]] = [None] * count
-        for signal in design.signals:
-            if signal.is_memory:
-                self.M[signal.sid] = [0] * signal.depth
-        self.EP: List[int] = [0] * len(edge_signals(design))
-        self._edge_sids = [signal.sid for signal in edge_signals(design)]
-        self._out_sids = [signal.sid for signal in design.outputs]
-        # forcing masks: value -> (value | FO[sid]) & FN[sid] when FA is set
         self.FA = force_hook is not None
-        self.FO: List[int] = [0] * count
-        self.FN: List[int] = [
-            0 if signal.is_memory else signal.mask for signal in design.signals
-        ]
-        if force_hook is not None:
-            for signal in design.signals:
-                if signal.is_memory:
-                    continue
-                sid = signal.sid
-                self.FO[sid] = force_hook(signal, 0) & signal.mask
-                self.FN[sid] = force_hook(signal, signal.mask) & signal.mask
-                # initial forcing on the all-zero state (matches the others)
-                self.V[sid] = self.FO[sid]
-        self._initialized = False
-
-    @property
-    def store(self) -> "_CodegenStore":
-        """Value-store facade, built per access.
-
-        Holding it in an attribute would tie the engine into a reference
-        cycle, so every finished per-fault engine would wait for the cyclic
-        garbage collector instead of being freed when its run ends.
-        """
-        return _CodegenStore(self)
-
-    # ------------------------------------------------------------- evaluation
-    def _settle_comb(self) -> None:
-        V, M, FA, FO, FN = self.V, self.M, self.FA, self.FO, self.FN
+        # initial forcing on the all-zero state (matches the other engines)
+        self.V: List[int] = list(self.FO)  # type: ignore[arg-type]
+        V, M, EP, FA, FO, FN = self.V, self.M, self.EP, self.FA, self.FO, self.FN
         VER, LS, GC = self.VER, self.LS, self.GC
-        once = self._comb_once
-        if once is not None:
-            # feed-forward: one levelized pass IS the fixed point
-            once(V, M, FA, FO, FN, VER, LS, GC)
-            return
-        comb_pass = self._comb_pass
-        for _ in range(MAX_PASSES):
-            if not comb_pass(V, M, FA, FO, FN, VER, LS, GC):
-                return
-        raise ConvergenceError(
-            f"design {self.design.name!r} did not converge within {MAX_PASSES} passes"
+        self._bind(
+            namespace,
+            (V, M, FA, FO, FN, VER, LS, GC),
+            (V, M, EP, FA, FO, FN, VER, GC),
         )
-
-    # ------------------------------------------------------- kernel protocol
-    def initialize(self) -> None:
-        """Establish a consistent combinational state from reset (idempotent)."""
-        if self._initialized:
-            return
-        self._settle_comb()
-        V, EP = self.V, self.EP
-        for i, sid in enumerate(self._edge_sids):
-            EP[i] = V[sid]
-        self._initialized = True
 
     def apply_input(self, signal: Signal, value: int) -> None:
         """Drive one primary input (the :class:`SimulationKernel` interface)."""
@@ -3051,52 +2960,3 @@ class CodegenEngine(TracedRun):
         if self.V[sid] != value:
             self.V[sid] = value
             self.GC[0] = self.VER[sid] = self.GC[0] + 1
-
-    def settle(self) -> None:
-        """Settle combinational logic and fire clocked logic until stable."""
-        fire = self._fire_clocked
-        V, M, EP, FA, FO, FN = self.V, self.M, self.EP, self.FA, self.FO, self.FN
-        VER, GC = self.VER, self.GC
-        for _ in range(MAX_PASSES):
-            self._settle_comb()
-            if not fire(V, M, EP, FA, FO, FN, VER, GC):
-                return
-        raise ConvergenceError(
-            f"design {self.design.name!r}: clocked feedback did not settle"
-        )
-
-    # ------------------------------------------------------------------ debug
-    def peek(self, name: str) -> int:
-        signal = self.design.signal(name)
-        if signal.is_memory:
-            raise SimulationError(f"{name!r} is a memory; use peek_word")
-        return self.V[signal.sid]
-
-    def peek_word(self, name: str, index: int) -> int:
-        signal = self.design.signal(name)
-        words = self.M[signal.sid]
-        if words is None:
-            raise SimulationError(f"{name!r} is not a memory")
-        return words[index] if 0 <= index < len(words) else 0
-
-
-class _CodegenStore:
-    """The minimal value-store facade the driver/baseline seams read through."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: CodegenEngine) -> None:
-        self.engine = engine
-
-    def get(self, signal: Signal) -> int:
-        return self.engine.V[signal.sid]
-
-    def get_word(self, signal: Signal, index: int) -> int:
-        words = self.engine.M[signal.sid]
-        if words is None:
-            raise SimulationError(f"{signal.name!r} is not a memory")
-        return words[index] if 0 <= index < len(words) else 0
-
-    def snapshot_outputs(self) -> Tuple[int, ...]:
-        V = self.engine.V
-        return tuple(V[sid] for sid in self.engine._out_sids)

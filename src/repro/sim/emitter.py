@@ -10,7 +10,7 @@ the older ones lacked: the **compiled event scheduler** (per-signal version
 stamps + per-node last-evaluation stamps, so quiescent logic costs integer
 compares) and the **single-pass `comb_once` settle** for acyclic feed-forward
 designs.  This module factors the walk out once, so every lane layout gets
-every trick, and each trick is an individually toggleable *pass*.
+every trick, and each trick is a *pass*.
 
 The pass pipeline
 -----------------
@@ -32,7 +32,8 @@ A generated kernel is the composition of the passes in :data:`PASS_ORDER`:
   an acyclic RTL schedule, emit a straight-line single-pass settle
   ``comb_once`` (one levelized pass *is* the fixed point) *instead of* the
   looped ``comb_pass``, so the engine skips the change tracking and the
-  confirm pass entirely.  A kernel ships exactly one of the two.
+  confirm pass entirely.  A kernel ships exactly one of the two.  Always
+  on: it carries no toggle.
 * ``predication`` — lane layouts with more than one machine per value
   (packed, vector) execute control flow fully predicated: branch bodies run
   under a per-lane predicate mask and every write is a mask blend.  Like
@@ -40,13 +41,14 @@ A generated kernel is the composition of the passes in :data:`PASS_ORDER`:
   forced off for the serial layout — so it carries no toggle.
 * ``const_pool`` — hoist replicated lane constants to module-level names
   computed once at import instead of re-building them at every use site.  A
-  no-op for the serial layout (constants are already literals).
+  no-op for the serial layout (constants are already literals).  Always on:
+  it carries no toggle.
 
-The toggleable passes form :class:`EmitterPasses`; everything in the package
-defaults to :data:`DEFAULT_PASSES` (all on).  The cross-engine differential
-fuzz suite (``tests/test_fuzz_parity.py``) sweeps toggle combinations over
-the whole benchmark corpus, so a miscompiled pass shows up as a verdict or
-detection-cycle diff — never as a silent perf blip.
+The one toggle, ``event_scheduler``, lives in :class:`EmitterPasses`;
+everything in the package defaults to :data:`DEFAULT_PASSES` (scheduler on).
+The cross-engine differential fuzz suite (``tests/test_fuzz_parity.py``)
+re-runs the corpus with the scheduler off, so a miscompiled pass shows up
+as a verdict or detection-cycle diff — never as a silent perf blip.
 
 Cache-key composition
 ---------------------
@@ -57,9 +59,9 @@ embeds ``CODEGEN_VERSION``) plus a per-variant suffix:
 * serial, default passes — no suffix (the fingerprint alone);
 * packed — ``p<PACKED_VERSION>-<lanes>x<stride>``;
 * vector — ``vec<VECTOR_VERSION>``;
-* any non-default pass configuration appends ``-<EmitterPasses.suffix()>``
-  (e.g. ``-es0co1cp1``), so every toggle combination has its own entry and a
-  stale sidecar can never serve the wrong variant.
+* the scheduler-off configuration appends ``-es0`` (the serial key's whole
+  suffix), so it has its own entry and a stale sidecar can never serve the
+  wrong variant.
 
 The ``auto`` engine policy
 --------------------------
@@ -97,7 +99,7 @@ bits).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
@@ -119,53 +121,19 @@ PASS_ORDER: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class EmitterPasses:
-    """The individually-toggleable emitter passes (see the module docstring).
+    """The toggleable emitter passes (see the module docstring).
 
     Instances are immutable and hashable, so a pass configuration can key
-    memos and cache suffixes directly.  ``event_scheduler`` and ``comb_once``
-    are honoured by every backend (and the eraser emitter always runs with
-    both on); ``const_pool`` by the packed and vector backends.  A toggle a
-    backend cannot honour (the serial layout has no constant pool) is
-    silently inert there — the configuration still gets its own cache
-    suffix, so entries never alias.
+    memos and cache suffixes directly.  ``event_scheduler`` is honoured by
+    every backend (the eraser emitter always runs with it on); turning it off
+    is how the perf gate's scheduler leg measures what it buys.
     """
 
     event_scheduler: bool = True
-    comb_once: bool = True
-    const_pool: bool = True
 
     def suffix(self) -> str:
-        """Cache-key fragment: empty for the default, unique per configuration."""
-        if self == DEFAULT_PASSES:
-            return ""
-        return (
-            f"es{int(self.event_scheduler)}"
-            f"co{int(self.comb_once)}"
-            f"cp{int(self.const_pool)}"
-        )
-
-    def with_toggle(self, **toggles: bool) -> "EmitterPasses":
-        """A copy with the given toggles replaced."""
-        return replace(self, **toggles)
-
-    def describe(self) -> str:
-        """Human-readable toggle summary (for logs and benchmark labels)."""
-        parts = [
-            f"{field.name}={'on' if getattr(self, field.name) else 'off'}"
-            for field in fields(self)
-        ]
-        return ", ".join(parts)
-
-    @classmethod
-    def all_configurations(cls) -> Tuple["EmitterPasses", ...]:
-        """Every toggle combination (2^N), default first."""
-        names = [field.name for field in fields(cls)]
-        configs = []
-        for bits in range(1 << len(names)):
-            configs.append(
-                cls(**{name: not (bits >> i) & 1 for i, name in enumerate(names)})
-            )
-        return tuple(configs)
+        """Cache-key fragment: empty for the default, ``es0`` with the scheduler off."""
+        return "" if self.event_scheduler else "es0"
 
 
 #: The configuration every engine uses unless told otherwise: all passes on.
@@ -190,9 +158,7 @@ _ATOM = re.compile(r"(\w+|\d+)\Z")
 class SourceWriter:
     """Indentation-aware line collector with a temp-name allocator.
 
-    Shared by every emitter backend (serial/packed/vector/eraser); the
-    historical name ``_Writer`` stays importable from
-    :mod:`repro.sim.codegen`.
+    Shared by every emitter backend (serial/packed/vector/eraser).
     """
 
     def __init__(self) -> None:
@@ -352,7 +318,7 @@ def emit_kernel(design: Design, backend, passes: Optional[EmitterPasses] = None)
     # combinational fixed point in ONE levelized pass: emit the straight-line
     # comb_once in place of the looped comb_pass, so the engine skips the
     # change tracking and the confirm pass
-    track_change = not (passes.comb_once and not comb_nodes and rtl_acyclic(design))
+    track_change = bool(comb_nodes) or not rtl_acyclic(design)
     name = "comb_pass" if track_change else "comb_once"
     fns.line(f"def {name}({backend.comb_params}):")
     fns.indent()
@@ -489,9 +455,7 @@ def resolve_engine(
         stride=packed_stride(design),
         numpy_available=numpy_available,
     )
-    if engine == "packed-numpy" and any(
-        signal.is_memory and signal.width > 64 for signal in design.signals
-    ):
+    if engine == "packed-numpy" and not vector_capable(design):
         return "packed"
     return engine
 

@@ -18,15 +18,16 @@ whole design is stable before moving to the next cycle.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConvergenceError, SimulationError
 from repro.ir.behavioral import BehavioralNode
 from repro.ir.design import Design
 from repro.ir.rtlnode import RtlNode
 from repro.ir.signal import Signal
+from repro.sim.emitter import edge_signals, scheduler_slot_count
 from repro.sim.interpreter import NBAUpdate, execute_behavioral
-from repro.sim.kernel import CycleDriver
+from repro.sim.kernel import MAX_PASSES, CycleDriver
 from repro.sim.stimulus import Stimulus
 from repro.sim.values import GoodValueStore, GoodView
 
@@ -73,9 +74,9 @@ class TracedRun:
     """The ``run``/``observe`` pair every good-machine kernel shares.
 
     A kernel mixes this in beside its :class:`~repro.sim.kernel.SimulationKernel`
-    methods; it must expose ``design`` and a ``store`` whose
-    ``snapshot_outputs()`` reads the good machine's primary outputs (lane 0
-    of a multi-machine kernel).
+    methods; it must expose ``design`` and ``snapshot_outputs()``, which
+    reads the good machine's primary outputs (lane 0 of a multi-machine
+    kernel).
     """
 
     #: The trace of the run in progress (``None`` when nothing records).
@@ -84,7 +85,7 @@ class TracedRun:
     def observe(self, cycle: int) -> None:
         """Strobe the primary outputs into the trace of the current run."""
         if self._trace is not None:
-            self._trace.record(self.store.snapshot_outputs())
+            self._trace.record(self.snapshot_outputs())
 
     def run(self, stimulus: Stimulus) -> SimulationTrace:
         """Run the whole stimulus; return the good machine's per-cycle output trace."""
@@ -95,6 +96,155 @@ class TracedRun:
         finally:
             self._trace = None
         return trace
+
+
+class GeneratedEngine(TracedRun):
+    """The driver around every generated kernel: serial, packed, vector, Eraser.
+
+    The four layouts differ in how a value word holds its machines and in
+    the forcing and fault state their kernels take; the cycle protocol around
+    the kernels is this class.  It owns the event-scheduler stamps (``VER``
+    per signal, seeded to 1 so the first pass evaluates everything; ``LS``
+    per scheduler slot, seeded to 0; the counter ``GC``), the memories ``M``,
+    the edge snapshots ``EP``, the force hook's per-signal OR/AND masks
+    ``FO``/``FN`` (a forced write is ``(value | FO[sid]) & FN[sid]``), the
+    ``MAX_PASSES`` settle loops, :meth:`initialize`, and the peeks and
+    output snapshot, which read one machine out of a value word through the
+    layout's :meth:`_lane`.
+
+    A layout's ``__init__`` calls this one, turns ``FO``/``FN`` into its own
+    forcing words, builds its values ``V``, and hands the loaded kernel to
+    :meth:`_bind` with the argument tuples its functions take.  From then on
+    every list in those tuples is updated in place, never rebound.  The
+    engine holds no bound method of itself, so a finished engine is freed by
+    reference counting alone.
+    """
+
+    def __init__(
+        self,
+        design: Design,
+        force_hook: Optional[ForceHook],
+        faults: Sequence[object] = (),
+    ) -> None:
+        design.check_finalized()
+        self.faults = list(faults)
+        if self.faults and force_hook is not None:
+            raise SimulationError(
+                f"{type(self).__name__} takes faults or force_hook, not both"
+            )
+        self.design = design
+        self.force_hook = force_hook
+        signals = design.signals
+        self.VER: List[int] = [1] * len(signals)
+        self.LS: List[int] = [0] * scheduler_slot_count(design)
+        self.GC: List[int] = [1]
+        self.M: List[Optional[list]] = [
+            [0] * signal.depth if signal.is_memory else None for signal in signals
+        ]
+        edges = edge_signals(design)
+        self.EP: List[object] = [0] * len(edges)
+        self._edge_sids = [signal.sid for signal in edges]
+        self._out_sids = [signal.sid for signal in design.outputs]
+        # the hook is the per-bit stuck-at contract, probed once per signal
+        self.FO: List[object] = [0] * len(signals)
+        self.FN: List[object] = [0 if s.is_memory else s.mask for s in signals]
+        if force_hook is not None:
+            for signal in signals:
+                if not signal.is_memory:
+                    self.FO[signal.sid] = force_hook(signal, 0) & signal.mask
+                    self.FN[signal.sid] = force_hook(signal, signal.mask) & signal.mask
+        self._initialized = False
+
+    def _bind(
+        self,
+        namespace: Dict[str, object],
+        comb_args: tuple,
+        fire_args: tuple,
+        edges: Optional[tuple] = None,
+    ) -> None:
+        """Bind the kernel's functions to the argument tuples they take.
+
+        ``edges`` pairs each edge-snapshot list with the values
+        :meth:`initialize` snapshots into it (default: ``EP`` from ``V``).
+        """
+        # a kernel ships comb_once (feed-forward designs) or comb_pass
+        self._comb_once: Optional[Callable] = namespace.get("comb_once")  # type: ignore
+        self._comb_pass: Optional[Callable] = namespace.get("comb_pass")  # type: ignore
+        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
+        self._comb_args = comb_args
+        self._fire_args = fire_args
+        self._edges = edges or ((self.EP, self.V),)
+
+    # ------------------------------------------------------------- evaluation
+    def _settle_comb(self) -> None:
+        if self._comb_once is not None:
+            # feed-forward: one levelized pass IS the fixed point
+            self._comb_once(*self._comb_args)
+            return
+        comb_pass, args = self._comb_pass, self._comb_args
+        for _ in range(MAX_PASSES):
+            if not comb_pass(*args):
+                return
+        raise ConvergenceError(
+            f"design {self.design.name!r} did not converge within {MAX_PASSES} passes"
+        )
+
+    def settle(self) -> None:
+        """Settle combinational logic and fire clocked logic until stable."""
+        fire, args = self._fire_clocked, self._fire_args
+        for _ in range(MAX_PASSES):
+            self._settle_comb()
+            if not fire(*args):
+                return
+        raise ConvergenceError(
+            f"design {self.design.name!r}: clocked feedback did not settle"
+        )
+
+    # ------------------------------------------------------- kernel protocol
+    def initialize(self) -> None:
+        """Establish a consistent combinational state from reset (idempotent).
+
+        No clock edge has happened yet: the edge snapshots start at the
+        settled values, so the first stimulus edge is the first one seen.
+        """
+        if self._initialized:
+            return
+        self._settle_comb()
+        for snapshot, values in self._edges:
+            for i, sid in enumerate(self._edge_sids):
+                snapshot[i] = values[sid]
+        self._initialized = True
+
+    # ------------------------------------------------------------------ peeks
+    def _lane(self, word, lane: int) -> int:
+        """One machine's value out of a value word (lane 0 is the good machine).
+
+        The serial layout holds one machine per word, and the Eraser engine's
+        ``V`` is its good machine, so both read the word as it is.
+        """
+        return word
+
+    def snapshot_outputs(self) -> Tuple[int, ...]:
+        """Lane-0 values of every primary output, in design order."""
+        V, lane = self.V, self._lane
+        return tuple(lane(V[sid], 0) for sid in self._out_sids)
+
+    def peek(self, name: str, lane: int = 0) -> int:
+        """One lane's current value of signal ``name`` (lane 0 = good)."""
+        signal = self.design.signal(name)
+        if signal.is_memory:
+            raise SimulationError(f"{name!r} is a memory; use peek_word")
+        return self._lane(self.V[signal.sid], lane) & signal.mask
+
+    def peek_word(self, name: str, index: int, lane: int = 0) -> int:
+        """One lane's view of memory ``name`` at word ``index``."""
+        signal = self.design.signal(name)
+        words = self.M[signal.sid]
+        if words is None:
+            raise SimulationError(f"{name!r} is not a memory")
+        if not 0 <= index < len(words):
+            return 0
+        return self._lane(words[index], lane) & signal.mask
 
 
 class EventDrivenEngine(TracedRun):
@@ -235,6 +385,10 @@ class EventDrivenEngine(TracedRun):
         self.write(signal, value)
 
     # ------------------------------------------------------------------ debug
+    def snapshot_outputs(self) -> Tuple[int, ...]:
+        """Current values of every primary output, in design order."""
+        return self.store.snapshot_outputs()
+
     def peek(self, name: str) -> int:
         """Current value of a signal, by flattened name (testing/debug aid)."""
         signal = self.design.signal(name)

@@ -49,9 +49,9 @@ Generated sources reuse the persistent disk cache of
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.ir.behavioral import BehavioralNode, EdgeKind
 from repro.ir.design import Design
 from repro.ir.rtlnode import RtlNode
@@ -61,15 +61,16 @@ from repro.sim.codegen import (
     _emit_body,
     _emit_expr,
     _ReadContext,
-    _rtl_acyclic,
-    _rtl_schedule,
-    _Writer,
-    edge_signals,
     load_kernel_variant,
 )
-from repro.sim.emitter import open_scheduler_guard
-from repro.sim.engine import ForceHook, TracedRun
-from repro.sim.kernel import MAX_PASSES
+from repro.sim.emitter import (
+    SourceWriter,
+    edge_signals,
+    open_scheduler_guard,
+    rtl_acyclic,
+    rtl_schedule,
+)
+from repro.sim.engine import ForceHook, GeneratedEngine
 from repro.sim.stimulus import Stimulus
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
@@ -307,7 +308,7 @@ class _BehavioralFaultContext(_ReadContext):
 
 
 # ------------------------------------------------------------------- emitter
-def _emit_behavioral(node: BehavioralNode, w: _Writer, fault_view: bool) -> str:
+def _emit_behavioral(node: BehavioralNode, w: SourceWriter, fault_view: bool) -> str:
     """One execution function for an ``always`` block (flat, view-selected).
 
     ``fault_view=False`` emits the good machine's execution over ``V``;
@@ -354,7 +355,7 @@ def _emit_rtl_node(
     node: RtlNode,
     slot: int,
     good_ctx: _ReadContext,
-    w: _Writer,
+    w: SourceWriter,
     track_change: bool = True,
 ) -> None:
     """Good-value update fused with the per-fault divergence delta loop.
@@ -464,7 +465,7 @@ def _emit_rtl_node(
     w.dedent()
 
 
-def _emit_considered(node: BehavioralNode, w: _Writer, seed: Optional[str]) -> str:
+def _emit_considered(node: BehavioralNode, w: SourceWriter, seed: Optional[str]) -> str:
     """Emit the divergence-aware guard: the set of faults that must execute.
 
     A fault is *considered* when it diverges on any signal the block reads or
@@ -499,7 +500,7 @@ def _emit_considered(node: BehavioralNode, w: _Writer, seed: Optional[str]) -> s
 def generate_eraser_source(design: Design) -> str:
     """Emit the specialized concurrent (Eraser) simulation module."""
     design.check_finalized()
-    w = _Writer()
+    w = SourceWriter()
     w.line(f"# repro eraser (concurrent) codegen kernel v{ERASER_VERSION}")
     w.line(f"# design: {design.name}")
     w.line(
@@ -509,7 +510,7 @@ def generate_eraser_source(design: Design) -> str:
     w.blank()
     head = w.source()
 
-    fns = _Writer()
+    fns = SourceWriter()
     comb_nodes = [n for n in design.behavioral_nodes if not n.is_clocked]
     clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
 
@@ -520,7 +521,7 @@ def generate_eraser_source(design: Design) -> str:
         fault_names[node.bid] = _emit_behavioral(node, fns, fault_view=True)
 
     # --- one flat levelized pass: good values fused with divergence deltas --
-    schedule = _rtl_schedule(design)
+    schedule = rtl_schedule(design)
     slots = {node.nid: i for i, node in enumerate(schedule)}
     comb_slots = {node.bid: len(schedule) + i for i, node in enumerate(comb_nodes)}
     fns.line("def comb_pass(V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC):")
@@ -553,7 +554,7 @@ def generate_eraser_source(design: Design) -> str:
     # pass: emit a variant with no change flag so the engine can skip the
     # confirm pass entirely (commits keep their compare: it feeds the
     # version stamps)
-    if not comb_nodes and _rtl_acyclic(design):
+    if not comb_nodes and rtl_acyclic(design):
         fns.line("def comb_once(V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC):")
         fns.indent()
         for node in schedule:
@@ -652,14 +653,15 @@ def load_eraser_kernel(design: Design, use_cache: bool = True):
 
 
 # ------------------------------------------------------------------ the engine
-class EraserCodegenEngine(TracedRun):
+class EraserCodegenEngine(GeneratedEngine):
     """Concurrent (good + whole-fault-list) simulation on generated code.
 
     Implements the same :class:`~repro.sim.kernel.SimulationKernel` protocol
     as the single-machine engines, so the shared
     :class:`~repro.sim.kernel.CycleDriver` advances it; outputs seen through
-    ``store``/``run`` are the good machine's, which is what makes
-    ``engine="eraser-codegen"`` selectable everywhere the other kernels are.
+    ``snapshot_outputs``/``run`` and the peeks are the good machine's, which
+    is what makes ``engine="eraser-codegen"`` selectable everywhere the
+    other kernels are.
 
     Parameters
     ----------
@@ -684,51 +686,23 @@ class EraserCodegenEngine(TracedRun):
         observation: Optional["ObservationManager"] = None,
         use_cache: bool = True,
     ) -> None:
-        design.check_finalized()
-        faults = list(faults)
-        if faults and force_hook is not None:
-            raise SimulationError(
-                "eraser-codegen engine takes faults or force_hook, not both"
-            )
-        self.design = design
-        self.force_hook = force_hook
-        self.faults = faults
+        super().__init__(design, force_hook, faults)
         self.observation = observation
         namespace, self.source, self.fingerprint, self.cache_hit = load_eraser_kernel(
             design, use_cache
         )
-        self._comb_pass: Callable = namespace["comb_pass"]  # type: ignore
-        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
-        # feed-forward designs ship a single-pass settle (see the emitter)
-        self._comb_once: Optional[Callable] = namespace.get("comb_once")  # type: ignore
         count = len(design.signals)
-        self.V: List[int] = [0] * count
-        self.M: List[Optional[List[int]]] = [None] * count
+        # good-machine forcing (the serial seam; off in concurrent mode), with
+        # the initial forcing on the all-zero state (matches the others)
+        self.FA = force_hook is not None
+        self.V: List[int] = list(self.FO)  # type: ignore[arg-type]
         #: per-signal divergence dicts: ``D[sid][fault_id] -> value``
         self.D: List[Dict[int, int]] = [{} for _ in range(count)]
         #: per-memory fault overlays: ``MD[sid][fault_id] -> {index: value}``
         self.MD: List[Dict[int, Dict[int, int]]] = [{} for _ in range(count)]
-        for signal in design.signals:
-            if signal.is_memory:
-                self.M[signal.sid] = [0] * signal.depth
-        # good-machine forcing masks (the serial seam; off in concurrent mode)
-        self.FA = force_hook is not None
-        self.FO: List[int] = [0] * count
-        self.FN: List[int] = [
-            0 if signal.is_memory else signal.mask for signal in design.signals
-        ]
-        if force_hook is not None:
-            for signal in design.signals:
-                if signal.is_memory:
-                    continue
-                sid = signal.sid
-                self.FO[sid] = force_hook(signal, 0) & signal.mask
-                self.FN[sid] = force_hook(signal, signal.mask) & signal.mask
-                # initial forcing on the all-zero state (matches the others)
-                self.V[sid] = self.FO[sid]
         #: per-fault site forcing masks: ``SITES[sid][fault_id] -> (OR, AND)``
         self.SITES: List[Dict[int, Tuple[int, int]]] = [{} for _ in range(count)]
-        for fault in faults:
+        for fault in self.faults:
             sid = fault.signal.sid
             om = fault.force(0) & fault.signal.mask
             an = fault.force(fault.signal.mask) & fault.signal.mask
@@ -737,58 +711,19 @@ class EraserCodegenEngine(TracedRun):
             forced = (self.V[sid] | om) & an
             if forced != self.V[sid]:
                 self.D[sid][fault.fault_id] = forced
-        #: per-signal change stamps + per-node last-eval stamps + the global
-        #: commit counter (the compiled event scheduler); VER starts above LS
-        #: so the first pass evaluates every node
-        self.VER: List[int] = [1] * count
-        n_comb = sum(1 for n in design.behavioral_nodes if not n.is_clocked)
-        self.LS: List[int] = [0] * (len(design.rtl_nodes) + n_comb)
-        self.GC: List[int] = [1]
-        self.EP: List[int] = [0] * len(edge_signals(design))
+        #: per-edge-signal divergence snapshots, beside the good ``EP``
         self.EPD: List[Dict[int, int]] = [{} for _ in self.EP]
-        self._edge_sids = [signal.sid for signal in edge_signals(design)]
-        self._out_sids = [signal.sid for signal in design.outputs]
-        self._initialized = False
-
-    @property
-    def store(self) -> "_EraserStore":
-        """Good-machine value-store facade, built per access.
-
-        Holding it in an attribute would tie the engine into a reference
-        cycle, so a finished campaign's engine would wait for the cyclic
-        garbage collector instead of being freed when it is dropped.
-        """
-        return _EraserStore(self)
-
-    # ------------------------------------------------------------- evaluation
-    def _settle_comb(self) -> None:
-        V, M, D, MD = self.V, self.M, self.D, self.MD
+        V, M, D, MD, EP, EPD = self.V, self.M, self.D, self.MD, self.EP, self.EPD
         SITES, FA, FO, FN = self.SITES, self.FA, self.FO, self.FN
         VER, LS, GC = self.VER, self.LS, self.GC
-        if self._comb_once is not None:
-            # provably feed-forward: one levelized pass IS the fixed point
-            self._comb_once(V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC)
-            return
-        comb_pass = self._comb_pass
-        for _ in range(MAX_PASSES):
-            if not comb_pass(V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC):
-                return
-        raise ConvergenceError(
-            f"design {self.design.name!r} did not converge within {MAX_PASSES} passes"
+        self._bind(
+            namespace,
+            (V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC),
+            (V, M, D, MD, EP, EPD, SITES, FA, FO, FN, VER, GC),
+            edges=((EP, V), (EPD, D)),
         )
 
     # ------------------------------------------------------- kernel protocol
-    def initialize(self) -> None:
-        """Settle the combinational network from reset (edges suppressed)."""
-        if self._initialized:
-            return
-        self._settle_comb()
-        V, D, EP, EPD = self.V, self.D, self.EP, self.EPD
-        for i, sid in enumerate(self._edge_sids):
-            EP[i] = V[sid]
-            EPD[i] = D[sid]
-        self._initialized = True
-
     def apply_input(self, signal: Signal, value: int) -> None:
         """Drive one primary input; site faults re-seed their divergences."""
         sid = signal.sid
@@ -811,19 +746,6 @@ class EraserCodegenEngine(TracedRun):
             if self.D[sid]:
                 self.D[sid] = {}
         self.V[sid] = new_good
-
-    def settle(self) -> None:
-        """Settle combinational logic and fire clocked logic until stable."""
-        fire = self._fire_clocked
-        V, M, D, MD, EP, EPD = self.V, self.M, self.D, self.MD, self.EP, self.EPD
-        SITES, FA, FO, FN = self.SITES, self.FA, self.FO, self.FN
-        for _ in range(MAX_PASSES):
-            self._settle_comb()
-            if not fire(V, M, D, MD, EP, EPD, SITES, FA, FO, FN, self.VER, self.GC):
-                return
-        raise ConvergenceError(
-            f"design {self.design.name!r}: clocked feedback did not settle"
-        )
 
     def observe(self, cycle: int) -> None:
         """Strobe the observation points; detect and drop divergent faults."""
@@ -862,47 +784,12 @@ class EraserCodegenEngine(TracedRun):
                     entries.pop(fault_id, None)
 
     # ------------------------------------------------------------------ peeks
-    def peek(self, name: str) -> int:
-        signal = self.design.signal(name)
-        if signal.is_memory:
-            raise SimulationError(f"{name!r} is a memory; use peek_word")
-        return self.V[signal.sid]
-
-    def peek_word(self, name: str, index: int) -> int:
-        signal = self.design.signal(name)
-        words = self.M[signal.sid]
-        if words is None:
-            raise SimulationError(f"{name!r} is not a memory")
-        return words[index] if 0 <= index < len(words) else 0
-
     def fault_value(self, name: str, fault_id: int) -> int:
         """The named signal as seen by one fault's machine (debug/tests)."""
         signal = self.design.signal(name)
         if signal.is_memory:
             raise SimulationError(f"{name!r} is a memory; peek its words instead")
         return self.D[signal.sid].get(fault_id, self.V[signal.sid])
-
-
-class _EraserStore:
-    """Good-machine value-store facade (what the driver/baseline seams read)."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: EraserCodegenEngine) -> None:
-        self.engine = engine
-
-    def get(self, signal: Signal) -> int:
-        return self.engine.V[signal.sid]
-
-    def get_word(self, signal: Signal, index: int) -> int:
-        words = self.engine.M[signal.sid]
-        if words is None:
-            raise SimulationError(f"{signal.name!r} is not a memory")
-        return words[index] if 0 <= index < len(words) else 0
-
-    def snapshot_outputs(self) -> Tuple[int, ...]:
-        V = self.engine.V
-        return tuple(V[sid] for sid in self.engine._out_sids)
 
 
 # ------------------------------------------------------------------- campaigns

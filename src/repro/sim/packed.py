@@ -32,15 +32,14 @@ masks carrying each lane's stuck-at bits at that lane's offset.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.ir.design import Design
 from repro.ir.signal import Signal
-from repro.sim.codegen import PackedLayout, edge_signals, load_kernel, packed_stride
-from repro.sim.emitter import EmitterPasses, coerce_passes, scheduler_slot_count
-from repro.sim.engine import ForceHook, TracedRun
-from repro.sim.kernel import MAX_PASSES
+from repro.sim.codegen import PackedLayout, load_kernel, packed_stride
+from repro.sim.emitter import EmitterPasses, coerce_passes
+from repro.sim.engine import ForceHook, GeneratedEngine
 from repro.sim.stimulus import Stimulus
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
@@ -54,7 +53,18 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
 DEFAULT_WORD_WIDTH = 512
 
 
-class PackedCodegenEngine(TracedRun):
+def _lane_count(faults: Sequence[StuckAtFault], lanes: Optional[int]) -> int:
+    """A lane word's size: the override, or one lane per fault plus the good one."""
+    if lanes is None:
+        return len(faults) + 1
+    if lanes < len(faults) + 1:
+        raise SimulationError(
+            f"{len(faults)} faults need at least {len(faults) + 1} lanes, got {lanes}"
+        )
+    return lanes
+
+
+class PackedCodegenEngine(GeneratedEngine):
     """Cycle-based simulation of ``W`` machines packed into one word per signal.
 
     Parameters
@@ -80,116 +90,49 @@ class PackedCodegenEngine(TracedRun):
         passes: Optional[EmitterPasses] = None,
     ) -> None:
         """Build (or cache-hit) the packed kernel for ``design``; see the class docs."""
-        design.check_finalized()
-        faults = list(faults)
-        if faults and force_hook is not None:
-            raise SimulationError("packed engine takes faults or force_hook, not both")
-        if lanes is None:
-            lanes = len(faults) + 1 if faults else 1
-        if lanes < len(faults) + 1:
-            raise SimulationError(
-                f"{len(faults)} faults need at least {len(faults) + 1} lanes, got {lanes}"
-            )
-        self.design = design
-        self.force_hook = force_hook
-        self.faults = faults
+        super().__init__(design, force_hook, faults)
         self.use_cache = use_cache
         self.passes = coerce_passes(passes)
-        self.layout = PackedLayout(lanes, packed_stride(design))
+        self.layout = PackedLayout(
+            _lane_count(self.faults, lanes), packed_stride(design)
+        )
         namespace, self.source, self.fingerprint, self.cache_hit = load_kernel(
             design, use_cache, layout=self.layout, passes=self.passes
         )
-        # feed-forward designs ship the single-pass comb_once in place of
-        # comb_pass (see repro.sim.emitter.emit_kernel)
-        self._comb_pass: Optional[Callable] = namespace.get("comb_pass")  # type: ignore
-        self._comb_once: Optional[Callable] = namespace.get("comb_once")  # type: ignore
-        self._fire_clocked: Callable = namespace["fire_clocked"]  # type: ignore
-        count = len(design.signals)
-        # event-scheduler stamp state (the kernel only reads it when the
-        # scheduler pass is on; _publish keeps VER maintained either way)
-        self.VER: List[int] = [1] * count
-        self.LS: List[int] = [0] * scheduler_slot_count(design)
-        self.GC: List[int] = [1]
         ones = self._ones = self.layout.lane_ones
         stride = self.layout.stride
         # per-sid value masks: apply_input runs every cycle for every input
         self._masks: List[int] = [signal.mask for signal in design.signals]
-        # per-lane forcing masks (value -> (value | FO[sid]) & FN[sid]) plus a
-        # per-signal forced flag FB: in a W-fault word only the fault-site
-        # signals carry force bits, so every other write skips the blend
-        self.FO: List[int] = [0] * count
-        self.FN: List[int] = [
-            0 if signal.is_memory else signal.mask * ones for signal in design.signals
-        ]
-        if force_hook is not None:
-            for signal in design.signals:
-                if signal.is_memory:
-                    continue
-                sid = signal.sid
-                self.FO[sid] = (force_hook(signal, 0) & signal.mask) * ones
-                self.FN[sid] = (force_hook(signal, signal.mask) & signal.mask) * ones
-        for lane, fault in enumerate(faults, start=1):
+        # per-lane forcing masks (the hook's masks in every lane, then each
+        # fault's bit in its own lane) plus a per-signal forced flag FB: in a
+        # W-fault word only the fault-site signals carry force bits, so every
+        # other write skips the blend
+        FO = self.FO = [fo * ones for fo in self.FO]  # type: ignore[operator]
+        FN = self.FN = [fn * ones for fn in self.FN]  # type: ignore[operator]
+        for lane, fault in enumerate(self.faults, start=1):
             offset = lane * stride + fault.bit
             if fault.value:
-                self.FO[fault.signal.sid] |= 1 << offset
+                FO[fault.signal.sid] |= 1 << offset
             else:
-                self.FN[fault.signal.sid] &= ~(1 << offset)
-        self.FB: List[int] = [0] * count
-        for signal in design.signals:
-            if signal.is_memory:
-                continue
-            sid = signal.sid
-            if self.FO[sid] or self.FN[sid] != signal.mask * ones:
-                self.FB[sid] = 1
+                FN[fault.signal.sid] &= ~(1 << offset)
+        self.FB: List[int] = [
+            int(not s.is_memory and (FO[s.sid] != 0 or FN[s.sid] != s.mask * ones))
+            for s in design.signals
+        ]
         # the only signals whose forcing retire() can change
-        self._fault_sids = sorted({fault.signal.sid for fault in faults})
+        self._fault_sids = sorted({fault.signal.sid for fault in self.faults})
         # initial forcing on the all-zero state (matches the other engines)
-        self.V: List[int] = list(self.FO)
-        self.M: List[Optional[List[int]]] = [None] * count
-        for signal in design.signals:
-            if signal.is_memory:
-                self.M[signal.sid] = [0] * signal.depth
-        self.EP: List[int] = [0] * len(edge_signals(design))
-        self._edge_sids = [signal.sid for signal in edge_signals(design)]
-        self._out_sids = [signal.sid for signal in design.outputs]
-        self._initialized = False
-
-    @property
-    def store(self) -> "_PackedStore":
-        """Lane-0 value-store facade, built per access.
-
-        Holding it in an attribute would tie the engine into a reference
-        cycle, so every finished word's state would wait for the cyclic
-        garbage collector instead of being freed when the word ends.
-        """
-        return _PackedStore(self)
-
-    # ------------------------------------------------------------- evaluation
-    def _settle_comb(self) -> None:
-        VER, LS, GC = self.VER, self.LS, self.GC
-        if self._comb_once is not None:
-            # provably feed-forward: one levelized pass IS the fixed point
-            self._comb_once(self.V, self.M, self.FB, self.FO, self.FN, VER, LS, GC)
-            return
-        comb_pass = self._comb_pass
-        V, M, FB, FO, FN = self.V, self.M, self.FB, self.FO, self.FN
-        for _ in range(MAX_PASSES):
-            if not comb_pass(V, M, FB, FO, FN, VER, LS, GC):
-                return
-        raise ConvergenceError(
-            f"design {self.design.name!r} did not converge within {MAX_PASSES} passes"
+        V = self.V = list(FO)
+        M, EP, FB, VER, LS, GC = self.M, self.EP, self.FB, self.VER, self.LS, self.GC
+        self._bind(
+            namespace,
+            (V, M, FB, FO, FN, VER, LS, GC),
+            (V, M, EP, FB, FO, FN, VER, GC),
         )
 
-    # ------------------------------------------------------- kernel protocol
-    def initialize(self) -> None:
-        """Establish a consistent combinational state from reset (idempotent)."""
-        if self._initialized:
-            return
-        self._settle_comb()
-        V, EP = self.V, self.EP
-        for i, sid in enumerate(self._edge_sids):
-            EP[i] = V[sid]
-        self._initialized = True
+    # perfbench's tracer wraps ``settle`` in this class's own dict
+    # (``perfbench/spans.py``), so the shared loop is bound here too
+    settle = GeneratedEngine.settle
 
     def apply_input(self, signal: Signal, value: int) -> None:
         """Drive one primary input to the same value on every lane (then force)."""
@@ -200,19 +143,6 @@ class PackedCodegenEngine(TracedRun):
         if self.V[sid] != word:
             self.V[sid] = word
             self.GC[0] = self.VER[sid] = self.GC[0] + 1
-
-    def settle(self) -> None:
-        """Settle combinational logic and fire clocked logic until stable."""
-        fire = self._fire_clocked
-        V, M, EP, FB, FO, FN = self.V, self.M, self.EP, self.FB, self.FO, self.FN
-        VER, GC = self.VER, self.GC
-        for _ in range(MAX_PASSES):
-            self._settle_comb()
-            if not fire(V, M, EP, FB, FO, FN, VER, GC):
-                return
-        raise ConvergenceError(
-            f"design {self.design.name!r}: clocked feedback did not settle"
-        )
 
     # ------------------------------------------------------------- retirement
     def retire(self, lanes: Iterable[int]) -> None:
@@ -267,57 +197,13 @@ class PackedCodegenEngine(TracedRun):
             FB[sid] = int(bool(FO[sid]) or FN[sid] != masks[sid] * ones)
 
     # ------------------------------------------------------------------ peeks
+    def _lane(self, word: int, lane: int) -> int:
+        return self.layout.lane_value(word, lane)
+
     def output_words(self) -> List[int]:
         """The packed words of every primary output (observation feed)."""
         V = self.V
         return [V[sid] for sid in self._out_sids]
-
-    def peek(self, name: str, lane: int = 0) -> int:
-        """Read one lane's current value of signal ``name`` (lane 0 = good)."""
-        signal = self.design.signal(name)
-        if signal.is_memory:
-            raise SimulationError(f"{name!r} is a memory; use peek_word")
-        return self.layout.lane_value(self.V[signal.sid], lane) & signal.mask
-
-    def peek_word(self, name: str, index: int, lane: int = 0) -> int:
-        """Read one lane's view of memory ``name`` at word ``index``."""
-        signal = self.design.signal(name)
-        words = self.M[signal.sid]
-        if words is None:
-            raise SimulationError(f"{name!r} is not a memory")
-        if not 0 <= index < len(words):
-            return 0
-        return self.layout.lane_value(words[index], lane) & signal.mask
-
-
-class _PackedStore:
-    """Lane-0 value-store facade (what the driver/baseline seams read)."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: PackedCodegenEngine) -> None:
-        """Wrap ``engine``; all reads project out its lane 0."""
-        self.engine = engine
-
-    def get(self, signal: Signal) -> int:
-        """Lane-0 (good machine) value of ``signal``."""
-        return self.engine.layout.lane_value(self.engine.V[signal.sid], 0) & signal.mask
-
-    def get_word(self, signal: Signal, index: int) -> int:
-        """Lane-0 view of memory ``signal`` at word ``index``."""
-        words = self.engine.M[signal.sid]
-        if words is None:
-            raise SimulationError(f"{signal.name!r} is not a memory")
-        if not 0 <= index < len(words):
-            return 0
-        return self.engine.layout.lane_value(words[index], 0) & signal.mask
-
-    def snapshot_outputs(self) -> Tuple[int, ...]:
-        """Lane-0 values of every primary output, in design order."""
-        engine = self.engine
-        lane_mask = (1 << engine.layout.stride) - 1
-        V = engine.V
-        return tuple(V[sid] & lane_mask for sid in engine._out_sids)
 
 
 class PackedCodegenSimulator:

@@ -25,7 +25,10 @@ from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import CodegenEngine, design_fingerprint, generate_source
 from repro.sim.engine import EventDrivenEngine
 from repro.sim.kernel import SimulationKernel
+from repro.sim.packed import PackedCodegenSimulator
 from repro.sim.stimulus import RandomStimulus, VectorStimulus
+from repro.sim.vector import VectorFaultSimulator
+from repro.sim.vector import np as _vector_np
 
 #: Cycles per benchmark for the corpus sweep — enough for every design to
 #: produce observable output activity while keeping the sweep fast.
@@ -106,6 +109,34 @@ def test_finished_engines_are_freed_without_the_cycle_collector(monkeypatch):
         assert [engine() for engine in engines] == [None] * 5
     finally:
         gc.enable()
+
+
+def test_repeated_runs_leave_no_cyclic_garbage():
+    """Engines of one kernel share its executed namespace, so reruns make no cycles.
+
+    A namespace is a functions-to-globals reference cycle; executing one per
+    engine left every finished word's or fault's namespace for the cyclic
+    collector.
+    """
+    design, stimulus, _ = _workload("apb")
+    faults = sample_faults(generate_stuck_at_faults(design), 24, seed=23)
+    runs = [
+        lambda: PackedCodegenSimulator(design, width=8).run(stimulus, faults),
+        lambda: VFsimSimulator(design).run(stimulus, faults[:4]),
+    ]
+    if _vector_np is not None:
+        runs.append(lambda: VectorFaultSimulator(design, width=8).run(stimulus, faults))
+    for run in runs:
+        run()  # a kernel's first load executes its namespace
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -192,7 +223,7 @@ def test_bytecode_sidecar_round_trip(tmp_path, monkeypatch, counter_design,
 
     monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
     first = CodegenEngine(counter_design)
-    codegen_mod._CODE_MEMO.clear()  # simulate a fresh process
+    codegen_mod._KERNEL_MEMO.clear()  # simulate a fresh process
 
     def fail_compile(*args, **kwargs):  # pragma: no cover - must not be hit
         raise AssertionError("sidecar hit expected; compile() was called")
@@ -213,12 +244,12 @@ def test_corrupt_bytecode_sidecar_recompiles(tmp_path, monkeypatch,
     good = CodegenEngine(counter_design)
     sidecar = next(tmp_path.glob("*.bc"))
     sidecar.write_bytes(b"\x00garbage")
-    codegen_mod._CODE_MEMO.clear()
+    codegen_mod._KERNEL_MEMO.clear()
     recovered = CodegenEngine(counter_design)
     assert recovered.cache_hit  # the source cache is still fine
     assert recovered.run(counter_stimulus) == good.run(counter_stimulus)
     # the sidecar was regenerated and is loadable again
-    codegen_mod._CODE_MEMO.clear()
+    codegen_mod._KERNEL_MEMO.clear()
     CodegenEngine(counter_design)
 
 
@@ -233,7 +264,7 @@ def test_stale_bytecode_sidecar_ignored(tmp_path, monkeypatch, counter_design):
     sidecar = next(tmp_path.glob("*.bc"))
     poison = compile("comb_pass = fire_clocked = lambda *a: False", "<p>", "exec")
     sidecar.write_bytes(marshal.dumps(("0" * 64, poison)))
-    codegen_mod._CODE_MEMO.clear()
+    codegen_mod._KERNEL_MEMO.clear()
     engine = CodegenEngine(counter_design)
     # the poisoned code was rejected: a real kernel was compiled and runs
     assert engine.peek("count") == 0

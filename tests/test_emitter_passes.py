@@ -4,12 +4,12 @@ The three codegen targets (serial / packed / vector) share one emitter walk
 parameterized by :class:`~repro.sim.emitter.EmitterPasses`.  This module pins
 the pass machinery itself:
 
-* every pass is individually disableable and its footprint in the generated
-  source appears/disappears with the toggle,
+* the one toggle, the event scheduler, can be turned off and its footprint
+  in the generated source disappears with it,
 * the pass order is stable (it is part of the cache-key contract),
 * golden snapshots of the generated source for one tiny design per target,
   keyed by the emitter format version — a version bump re-seeds them,
-* every pass configuration owns a distinct cache suffix, and the corrupt/
+* each pass configuration owns a distinct cache suffix, and the corrupt/
   stale-entry self-healing of the cache holds for pass variants too.
 """
 
@@ -52,6 +52,10 @@ def _packed_layout(design):
     return PackedLayout(4, packed_stride(design))
 
 
+#: Every pass configuration: the default and the scheduler turned off.
+_CONFIGS = (DEFAULT_PASSES, EmitterPasses(event_scheduler=False))
+
+
 # ------------------------------------------------------------- pass plumbing
 def test_pass_order_is_stable():
     """PASS_ORDER is a published contract (cache suffixes depend on it)."""
@@ -67,17 +71,8 @@ def test_pass_order_is_stable():
 def test_default_passes_everything_on():
     assert DEFAULT_PASSES == EmitterPasses()
     assert DEFAULT_PASSES.event_scheduler
-    assert DEFAULT_PASSES.comb_once
-    assert DEFAULT_PASSES.const_pool
     # the default config keeps the historical (suffix-free) cache keys
     assert DEFAULT_PASSES.suffix() == ""
-
-
-def test_with_toggle_flips_exactly_one_pass():
-    toggled = DEFAULT_PASSES.with_toggle(comb_once=False)
-    assert toggled == EmitterPasses(comb_once=False)
-    assert toggled.event_scheduler and toggled.const_pool
-    assert DEFAULT_PASSES.comb_once  # frozen: the original is untouched
 
 
 def test_coerce_passes():
@@ -89,15 +84,8 @@ def test_coerce_passes():
 
 
 def test_suffixes_unique_across_all_configurations():
-    """Each of the 8 toggle combinations owns a distinct cache suffix."""
-    configs = EmitterPasses.all_configurations()
-    assert len(configs) == 8
-    assert configs[0] == DEFAULT_PASSES  # default first, by contract
-    suffixes = [config.suffix() for config in configs]
-    assert len(set(suffixes)) == len(suffixes)
-    # non-default suffixes spell out every toggle (stable key shape)
-    assert EmitterPasses(event_scheduler=False).suffix() == "es0co1cp1"
-    assert EmitterPasses(False, False, False).suffix() == "es0co0cp0"
+    """Each pass configuration owns a distinct cache suffix."""
+    assert [config.suffix() for config in _CONFIGS] == ["", "es0"]
 
 
 # --------------------------------------------------- per-pass source footprint
@@ -122,39 +110,23 @@ def test_event_scheduler_toggle_footprint(counter_design, target):
 
 
 @pytest.mark.parametrize("target", sorted(_TARGETS))
-def test_comb_once_toggle_footprint(counter_design, target):
-    """A kernel ships the single-pass settle or the looped one, never both."""
-    generate = _TARGETS[target]
-    with_once = generate(counter_design)
-    without = generate(counter_design, EmitterPasses(comb_once=False))
-    assert "def comb_once(" in with_once
-    assert "def comb_pass(" not in with_once
-    assert "def comb_once(" not in without
-    assert "def comb_pass(" in without
+def test_comb_once_requires_acyclic_pure_rtl(counter_design, mux_design, target):
+    """A kernel ships the single-pass settle or the looped one, never both.
 
-
-@pytest.mark.parametrize("target", sorted(_TARGETS))
-def test_comb_once_requires_acyclic_pure_rtl(mux_design, target):
-    """A design with comb behavioral blocks never gets the single-pass settle."""
+    The feed-forward counter gets ``comb_once``; a design with comb
+    behavioral blocks never does.
+    """
+    once = _TARGETS[target](counter_design)
+    assert "def comb_once(" in once
+    assert "def comb_pass(" not in once
     source = _TARGETS[target](mux_design)
     assert "def comb_once(" not in source
     assert "def comb_pass(" in source
 
 
-def test_const_pool_toggle_footprint(counter_design):
-    layout = _packed_layout(counter_design)
-    pooled = generate_packed_source(counter_design, layout)
-    inline = generate_packed_source(
-        counter_design, layout, EmitterPasses(const_pool=False)
-    )
-    assert "_K0 = _repl(" in pooled  # hoisted replicated-constant pool
-    assert "_K0" not in inline
-    assert "_repl(15)" in inline  # the same constant, re-replicated inline
-
-
 def test_generation_is_deterministic_per_config(counter_design):
     layout = _packed_layout(counter_design)
-    for passes in EmitterPasses.all_configurations():
+    for passes in _CONFIGS:
         assert generate_source(counter_design, passes) == generate_source(
             counter_design, passes
         )
@@ -238,14 +210,14 @@ def test_pass_configs_get_distinct_cache_entries(tmp_path, counter_design):
     cache = tmp_path / "codegen-cache"
     fingerprint = design_fingerprint(counter_design)
     names = sorted(path.name for path in cache.glob("*.py"))
-    assert names == [f"{fingerprint}-es0co1cp1.py", f"{fingerprint}.py"]
+    assert names == [f"{fingerprint}-es0.py", f"{fingerprint}.py"]
 
 
 def test_corrupt_pass_variant_cache_entry_regenerates(
     tmp_path, counter_design, counter_stimulus
 ):
     """The self-healing cache contract holds for pass-variant entries too."""
-    passes = EmitterPasses(comb_once=False)
+    passes = EmitterPasses(event_scheduler=False)
     good = CodegenEngine(counter_design, passes=passes)
     path = (
         tmp_path
@@ -267,7 +239,7 @@ def test_stale_pass_variant_sidecar_recompiles(
     good = CodegenEngine(counter_design, passes=passes)
     sidecar = next((tmp_path / "codegen-cache").glob(f"*-{passes.suffix()}.*.bc"))
     sidecar.write_bytes(b"\x00garbage")
-    codegen_mod._CODE_MEMO.clear()
+    codegen_mod._KERNEL_MEMO.clear()
     recovered = CodegenEngine(counter_design, passes=passes)
     assert recovered.cache_hit  # the source cache entry is still fine
     assert recovered.run(counter_stimulus) == good.run(counter_stimulus)
@@ -275,11 +247,11 @@ def test_stale_pass_variant_sidecar_recompiles(
 
 # ------------------------------------------------------------- config parity
 def test_all_configurations_trace_parity(counter_design, counter_stimulus):
-    """Every toggle combination produces the event-driven reference trace."""
+    """Every pass configuration produces the event-driven reference trace."""
     reference = simulate_good(counter_design, counter_stimulus, engine="event")
-    for passes in EmitterPasses.all_configurations():
+    for passes in _CONFIGS:
         engine = CodegenEngine(counter_design, use_cache=False, passes=passes)
-        assert engine.run(counter_stimulus) == reference, passes.describe()
+        assert engine.run(counter_stimulus) == reference, passes
 
 
 @pytest.mark.skipif(_vector_np is None, reason="NumPy not installed")
@@ -287,5 +259,5 @@ def test_vector_configurations_load(counter_design):
     """Every pass config produces a loadable vector kernel module."""
     from repro.sim.vector import VectorCodegenEngine
 
-    for passes in EmitterPasses.all_configurations():
+    for passes in _CONFIGS:
         VectorCodegenEngine(counter_design, use_cache=False, passes=passes)

@@ -124,10 +124,11 @@ def test_serial_baseline_seam(counter_design, counter_stimulus):
     assert result.coverage.detections == reference.coverage.detections
 
 
-def test_peeks_and_store(counter_design, counter_stimulus):
+def test_peeks_and_snapshot(counter_design, counter_stimulus):
     engine = make_engine(counter_design, "eraser-codegen")
-    engine.run(counter_stimulus)
-    assert engine.peek("count") == engine.store.get(counter_design.signal("count"))
+    trace = engine.run(counter_stimulus)
+    assert engine.snapshot_outputs() == trace[-1]
+    assert (engine.peek("count"), engine.peek("carry")) == trace[-1]
     with pytest.raises(SimulationError, match="memory"):
         engine.peek_word("count", 0)
 

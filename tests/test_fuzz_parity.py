@@ -23,10 +23,9 @@ the randomized surface keeps growing without making the tree flaky.
 
 Since the emitter-core refactor the suite is also the *pass-toggle
 differential harness*: the same ten-benchmark sweep re-runs the generated
-engines (serial codegen / packed / vector) under every interesting
-:class:`~repro.sim.emitter.EmitterPasses` configuration — event scheduler
-on/off, ``comb_once`` on/off, const pooling on/off, everything off — and
-under ``engine="auto"``, so a miscompiled pass shows up as a verdict or
+engines (serial codegen / packed / vector) with the event scheduler off
+(the one :class:`~repro.sim.emitter.EmitterPasses` toggle) and under
+``engine="auto"``, so a miscompiled pass shows up as a verdict or
 detection-cycle diff, never as a silent perf blip.
 """
 
@@ -137,15 +136,10 @@ def test_fuzz_seed_option_registered(request):
 # --------------------------------------------------------------------------
 
 #: Emitter-pass configurations under differential test.  The default config
-#: (everything on) is already covered by ``test_fuzz_parity`` above; these are
-#: the single-pass ablations plus the everything-off floor.
+#: (everything on) is already covered by ``test_fuzz_parity`` above; this is
+#: the one toggle turned off.
 PASS_CONFIGS = {
     "no-scheduler": EmitterPasses(event_scheduler=False),
-    "no-comb-once": EmitterPasses(comb_once=False),
-    "no-const-pool": EmitterPasses(const_pool=False),
-    "all-off": EmitterPasses(
-        event_scheduler=False, comb_once=False, const_pool=False
-    ),
 }
 
 #: Event-driven reference detections, memoized per (benchmark, seed) so the
