@@ -83,15 +83,6 @@ VECTOR_WIDTH = 8192
 #: shape, as multiprocessing exists for full fault lists.
 PARALLEL_WORKLOADS = [("sha256_c2v", 120, None, 2)]
 
-#: (benchmark, cycles, fault-sample size) triples for the streaming/dropping
-#: harness: a packed first pass supplies verdicts, then the identical
-#: campaign re-runs resume-seeded with cross-chunk dropping on vs off.  The
-#: seeded re-run is the early-exit-heavy shape dropping exists for — most
-#: faults are already seeded, so the drop side leaves them out of the
-#: positions it simulates while the no-drop side re-simulates everything.
-#: Runs inline (``workers=1``), so the ratio is honest on single-core boxes.
-STREAMING_WORKLOADS = [("sha256_c2v", 120, 256)]
-
 #: (benchmark, cycles, fault-sample size) triples for the result-cache
 #: harness: a cold campaign populates a fresh cache directory, then the
 #: identical campaign reruns warm.  The warm side must not simulate anything
@@ -142,8 +133,6 @@ class Case(NamedTuple):
     #: ``None`` on the good-machine leg, whose rows carry no fault count.
     faults: Optional[FaultList] = None
     workers: Optional[int] = None
-    #: The streaming leg's seed verdicts (fault name -> detection cycle).
-    seeds: Optional[Dict[str, int]] = None
     #: The cache leg's directory for the round in progress.
     cache: Optional[str] = None
 
@@ -176,8 +165,6 @@ class Leg(NamedTuple):
     #: Report fields besides cycles, faults, seconds and the ratio, from the
     #: prepared case and the label of the fastest other side.
     extra: Optional[Callable[[Case, str], Dict]] = None
-    #: Untimed preparation of each workload row's case.
-    prepare: Optional[Callable[[Case], Case]] = None
     #: Context of each timing round; it yields the case that round's sides see.
     each_round: Callable[[Case], ContextManager[Case]] = nullcontext
     #: Run every side once, untimed, before the first round.
@@ -230,12 +217,6 @@ def _auto_sides(case: Case) -> Dict[str, Callable[[], object]]:
     return sides
 
 
-def _seed(case: Case) -> Case:
-    """A first packed pass whose detections seed both resumed re-runs."""
-    first = _packed(case)()
-    return case._replace(seeds=dict(first.coverage.detections))
-
-
 @contextmanager
 def _fresh_cache(case: Case):
     """A fresh cache directory per round: the cold side never sees a
@@ -266,13 +247,6 @@ def same_verdicts(case: Case, results: Dict[str, object]) -> Optional[str]:
 def same_detections(case: Case, results: Dict[str, object]) -> Optional[str]:
     """Every side detects the same faults at the same cycles as the first side."""
     return _disagreement(results, lambda mine, theirs: mine.detections == theirs.detections)
-
-
-def reproduces_seeds(case: Case, results: Dict[str, object]) -> Optional[str]:
-    """A fully seeded re-run with dropping reports exactly the seed verdicts."""
-    if results["resume_drop"].coverage.detections != case.seeds:
-        return "a fully seeded re-run must reproduce the seed verdicts exactly"
-    return None
 
 
 def warm_run_simulated_nothing(case: Case, results: Dict[str, object]) -> Optional[str]:
@@ -351,25 +325,6 @@ LEGS = (
         extra=lambda case, best: {"workers": case.workers},
     ),
     Leg(
-        section="streaming_benchmarks",
-        metric="speedup_drop_vs_nodrop",
-        floor=1.3,
-        workloads=STREAMING_WORKLOADS,
-        prepare=_seed,
-        sides=lambda case: {
-            f"resume_{name}": _campaign(
-                case,
-                workers=1,
-                width=PACKED_WIDTH,
-                resume_from=case.seeds,
-                cross_drop=cross_drop,
-            )
-            for name, cross_drop in (("nodrop", False), ("drop", True))
-        },
-        checks=(same_detections, reproduces_seeds),
-        extra=lambda case, best: {"seeded": len(case.seeds)},
-    ),
-    Leg(
         section="cache_benchmarks",
         metric="speedup_warm_vs_cold",
         floor=5.0,
@@ -427,8 +382,6 @@ def run_leg(leg: Leg, row: tuple, repeats: int) -> Dict:
     """Time ``leg``'s sides on one workload row, interleaved round by round,
     best of ``repeats``; cross-check every round's verdicts.  The report entry."""
     case = _case(row)
-    if leg.prepare is not None:
-        case = leg.prepare(case)
     if leg.warm_up:
         for call in leg.sides(case).values():
             call()

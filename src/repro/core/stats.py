@@ -29,7 +29,6 @@ class SimulationStats:
         "time_behavioral",
         "time_rtl",
         "chunks_simulated",
-        "chunks_skipped",
         "chunks_quarantined",
         "chunks_failed",
         "chunk_retries",
@@ -53,14 +52,11 @@ class SimulationStats:
         self.time_rtl = 0.0
         # campaign resilience counters (multiprocess campaigns only): how the
         # word-aligned chunks of a fault campaign actually finished.  A chunk
-        # is *simulated* when a worker (or the inline quarantine fallback) ran
-        # it, *skipped* when the verdict plane already proved every fault in
-        # it (an earlier attempt detected them all), *quarantined* when
-        # repeated worker deaths/stalls degraded it to inline execution, and
-        # *failed* when even the last resort could not finish it (a partial
-        # result).
+        # is *simulated* when a worker (or the inline run) finished it,
+        # *quarantined* when repeated worker deaths/stalls degraded it to
+        # inline execution, and *failed* when even the last resort could not
+        # finish it (a partial result).
         self.chunks_simulated = 0
-        self.chunks_skipped = 0
         self.chunks_quarantined = 0
         self.chunks_failed = 0
         self.chunk_retries = 0
@@ -124,7 +120,6 @@ class SimulationStats:
             "time_behavioral": self.time_behavioral,
             "time_rtl": self.time_rtl,
             "chunks_simulated": self.chunks_simulated,
-            "chunks_skipped": self.chunks_skipped,
             "chunks_quarantined": self.chunks_quarantined,
             "chunks_failed": self.chunks_failed,
             "chunk_retries": self.chunk_retries,

@@ -100,10 +100,9 @@ class FaultCoverageReport:
     ) -> "FaultCoverageReport":
         """Build a report from an already name-keyed detection mapping.
 
-        The multiprocess merge path: workers (and the shared-memory verdict
-        plane) speak fault *names* — the stable cross-process identity — so
-        the parent assembles the campaign report without round-tripping
-        through local fault ids.
+        The multiprocess merge path: workers speak fault *names* — the stable
+        cross-process identity — so the parent assembles the campaign report
+        without round-tripping through local fault ids.
         """
         report = cls(design_name, faults, {}, simulator)
         report.detections.update(detections)

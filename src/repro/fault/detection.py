@@ -20,7 +20,7 @@ Three usage styles are supported:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.fault.faultlist import FaultList
 from repro.ir.design import Design
@@ -29,26 +29,12 @@ from repro.sim.engine import SimulationTrace
 
 
 class ObservationManager:
-    """Tracks which faults have been detected at the observation points.
+    """Tracks which faults have been detected at the observation points."""
 
-    ``on_detect`` is the streaming seam: a ``(fault_id, cycle)`` callback fired
-    exactly once per fault, at the moment :meth:`mark_detected` flips it from
-    live to detected.  A pooled campaign's workers pass a callback that writes
-    the verdict straight into the shared-memory
-    :class:`~repro.sim.verdict_plane.VerdictPlane`, so detections cross the
-    process boundary the cycle they happen instead of at merge time.
-    """
-
-    def __init__(
-        self,
-        design: Design,
-        faults: FaultList,
-        on_detect: Optional[Callable[[int, int], None]] = None,
-    ) -> None:
+    def __init__(self, design: Design, faults: FaultList) -> None:
         """Track detection over ``faults`` strobed at ``design``'s outputs."""
         self.design = design
         self.faults = faults
-        self.on_detect = on_detect
         self.observation_points: List[Signal] = list(design.outputs)
         self.detected: Dict[int, int] = {}  # fault_id -> cycle of first detection
         self.live: Set[int] = {fault.fault_id for fault in faults}
@@ -73,16 +59,10 @@ class ObservationManager:
         return self.detected.get(fault_id)
 
     def mark_detected(self, fault_id: int, cycle: int) -> bool:
-        """Mark a fault as detected; returns True if it was still live.
-
-        The first (and only the first) detection of a fault also fires the
-        ``on_detect`` streaming callback, if one was installed.
-        """
+        """Mark a fault as detected; returns True if it was still live."""
         if fault_id in self.live:
             self.live.discard(fault_id)
             self.detected[fault_id] = cycle
-            if self.on_detect is not None:
-                self.on_detect(fault_id, cycle)
             return True
         return False
 

@@ -23,11 +23,11 @@ class FaultSimResult:
         Detailed counters (only the concurrent simulators fill all of them).
     partial:
         True when the campaign did not run to completion but its verdicts
-        were salvaged — e.g. a multiprocess campaign whose pool broke
-        mid-run and whose detections were recovered from the shared-memory
-        verdict plane.  Every detection in a partial result is real (the
-        fault was detected at that cycle); what is unknown is the status of
-        the faults that have no verdict yet.
+        were salvaged — a multiprocess campaign with chunks no rung of its
+        supervision could finish, whose result holds the cache hits and the
+        completed chunks' detections.  Every detection in a partial result
+        is real (the fault was detected at that cycle); what is unknown is
+        the status of the faults that have no verdict yet.
     """
 
     __slots__ = ("simulator", "coverage", "wall_time", "stats", "partial")

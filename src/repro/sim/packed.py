@@ -32,7 +32,7 @@ masks carrying each lane's stuck-at bits at that lane's offset.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.ir.design import Design
@@ -218,11 +218,6 @@ class PackedCodegenSimulator:
     word's run stops as soon as all of its lanes are detected.  Until then,
     detected lanes are retired in batches (:meth:`PackedCodegenEngine.retire`),
     so they stop diverging from the good machine.
-
-    ``on_detect`` is a ``(fault_id, cycle)`` callback streamed through
-    :class:`~repro.fault.detection.ObservationManager` the moment each lane
-    drops — the workers of a pooled campaign point it at the shared
-    :class:`~repro.sim.verdict_plane.VerdictPlane`.
     """
 
     name = "PackedPPSFP"
@@ -233,7 +228,6 @@ class PackedCodegenSimulator:
         width: int = DEFAULT_WORD_WIDTH,
         early_exit: bool = True,
         use_cache: bool = True,
-        on_detect: Optional[Callable[[int, int], None]] = None,
         passes: Optional[EmitterPasses] = None,
     ) -> None:
         """Build a campaign driver for ``design``; see the class docstring.
@@ -248,7 +242,6 @@ class PackedCodegenSimulator:
         self.width = width
         self.early_exit = early_exit
         self.use_cache = use_cache
-        self.on_detect = on_detect
         self.kernel_passes = coerce_passes(passes)
         from repro.core.stats import SimulationStats
 
@@ -264,7 +257,7 @@ class PackedCodegenSimulator:
 
         stimulus.validate(self.design)
         start = time.perf_counter()
-        observation = ObservationManager(self.design, faults, on_detect=self.on_detect)
+        observation = ObservationManager(self.design, faults)
         # one lane geometry for the whole campaign: a partial last word pads
         # with inert lanes instead of generating a second kernel
         lanes = min(self.width, len(faults)) + 1

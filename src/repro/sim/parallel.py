@@ -1,46 +1,13 @@
 """Fault campaigns: one entry point, one config, a process pool behind it.
 
 :func:`run_multiprocess` is the only way to run a fault campaign.  Every knob
-lives on one frozen :class:`CampaignConfig`, validated once when it is built;
-the knobs (field, CLI flag, default, meaning) are tabled in one place, the
-"Knobs and observability" section of ``docs/resilience.md``.
-
-* :class:`WorkloadSpec` — a picklable recipe for re-opening the *identical*
-  (design, stimulus) pair inside a worker process: a benchmark registry name,
-  raw Verilog source + top module, or a pickled :class:`~repro.ir.design.Design`
-  as a last resort, plus the stimulus flattened to explicit per-cycle vectors.
-  Live kernels are never pickled — each worker recompiles the design (tens of
-  milliseconds) and hydrates the generated packed kernel from the shared
-  on-disk codegen cache (source + bytecode sidecar), so cold workers warm up
-  for roughly the cost of an import.
-* :func:`run_multiprocess` — runs one campaign in four phases over one index
-  space, each fault's position in the caller's fault list: *plan* (runner,
-  seeds, result-cache lookup), *seed* (a pooled campaign's shared-memory
-  :class:`~repro.sim.verdict_plane.VerdictPlane`), *supervise* (word-aligned
-  chunks, :data:`OVERSUBSCRIBE` per worker, under a
-  :class:`~repro.sim.resilience.ChunkSupervisor` that flushes detections to
-  the result cache every :data:`CACHE_FLUSH_INTERVAL`; a pool of one runs
-  inline) and *assemble* (verdicts, cache write, the final progress event).
-  Inside a worker each chunk runs the ordinary
-  :class:`~repro.sim.packed.PackedCodegenSimulator` (or the vector/serial
-  runner a :data:`RunnerSpec` selects), so lane-granular dropping and the
-  first-difference detection cycles are exactly the single-process semantics.
-
-The phases are drawn in ``docs/architecture.md`` ("Campaign data flow"); the
-verdict plane, the supervision ladder and the result cache are specified in
-``docs/internals-packing.md``, ``docs/resilience.md`` and ``docs/caching.md``.
-Chunk idempotency is what makes all of it verdict-safe: re-running any chunk
-can only rewrite the same bytes.
-
-Workers are spawned (never forked): spawn is the only start method that is
-safe on every platform the CI matrix covers (macOS defaults to it, fork is
-unsound under threads), and the disk cache makes the usual spawn penalty —
-re-importing and re-deriving everything — a non-issue here.
-
-A one-worker campaign, and a pooled one where POSIX shared memory is
-unavailable (``VerdictPlane.create`` raising ``OSError``), merges the pickled
-per-chunk dicts instead: verdicts stay exact, only streaming granularity and
-the skipping of what a failed attempt already detected degrade.
+lives on one frozen :class:`CampaignConfig`, validated once when it is built
+and tabled in the "Knobs and observability" section of ``docs/resilience.md``.
+A campaign runs in three phases, *plan*, *supervise* and *assemble*, drawn in
+the "Campaign data flow" section of ``docs/architecture.md``.  Spawned workers
+re-open the design from a picklable :class:`WorkloadSpec`, and each chunk runs
+the single-process fault simulator a :data:`RunnerSpec` selects, so verdicts
+and detection cycles are exactly the single-process ones.
 """
 
 from __future__ import annotations
@@ -80,7 +47,6 @@ from repro.sim.resilience import (
     require_positive,
 )
 from repro.sim.stimulus import Stimulus, VectorStimulus
-from repro.sim.verdict_plane import VerdictPlane
 
 if TYPE_CHECKING:  # imported lazily at runtime: an import cycle, or the pool stack
     from concurrent.futures import ProcessPoolExecutor
@@ -231,9 +197,8 @@ class CampaignProgress:
     Attributes
     ----------
     detected:
-        Faults detected so far, campaign-wide (monotonically non-decreasing
-        across the events of one campaign; includes cached verdicts and
-        ``resume_from`` seeds).
+        Faults detected so far: the cached detections plus those of the
+        chunks that finished (non-decreasing across a campaign's events).
     total:
         Total faults in the campaign.
     chunks_done / chunks_total:
@@ -337,7 +302,6 @@ class CampaignConfig:
     width: int = DEFAULT_WORD_WIDTH
     runner: Optional[RunnerSpec] = None
     on_progress: Optional[Callable[[CampaignProgress], None]] = None
-    cross_drop: bool = True
     salvage: bool = True
     retries: Union[int, RetryPolicy] = DEFAULT_RETRIES
     chunk_timeout: Optional[float] = None
@@ -382,57 +346,33 @@ _CONFIG_FIELDS = frozenset(field.name for field in fields(CampaignConfig))
 _WORKER_WORKLOAD: Dict[str, object] = {}
 
 
-def _worker_init(spec: WorkloadSpec, plane_name: Optional[str] = None) -> None:
-    """Spawn initializer: re-open the workload once per worker.
-
-    The verdict plane is attached by the first chunk the worker runs
-    (:func:`_worker_plane`), not here: a worker that starts only after a fast
-    campaign has finished, and unlinked its plane, gets no task and must not
-    fail.
-    """
+def _worker_init(spec: WorkloadSpec) -> None:
+    """Spawn initializer: re-open the workload once per worker."""
     design, stimulus = spec.build()
     if stimulus is None:
         raise SimulationError("worker received a WorkloadSpec without a stimulus")
     _WORKER_WORKLOAD.clear()
-    _WORKER_WORKLOAD.update(design=design, stimulus=stimulus, plane_name=plane_name)
+    _WORKER_WORKLOAD.update(design=design, stimulus=stimulus)
 
 
-def _worker_plane() -> Optional[VerdictPlane]:
-    """This worker's verdict plane, attached on first use (None without one).
-
-    Called inside a chunk task, so a failed attach is a chunk failure the
-    supervisor retries.
-    """
-    if "plane" not in _WORKER_WORKLOAD:
-        name = _WORKER_WORKLOAD["plane_name"]
-        _WORKER_WORKLOAD["plane"] = None if name is None else VerdictPlane.attach(name)
-    return _WORKER_WORKLOAD["plane"]  # type: ignore[return-value]
-
-
-def _packed_runner(design: Design, width: int, options: Dict[str, object], on_detect):
+def _packed_runner(design: Design, width: int, options: Dict[str, object]):
     """Bigint lane words (:class:`PackedCodegenSimulator`)."""
     return PackedCodegenSimulator(
-        design,
-        width=width,
-        early_exit=bool(options.get("early_exit", True)),
-        on_detect=on_detect,
+        design, width=width, early_exit=bool(options.get("early_exit", True))
     )
 
 
-def _vector_runner(design: Design, width: int, options: Dict[str, object], on_detect):
+def _vector_runner(design: Design, width: int, options: Dict[str, object]):
     """NumPy lane arrays (:class:`~repro.sim.vector.VectorFaultSimulator`)."""
     from repro.sim.vector import VectorFaultSimulator
 
     return VectorFaultSimulator(
-        design,
-        width=width,
-        early_exit=bool(options.get("early_exit", True)),
-        on_detect=on_detect,
+        design, width=width, early_exit=bool(options.get("early_exit", True))
     )
 
 
-def _serial_runner(design: Design, width: int, options: Dict[str, object], on_detect):
-    """One fault at a time; it has no streaming seam, so ``on_detect`` is ignored."""
+def _serial_runner(design: Design, width: int, options: Dict[str, object]):
+    """One fault at a time (:class:`~repro.baselines.base.SerialFaultSimulator`)."""
     from repro.baselines.base import SerialFaultSimulator
 
     return SerialFaultSimulator(
@@ -445,8 +385,8 @@ def _serial_runner(design: Design, width: int, options: Dict[str, object], on_de
 class _RunnerKind(NamedTuple):
     """One concrete runner kind: its result label, its lanes per word when the
     options name no ``width`` (0: one fault at a time), the kind it runs as
-    where the parent lacks NumPy, and ``build(design, width, options,
-    on_detect) -> fault simulator``."""
+    where the parent lacks NumPy, and ``build(design, width, options) -> fault
+    simulator``."""
 
     label: str
     width: int
@@ -468,24 +408,16 @@ def _word_width(runner: RunnerSpec) -> int:
     return int(runner[1].get("width", default)) if default else 1
 
 
-def make_campaign_runner(
-    design: Design,
-    runner: RunnerSpec,
-    on_detect: Optional[Callable[[int, int], None]] = None,
-):
+def make_campaign_runner(design: Design, runner: RunnerSpec):
     """Instantiate the fault simulator a :data:`RunnerSpec` describes.
 
-    ``on_detect`` streams the packed and vector runners' detections into the
-    shared verdict plane.  The serial baselines have no streaming seam — for
-    them the idempotent post-run re-mark in :func:`_run_chunk` provides the
-    same campaign semantics, so it is accepted and ignored here.  An
-    ``("auto", ...)`` spec never reaches this function:
+    An ``("auto", ...)`` spec never reaches this function:
     :func:`run_multiprocess` resolves it in the parent.
     """
     kind, options = runner
     if kind not in _RUNNERS:
         raise UnknownOptionError.for_option("campaign runner kind", kind, tuple(_RUNNERS))
-    return _RUNNERS[kind].build(design, _word_width(runner), options, on_detect)
+    return _RUNNERS[kind].build(design, _word_width(runner), options)
 
 
 def _inline_runner(runner: RunnerSpec) -> RunnerSpec:
@@ -503,91 +435,47 @@ def _inline_runner(runner: RunnerSpec) -> RunnerSpec:
 
 
 def _run_chunk(
-    design: Design,
-    stimulus: Stimulus,
-    runner: RunnerSpec,
-    plane: Optional[VerdictPlane],
-    positions: List[int],
-    sites: Sequence[FaultSite],
-    cross_drop: bool,
-) -> Tuple[Dict[str, int], int]:
-    """Fault-simulate one chunk against the (optional) shared plane.
+    design: Design, stimulus: Stimulus, runner: RunnerSpec, sites: Sequence[FaultSite]
+) -> Tuple[Dict[str, int], int, float]:
+    """Fault-simulate one chunk's faults, given in wire format.
 
-    ``sites[j]`` is the fault at campaign position ``positions[j]``, in
-    wire format.  With a plane and ``cross_drop`` the chunk first drops
-    every fault the plane already flags, which an earlier attempt of this
-    chunk streamed before it failed; re-packing the survivors is
-    verdict-safe because lanes are independent.  With a plane the runner
-    streams each detection into it.  Returns ``(detections by fault name,
-    simulated cycles)``.
+    Returns ``(detections by fault name, simulated cycles, wall seconds)``:
+    small, plain and picklable, it is what the parent merges and flushes to
+    the result cache, and what feeds the supervisor's adaptive watchdog.
     """
     from repro.fault.faultlist import FaultList
     from repro.fault.model import StuckAtFault
 
-    if plane is not None and cross_drop:
-        kept = [j for j, position in enumerate(positions) if not plane.is_detected(position)]
-        if not kept:
-            return {}, 0
-        positions = [positions[j] for j in kept]
-        sites = [sites[j] for j in kept]
-    # fresh fault objects: FaultList.add assigns the dense local ids that
-    # index ``positions``, and must not clobber the caller's fault_id fields
+    begin = time.perf_counter()
+    # fresh fault objects: FaultList.add assigns dense local ids, and must
+    # not clobber the caller's fault_id fields
     faults = FaultList(
         [StuckAtFault(design.signal(name), bit, value) for name, bit, value in sites]
     )
-    on_detect: Optional[Callable[[int, int], None]] = None
-    if plane is not None:
-        mark = plane.mark
-
-        def _stream_detection(fault_id: int, cycle: int) -> None:
-            mark(positions[fault_id], cycle)
-
-        on_detect = _stream_detection
-    simulator = make_campaign_runner(design, runner, on_detect=on_detect)
-    result = simulator.run(stimulus, faults)
-    detections = dict(result.coverage.detections)
-    if plane is not None and detections:
-        # serial runners have no on_detect seam; re-marking is idempotent
-        # (detection cycles are deterministic, so duplicate marks write the
-        # same bytes), and it makes every runner kind plane-complete
-        for fault in faults:
-            if fault.name in detections:
-                mark(positions[fault.fault_id], detections[fault.name])
-    return detections, result.stats.cycles
+    result = make_campaign_runner(design, runner).run(stimulus, faults)
+    return dict(result.coverage.detections), result.stats.cycles, time.perf_counter() - begin
 
 
 def _simulate_chunk(
     sites: Sequence[FaultSite],
-    positions: List[int],
+    base: int,
     runner: RunnerSpec,
-    cross_drop: bool = False,
-    chunk_index: int = 0,
-    attempt: int = 0,
-    chaos: Optional[ChaosPlan] = None,
+    chunk_index: int,
+    attempt: int,
+    chaos: Optional[ChaosPlan],
 ) -> Tuple[Dict[str, int], int, float]:
-    """Worker task: fault-simulate one word-aligned chunk.
+    """Worker task: fault-simulate one word-aligned chunk (see :func:`_run_chunk`).
 
-    ``sites`` are the chunk's faults in wire format and ``positions`` their
-    places in the campaign's fault list.  ``chunk_index`` and ``attempt``
-    (0-based) identify the submission for the chaos plan, which the parent
-    resolves once and ships with every task so attempt-aware triggers see
-    the supervisor's counters; a rule's ``base`` is the chunk's first
-    position.  Detections stream into the worker's verdict plane as they
-    happen; the returned ``(detections by fault name, simulated cycles,
-    wall seconds)`` tuple — small, plain and picklable — is what the
-    parent merges and flushes to the result cache, the verdicts themselves
-    where shared memory is unavailable, and what feeds the supervisor's
-    adaptive watchdog.
+    ``base`` is the chunk's first position in the campaign's fault list, and
+    ``chunk_index`` and ``attempt`` (0-based) identify the submission for the
+    chaos plan, which the parent resolves once and ships with every task so
+    attempt-aware triggers see the supervisor's counters.
     """
-    begin = time.perf_counter()
     if chaos is not None:
-        chaos.apply(chunk_index, positions[0], attempt)
+        chaos.apply(chunk_index, base, attempt)
     design: Design = _WORKER_WORKLOAD["design"]  # type: ignore[assignment]
     stimulus: Stimulus = _WORKER_WORKLOAD["stimulus"]  # type: ignore[assignment]
-    detections, cycles = _run_chunk(
-        design, stimulus, runner, _worker_plane(), positions, sites, cross_drop
-    )
-    return detections, cycles, time.perf_counter() - begin
+    return _run_chunk(design, stimulus, runner, sites)
 
 
 # ----------------------------------------------------------------- parent side
@@ -658,7 +546,6 @@ def run_multiprocess(
     faults: "FaultList",
     config: Optional[CampaignConfig] = None,
     *,
-    resume_from: Optional[Dict[str, int]] = None,
     label: Optional[str] = None,
     **fields: object,
 ) -> "FaultSimResult":
@@ -668,23 +555,14 @@ def run_multiprocess(
     ``**fields`` are :class:`CampaignConfig` field names applied on top of
     it, so ``run_multiprocess(d, s, f, workers=1, cache=root)`` works without
     building a config by hand.  The fields are tabled in the "Knobs and
-    observability" section of ``docs/resilience.md``.
+    observability" section of ``docs/resilience.md``.  ``label`` is not a
+    knob but the result's simulator name (default: from the runner).
 
-    The campaign runs in four phases — plan, seed, supervise, assemble —
-    over one index space, each fault's position in ``faults``.  The phases
-    are drawn in the "Campaign data flow" section of
-    ``docs/architecture.md``; what the result cache and ``resume_from=`` add
-    to them is in ``docs/caching.md``.  Verdicts and detection cycles are
-    exact against a single-process run — caching, dropping and chunking only
-    remove redundant work.
-
-    The two per-call values are not knobs:
-
-    * ``resume_from`` — ``fault name -> detection cycle`` verdicts already
-      known (e.g. a previous partial result's ``coverage.detections``); with
-      ``cross_drop`` they are not simulated again, and either way they
-      appear in the final report.  Unknown fault names are an error.
-    * ``label`` — the result's simulator name (default: from the runner).
+    The campaign runs in three phases — plan, supervise, assemble — drawn in
+    the "Campaign data flow" section of ``docs/architecture.md``; what the
+    result cache adds to them is in ``docs/caching.md``.  Verdicts and
+    detection cycles are exact against a single-process run — caching,
+    dropping and chunking only remove redundant work.
 
     The result's ``stats.cycles`` is the *sum of cycles simulated across all
     workers* — a work metric that shrinks as dropping bites.  It is not
@@ -692,9 +570,8 @@ def run_multiprocess(
     single timeline (``wall_time`` is the wall-clock measure).
     """
     config = (config or CampaignConfig()).with_fields(**fields)
-    campaign = _Campaign(design, stimulus, faults, config, resume_from, label)  # plan
+    campaign = _Campaign(design, stimulus, faults, config, label)  # plan
     try:
-        campaign.seed()
         campaign.supervise()
         return campaign.assemble()
     finally:
@@ -702,12 +579,11 @@ def run_multiprocess(
 
 
 class _Campaign:
-    """One campaign: constructing it is the *plan* phase, then :meth:`seed`,
-    :meth:`supervise` and :meth:`assemble` run, and :meth:`release` frees it.
+    """One campaign: constructing it is the *plan* phase, then :meth:`supervise`
+    and :meth:`assemble` run, and :meth:`release` flushes a dying one.
 
-    Every index is a position in the caller's fault list: resume seeds,
-    cache hits, the verdict plane and each chunk's ``positions`` all share
-    it.  The :class:`ChunkSupervisor` hooks are methods here.
+    A chunk's ``positions`` index the caller's fault list.  The
+    :class:`ChunkSupervisor` hooks are methods here.
     """
 
     def __init__(
@@ -716,15 +592,9 @@ class _Campaign:
         stimulus: Stimulus,
         faults: "FaultList",
         config: CampaignConfig,
-        resume_from: Optional[Dict[str, int]],
         label: Optional[str],
     ) -> None:
-        """Plan: resolve the runner, the seeds and the positions left to simulate.
-
-        A cached verdict, detected or not, wins over a ``resume_from`` seed
-        for the same fault.  With ``cross_drop`` a seed, like a cache hit,
-        leaves the positions to simulate.
-        """
+        """Plan: resolve the runner, the cache hits and the positions left to simulate."""
         from repro.core.stats import SimulationStats
 
         self.start = time.perf_counter()  # the wall clock runs from entry
@@ -737,45 +607,28 @@ class _Campaign:
         stimulus.validate(design)
         self.runner = _concrete_runner(design, config, len(faults))
         self.label = label if label is not None else _RUNNERS[self.runner[0]].label
-        #: Position -> detection cycle known before any chunk runs.
-        self.seeds: Dict[int, int] = {}
-        if resume_from:
-            index = {fault.name: position for position, fault in enumerate(faults)}
-            unknown = sorted(name for name in resume_from if name not in index)
-            if unknown:
-                raise SimulationError(
-                    f"resume_from names faults not in this campaign: {unknown[:5]}"
-                )
-            self.seeds = {index[name]: cycle for name, cycle in resume_from.items()}
-        #: Positions left to simulate: those no cache hit and, with
-        #: ``cross_drop``, no seed answers.
+        #: Fault name -> detection cycle of every cached detection.
+        self.cached: Dict[str, int] = {}
+        #: Positions left to simulate: those no cache verdict answers.
         self.todo = list(range(len(faults)))
         self.store = ResultCache.coerce(config.cache)
         if self.store is not None:
             self.cache_key = (design_fingerprint(design), stimulus_hash(stimulus))
             names = [fault.name for fault in faults]
             hits = self.store.lookup(*self.cache_key, names)
-            self.todo = []
-            for position, name in enumerate(names):
-                if name not in hits:
-                    self.todo.append(position)
-                elif hits[name] is None:
-                    self.seeds.pop(position, None)
-                else:
-                    self.seeds[position] = hits[name]
+            self.todo = [position for position, name in enumerate(names) if name not in hits]
+            self.cached = {name: cycle for name, cycle in hits.items() if cycle is not None}
             self.stats.cache_hits = len(hits)
             self.stats.cache_misses = len(self.todo)
-        if config.cross_drop and self.seeds:
-            self.todo = [position for position in self.todo if position not in self.seeds]
         self.writes_cache = self.store is not None and config.cache_mode == "readwrite"
         #: Names of the verdicts already written to the cache by this campaign.
         self.flushed: Set[str] = set()
         units = math.ceil(len(self.todo) / max(1, _word_width(self.runner)))
         workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
         self.workers = max(1, min(workers, units))
-        self.plane: Optional[VerdictPlane] = None
         self.spec: Optional[WorkloadSpec] = None
         self.chaos: Optional[ChaosPlan] = None
+        #: Fault name -> detection cycle of every resolved chunk's detections.
         self.merged: Dict[str, int] = {}
         self.chunks_done = 0
         self.chunks_total = 0
@@ -785,21 +638,6 @@ class _Campaign:
         self.last_emit = self.last_flush = self.start
 
     # ------------------------------------------------------------- the phases
-    def seed(self) -> None:
-        """Give a pooled campaign its shared plane, holding every seed.
-
-        A one-worker campaign runs inline and merges its chunk's dict, so it
-        creates no plane.
-        """
-        if self.workers == 1:
-            return
-        try:
-            self.plane = VerdictPlane.create(len(self.faults))
-        except OSError:
-            return  # no POSIX shared memory here: the pickled-dict fallback
-        for position, cycle in self.seeds.items():
-            self.plane.seed(position, cycle)
-
     def supervise(self) -> None:
         """Simulate the positions left: inline for one worker, else over a pool."""
         if self.todo:
@@ -851,16 +689,13 @@ class _Campaign:
         return FaultSimResult(self.label, coverage, wall, self.stats, partial=self.partial)
 
     def release(self) -> None:
-        """Flush a dying campaign's detections (best effort), then free its plane."""
+        """Flush a dying campaign's detections (best effort)."""
         if not self.supervised:
             # salvage raise, KeyboardInterrupt...: leave the rerun some hits
             try:
                 self.flush()
             except Exception:  # pragma: no cover - the flush is best-effort here
                 pass
-        if self.plane is not None:
-            self.plane.close()
-            self.plane.unlink()
 
     # ------------------------------------------------------------ supervision
     def run_pool(self, states: List[ChunkState]) -> None:
@@ -875,7 +710,6 @@ class _Campaign:
             self.make_pool,
             self.submit,
             self.run_inline,
-            self.chunk_proven,
             self.on_complete,
             self.on_tick,
             chunk_timeout=config.chunk_timeout,
@@ -893,8 +727,7 @@ class _Campaign:
                 f"unfinished after {policy.max_attempts} attempt(s); "
                 f"the campaign was aborted and its partial verdicts discarded"
             ) from failed[0].error
-        # every verdict written before a failure is still in the plane (or
-        # in the chunks that completed): salvage them
+        # salvage: the completed chunks' verdicts are the partial result
         self.partial = bool(failed)
 
     def make_pool(self) -> "ProcessPoolExecutor":
@@ -906,7 +739,7 @@ class _Campaign:
             max_workers=self.workers,
             mp_context=get_context("spawn"),
             initializer=_worker_init,
-            initargs=(self.spec, self.plane.name if self.plane is not None else None),
+            initargs=(self.spec,),
         )
 
     def submit(self, pool: "ProcessPoolExecutor", state: ChunkState):
@@ -914,9 +747,8 @@ class _Campaign:
         return pool.submit(
             _simulate_chunk,
             self.sites(state),
-            state.positions,
+            state.positions[0],
             self.runner,
-            self.config.cross_drop,
             state.index,
             state.attempts - 1,
             self.chaos,
@@ -924,33 +756,16 @@ class _Campaign:
 
     def run_inline(self, state: ChunkState) -> Tuple[Dict[str, int], int, float]:
         """Run one chunk in this process: the one-worker run and the quarantine rung."""
-        begin = time.perf_counter()
-        detections, cycles = _run_chunk(
-            self.design,
-            self.stimulus,
-            _inline_runner(self.runner),
-            self.plane,
-            state.positions,
-            self.sites(state),
-            self.config.cross_drop,
+        return _run_chunk(
+            self.design, self.stimulus, _inline_runner(self.runner), self.sites(state)
         )
-        return detections, cycles, time.perf_counter() - begin
-
-    def chunk_proven(self, state: ChunkState) -> bool:
-        """With ``cross_drop``, is every fault of this chunk flagged on the plane?"""
-        if self.plane is None or not self.config.cross_drop:
-            return False
-        return len(self.plane.detected_among(state.positions)) == len(state.positions)
 
     def on_complete(self, state: ChunkState, detections: Dict[str, int], cycles: int) -> None:
         """Merge one resolved chunk into the campaign accumulators."""
         _merge_chunk_verdicts(self.merged, detections)
         self.stats.cycles += cycles
         self.chunks_done += 1
-        if state.outcome == "skipped":
-            self.stats.chunks_skipped += 1
-        else:
-            self.stats.chunks_simulated += 1
+        self.stats.chunks_simulated += 1
         self.chunk_event = True
 
     def on_tick(self) -> None:
@@ -971,20 +786,11 @@ class _Campaign:
         return [(faults[p].signal.name, faults[p].bit, faults[p].value) for p in state.positions]
 
     def detections(self) -> Dict[str, int]:
-        """Fault name -> detection cycle: the plane, or the seeds plus the merge."""
-        if self.plane is not None:
-            return self.plane.named_detections(self.faults)
-        found = {self.faults[p].name: cycle for p, cycle in self.seeds.items()}
-        found.update(self.merged)
-        return found
+        """Fault name -> detection cycle: the cache hits plus the merged chunks."""
+        return {**self.cached, **self.merged}
 
     def flush(self) -> None:
-        """Write the detections of resolved chunks that the cache still lacks.
-
-        They come from the merged chunk results, not the plane, whose cycles
-        are safe to read only once their writers are done (see
-        :mod:`repro.sim.verdict_plane`).
-        """
+        """Write the detections of resolved chunks that the cache still lacks."""
         if self.writes_cache:
             self.store_verdicts(
                 {name: cycle for name, cycle in self.merged.items() if name not in self.flushed}
@@ -1008,10 +814,6 @@ class _Campaign:
         if on_progress is None:
             return
         elapsed = time.perf_counter() - self.start
-        if self.plane is not None:
-            detected = self.plane.detected_count()
-        else:
-            detected = len(self.detections())
         eta = None
         if not final and self.chunks_done:
             # clamped: a retried chunk can push elapsed past the naive
@@ -1020,7 +822,7 @@ class _Campaign:
             eta = max(0.0, elapsed * remaining / self.chunks_done)
         on_progress(
             CampaignProgress(
-                detected=detected,
+                detected=len(self.cached) + len(self.merged),
                 total=len(self.faults),
                 chunks_done=self.chunks_done,
                 chunks_total=self.chunks_total,

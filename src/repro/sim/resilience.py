@@ -1,24 +1,20 @@
 """The self-healing campaign runtime: retry, watchdog, quarantine, degrade.
 
-:func:`repro.sim.parallel.run_multiprocess` used to treat a broken worker pool
-as the end of the campaign — salvage whatever the verdict plane held and
-return ``FaultSimResult(partial=True)``.  A long-running campaign service
-cannot stop at "partial": it must retry, route around bad chunks, and degrade
-gracefully.  This module owns that supervision loop; ``run_multiprocess``
-delegates its pooled path here and keeps salvage strictly as the *last*
-resort, after supervision is exhausted.
+:func:`repro.sim.parallel.run_multiprocess` delegates its pooled path to the
+:class:`ChunkSupervisor` here, which retries, routes around bad chunks and
+degrades gracefully, and keeps salvage (a ``partial=True`` result holding the
+completed chunks' verdicts) strictly as the *last* resort, after supervision
+is exhausted.  The ladder is drawn in ``docs/resilience.md``.
 
 The architecture leans on one property the rest of the package already
-guarantees: **chunks are idempotent**.  Verdict-plane marks are idempotent
-with deterministic cycles, so re-running a chunk — even one that already
-streamed half its detections before its worker died — can only rewrite the
-same bytes.  Supervision is therefore free to be aggressive:
+guarantees: **chunks are idempotent**.  A chunk's verdicts and detection
+cycles are a deterministic function of its faults, so re-running a chunk —
+even one whose worker died halfway — can only return the same verdicts.
+Supervision is therefore free to be aggressive:
 
 * **Retry with per-chunk attempt counters** (:class:`RetryPolicy`): a chunk
   whose worker crashed, stalled or raised is requeued with exponential
-  backoff + jitter, up to ``max_attempts`` submissions.  Before every
-  requeue the supervisor consults the verdict plane and *skips* chunks whose
-  faults are all already proven — retries re-do only still-unknown work.
+  backoff + jitter, up to ``max_attempts`` submissions.
 * **Watchdog timeouts**: the supervisor tracks the wall-time of completed
   chunks and arms a per-chunk deadline (``chunk_timeout=`` overrides it; by
   default ``WATCHDOG_FACTOR`` x the largest observed chunk, floored at
@@ -164,9 +160,8 @@ class ChunkState:
     fault list.  ``attempts`` counts pool submissions, ``failures``
     counts blame marks (crash / stall / raised-in-chunk).  ``outcome`` is
     ``None`` while unresolved, then exactly one of ``"completed"`` (a worker
-    finished it), ``"skipped"`` (the verdict plane already proved every
-    fault in it), ``"inline"`` (quarantined and finished in the parent) or
-    ``"failed"`` (nothing could finish it — the salvage case).
+    finished it), ``"inline"`` (finished in the parent) or ``"failed"``
+    (nothing could finish it — the salvage case).
     """
 
     __slots__ = (
@@ -215,15 +210,9 @@ class ChunkSupervisor:
     ``run_inline``
         Run one chunk in the parent process, returning a
         :data:`ChunkPayload`; exceptions mark the chunk failed.
-    ``chunk_proven``
-        Consult the verdict plane: is every fault in this chunk already
-        detected?  (Constantly ``False`` without a plane — retry granularity
-        is then whole chunks, which stays correct because chunks are
-        idempotent.)
     ``on_complete``
-        Merge hook, called exactly once per resolved chunk that produced a
-        payload (``completed``/``inline``; ``skipped`` chunks call it with
-        an empty payload).
+        Merge hook, called exactly once per chunk that produced a payload
+        (``completed``/``inline``).
     ``on_tick``
         Called every poll wake-up — the progress/cache-flush cadence hook.
     """
@@ -235,7 +224,6 @@ class ChunkSupervisor:
         make_pool: Callable[[], object],
         submit: Callable[[object, ChunkState], Future],
         run_inline: Callable[[ChunkState], ChunkPayload],
-        chunk_proven: Callable[[ChunkState], bool],
         on_complete: Callable[[ChunkState, Dict[str, int], int], None],
         on_tick: Callable[[], None],
         chunk_timeout: Optional[float] = None,
@@ -248,7 +236,6 @@ class ChunkSupervisor:
         self.make_pool = make_pool
         self.submit = submit
         self.run_inline = run_inline
-        self.chunk_proven = chunk_proven
         self.on_complete = on_complete
         self.on_tick = on_tick
         self.chunk_timeout = chunk_timeout
@@ -269,7 +256,6 @@ class ChunkSupervisor:
         pool's workers are killed and joined.
         """
         while True:
-            self._skip_proven()
             runnable = [
                 s for s in self.states if s.outcome is None and not s.quarantined
             ]
@@ -284,13 +270,6 @@ class ChunkSupervisor:
         self._run_quarantined_inline()
 
     # ------------------------------------------------------------- internals
-    def _skip_proven(self) -> None:
-        """Resolve chunks whose faults the verdict plane already proves."""
-        for state in self.states:
-            if state.outcome is None and self.chunk_proven(state):
-                state.outcome = "skipped"
-                self.on_complete(state, {}, 0)
-
     def _blame(self, state: ChunkState) -> None:
         """Charge one failure to a chunk and resolve its next destination."""
         state.failures += 1
@@ -422,10 +401,6 @@ class ChunkSupervisor:
         """The last rung: finish surviving chunks in the parent process."""
         for state in sorted(self.states, key=lambda s: s.index):
             if state.outcome is not None:
-                continue
-            if self.chunk_proven(state):
-                state.outcome = "skipped"
-                self.on_complete(state, {}, 0)
                 continue
             try:
                 detections, cycles, _ = self.run_inline(state)

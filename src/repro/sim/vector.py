@@ -223,7 +223,7 @@ class VectorFaultSimulator(PackedCodegenSimulator):
     fault.  With ``early_exit`` (the PPSFP equivalent of serial fault
     dropping) a word's run stops as soon as all of its lanes are detected.
 
-    The options, ``on_detect`` included, and the word loop are
+    The options and the word loop are
     :class:`~repro.sim.packed.PackedCodegenSimulator`'s; only the default
     width and what a word does with its detected lanes differ.
     """

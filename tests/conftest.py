@@ -17,35 +17,8 @@ from fixture_designs import (  # noqa: F401  (re-exported for older callers)
     MEMORY_SRC,
     MUX_PIPELINE_SRC,
 )
-from plane_leaks import no_leaked_verdict_planes
 from repro.api import compile_design
 from repro.sim.stimulus import RandomStimulus
-from repro.sim.verdict_plane import VerdictPlane
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_verdict_planes():
-    """Fail any test that strands a verdict-plane shared-memory segment it made.
-
-    See :func:`plane_leaks.no_leaked_verdict_planes`: only segments this
-    process created during the test count, so a campaign another process
-    runs meanwhile is never reported.
-    """
-    with no_leaked_verdict_planes():
-        yield
-
-
-@pytest.fixture
-def without_shared_memory(monkeypatch):
-    """Make ``VerdictPlane.create`` fail as it does on a host without /dev/shm.
-
-    Campaigns then take their pickled-dict merge fallback.
-    """
-
-    def no_shm(cls, n_faults):
-        raise OSError("no POSIX shared memory")
-
-    monkeypatch.setattr(VerdictPlane, "create", classmethod(no_shm))
 
 
 def pytest_addoption(parser):

@@ -17,7 +17,7 @@ the structured injection plans of :mod:`repro.sim.chaos`:
 * the plan grammar itself round-trips and picks up the environment.
 
 Chunk idempotency is the invariant under test everywhere: no matter which
-failure fires, re-running work may only rewrite the same verdict bytes.
+failure fires, re-running work may only return the same verdicts.
 """
 
 import gc
@@ -31,7 +31,6 @@ import time
 
 import pytest
 
-from plane_leaks import SHM_DIR, verdict_plane_segments
 from repro.baselines.base import SerialFaultSimulator
 from repro.designs.registry import BENCHMARK_NAMES
 from repro.errors import ChaosError, SimulationError
@@ -49,6 +48,9 @@ PARITY_FAULTS = 10
 
 #: A fast retry shape for tests: full supervision, minimal sleeping.
 FAST_RETRIES = RetryPolicy(max_attempts=3, backoff=0.05, jitter=0.0)
+
+#: Where multiprocessing keeps the pool's named semaphores on Linux.
+SHM_DIR = "/dev/shm"
 
 
 @pytest.fixture(autouse=True)
@@ -203,25 +205,6 @@ def test_raise_in_chunk_retries_without_a_pool_rebuild():
     assert dict(result.coverage.detections) == dict(reference.coverage.detections)
 
 
-def test_legacy_pickled_dict_path_retries_too(without_shared_memory):
-    """The pickled-dict fallback (no /dev/shm) retries correctly from merged
-    dicts: a failed chunk streams nothing (there is no plane), so its retry
-    re-returns the complete verdict dict and the disjointness merge holds."""
-    design, stimulus, faults, reference = _workload("apb")
-    result = run_multiprocess(
-        design,
-        stimulus,
-        faults,
-        workers=2,
-        width=4,
-        chaos="raise:chunk=1,until_attempt=1",
-        retries=FAST_RETRIES,
-    )
-    assert not result.partial
-    assert result.stats.chunk_retries >= 1
-    assert dict(result.coverage.detections) == dict(reference.coverage.detections)
-
-
 def test_progress_events_stay_ordered_under_retries(monkeypatch):
     import repro.sim.parallel as parallel_mod
 
@@ -339,29 +322,10 @@ def test_salvaged_campaign_leaves_its_detections_for_the_rerun(chaos, tmp_path):
     assert dict(healed.coverage.detections) == dict(reference.coverage.detections)
 
 
-def test_campaign_that_raises_leaves_its_streamed_detections_in_the_cache(tmp_path):
-    """salvage=False raises, yet the detections the campaign had streamed
+def test_campaign_that_raises_leaves_its_detections_in_the_cache(tmp_path):
+    """salvage=False raises, yet the detections of the chunks that finished
     are in the shard, and no undetected verdict: only a complete campaign
     may record one."""
-    design, stimulus, faults, reference = _workload("apb")
-    root = str(tmp_path / "results")
-    with pytest.raises(SimulationError, match="worker process died"):
-        run_multiprocess(
-            design, stimulus, faults, workers=2, width=4, cache=root,
-            salvage=False, retries=0, degrade=False, chaos="crash:base=4",
-        )
-    verdicts = _shard(root, design, stimulus)
-    assert verdicts
-    for name, cycle in verdicts.items():
-        assert cycle is not None
-        assert reference.coverage.detections[name] == cycle
-
-
-def test_pool_without_shared_memory_flushes_its_finished_chunks(
-    tmp_path, without_shared_memory
-):
-    """A pool with no plane merges pickled chunk results; a campaign that
-    raises still leaves the finished chunks' detections in the shard."""
     design, stimulus, faults, reference = _workload("apb")
     root = str(tmp_path / "results")
     with pytest.raises(SimulationError, match="worker process died"):
@@ -497,8 +461,8 @@ faults = FaultList(
     [StuckAtFault(design.signal(n), b, v) for n, b, v in json.loads(sites_json)]
 )
 # the resource tracker stays in the test's process group and outlives the
-# kill, so it unlinks the dead campaign's semaphores and plane; the campaign
-# and its workers get a session of their own, which the test kills
+# kill, so it unlinks the dead campaign's semaphores; the campaign and its
+# workers get a session of their own, which the test kills
 resource_tracker.ensure_running()
 os.setsid()
 parallel.CACHE_FLUSH_INTERVAL = 0.05
@@ -567,12 +531,9 @@ def test_parent_killed_mid_campaign_leaves_its_detections_in_the_cache(tmp_path)
     assert child.returncode == -signal.SIGKILL, output
     if has_shm:
         deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and (
-            _semaphores() - semaphores_before or verdict_plane_segments(child.pid)
-        ):
+        while time.monotonic() < deadline and _semaphores() - semaphores_before:
             time.sleep(0.1)
         assert not _semaphores() - semaphores_before
-        assert not verdict_plane_segments(child.pid)
     rerun = run_multiprocess(design, stimulus, proven, workers=2, width=1, cache=root)
     hits = rerun.stats.cache_hits
     assert 1 <= hits < len(proven), "the kill must land mid-campaign"

@@ -6,16 +6,16 @@ cycles must exactly match the serial codegen baseline — chunking over worker
 processes may only change wall-clock, never a verdict.  The remaining tests
 pin the seams around it: :class:`WorkloadSpec` pickling in all three modes,
 word-aligned chunking, the inline ``workers=1`` short-circuit, the serial
-baselines' ``campaign=`` loop, and the campaign seams: cross-chunk dropping
-(parity with dropping on AND off), streaming progress event ordering, resume
-seeding, the plane-free one-worker path and the pickled-dict fallback,
-partial-verdict salvage when a worker dies, shared-memory segment cleanup
-after both clean and crashed campaigns, and a pooled campaign returning only
-after its workers have exited.
+baselines' ``campaign=`` loop, streaming progress event ordering,
+partial-verdict salvage when a worker dies, a pooled campaign returning only
+after its workers have exited, and no campaign touching shared memory.
 """
 
+import json
 import multiprocessing
+import os
 import pickle
+import subprocess
 import sys
 
 import pytest
@@ -29,13 +29,13 @@ from repro.fault.faultlist import generate_stuck_at_faults, sample_faults
 from repro.sim.codegen import design_fingerprint
 from repro.sim.packed import DEFAULT_WORD_WIDTH, pack_fault_words
 from repro.sim.parallel import (
+    OVERSUBSCRIBE,
     CampaignConfig,
     WorkloadSpec,
     chunk_positions,
     run_multiprocess,
 )
 from repro.sim.resilience import RetryPolicy
-from repro.sim.verdict_plane import VerdictPlane
 
 #: Cycles per benchmark for the corpus sweep; enough for observable activity.
 PARITY_CYCLES = 30
@@ -73,19 +73,11 @@ def _workload(name):
 
 
 # ------------------------------------------------------------ the parity sweep
-@pytest.mark.parametrize("cross_drop", [True, False], ids=["drop", "nodrop"])
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_process_executor_matches_serial_codegen_on_corpus(name, cross_drop):
-    """Verdicts AND detection cycles must be exact on all ten benchmarks.
-
-    Parametrized over cross-chunk dropping because dropping may only ever
-    *remove* redundant work — with it on or off, the verdicts and the
-    detection cycles must be byte-identical to the serial baseline.
-    """
+def test_process_executor_matches_serial_codegen_on_corpus(name):
+    """Verdicts AND detection cycles must be exact on all ten benchmarks."""
     design, stimulus, faults, reference = _workload(name)
-    result = run_multiprocess(
-        design, stimulus, faults, workers=2, width=8, cross_drop=cross_drop
-    )
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=8)
     assert result.coverage.same_verdicts(reference.coverage), (
         f"{name}: process verdicts disagree on "
         f"{result.coverage.disagreements(reference.coverage)}"
@@ -96,14 +88,11 @@ def test_process_executor_matches_serial_codegen_on_corpus(name, cross_drop):
     assert not result.partial
 
 
-@pytest.mark.parametrize("cross_drop", [True, False], ids=["drop", "nodrop"])
 @pytest.mark.parametrize("width", WIDTHS)
-def test_process_executor_across_widths(width, cross_drop):
+def test_process_executor_across_widths(width):
     """Chunking must respect word geometry at every width (partial words too)."""
     design, stimulus, faults, reference = _workload("apb")
-    result = run_multiprocess(
-        design, stimulus, faults, workers=2, width=width, cross_drop=cross_drop
-    )
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=width)
     assert result.coverage.detections == reference.coverage.detections
 
 
@@ -119,6 +108,22 @@ def test_single_worker_short_circuits_to_inline(monkeypatch):
     design, stimulus, faults, reference = _workload("apb")
     result = run_multiprocess(design, stimulus, faults, workers=1, width=8)
     assert result.coverage.detections == reference.coverage.detections
+
+
+def test_pool_resolved_to_one_worker_runs_inline(monkeypatch):
+    """workers= is a ceiling: a fault list that fits in one word resolves to
+    one worker, which runs inline without a pool."""
+    import concurrent.futures
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-word campaign built a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+    design, stimulus, faults, reference = _workload("apb")
+    assert len(faults) <= 64
+    result = run_multiprocess(design, stimulus, faults, workers=4, width=64)
+    assert result.coverage.detections == reference.coverage.detections
+    assert result.stats.chunks_simulated == 1
 
 
 # -------------------------------------------------------------- workload specs
@@ -249,140 +254,14 @@ def test_config_progress_callback_reaches_campaigns():
     assert events and events[-1].final
 
 
-# ----------------------------------------------------- resume + cross dropping
-def test_resume_seeds_drop_work_and_survive_into_the_report():
-    """Seeded verdicts are not re-simulated and come back verbatim."""
-    design, stimulus, faults, reference = _workload("apb")
-    full = run_multiprocess(design, stimulus, faults, workers=1, width=8)
-    assert full.coverage.detections == reference.coverage.detections
-    seeds = dict(reference.coverage.detections)
-    resumed = run_multiprocess(
-        design, stimulus, faults, workers=1, width=8, resume_from=seeds
-    )
-    assert resumed.coverage.detections == reference.coverage.detections
-    # every detected fault was seeded: the campaign only re-ran the
-    # never-detected remainder, so it simulated strictly fewer lane-cycles
-    assert resumed.stats.cycles < full.stats.cycles
-
-
-def test_resume_rejects_unknown_fault_names():
-    design, stimulus, faults, _ = _workload("apb")
-    with pytest.raises(SimulationError, match="not in this campaign"):
-        run_multiprocess(
-            design, stimulus, faults, workers=1, resume_from={"no_such[0]:SA0": 3}
-        )
-
-
-def test_single_worker_campaign_creates_no_plane(monkeypatch):
-    """A one-worker campaign runs inline on the pickled-dict path: no shared
-    plane, exact verdicts, and resume seeds still cut the simulated work."""
-
-    def forbidden(cls, n_faults):
-        raise AssertionError("a one-worker campaign created a verdict plane")
-
-    monkeypatch.setattr(VerdictPlane, "create", classmethod(forbidden))
-    design, stimulus, faults, reference = _workload("apb")
-    full = run_multiprocess(design, stimulus, faults, workers=1, width=8)
-    assert full.coverage.detections == reference.coverage.detections
-    seeds = dict(list(reference.coverage.detections.items())[:3])
-    resumed = run_multiprocess(
-        design, stimulus, faults, workers=1, width=8, resume_from=seeds
-    )
-    assert resumed.coverage.detections == reference.coverage.detections
-    assert resumed.stats.cycles < full.stats.cycles
-
-
-def test_pool_resolved_to_one_worker_creates_no_plane(monkeypatch):
-    """workers= is a ceiling: a fault list that fits in one word resolves to
-    one worker, which runs inline without a pool or a shared plane."""
-    import concurrent.futures
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a one-word campaign built a pool or a verdict plane")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
-    monkeypatch.setattr(VerdictPlane, "create", classmethod(forbidden))
-    design, stimulus, faults, reference = _workload("apb")
-    assert len(faults) <= 64
-    result = run_multiprocess(design, stimulus, faults, workers=4, width=64)
-    assert result.coverage.detections == reference.coverage.detections
-    assert result.stats.chunks_simulated == 1
-
-
-def _detected_only(faults, reference):
-    """Fresh copies of the faults the reference detects.
-
-    Copies, because ``FaultList`` renumbers what it holds and the originals
-    belong to the shared per-session workload.
-    """
-    from repro.fault.faultlist import FaultList
-    from repro.fault.model import StuckAtFault
-
-    return FaultList(
-        [
-            StuckAtFault(fault.signal, fault.bit, fault.value)
-            for fault in faults
-            if fault.name in reference.coverage.detections
-        ]
-    )
-
-
-def test_resume_seeds_answering_every_fault_leave_nothing_to_simulate(monkeypatch):
-    """With cross_drop a seed is settled in the plan phase, like a cache
-    hit: seeds for every fault leave no chunk, no pool and no plane."""
-
-    def forbidden(cls, n_faults):
-        raise AssertionError("a campaign with nothing to simulate created a verdict plane")
-
-    monkeypatch.setattr(VerdictPlane, "create", classmethod(forbidden))
-    design, stimulus, faults, reference = _workload("apb")
-    detected = _detected_only(faults, reference)
-    events = []
-    result = run_multiprocess(
-        design, stimulus, detected, workers=2, width=4,
-        resume_from=dict(reference.coverage.detections), on_progress=events.append,
-    )
-    assert result.coverage.detections == reference.coverage.detections
-    assert result.stats.cycles == 0
-    assert result.stats.chunks_simulated == result.stats.chunks_skipped == 0
-    assert events[-1].final and events[-1].chunks_total == 0
-    assert events[-1].detected == len(detected)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_resume_seeds_without_cross_drop_are_simulated_again(workers):
-    """cross_drop=False simulates every seed again: the same chunks and
-    cycles as a run without seeds, and the same verdicts."""
-    design, stimulus, faults, reference = _workload("apb")
-    knobs = dict(workers=workers, width=4, cross_drop=False)
-    full = run_multiprocess(design, stimulus, faults, **knobs)
-    seeded = run_multiprocess(
-        design, stimulus, faults, resume_from=dict(reference.coverage.detections), **knobs
-    )
-    assert seeded.coverage.detections == reference.coverage.detections
-    assert seeded.stats.chunks_simulated == full.stats.chunks_simulated
-    assert seeded.stats.cycles == full.stats.cycles > 0
-
-
-def test_legacy_pickled_merge_fallback_is_exact(without_shared_memory):
-    """The pickled-dict fallback (no /dev/shm) must not change verdicts."""
-    design, stimulus, faults, reference = _workload("apb")
-    events = []
-    result = run_multiprocess(
-        design, stimulus, faults, workers=2, width=8, on_progress=events.append
-    )
-    assert result.coverage.detections == reference.coverage.detections
-    assert events[-1].final
-    assert events[-1].detected == len(reference.coverage.detections)
-
-
 # ------------------------------------------------------------- crash recovery
 # retries=0 + degrade=False pin the historical pre-supervision semantics: one
 # failure per chunk, no quarantine-to-inline rescue — the salvage contract.
 def test_worker_crash_salvages_partial_verdicts():
-    """A dead worker yields a partial=True result, never a hang or a loss."""
+    """A dead worker yields a partial=True result, never a hang or a loss:
+    it holds exactly the detections of the chunks that completed."""
     design, stimulus, faults, reference = _workload("apb")
-    # chunks at width 4 start at global indexes 0, 4, 8: the base-0 chunk
+    # chunks at width 4 start at positions 0, 4, 8: the base-0 chunk
     # completes (the injector's drain pause gives it time), the rest crash
     result = run_multiprocess(
         design, stimulus, faults, workers=2, width=4, retries=0, degrade=False,
@@ -390,13 +269,16 @@ def test_worker_crash_salvages_partial_verdicts():
     )
     assert result.partial
     assert result.stats.chunks_failed > 0
-    salvaged = result.coverage.detections
-    reference_cycles = reference.coverage.detections
-    assert salvaged, "the completed chunk's verdicts must be salvaged"
-    for name, cycle in salvaged.items():
-        assert reference_cycles[name] == cycle, (
-            f"salvaged cycle for {name} must match the serial baseline"
-        )
+    assert result.stats.chunks_simulated == 1
+    chunks = chunk_positions(range(len(faults)), 4, max_chunks=2 * OVERSUBSCRIBE)
+    completed = {faults[p].name for chunk in chunks if chunk[0] < 4 for p in chunk}
+    expected = {
+        name: cycle
+        for name, cycle in reference.coverage.detections.items()
+        if name in completed
+    }
+    assert expected, "the completed chunk must hold a detection to salvage"
+    assert dict(result.coverage.detections) == expected
 
 
 def test_worker_crash_self_heals_by_default():
@@ -412,17 +294,23 @@ def test_worker_crash_self_heals_by_default():
     assert result.coverage.detections == reference.coverage.detections
 
 
-def test_worker_crash_keeps_resume_seeds():
-    """Seeded verdicts survive a crash even if no chunk ever completes."""
+def test_worker_crash_keeps_cache_hits(tmp_path):
+    """Cached detections survive a crash even if no chunk ever completes."""
     design, stimulus, faults, reference = _workload("apb")
-    seeds = dict(list(reference.coverage.detections.items())[:2])
+    root = str(tmp_path / "results")
+    cached = faults[:4]
+    run_multiprocess(design, stimulus, cached, workers=1, width=4, cache=root)
+    names = {fault.name for fault in cached}
+    hits = {n: c for n, c in reference.coverage.detections.items() if n in names}
+    assert hits, "the cached faults must hold a detection"
     result = run_multiprocess(
-        design, stimulus, faults, workers=2, width=4, resume_from=seeds,
+        design, stimulus, faults, workers=2, width=4, cache=root,
         retries=0, degrade=False, chaos="crash:base=0",  # every chunk crashes
     )
     assert result.partial
-    for name, cycle in seeds.items():
-        assert result.coverage.detections[name] == cycle
+    assert result.stats.cache_hits == len(cached)
+    assert result.stats.chunks_simulated == 0
+    assert dict(result.coverage.detections) == hits
 
 
 def test_worker_crash_fail_fast_without_salvage():
@@ -435,67 +323,73 @@ def test_worker_crash_fail_fast_without_salvage():
         )
 
 
-def test_worker_init_survives_an_unlinked_plane(monkeypatch):
-    """A pool worker that starts after a fast campaign unlinked its plane
-    initializes cleanly; attaching is left to its first chunk, where a
-    failure is a chunk failure the supervisor retries."""
-    import repro.sim.parallel as parallel_mod
-
-    monkeypatch.setattr(parallel_mod, "_WORKER_WORKLOAD", {})
-    design, stimulus, _, _ = _workload("apb")
-    spec = WorkloadSpec.from_design(design).with_stimulus(stimulus)
-    plane = VerdictPlane.create(4)
-    plane.close()
-    plane.unlink()
-    parallel_mod._worker_init(spec, plane.name)
-    with pytest.raises(FileNotFoundError):
-        parallel_mod._simulate_chunk([], [0], ("packed", {"width": 4}))
-
-
-# ----------------------------------------------------------------- shm hygiene
-def _run_and_capture_segment(monkeypatch, **kwargs):
-    """Run an apb campaign, returning (result, the plane segment name used)."""
-    design, stimulus, faults, _ = _workload("apb")
-    names = []
-    real_create = VerdictPlane.create.__func__
-
-    def capturing_create(cls, n_faults):
-        plane = real_create(cls, n_faults)
-        names.append(plane.name)
-        return plane
-
-    monkeypatch.setattr(
-        VerdictPlane, "create", classmethod(capturing_create)
-    )
-    result = run_multiprocess(design, stimulus, faults, **kwargs)
-    assert len(names) == 1
-    return result, names[0]
-
-
-def test_campaign_unlinks_its_segment(monkeypatch):
-    """No /dev/shm leak after a clean campaign: attach must fail afterwards."""
-    _, name = _run_and_capture_segment(monkeypatch, workers=2, width=8)
-    with pytest.raises(FileNotFoundError):
-        VerdictPlane.attach(name)
-
-
-def test_crashed_campaign_unlinks_its_segment(monkeypatch):
-    """The finally-block unlink holds on the salvage path too."""
-    result, name = _run_and_capture_segment(
-        monkeypatch, workers=2, width=4, retries=0, degrade=False,
-        chaos="crash:base=0",
-    )
-    assert result.partial
-    with pytest.raises(FileNotFoundError):
-        VerdictPlane.attach(name)
-
-
+# ------------------------------------------------------------------- hygiene
 def test_pooled_campaign_returns_after_its_workers_exit():
     """No worker outlives the campaign, so the next one gets the CPUs to itself."""
     design, stimulus, faults, reference = _workload("apb")
     result = run_multiprocess(design, stimulus, faults, workers=2, width=4)
     assert multiprocessing.active_children() == []
     assert result.coverage.detections == reference.coverage.detections
+
+
+#: Runs a one-worker campaign and a pooled one whose chunk 1 crashes once,
+#: then prints their verdicts and whether shared memory was ever imported.
+_NO_SHARED_MEMORY_SCRIPT = """
+import json
+import sys
+
+from repro.designs.registry import get_benchmark
+from repro.fault.faultlist import FaultList
+from repro.fault.model import StuckAtFault
+from repro.sim.parallel import run_multiprocess
+from repro.sim.resilience import RetryPolicy
+
+benchmark, cycles, sites_json = sys.argv[1:4]
+spec = get_benchmark(benchmark)
+design = spec.compile()
+stimulus = spec.stimulus(cycles=int(cycles))
+faults = FaultList(
+    [StuckAtFault(design.signal(n), b, v) for n, b, v in json.loads(sites_json)]
+)
+inline = run_multiprocess(design, stimulus, faults, workers=1, width=4)
+pooled = run_multiprocess(
+    design, stimulus, faults, workers=2, width=4,
+    chaos="crash:chunk=1,until_attempt=1",
+    retries=RetryPolicy(max_attempts=3, backoff=0.05, jitter=0.0),
+)
+print(json.dumps({
+    "inline": inline.coverage.detections,
+    "pooled": pooled.coverage.detections,
+    "partial": pooled.partial,
+    "retries": pooled.stats.chunk_retries,
+    "shared_memory": "multiprocessing.shared_memory" in sys.modules,
+}))
+"""
+
+
+def test_no_campaign_imports_shared_memory():
+    """A one-worker campaign and a pooled one that heals a worker crash both
+    reach exact verdicts in a fresh interpreter that never imports
+    ``multiprocessing.shared_memory``."""
+    import repro
+
+    design, stimulus, faults, reference = _workload("apb")
+    sites = [[f.signal.name, f.bit, f.value] for f in faults]
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_SHARED_MEMORY_SCRIPT, "apb", str(PARITY_CYCLES),
+         json.dumps(sites)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.strip().splitlines()[-1])
+    expected = dict(reference.coverage.detections)
+    assert report["inline"] == expected
+    assert report["pooled"] == expected
+    assert not report["partial"] and report["retries"] >= 1
+    assert not report["shared_memory"]
 
 
 # -------------------------------------------------------- alternative runners

