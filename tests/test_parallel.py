@@ -3,12 +3,14 @@
 The strongest check mirrors the packed suite: on every one of the ten
 benchmark designs, the process pool's per-fault verdicts *and* detection
 cycles must exactly match the serial codegen baseline — chunking over worker
-processes may only change wall-clock, never a verdict.  The remaining tests
+processes may only change wall-clock, never a verdict — and so must a campaign
+that assembles half its verdicts from the result cache.  The remaining tests
 pin the seams around it: :class:`WorkloadSpec` pickling in all three modes,
-word-aligned chunking, the inline ``workers=1`` short-circuit, the serial
-baselines' ``campaign=`` loop, streaming progress event ordering,
-partial-verdict salvage when a worker dies, a pooled campaign returning only
-after its workers have exited, and no campaign touching shared memory.
+word-aligned chunking, the inline ``workers=1`` short-circuit, the runner
+kinds, the serial baselines' ``campaign=`` loop, streaming progress event
+ordering, partial-verdict salvage when a worker dies, a pooled campaign
+returning only after its workers have exited, and no campaign touching shared
+memory.
 """
 
 import json
@@ -96,6 +98,49 @@ def test_process_executor_across_widths(width):
     assert result.coverage.detections == reference.coverage.detections
 
 
+def _half_cached(design, stimulus, faults, root):
+    """Cache the verdicts of every other fault; return the positions left."""
+    run_multiprocess(design, stimulus, faults[::2], workers=1, width=8, cache=root)
+    return list(range(1, len(faults), 2))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_half_cached_campaign_matches_serial_codegen_on_corpus(name, tmp_path):
+    """Cache hits plus pooled chunks assemble to the exact verdicts.
+
+    With every other fault answered by the cache, the pool simulates the
+    scattered positions left, so its words pack other faults together than
+    a cold run's do; verdicts and detection cycles must not change.  At
+    width 2 the five faults left span three chunks over two workers.
+    """
+    design, stimulus, faults, reference = _workload(name)
+    root = str(tmp_path / "results")
+    todo = _half_cached(design, stimulus, faults, root)
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=2, cache=root)
+    assert result.coverage.detections == reference.coverage.detections, (
+        f"{name}: half-cached verdicts disagree on "
+        f"{result.coverage.disagreements(reference.coverage)}"
+    )
+    assert not result.partial
+    assert result.stats.cache_hits == len(faults) - len(todo)
+    assert result.stats.cache_misses == result.stats.cache_writes == len(todo)
+    assert result.stats.chunks_simulated == 3
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_half_cached_campaign_across_widths(width, tmp_path):
+    """The chunks cut from the cache misses respect word geometry at every
+    width; where the misses fit one word, the campaign runs a single chunk."""
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    todo = _half_cached(design, stimulus, faults, root)
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=width, cache=root)
+    assert result.coverage.detections == reference.coverage.detections
+    assert result.stats.cache_misses == len(todo)
+    chunks = chunk_positions(todo, width, max_chunks=2 * OVERSUBSCRIBE)
+    assert result.stats.chunks_simulated == len(chunks)
+
+
 def test_single_worker_short_circuits_to_inline(monkeypatch):
     """workers=1 must never pay pool startup (no executor is constructed)."""
     import concurrent.futures
@@ -124,6 +169,52 @@ def test_pool_resolved_to_one_worker_runs_inline(monkeypatch):
     result = run_multiprocess(design, stimulus, faults, workers=4, width=64)
     assert result.coverage.detections == reference.coverage.detections
     assert result.stats.chunks_simulated == 1
+
+
+def test_cache_hits_that_leave_one_word_run_inline(monkeypatch, tmp_path):
+    """The plan sizes the pool by the faults the cache leaves, not by the
+    fault list: two misses at width 8 are one word, run without a pool."""
+    import concurrent.futures
+
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    run_multiprocess(design, stimulus, faults[:8], workers=1, width=8, cache=root)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a campaign with one word left built a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=8, cache=root)
+    assert result.coverage.detections == reference.coverage.detections
+    assert result.stats.cache_hits == 8
+    assert result.stats.chunks_simulated == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cached_faults_never_reach_a_runner(workers, monkeypatch, tmp_path):
+    """Inline or pooled, every cache miss is handed to a runner exactly once
+    and no cached fault is handed to one at all."""
+    import repro.sim.parallel as parallel_mod
+
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    run_multiprocess(design, stimulus, faults[1::2], workers=1, width=8, cache=root)
+    handed = []
+    sites = parallel_mod._Campaign.sites
+
+    def spy(self, state):
+        chunk = sites(self, state)
+        handed.extend(chunk)
+        return chunk
+
+    monkeypatch.setattr(parallel_mod._Campaign, "sites", spy)
+    result = run_multiprocess(
+        design, stimulus, faults, workers=workers, width=2, cache=root
+    )
+    misses = [(f.signal.name, f.bit, f.value) for f in faults[::2]]
+    assert sorted(handed) == sorted(misses)
+    assert result.stats.chunks_simulated == (1 if workers == 1 else 3)
+    assert result.coverage.detections == reference.coverage.detections
 
 
 # -------------------------------------------------------------- workload specs
@@ -170,6 +261,19 @@ def test_workload_spec_rejects_bad_modes():
         WorkloadSpec(source="module m; endmodule")
 
 
+def test_workload_spec_repr_names_its_mode(counter_design, counter_stimulus):
+    design, stimulus, _, _ = _workload("apb")
+    spec = WorkloadSpec.from_design(design)
+    assert repr(spec) == "WorkloadSpec(benchmark=apb, 0 stimulus cycles)"
+    assert repr(spec.with_stimulus(stimulus)) == (
+        f"WorkloadSpec(benchmark=apb, {PARITY_CYCLES} stimulus cycles)"
+    )
+    source = WorkloadSpec.from_design(counter_design).with_stimulus(counter_stimulus)
+    assert repr(source).startswith("WorkloadSpec(source top=counter, ")
+    blob = WorkloadSpec(design_blob=b"1234")
+    assert repr(blob) == "WorkloadSpec(design_blob=4B, 0 stimulus cycles)"
+
+
 # ------------------------------------------------------------------- chunking
 def test_chunk_fault_sites_word_aligned():
     design, _, _, _ = _workload("apb")
@@ -196,6 +300,43 @@ def test_chunk_fault_sites_oversubscription_bounds():
     # 10 faults at width 1 = 10 words; more chunks than words clamps to words
     assert len(chunk_positions(range(len(faults)), 1, max_chunks=100)) == 10
     assert len(chunk_positions(range(len(faults)), 64, max_chunks=100)) == 1
+
+
+@pytest.mark.parametrize(
+    "positions, word_size, max_chunks, expected_chunks",
+    [
+        (list(range(10)), 8, 8, 2),
+        ([1, 3, 5, 7, 9, 11, 13], 2, 3, 2),
+        (list(range(16)), 4, 2, 2),
+        (list(range(5)), 64, 8, 1),
+        (list(range(20)), 4, 1, 1),
+    ],
+    ids=["partial-last-word", "scattered", "exact-multiple", "one-word", "one-chunk"],
+)
+def test_chunk_positions_partition_in_whole_words(
+    positions, word_size, max_chunks, expected_chunks
+):
+    """Chunks are consecutive runs of whole words of the given positions:
+    the campaign's cache misses are scattered positions, not a range."""
+    chunks = chunk_positions(positions, word_size, max_chunks)
+    assert len(chunks) == expected_chunks <= max_chunks
+    assert [p for chunk in chunks for p in chunk] == positions
+    assert all(chunks)
+    for chunk in chunks[:-1]:
+        assert len(chunk) % word_size == 0
+
+
+def test_merge_rejects_overlapping_chunk_verdicts():
+    """Chunks partition the fault list: a fault two chunks report is an error,
+    and the rejected chunk merges nothing."""
+    from repro.sim.parallel import _merge_chunk_verdicts
+
+    merged = {}
+    _merge_chunk_verdicts(merged, {"a stuck-at-0": 3})
+    _merge_chunk_verdicts(merged, {"b stuck-at-1": 0})
+    with pytest.raises(SimulationError, match="overlap on 1 fault"):
+        _merge_chunk_verdicts(merged, {"b stuck-at-1": 0, "c stuck-at-0": 5})
+    assert merged == {"a stuck-at-0": 3, "b stuck-at-1": 0}
 
 
 # --------------------------------------------------------- streaming progress
@@ -243,6 +384,67 @@ def test_progress_printer_formats_events(capsys):
     assert "progress: 3/10 faults detected (30.0%)" in out
     assert "eta 3.0s" in out
     assert "done: 9/10" in out and "PARTIAL" in out
+
+
+def test_progress_event_coverage_and_repr():
+    from repro.sim.parallel import CampaignProgress
+
+    assert CampaignProgress(0, 0, 0, 0, elapsed=0.0).coverage == 0.0
+    event = CampaignProgress(3, 12, 1, 4, elapsed=1.0, eta=3.0)
+    assert event.coverage == 25.0
+    assert repr(event) == "CampaignProgress(3/12 detected, chunks 1/4)"
+    last = CampaignProgress(9, 12, 3, 4, elapsed=2.0, final=True, partial=True)
+    assert repr(last) == "CampaignProgress(9/12 detected, chunks 3/4 final partial)"
+
+
+def test_first_progress_event_counts_the_cached_detections(tmp_path):
+    """Cache hits are known before any chunk runs, so the submission event
+    already counts their detections."""
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    run_multiprocess(design, stimulus, faults[:4], workers=1, width=4, cache=root)
+    cached = [f.name for f in faults[:4] if f.name in reference.coverage.detections]
+    assert cached, "the cached faults must hold a detection"
+    events = []
+    run_multiprocess(
+        design, stimulus, faults, workers=2, width=2, cache=root,
+        on_progress=events.append,
+    )
+    first, last = events[0], events[-1]
+    assert first.chunks_done == 0 and first.chunks_total == 3
+    assert first.detected == len(cached)
+    assert last.final and last.detected == len(reference.coverage.detections)
+
+
+def test_salvaged_campaign_marks_its_final_event_partial():
+    """The final event of a salvaged campaign says so, and counts only the
+    detections the partial result holds."""
+    design, stimulus, faults, _ = _workload("apb")
+    events = []
+    result = run_multiprocess(
+        design, stimulus, faults, workers=2, width=4, retries=0, degrade=False,
+        chaos="raise:chunk=0", on_progress=events.append,
+    )
+    assert result.partial and result.stats.chunks_failed == 1
+    last = events[-1]
+    assert last.final and last.partial
+    assert last.detected == len(result.coverage.detections)
+    assert last.chunks_done == last.chunks_total - 1
+    assert not any(event.partial for event in events[:-1])
+
+
+def test_config_with_fields_returns_a_validated_copy():
+    from dataclasses import FrozenInstanceError
+
+    config = CampaignConfig(workers=2)
+    assert config.with_fields() is config
+    copy = config.with_fields(width=8)
+    assert (copy.workers, copy.width) == (2, 8)
+    assert config.width == DEFAULT_WORD_WIDTH
+    with pytest.raises(SimulationError, match="workers"):
+        config.with_fields(workers=0)
+    with pytest.raises(FrozenInstanceError):
+        config.width = 4
 
 
 def test_config_progress_callback_reaches_campaigns():
@@ -311,6 +513,45 @@ def test_worker_crash_keeps_cache_hits(tmp_path):
     assert result.stats.cache_hits == len(cached)
     assert result.stats.chunks_simulated == 0
     assert dict(result.coverage.detections) == hits
+
+
+def test_salvaged_result_holds_cache_hits_and_completed_chunks(tmp_path):
+    """A salvaged campaign with cache hits returns those hits plus the
+    detections of the chunks that completed, and nothing of the failed one."""
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    run_multiprocess(design, stimulus, faults[:4], workers=1, width=4, cache=root)
+    # the misses, positions 4-9, make three chunks at width 2; chunk 0
+    # (positions 4 and 5) raises on its only attempt
+    result = run_multiprocess(
+        design, stimulus, faults, workers=2, width=2, cache=root,
+        retries=0, degrade=False, chaos="raise:chunk=0",
+    )
+    assert result.partial
+    assert (result.stats.chunks_failed, result.stats.chunks_simulated) == (1, 2)
+    kept = {f.name for f in faults[:4]} | {f.name for f in faults[6:]}
+    expected = {n: c for n, c in reference.coverage.detections.items() if n in kept}
+    assert expected.keys() - {f.name for f in faults[:4]}, "no chunk detection kept"
+    assert dict(result.coverage.detections) == expected
+
+
+def test_pooled_stats_sum_the_chunks():
+    """stats.cycles sums the cycles each chunk simulated, and a clean pooled
+    campaign counts every chunk simulated and none retried or failed."""
+    import repro.sim.parallel as parallel_mod
+
+    design, stimulus, faults, reference = _workload("apb")
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=4)
+    chunks = chunk_positions(range(len(faults)), 4, max_chunks=2 * OVERSUBSCRIBE)
+    cycles = 0
+    for chunk in chunks:
+        sites = [(faults[p].signal.name, faults[p].bit, faults[p].value) for p in chunk]
+        cycles += parallel_mod._run_chunk(design, stimulus, ("packed", {"width": 4}), sites)[1]
+    assert result.stats.chunks_simulated == len(chunks) == 3
+    assert result.stats.cycles == cycles > 0
+    stats = result.stats
+    assert (stats.chunk_retries, stats.chunks_failed, stats.chunks_quarantined) == (0, 0, 0)
+    assert result.coverage.detections == reference.coverage.detections
 
 
 def test_worker_crash_fail_fast_without_salvage():
@@ -403,6 +644,79 @@ def test_vector_runner_pooled_matches_serial():
     assert result.coverage.detections == reference.coverage.detections
 
 
+@pytest.mark.parametrize(
+    "runner, label",
+    [
+        (("packed", {"width": 4}), "PackedPPSFP-MP"),
+        (("vector", {"width": 4}), "VectorPPSFP-MP"),
+        (("serial", {"engine": "codegen"}), "serial-MP"),
+    ],
+    ids=["packed", "vector", "serial"],
+)
+def test_inline_runner_kinds_match_serial_and_label_the_result(runner, label):
+    if runner[0] == "vector":
+        pytest.importorskip("numpy")
+    design, stimulus, faults, reference = _workload("apb")
+    result = run_multiprocess(design, stimulus, faults, workers=1, runner=runner)
+    assert result.simulator == label
+    assert result.coverage.detections == reference.coverage.detections
+    assert result.stats.chunks_simulated == 1
+
+
+def test_auto_runner_is_resolved_before_any_chunk_is_submitted(monkeypatch):
+    """Workers only ever see a concrete runner: ``auto`` picks packed words
+    for a ten-fault campaign, at the campaign's width."""
+    import repro.sim.parallel as parallel_mod
+
+    submitted = []
+    submit = parallel_mod._Campaign.submit
+
+    def spy(self, pool, state):
+        submitted.append(self.runner)
+        return submit(self, pool, state)
+
+    monkeypatch.setattr(parallel_mod._Campaign, "submit", spy)
+    design, stimulus, faults, reference = _workload("apb")
+    result = run_multiprocess(design, stimulus, faults, workers=2, width=4, runner=("auto", {}))
+    assert submitted == [("packed", {"width": 4})] * 3
+    assert result.simulator == "PackedPPSFP-MP"
+    assert result.coverage.detections == reference.coverage.detections
+
+
+def test_inline_chunks_run_packed_where_the_parent_lacks_numpy(monkeypatch):
+    """A vector campaign's inline chunk runs on packed words of the same
+    width in a parent without NumPy, with the same verdicts and label."""
+    import repro.sim.parallel as parallel_mod
+
+    monkeypatch.setattr(parallel_mod, "numpy_is_available", lambda: False)
+    built = []
+    make_runner = parallel_mod.make_campaign_runner
+
+    def spy(design, runner):
+        built.append(runner)
+        return make_runner(design, runner)
+
+    monkeypatch.setattr(parallel_mod, "make_campaign_runner", spy)
+    design, stimulus, faults, reference = _workload("apb")
+    result = run_multiprocess(
+        design, stimulus, faults, workers=1, runner=("vector", {"width": 4})
+    )
+    assert built == [("packed", {"width": 4})]
+    assert result.simulator == "VectorPPSFP-MP"
+    assert result.coverage.detections == reference.coverage.detections
+
+
+def test_packed_and_serial_inline_chunks_never_probe_numpy(monkeypatch):
+    import repro.sim.parallel as parallel_mod
+
+    def probe():
+        raise AssertionError("probed NumPy for a runner without a fallback")
+
+    monkeypatch.setattr(parallel_mod, "numpy_is_available", probe)
+    for runner in (("packed", {"width": 4}), ("serial", {"engine": "codegen"})):
+        assert parallel_mod._inline_runner(runner) == runner
+
+
 # ------------------------------------------------- serial-baseline campaigns
 def test_serial_baseline_campaign_matches():
     design, stimulus, faults, reference = _workload("apb")
@@ -412,6 +726,37 @@ def test_serial_baseline_campaign_matches():
     result = simulator.run(stimulus, faults)
     assert result.simulator == "serial"
     assert result.coverage.detections == reference.coverage.detections
+
+
+def test_serial_baseline_campaign_chunks_one_fault_per_word():
+    """The serial runner has no lanes, so a pooled campaign cuts its ten
+    faults at single-fault grain: five chunks of two for two workers."""
+    design, stimulus, faults, reference = _workload("apb")
+    simulator = SerialFaultSimulator(
+        design, engine="codegen", campaign=CampaignConfig(workers=2, width=64)
+    )
+    result = simulator.run(stimulus, faults)
+    chunks = chunk_positions(range(len(faults)), 1, max_chunks=2 * OVERSUBSCRIBE)
+    assert result.stats.chunks_simulated == len(chunks) == 5
+    assert result.coverage.detections == reference.coverage.detections
+
+
+def test_serial_baseline_campaign_reads_the_cache(tmp_path):
+    """The baselines' campaign= path keys the same result cache: a rerun
+    answers every fault from it and simulates no chunk."""
+    design, stimulus, faults, reference = _workload("apb")
+    config = CampaignConfig(workers=2, cache=str(tmp_path / "results"))
+    cold = SerialFaultSimulator(design, engine="codegen", campaign=config).run(
+        stimulus, faults
+    )
+    assert cold.stats.cache_writes == len(faults)
+    warm = SerialFaultSimulator(design, engine="codegen", campaign=config).run(
+        stimulus, faults
+    )
+    assert warm.stats.cache_hits == len(faults)
+    assert warm.stats.chunks_simulated == 0
+    assert warm.simulator == "serial"
+    assert warm.coverage.detections == reference.coverage.detections
 
 
 def test_serial_baseline_process_needs_an_engine(counter_design, counter_stimulus):

@@ -212,6 +212,21 @@ def test_inline_failure_marks_the_chunk_failed():
     assert isinstance(h.states[0].error, ValueError)
 
 
+@pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "no-degrade"])
+def test_on_complete_runs_once_per_chunk_that_produced_a_payload(degrade):
+    """Retries and pool breaks never merge a chunk twice, and a failed chunk
+    is never merged: the campaign's verdicts are its completed chunks'."""
+    script = {(1, 0): "raise", (2, 0): "broken", (2, 1): "broken"}
+    h = _Harness(3, script, degrade=degrade).run()
+    outcomes = [s.outcome for s in h.states]
+    assert outcomes == ["completed", "completed", "inline" if degrade else "failed"]
+    finished = [s.index for s in h.states if s.outcome != "failed"]
+    assert sorted(index for index, _, _ in h.completions) == finished
+    for index, outcome, detections in h.completions:
+        assert outcome == h.states[index].outcome
+        assert detections == {f"f{index}": 5}
+
+
 def test_unavailable_pool_degrades_everything_inline():
     h = _Harness(2, {}, pools_fail=99).run()
     assert [s.outcome for s in h.states] == ["inline", "inline"]

@@ -283,6 +283,26 @@ def test_superset_campaign_simulates_only_the_delta(tmp_path):
     assert warm.stats.chunks_simulated == 0
 
 
+def test_subset_campaign_reads_only_its_own_verdicts(tmp_path):
+    """A campaign over some of a warm shard's faults takes their verdicts
+    and nothing else: no foreign detection leaks into its report."""
+    design, stimulus, faults, reference = _workload("apb")
+    root = str(tmp_path / "results")
+    run_multiprocess(design, stimulus, faults, workers=1, width=8, cache=root)
+    subset = faults[1::3]
+    names = {fault.name for fault in subset}
+    result = run_multiprocess(design, stimulus, subset, workers=2, width=8, cache=root)
+    assert result.stats.cache_hits == len(subset)
+    assert result.stats.cache_misses == result.stats.cache_writes == 0
+    assert result.stats.chunks_simulated == 0
+    assert result.coverage.total_faults == len(subset)
+    assert result.coverage.detections == {
+        name: cycle
+        for name, cycle in reference.coverage.detections.items()
+        if name in names
+    }
+
+
 def test_changed_design_or_stimulus_never_hits(tmp_path):
     spec = get_benchmark("alu")
     design = spec.compile()
