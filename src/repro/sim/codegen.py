@@ -1,81 +1,16 @@
-"""Code-generating simulation kernel: specialize the design into Python source.
+"""Code generation for the serial, packed and vector kernels, and their disk cache.
 
-The interpreted :class:`~repro.sim.engine.EventDrivenEngine` *walks IR node
-objects* through the Python interpreter every cycle: each RTL node is a tree
-of ``Expr`` objects whose ``eval`` recursion re-dispatches on node type, and
-every signal value is a ``GoodValueStore`` dict lookup.  Verilator-class
-simulators win by emitting straight-line native code from the design's static
-levelized schedule; this module reproduces the jump in pure Python.
+Each kernel is the design's levelized schedule emitted as specialized Python
+source by the shared walk of :mod:`repro.sim.emitter`, over one of three lane
+layouts: plain ints (:class:`CodegenEngine`, the VFsim kernel), bigint lane
+words (``_PackedEmitter``, driven by :mod:`repro.sim.packed`) or NumPy plane
+arrays (``_VectorEmitter``, driven by :mod:`repro.sim.vector`).  The packed
+and vector kernels import their helpers from :mod:`repro.sim.packed_runtime`
+and :mod:`repro.sim.vector_runtime`.
 
-:func:`generate_source` walks the elaborated design once and emits specialized
-Python source:
-
-* ``comb_pass``     — one flat function performing a single levelized pass over
-  every RTL node plus every level-sensitive behavioral node, with every
-  expression compiled to an inline Python expression over a flat value list
-  ``V`` (indexed by signal id) instead of per-node ``eval`` recursion —
-  or, for feed-forward designs, ``comb_once`` in its place: the same pass
-  without change tracking, since one pass is the fixed point;
-* ``_bn<i>``        — one flat function per behavioral (``always``) block,
-  blocking assignments lowered to plain local variables and non-blocking
-  updates collected into a flat tuple list;
-* ``fire_clocked``  — edge detection and the NBA region over the clocked
-  blocks.
-
-The source is ``compile()``/``exec``-ed into a namespace and driven by
-:class:`CodegenEngine`, which implements the same
-:class:`~repro.sim.kernel.SimulationKernel` protocol as the other engines, so
-the shared :class:`~repro.sim.kernel.CycleDriver` and the serial baselines can
-select it interchangeably.  Traces are cycle-exact against the event-driven
-engine (the test-suite sweeps all ten corpus benchmarks).  It is the kernel
-the VFsim baseline re-runs per fault.
-
-Fault forcing
--------------
-Serial fault injection passes a ``force_hook`` exactly like the other engines.
-Instead of calling the hook on every write, the hook is probed once per signal
-(``hook(s, 0)`` / ``hook(s, s.mask)``) to derive per-signal OR/AND forcing
-masks, and every generated write carries a cheap branch-on-mask guard::
-
-    if FA: _x = (_x | FO[i]) & FN[i]
-
-so the fault-free fast path costs one predictable branch and faulty simulation
-two mask operations.  The hook contract is therefore *per-bit constant
-forcing* (``hook(v) == (v | set_bits) & ~clear_bits``), which is exactly what
-:class:`~repro.fault.model.StuckAtFault` forcing is.
-
-Packed (PPSFP) emission mode
-----------------------------
-:func:`generate_packed_source` emits a *bit-parallel* variant of the same
-kernel: every signal's value is one Python integer holding ``W`` lanes of
-``S`` bits each (a :class:`PackedLayout`), lane 0 being the good machine and
-lanes 1..W-1 faulty machines.  Lane-local operators (bitwise logic, add/sub,
-constant shifts, slices, concats, equality and unsigned comparison via
-carry-save SWAR tricks) are emitted as plain integer ops over the packed
-words, so one evaluation advances all W machines at once.  The few serial
-operators (multiply, divide, variable shifts, memory addressing) go through
-runtime helpers; the ones the corpus emits give every lane whose operands
-match lane 0's the good machine's result, so only the lanes that diverge
-run a per-lane body (see ``docs/internals-packing.md``).  Control flow is
-fully predicated: ``if``/``case`` bodies execute under a per-lane predicate
-mask and every write is a mask blend, which is what lets faulty lanes diverge
-down different branches.  Fault forcing stays the branch-on-mask guard of the
-serial mode, with the OR/AND masks carrying per-lane force bits.  The driving
-engine lives in :mod:`repro.sim.packed`.
-
-Compile cache
--------------
-Generated source is cached on disk keyed by a content hash of the elaborated
-design (signals, schedule, expressions, behavioral bodies), so repeated
-constructions — across processes and across the per-fault engine instances of
-the serial baselines — skip the generation walk.  Packed sources are cached
-under a distinct key carrying the lane geometry.  Alongside each source a
-``marshal`` bytecode sidecar is kept so later constructions also skip
-``compile()``; a corrupt or stale sidecar silently falls back to compiling the
-cached source (and a corrupt source to full regeneration).  The default
-location is ``~/.cache/repro-codegen``; override it with the
-``REPRO_CODEGEN_CACHE`` environment variable, or pass ``use_cache=False`` to
-bypass the disk entirely.
+``docs/emitter.md`` is the reference for the passes and the cache keys,
+``docs/internals-packing.md`` for the lane formats and
+``docs/architecture.md`` for the disk cache.
 """
 
 from __future__ import annotations
@@ -133,7 +68,9 @@ CODEGEN_VERSION = 3
 #: v3: lane-0 sharing in the per-lane runtime helpers (``_mrd``, ``_pshl``,
 #: ``_pshr``, ``_pmul`` and the gathered write in ``_publish``).
 #: v4: ``comb_once`` *or* ``comb_pass``, never both.
-PACKED_VERSION = 4
+#: v5: the helpers are imported from :mod:`repro.sim.packed_runtime`, not
+#: pasted in (``_eqz``, which no kernel called, is gone).
+PACKED_VERSION = 5
 
 #: Version of the vector (NumPy) source format (see :func:`generate_vector_source`).
 #: Participates in the ``vec{N}`` cache suffix AND in the CI cache key, so a
@@ -142,7 +79,9 @@ PACKED_VERSION = 4
 #: v3: the event scheduler: every RTL node and level-sensitive block sits
 #: behind the ``VER``/``LS`` change guard, commits stamp ``VER`` (``_publish``
 #: takes ``VER, GC``), and a kernel ships ``comb_once`` *or* ``comb_pass``.
-VECTOR_VERSION = 3
+#: v4: the helpers are imported from :mod:`repro.sim.vector_runtime`, not
+#: pasted in.
+VECTOR_VERSION = 4
 
 #: Environment variable overriding the on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CODEGEN_CACHE"
@@ -799,256 +738,6 @@ def generate_source(design: Design, passes: Optional[EmitterPasses] = None) -> s
 # * predicates are packed words with one bit at the base of each active lane;
 # * all emitted expressions are pure, so hoisted temps stay safe.
 
-#: Static runtime helpers shared by every packed kernel (appended verbatim
-#: after the per-design constants).  ``_W``/``_S`` and friends are module-level
-#: constants of the generated module.
-_PACKED_RUNTIME = '''\
-def _repl(v):
-    return v * _R1
-
-
-def _nz(x):
-    # per-lane "value != 0" -> one bit at each lane base (lanes < 2**_SP)
-    return ((x + _NZC) >> _SP) & _R1
-
-
-def _eqz(x):
-    return ((((x + _NZC) >> _SP) & _R1) ^ _R1)
-
-
-def _lanes(rest):
-    # bit offsets of the lanes flagged in rest (one bit at a lane base),
-    # top-down.  If the top eight flags are adjacent the word is taken as
-    # dense and every lane below is listed, flagged or not: walking lanes
-    # costs less than finding bits, and a per-lane body gives a lane that
-    # shares lane 0's result that same result again
-    offs = []
-    while rest:
-        off = rest.bit_length() - 1
-        rest ^= 1 << off
-        offs.append(off)
-        if len(offs) == 8 and offs[0] - off == 7 * _S:
-            offs.extend(range(off - _S, -1, -_S))
-            break
-    return offs
-
-
-def _mrd(mem, ovl, ix):
-    # packed memory read: the lanes at lane 0's address share its word, and
-    # only the lanes whose address diverges gather their own
-    i0 = ix & _SM
-    x0 = i0 * _R1
-    r = 0
-    if i0 < len(mem):
-        r = ovl.get(i0, mem[i0]) if ovl is not None else mem[i0]
-    if ix == x0:
-        return r
-    rest = _nz(ix ^ x0)
-    same = rest ^ _R1
-    r &= (same << _S) - same
-    for off in _lanes(rest):
-        a = (ix >> off) & _SM
-        if a < len(mem):
-            wv = ovl.get(a, mem[a]) if ovl is not None else mem[a]
-            r |= wv & (_SM << off)
-    return r
-
-
-def _mwr(mem, ovl, ix, v, wbits, p):
-    # predicated packed memory write into a blocking overlay
-    i0 = ix & _SM
-    if ix == i0 * _R1:
-        if i0 < len(mem):
-            pm = (p << wbits) - p
-            old = ovl.get(i0, mem[i0])
-            ovl[i0] = (old & (pm ^ _F)) | (v & pm)
-        return
-    off = 0
-    for _ in range(_W):
-        if (p >> off) & 1:
-            a = (ix >> off) & _SM
-            if a < len(mem):
-                lm = ((1 << wbits) - 1) << off
-                old = ovl.get(a, mem[a])
-                ovl[a] = (old & ~lm) | (v & lm)
-        off += _S
-
-
-def _bidx(x, ix, width, lsb):
-    # per-lane dynamic bit read x[ix], out-of-range lanes read 0
-    i0 = (ix & _SM) - lsb
-    if ix == (ix & _SM) * _R1:
-        if 0 <= i0 < width:
-            return (x >> i0) & _R1
-        return 0
-    r = 0
-    off = 0
-    for _ in range(_W):
-        a = ((ix >> off) & _SM) - lsb
-        if 0 <= a < width:
-            r |= ((x >> (off + a)) & 1) << off
-        off += _S
-    return r
-
-
-def _bset(x, ix, v, width, lsb, p):
-    # predicated dynamic bit write; out-of-range lanes are left untouched
-    i0 = (ix & _SM) - lsb
-    if ix == (ix & _SM) * _R1:
-        if 0 <= i0 < width:
-            m = p << i0
-            return (x & (m ^ _F)) | ((v << i0) & m)
-        return x
-    off = 0
-    for _ in range(_W):
-        if (p >> off) & 1:
-            a = ((ix >> off) & _SM) - lsb
-            if 0 <= a < width:
-                b = off + a
-                x = (x & ~(1 << b)) | (((v >> off) & 1) << b)
-        off += _S
-    return x
-
-
-def _bnba(ix, v, width, lsb, p):
-    # non-blocking dynamic bit write -> (write mask, value in place)
-    i0 = (ix & _SM) - lsb
-    if ix == (ix & _SM) * _R1:
-        if 0 <= i0 < width:
-            m = p << i0
-            return m, (v << i0) & m
-        return 0, 0
-    wm = 0
-    vip = 0
-    off = 0
-    for _ in range(_W):
-        if (p >> off) & 1:
-            a = ((ix >> off) & _SM) - lsb
-            if 0 <= a < width:
-                b = off + a
-                wm |= 1 << b
-                vip |= ((v >> off) & 1) << b
-        off += _S
-    return wm, vip
-
-
-def _pmul(a, b, m):
-    # lanes whose operands both equal lane 0's share its product
-    a0 = a & _SM
-    b0 = b & _SM
-    rest = _nz((a ^ a0 * _R1) | (b ^ b0 * _R1))
-    r = ((a0 * b0) & m) * (rest ^ _R1)
-    for off in _lanes(rest):
-        r |= ((((a >> off) & _SM) * ((b >> off) & _SM)) & m) << off
-    return r
-
-
-def _pdiv(a, b, m):
-    r = 0
-    off = 0
-    for _ in range(_W):
-        y = (b >> off) & _SM
-        r |= (((((a >> off) & _SM) // y) & m) if y else m) << off
-        off += _S
-    return r
-
-
-def _pmod(a, b, m):
-    r = 0
-    off = 0
-    for _ in range(_W):
-        y = (b >> off) & _SM
-        if y:
-            r |= ((((a >> off) & _SM) % y) & m) << off
-        off += _S
-    return r
-
-
-def _pshl(a, b, w, m):
-    # lanes shifting by lane 0's amount share one whole-word shift
-    s0 = b & _SM
-    rest = _nz(b ^ s0 * _R1)
-    r = (a & ((m >> s0) * (rest ^ _R1))) << s0 if s0 < w else 0
-    for off in _lanes(rest):
-        s = (b >> off) & _SM
-        if s < w:
-            r |= ((((a >> off) & _SM) << s) & m) << off
-    return r
-
-
-def _pshr(a, b, w):
-    # lanes shifting by lane 0's amount share one whole-word shift
-    s0 = b & _SM
-    rest = _nz(b ^ s0 * _R1)
-    r = (a >> s0) & ((_SM >> s0) * (rest ^ _R1)) if s0 < w else 0
-    for off in _lanes(rest):
-        s = (b >> off) & _SM
-        if s < w:
-            r |= (((a >> off) & _SM) >> s) << off
-    return r
-
-
-def _psra(a, b, w, m):
-    r = 0
-    off = 0
-    sb = 1 << (w - 1)
-    for _ in range(_W):
-        x = (a >> off) & _SM
-        s = (b >> off) & _SM
-        if s > w:
-            s = w
-        if x & sb:
-            x -= 1 << w
-        r |= ((x >> s) & m) << off
-        off += _S
-    return r
-
-
-def _publish(upd, V, M, FB, FO, FN, VER, GC):
-    # apply (sid, write_mask, word_index, value_in_place) updates with
-    # per-lane blending, change detection, the forcing guard and the
-    # scheduler version stamps (unread when the event_scheduler pass is off)
-    ch = False
-    for i, wm, wi, val in upd:
-        if wi is not None:
-            # gathered write: the lanes at lane 0's address share one word
-            # write, and only the lanes whose address diverges write their own
-            mem = M[i]
-            i0 = wi & _SM
-            x0 = i0 * _R1
-            rest = 0 if wi == x0 else _nz(wi ^ x0)
-            if i0 < len(mem):
-                same = rest ^ _R1
-                wm0 = wm & ((same << _S) - same) if rest else wm
-                old = mem[i0]
-                nv = (old & (wm0 ^ _F)) | (val & wm0)
-                if old != nv:
-                    mem[i0] = nv
-                    GC[0] = VER[i] = GC[0] + 1
-                    ch = True
-            for off in _lanes(rest):
-                lanebits = wm & (_SM << off)
-                if lanebits:
-                    a = (wi >> off) & _SM
-                    if a < len(mem):
-                        old = mem[a]
-                        nv = (old & ~lanebits) | (val & lanebits)
-                        if old != nv:
-                            mem[a] = nv
-                            GC[0] = VER[i] = GC[0] + 1
-                            ch = True
-            continue
-        old = V[i]
-        nv = (old & (wm ^ _F)) | (val & wm)
-        if FB[i]:
-            nv = (nv | FO[i]) & FN[i]
-        if old != nv:
-            V[i] = nv
-            GC[0] = VER[i] = GC[0] + 1
-            ch = True
-    return ch
-'''
-
 
 class _PackedReadContext(_ReadContext):
     """Packed reads: memories go through the gather helper (plus overlay)."""
@@ -1506,16 +1195,14 @@ class _PackedEmitter:
         head.line(f"# repro packed codegen kernel v{PACKED_VERSION}")
         head.line(f"# design: {design.name}")
         head.line(f"# lanes={layout.lanes} stride={layout.stride}")
-        head.line(f"_W = {layout.lanes}")
-        head.line(f"_S = {layout.stride}")
-        head.line("_SP = _S - 1")
-        head.line("_SM = (1 << _S) - 1")
-        head.line("_F = (1 << (_W * _S)) - 1")
-        head.line("_R1 = _F // _SM")
-        head.line("_RH = _R1 << _SP")
-        head.line("_NZC = _R1 * ((1 << _SP) - 1)")
+        # the lane constants and helpers become globals of the kernel, ahead
+        # of the pool lines that call _repl
+        head.line(
+            "from repro.sim.packed_runtime import packed_runtime;"
+            f" globals().update(packed_runtime({layout.lanes}, {layout.stride}))"
+        )
         head.blank()
-        parts = [head.source(), _PACKED_RUNTIME, "\n"]
+        parts = [head.source()]
         if self._pool_lines:
             parts.append("\n".join(self._pool_lines) + "\n\n")
         parts.append(body)
@@ -1552,506 +1239,6 @@ def _vector_topmask(width: int) -> int:
 #: single-plane constants) — several emission sites special-case it to keep
 #: NumPy's weak-promotion rules from ever deciding a dtype on their own.
 _VNUM = re.compile(r"\d+\Z")
-
-_VECTOR_RUNTIME = '''\
-_T = np.uint64
-_T0 = _T(0)
-_T1 = _T(1)
-_TF = _T(0xFFFFFFFFFFFFFFFF)
-_IX = np.intp
-
-
-def _a2(v):
-    # normalize a value (int literal / 1-D / 2-D array) to a (planes, n) array
-    a = np.asarray(v, _T)
-    if a.ndim == 0:
-        return a.reshape(1, 1)
-    if a.ndim == 1:
-        return a.reshape(1, -1)
-    return a
-
-
-def _pb(p):
-    # normalize a lane predicate (bool (1, n) array or np.bool_ scalar) to 1-D
-    return np.asarray(p).reshape(1, -1)[0]
-
-
-def _kc(v, planes):
-    # bit-slice an arbitrary-precision constant into a (planes, 1) plane column
-    return np.array(
-        [[(v >> (64 * k)) & 0xFFFFFFFFFFFFFFFF] for k in range(planes)], _T
-    )
-
-
-_LC = {}
-
-
-def _ln(n):
-    a = _LC.get(n)
-    if a is None:
-        a = np.arange(n, dtype=_IX)
-        _LC[n] = a
-    return a
-
-
-def _xp(x, planes):
-    # zero-extend a value to ``planes`` planes (no-op when already wide enough)
-    x = _a2(x)
-    if x.shape[0] >= planes:
-        return x
-    out = np.zeros((planes, x.shape[1]), _T)
-    out[: x.shape[0]] = x
-    return out
-
-
-def _mtp(x, m):
-    # truncate: copy, then mask the top plane
-    r = _a2(x).copy()
-    r[-1] = r[-1] & _T(m)
-    return r
-
-
-def _bf(x, v):
-    # broadcast a constant store over the lane shape of an existing value
-    return np.broadcast_to(np.asarray(v, _T), x.shape)
-
-
-def _vst(V, i, x):
-    # change-tracked value store (values are never mutated in place); the
-    # broadcast normalization only fires for literal / (P, 1) stores — lane
-    # expressions already carry the full shape, and np.broadcast_to is a
-    # (surprisingly costly) Python-level call on the hot node path
-    old = V[i]
-    if type(x) is not np.ndarray or x.shape != old.shape:
-        x = np.broadcast_to(np.asarray(x, _T), old.shape)
-    if np.array_equal(old, x):
-        return False
-    V[i] = x
-    return True
-
-
-def _vsn(V, i, x):
-    old = V[i]
-    if type(x) is not np.ndarray or x.shape != old.shape:
-        x = np.broadcast_to(np.asarray(x, _T), old.shape)
-    V[i] = x
-
-
-def _okx(ix, bound):
-    # (plane-0 index, lane-wise in-range flag) of a possibly multi-plane index
-    ix = _a2(ix)
-    i = ix[0]
-    ok = i < bound
-    for k in range(1, ix.shape[0]):
-        ok = ok & (ix[k] == 0)
-    return i, ok
-
-
-def _mrd(mem, ix):
-    # memory read: out-of-range lanes read 0; the result must NOT alias the
-    # backing rows (memories are the one structure mutated in place)
-    d, L = mem.shape
-    i, ok = _okx(ix, d)
-    if i.shape[0] == 1:
-        if ok[0]:
-            return mem[int(i[0])][None, :].copy()
-        return np.zeros((1, L), _T)
-    safe = np.where(ok, i, _T0).astype(_IX)
-    return np.where(ok, mem[safe, _ln(L)], _T0)[None, :]
-
-
-def _mst(mem, fresh, ix, v, p):
-    # blocking memory write through a copy-on-first-write overlay: ``fresh``
-    # means ``mem`` is still the committed array and must not be touched
-    d, L = mem.shape
-    i, ok = _okx(ix, d)
-    i = np.broadcast_to(i, (L,))
-    ok = np.broadcast_to(ok, (L,))
-    if p is not None:
-        ok = ok & np.broadcast_to(_pb(p), (L,))
-    if not ok.any():
-        return None if fresh else mem
-    out = mem.copy() if fresh else mem
-    vv = np.broadcast_to(_a2(v)[0], (L,))
-    out[i[ok].astype(_IX), _ln(L)[ok]] = vv[ok]
-    return out
-
-
-def _bix(x, ix, width, lsb):
-    # dynamic bit select: out-of-range lanes read 0
-    x = _a2(x)
-    ixa = _a2(ix)
-    j = (ixa[0] - _T(lsb)) if lsb else ixa[0]
-    ok = j < width
-    for k in range(1, ixa.shape[0]):
-        ok = ok & (ixa[k] == 0)
-    n = max(x.shape[1], j.shape[0])
-    jb = np.broadcast_to(j, (n,))
-    okb = np.broadcast_to(ok, (n,))
-    js = np.where(okb, jb, _T0)
-    if x.shape[0] == 1:
-        v = (np.broadcast_to(x[0], (n,)) >> js) & _T1
-    else:
-        q = (js >> _T(6)).astype(_IX)
-        r = js & _T(63)
-        xb = np.broadcast_to(x, (x.shape[0], n))
-        v = (xb[q, _ln(n)] >> r) & _T1
-    return np.where(okb, v, _T0)[None, :]
-
-
-def _bst(x, ix, v, width, lsb, p):
-    # blocking dynamic bit write (out-of-range lanes keep their value)
-    x = _a2(x)
-    ixa = _a2(ix)
-    j = (ixa[0] - _T(lsb)) if lsb else ixa[0]
-    ok = j < width
-    for k in range(1, ixa.shape[0]):
-        ok = ok & (ixa[k] == 0)
-    va = _a2(v)[0]
-    n = max(x.shape[1], j.shape[0], va.shape[0])
-    if p is not None:
-        pv = _pb(p)
-        n = max(n, pv.shape[0])
-        ok = np.broadcast_to(ok, (n,)) & np.broadcast_to(pv, (n,))
-    else:
-        ok = np.broadcast_to(ok, (n,))
-    out = np.broadcast_to(x, (x.shape[0], n)).copy()
-    if not ok.any():
-        return out
-    js = np.where(ok, np.broadcast_to(j, (n,)), _T0)
-    vs = np.where(ok, np.broadcast_to(va, (n,)) & _T1, _T0)
-    if out.shape[0] == 1:
-        bit = np.where(ok, _T1 << js, _T0)
-        out[0] = (out[0] & ~bit) | (vs << js)
-    else:
-        for k in range(out.shape[0]):
-            sel = ok & ((js >> _T(6)) == k)
-            if not sel.any():
-                continue
-            r = js & _T(63)
-            bit = np.where(sel, _T1 << r, _T0)
-            out[k] = (out[k] & ~bit) | np.where(sel, vs << r, _T0)
-    return out
-
-
-def _bnb(ix, v, width, lsb, p, planes):
-    # non-blocking dynamic bit write -> (write_mask, value_in_place) arrays;
-    # out-of-range lanes get a zero write mask (the write never lands)
-    ixa = _a2(ix)
-    j = (ixa[0] - _T(lsb)) if lsb else ixa[0]
-    ok = j < width
-    for k in range(1, ixa.shape[0]):
-        ok = ok & (ixa[k] == 0)
-    va = _a2(v)[0]
-    n = max(j.shape[0], va.shape[0])
-    if p is not None:
-        pv = _pb(p)
-        n = max(n, pv.shape[0])
-        ok = np.broadcast_to(ok, (n,)) & np.broadcast_to(pv, (n,))
-    else:
-        ok = np.broadcast_to(ok, (n,))
-    wm = np.zeros((planes, n), _T)
-    vip = np.zeros((planes, n), _T)
-    if not ok.any():
-        return wm, vip
-    js = np.where(ok, np.broadcast_to(j, (n,)), _T0)
-    vs = np.where(ok, np.broadcast_to(va, (n,)) & _T1, _T0)
-    if planes == 1:
-        wm[0] = np.where(ok, _T1 << js, _T0)
-        vip[0] = vs << js
-    else:
-        for k in range(planes):
-            sel = ok & ((js >> _T(6)) == k)
-            if not sel.any():
-                continue
-            r = js & _T(63)
-            wm[k] = np.where(sel, _T1 << r, _T0)
-            vip[k] = np.where(sel, vs << r, _T0)
-    return wm, vip
-
-
-def _add(a, b, m, c0=0):
-    # multi-plane ripple add over 64-bit limbs, top plane masked to ``m``
-    a = _a2(a)
-    b = _a2(b)
-    n = max(a.shape[1], b.shape[1])
-    out = np.empty((a.shape[0], n), _T)
-    carry = np.full((n,), c0, _T)
-    for k in range(a.shape[0]):
-        ak = np.broadcast_to(a[k], (n,))
-        bk = np.broadcast_to(b[k], (n,))
-        s = ak + bk
-        c1 = s < ak
-        s = s + carry
-        c2 = s < carry
-        out[k] = s
-        carry = (c1 | c2).astype(_T)
-    out[-1] = out[-1] & _T(m)
-    return out
-
-
-def _sub(a, b, m):
-    # a - b == a + ~b + 1 (mod 2**(64*planes)), then top-plane truncation
-    return _add(a, _a2(b) ^ _TF, m, 1)
-
-
-def _lt(a, b):
-    # lexicographic unsigned compare from the top plane down -> uint64 0/1
-    a = _a2(a)
-    b = _a2(b)
-    n = max(a.shape[1], b.shape[1])
-    lt = np.zeros((n,), bool)
-    done = np.zeros((n,), bool)
-    for k in range(a.shape[0] - 1, -1, -1):
-        ak = np.broadcast_to(a[k], (n,))
-        bk = np.broadcast_to(b[k], (n,))
-        lt = np.where(~done & (ak < bk), True, lt)
-        done = done | (ak != bk)
-    return lt.astype(_T)[None, :]
-
-
-def _inv(x, m):
-    r = _a2(x) ^ _TF
-    r[-1] = r[-1] & _T(m)
-    return r
-
-
-def _par(x):
-    # parity: fold the planes together, then fold 64 bits down to 1
-    x = _a2(x)
-    t = x[0]
-    for k in range(1, x.shape[0]):
-        t = t ^ x[k]
-    for s in (32, 16, 8, 4, 2, 1):
-        t = t ^ (t >> _T(s))
-    return (t & _T1)[None, :]
-
-
-def _dv(a, b, m):
-    # Verilog x/0 == all-ones
-    av = _a2(a)[0:1]
-    bv = _a2(b)[0:1]
-    bz = bv == 0
-    return np.where(bz, _T(m), av // np.where(bz, _T1, bv))
-
-
-def _md(a, b):
-    # Verilog x%0 == 0
-    av = _a2(a)[0:1]
-    bv = _a2(b)[0:1]
-    bz = bv == 0
-    return np.where(bz, _T0, av % np.where(bz, _T1, bv))
-
-
-def _sv(b):
-    # (plane-0 shift amount, high-planes-zero flag or None) of a shift rhs
-    b = _a2(b)
-    hz = None
-    for k in range(1, b.shape[0]):
-        z = b[k : k + 1] == 0
-        hz = z if hz is None else hz & z
-    return b[0:1], hz
-
-
-def _shl(a, b, w, m):
-    av = _a2(a)[0:1]
-    s, hz = _sv(b)
-    ok = s < w
-    if hz is not None:
-        ok = ok & hz
-    ss = np.where(ok, s, _T0)
-    return np.where(ok, (av << ss) & _T(m), _T0)
-
-
-def _shr(a, b, w):
-    av = _a2(a)[0:1]
-    s, hz = _sv(b)
-    ok = s < w
-    if hz is not None:
-        ok = ok & hz
-    ss = np.where(ok, s, _T0)
-    return np.where(ok, av >> ss, _T0)
-
-
-def _sra(a, b, w):
-    # arithmetic shift right, shift clamped to ``w`` (full shift -> sign fill)
-    av = _a2(a)[0:1]
-    s, hz = _sv(b)
-    full = ~(s < w)
-    if hz is not None:
-        full = full | ~hz
-    m = _T((1 << w) - 1)
-    sign = (av >> _T(w - 1)) & _T1
-    ss = np.where(full, _T0, s)
-    part = (av >> ss) | (sign * (m ^ (m >> ss)))
-    return np.where(full, sign * m, part)
-
-
-def _toi(x, n):
-    # plane columns -> per-lane Python bigints
-    x = _a2(x)
-    xb = np.broadcast_to(x, (x.shape[0], n))
-    cols = [0] * n
-    for k in range(x.shape[0] - 1, -1, -1):
-        row = xb[k].tolist()
-        cols = [(c << 64) | v for c, v in zip(cols, row)]
-    return cols
-
-
-def _plf(op, a, b, w, planes):
-    # per-lane bigint fallback for the genuinely serial multi-plane operators
-    a = _a2(a)
-    b = _a2(b)
-    n = max(a.shape[1], b.shape[1])
-    av = _toi(a, n)
-    bv = _toi(b, n)
-    m = (1 << w) - 1
-    res = []
-    for x, y in zip(av, bv):
-        if op == "mul":
-            r = (x * y) & m
-        elif op == "div":
-            r = ((x // y) & m) if y else m
-        elif op == "mod":
-            r = (x % y) if y else 0
-        elif op == "shl":
-            r = ((x << y) & m) if y < w else 0
-        elif op == "shr":
-            r = (x >> y) if y < w else 0
-        else:  # sra
-            if x & (1 << (w - 1)):
-                x -= 1 << w
-            r = (x >> min(y, w)) & m
-        res.append(r)
-    out = np.empty((planes, n), _T)
-    for k in range(planes):
-        out[k] = [(r >> (64 * k)) & 0xFFFFFFFFFFFFFFFF for r in res]
-    return out
-
-
-def _sl(x, lsb, w):
-    # constant slice [lsb +: w] of a multi-plane value
-    x = _a2(x)
-    planes = (w + 63) >> 6
-    q, r = lsb >> 6, lsb & 63
-    out = np.zeros((planes, x.shape[1]), _T)
-    xs = x.shape[0]
-    for k in range(planes):
-        j = q + k
-        if j < xs:
-            v = (x[j] >> _T(r)) if r else x[j]
-            if r and j + 1 < xs:
-                v = v | (x[j + 1] << _T(64 - r))
-            out[k] = v
-    t = w & 63
-    if t:
-        out[-1] = out[-1] & _T((1 << t) - 1)
-    return out
-
-
-def _shlc(x, c, w):
-    # constant left shift into a ``w``-bit multi-plane result
-    x = _a2(x)
-    planes = (w + 63) >> 6
-    q, r = c >> 6, c & 63
-    out = np.zeros((planes, x.shape[1]), _T)
-    xs = x.shape[0]
-    for k in range(planes):
-        j = k - q
-        if 0 <= j < xs:
-            out[k] = (x[j] << _T(r)) if r else x[j]
-        if r and 0 <= j - 1 < xs:
-            out[k] = out[k] | (x[j - 1] >> _T(64 - r))
-    t = w & 63
-    if t:
-        out[-1] = out[-1] & _T((1 << t) - 1)
-    return out
-
-
-def _cat(parts, w):
-    # concat of (value, width) parts, first part highest (values pre-truncated)
-    planes = (w + 63) >> 6
-    shift = w
-    acc = None
-    for v, pw in parts:
-        shift -= pw
-        ve = _xp(v, planes)
-        sh = _shlc(ve, shift, w) if shift else ve
-        acc = sh if acc is None else acc | sh
-    return acc
-
-
-_KM = {}
-
-
-def _ins(base, v, lsb, w, sw):
-    # constant slice insert: keep-mask blend plus a shifted-in value
-    planes = (sw + 63) >> 6
-    key = (lsb, w, sw)
-    keep = _KM.get(key)
-    if keep is None:
-        kv = ((1 << sw) - 1) & ~(((1 << w) - 1) << lsb)
-        keep = _kc(kv, planes)
-        _KM[key] = keep
-    return (_a2(base) & keep) | _shlc(_xp(v, planes), lsb, sw)
-
-
-def _msc(mem, p, ix, v):
-    # non-blocking memory scatter (one element per lane; no collisions)
-    d, L = mem.shape
-    i, ok = _okx(ix, d)
-    i = np.broadcast_to(i, (L,))
-    ok = np.broadcast_to(ok, (L,))
-    if p is not None:
-        ok = ok & np.broadcast_to(_pb(p), (L,))
-    if not ok.any():
-        return False
-    a = i[ok].astype(_IX)
-    l = _ln(L)[ok]
-    nv = np.broadcast_to(_a2(v)[0], (L,))[ok]
-    old = mem[a, l]
-    diff = old != nv
-    if not diff.any():
-        return False
-    mem[a[diff], l[diff]] = nv[diff]
-    return True
-
-
-def _publish(upd, V, M, FB, FO, FN, VER, GC):
-    # the NBA region: (sid, write_mask, word_index, value_in_place) tuples.
-    # write_mask None -> full replace; bool array -> lane blend; uint64 ->
-    # bit blend.  word_index True commits a whole-memory overlay.  Every
-    # commit that changes a value stamps the scheduler's VER.
-    ch = False
-    for i, wm, wi, val in upd:
-        if wi is not None:
-            if wi is True:
-                mem = M[i]
-                if not np.array_equal(mem, val):
-                    np.copyto(mem, val)
-                    GC[0] = VER[i] = GC[0] + 1
-                    ch = True
-            elif _msc(M[i], wm, wi, val):
-                GC[0] = VER[i] = GC[0] + 1
-                ch = True
-            continue
-        old = V[i]
-        if wm is None:
-            nv = val
-        elif np.asarray(wm).dtype.kind == "b":
-            nv = np.where(wm, val, old)
-        else:
-            nv = old ^ ((old ^ val) & wm)
-        if FB[i]:
-            nv = (nv | FO[i]) & FN[i]
-        if type(nv) is not np.ndarray or nv.shape != old.shape:
-            nv = np.broadcast_to(np.asarray(nv, _T), old.shape)
-        if not np.array_equal(old, nv):
-            V[i] = nv
-            GC[0] = VER[i] = GC[0] + 1
-            ch = True
-    return ch
-'''
 
 
 class _VectorReadContext(_ReadContext):
@@ -2680,7 +1867,9 @@ class _VectorEmitter:
         head.line("# so one cached module serves every campaign width")
         head.line("import numpy as np")
         head.blank()
-        parts = [head.source(), _VECTOR_RUNTIME, "\n"]
+        head.line("from repro.sim.vector_runtime import *")
+        head.blank()
+        parts = [head.source()]
         if self._pool_lines:
             parts.append("\n".join(self._pool_lines) + "\n\n")
         parts.append(body)
@@ -2777,9 +1966,10 @@ def _atomic_write(path: str, data: bytes, prefix: str) -> None:
 
 #: In-process memo of executed kernels, keyed by source digest: every engine
 #: of one kernel shares one namespace (functions, constant pool and the
-#: vector runtime's pure caches; generated kernels keep no other module
-#: state).  Executing a fresh namespace per engine would leave each one, a
-#: functions-to-globals reference cycle, for the cyclic collector.  The code
+#: imported runtime names; generated kernels keep no other module state).  A
+#: packed source names its geometry, so two layouts of one design never share
+#: a namespace.  Executing a fresh namespace per engine would leave each one,
+#: a functions-to-globals reference cycle, for the cyclic collector.  The code
 #: object is kept for the sidecar backfill.
 _KERNEL_MEMO: Dict[str, Tuple[CodeType, Dict[str, object]]] = {}
 

@@ -1,99 +1,11 @@
 """The shared emitter core: one kernel walk, composable passes, one policy.
 
-Historically the package grew three separate codegen emitters — serial
-(:func:`~repro.sim.codegen.generate_source`), packed PPSFP
-(:func:`~repro.sim.codegen.generate_packed_source`) and vector/NumPy
-(:func:`~repro.sim.codegen.generate_vector_source`) — plus the concurrent
-eraser emitter, each re-implementing the same walk over the levelized RTL
-schedule and the behavioral nodes.  The two newest each proved a speed trick
-the older ones lacked: the **compiled event scheduler** (per-signal version
-stamps + per-node last-evaluation stamps, so quiescent logic costs integer
-compares) and the **single-pass `comb_once` settle** for acyclic feed-forward
-designs.  This module factors the walk out once, so every lane layout gets
-every trick, and each trick is a *pass*.
-
-The pass pipeline
------------------
-A generated kernel is the composition of the passes in :data:`PASS_ORDER`:
-
-* ``lane_layout`` — how values are represented: plain ints (serial), bigint
-  lane words (packed) or NumPy plane/lane arrays (vector).  This is the
-  backend itself, not a toggle: exactly one layout is always active.
-* ``event_scheduler`` — wrap every RTL node and every level-sensitive
-  behavioral block in a compiled change guard: each commit bumps a global
-  counter ``GC[0]`` and stamps it into the written signal's ``VER`` slot, and
-  a node re-evaluates only when some *read* carries a stamp newer than the
-  node's own ``LS`` (last-evaluation) stamp.  Quiescent logic — the common
-  case on mostly-idle CPU designs like picorv32/sodor — costs a few integer
-  compares per pass.  Every layout honours it: the guard compares one int
-  per read, never a lane value, so it is as cheap on NumPy lane arrays as on
-  plain ints.
-* ``comb_once`` — for designs with no level-sensitive ``always`` blocks and
-  an acyclic RTL schedule, emit a straight-line single-pass settle
-  ``comb_once`` (one levelized pass *is* the fixed point) *instead of* the
-  looped ``comb_pass``, so the engine skips the change tracking and the
-  confirm pass entirely.  A kernel ships exactly one of the two.  Always
-  on: it carries no toggle.
-* ``predication`` — lane layouts with more than one machine per value
-  (packed, vector) execute control flow fully predicated: branch bodies run
-  under a per-lane predicate mask and every write is a mask blend.  Like
-  ``lane_layout`` it is structural — required for lane-parallel correctness,
-  forced off for the serial layout — so it carries no toggle.
-* ``const_pool`` — hoist replicated lane constants to module-level names
-  computed once at import instead of re-building them at every use site.  A
-  no-op for the serial layout (constants are already literals).  Always on:
-  it carries no toggle.
-
-The one toggle, ``event_scheduler``, lives in :class:`EmitterPasses`;
-everything in the package defaults to :data:`DEFAULT_PASSES` (scheduler on).
-The cross-engine differential fuzz suite (``tests/test_fuzz_parity.py``)
-re-runs the corpus with the scheduler off, so a miscompiled pass shows up
-as a verdict or detection-cycle diff — never as a silent perf blip.
-
-Cache-key composition
----------------------
-Generated sources live in the persistent disk cache of
-:mod:`repro.sim.codegen` keyed by ``design_fingerprint(design)`` (which
-embeds ``CODEGEN_VERSION``) plus a per-variant suffix:
-
-* serial, default passes — no suffix (the fingerprint alone);
-* packed — ``p<PACKED_VERSION>-<lanes>x<stride>``;
-* vector — ``vec<VECTOR_VERSION>``;
-* the scheduler-off configuration appends ``-es0`` (the serial key's whole
-  suffix), so it has its own entry and a stale sidecar can never serve the
-  wrong variant.
-
-The ``auto`` engine policy
---------------------------
-:func:`choose_engine` is the documented, *pure* policy behind
-``engine="auto"``: given a fault count, a design-activity estimate, the
-packed lane stride and NumPy availability it picks one of the fixed engines:
-
-====================================  =======================================
-condition                             engine
-====================================  =======================================
-``fault_count <= 1`` and
-``activity < AUTO_LOW_ACTIVITY``      ``event`` (one-shot good-machine runs
-                                      on mostly-idle designs do not amortize
-                                      the generation walk)
-``fault_count <= 1`` otherwise        ``codegen``
-``2 <= fault_count <
-AUTO_PACKED_MIN_FAULTS``              ``codegen`` (a packed word would carry
-                                      mostly empty lanes)
-``fault_count >=
-AUTO_VECTOR_MIN_FAULTS`` with NumPy   ``packed-numpy``
-wide-stride designs (``stride >
-AUTO_WIDE_STRIDE``) at ``>= 64``
-faults with NumPy                     ``packed-numpy`` (bigint words grow
-                                      with ``lanes * stride``; plane arrays
-                                      do not)
-everything else                       ``packed``
-====================================  =======================================
-
-:func:`resolve_engine` applies the same table for a concrete design (deriving
-activity and stride, probing NumPy) and downgrades ``packed-numpy`` when the
-design is outside the vector layout's envelope (memory words wider than 64
-bits).
+:func:`emit_kernel` is the walk behind the serial, packed and vector kernels
+(the Eraser emitter shares its scheduler guard), :class:`EmitterPasses`
+holds the one pass toggle, and :func:`choose_engine` and
+:func:`resolve_engine` are the ``engine="auto"`` policy.
+``docs/emitter.md`` is the reference for the passes, the cache keys and the
+policy table.
 """
 
 from __future__ import annotations
@@ -121,7 +33,7 @@ PASS_ORDER: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class EmitterPasses:
-    """The toggleable emitter passes (see the module docstring).
+    """The toggleable emitter passes (see ``docs/emitter.md``).
 
     Instances are immutable and hashable, so a pass configuration can key
     memos and cache suffixes directly.  ``event_scheduler`` is honoured by
@@ -293,8 +205,9 @@ def emit_kernel(design: Design, backend, passes: Optional[EmitterPasses] = None)
     * ``comb_block_call(node, fn_name, w)`` — emit the level-sensitive
       call + publish lines inside ``comb_pass``.
     * ``fire_clocked(fn_names, w)`` — emit the clocked (NBA) region.
-    * ``assemble(body)`` — wrap the emitted functions with the module head,
-      runtime helpers and constant pool.
+    * ``assemble(body)`` — wrap the emitted functions with the module head
+      (the serial ``_publish``, or the packed or vector runtime import) and
+      the constant pool.
 
     Returns the complete module source.
     """
@@ -379,7 +292,7 @@ def choose_engine(
     stride: Optional[int] = None,
     numpy_available: bool = False,
 ) -> str:
-    """The pure ``engine="auto"`` policy (see the module docstring's table).
+    """The pure ``engine="auto"`` policy (the table in ``docs/emitter.md``).
 
     ``fault_count`` is the number of faults the caller intends to simulate
     (0 or 1 mean an effectively single-machine run), ``activity`` the

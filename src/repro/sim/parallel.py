@@ -490,6 +490,8 @@ def chunk_positions(
     chunking can never change which faults share a word, which is what
     keeps the merged verdicts bit-exact.
     """
+    if not positions:
+        return []
     word_size = max(1, word_size)
     words = math.ceil(len(positions) / word_size)
     per_chunk = word_size * math.ceil(words / max(1, min(max_chunks, words)))

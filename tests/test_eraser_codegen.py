@@ -26,12 +26,12 @@ from repro.fault.model import StuckAtFault
 from repro.sim.codegen import design_fingerprint
 from repro.sim.engine import EventDrivenEngine
 from repro.sim.eraser_codegen import (
-    _ERASER_RUNTIME,
     EraserCodegenEngine,
     EraserCodegenSimulator,
     generate_eraser_source,
     load_eraser_kernel,
 )
+from repro.sim.eraser_runtime import _apply_outcomes
 from repro.sim.interpreter import NBAUpdate
 from repro.sim.stimulus import VectorStimulus
 
@@ -321,9 +321,6 @@ def test_interpreted_and_generated_commits_agree(memory_design):
     does: elimination never skips a fault divergent on a part-selected target.
     """
     design = memory_design
-    namespace = {}
-    exec(_ERASER_RUNTIME, namespace)
-    apply_outcomes = namespace["_apply_outcomes"]
     rng = random.Random(5)
     scalars = [s for s in design.signals if not s.is_memory]
     mem = design.signal("mem")
@@ -377,7 +374,7 @@ def test_interpreted_and_generated_commits_agree(memory_design):
         count = len(design.signals)
         good = None if outcome.good_updates is None else _as_tuples(outcome.good_updates)
         executed_tuples = {f: _as_tuples(u) for f, u in outcome.fault_updates.items()}
-        apply_outcomes(
+        _apply_outcomes(
             [(good, executed_tuples, outcome.holders)],
             V, M, D, MD, SITES, False, [0] * count, [0] * count, [0] * count, [0],
         )

@@ -7,6 +7,10 @@ sha256 of each generated source instead: serial (default passes and
 A refactor of an emitter or an engine that changes no format version must
 leave every digest as it is.
 
+The table also pins the source of each runtime module the packed, vector
+and Eraser kernels import.  A cached kernel imports whatever runtime is
+installed, so a runtime edit needs a format bump as an emitter edit does.
+
 The table's file name carries the four format versions, the way the counter
 snapshots carry theirs: after a version bump the test seeds a new table and
 skips; commit it and delete the old one in the same commit
@@ -20,6 +24,7 @@ import os
 import pytest
 
 from repro.designs.registry import BENCHMARK_NAMES, get_benchmark
+from repro.sim import codegen
 from repro.sim.codegen import (
     CODEGEN_VERSION,
     PACKED_VERSION,
@@ -58,7 +63,12 @@ _VARIANTS = {
 
 
 def corpus_digests():
-    """``{benchmark: {variant: sha256 of the generated source}}``."""
+    """``{benchmark: {variant: sha256 of the generated source}}``, plus the runtimes.
+
+    The ``runtime`` row maps ``packed``, ``vector`` and ``eraser`` to the
+    sha256 of the runtime module that kernel imports (read as a file, so
+    NumPy stays unloaded).
+    """
     table = {}
     for name in BENCHMARK_NAMES:
         design = get_benchmark(name).compile()
@@ -66,7 +76,17 @@ def corpus_digests():
             variant: hashlib.sha256(generate(design).encode("utf-8")).hexdigest()
             for variant, generate in _VARIANTS.items()
         }
+    sim_dir = os.path.dirname(codegen.__file__)
+    table["runtime"] = {}
+    for kernel in ("packed", "vector", "eraser"):
+        with open(os.path.join(sim_dir, f"{kernel}_runtime.py"), "rb") as handle:
+            table["runtime"][kernel] = hashlib.sha256(handle.read()).hexdigest()
     return table
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return corpus_digests()
 
 
 def test_one_committed_digest_table():
@@ -75,8 +95,7 @@ def test_one_committed_digest_table():
     assert names == [_TABLE]
 
 
-def test_corpus_kernel_sources_match_their_digests():
-    digests = corpus_digests()
+def test_corpus_kernel_sources_match_their_digests(digests):
     path = os.path.join(_GOLDEN_DIR, _TABLE)
     if not os.path.exists(path):
         with open(path, "w", encoding="utf-8") as handle:
@@ -92,3 +111,17 @@ def test_corpus_kernel_sources_match_their_digests():
         if golden.get(name, {}).get(variant) != digests.get(name, {}).get(variant)
     )
     assert not drifted, f"generated sources drifted without a version bump: {drifted}"
+
+
+def test_packed_sources_carry_their_geometry(digests):
+    """A 9-lane and a 513-lane kernel of one design are different texts.
+
+    The in-process kernel memo is keyed by source digest: two layouts with
+    one text would share one namespace, and with it one lane geometry.
+    """
+    same = [
+        name
+        for name in BENCHMARK_NAMES
+        if digests[name]["packed-9"] == digests[name]["packed-513"]
+    ]
+    assert not same

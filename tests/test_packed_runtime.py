@@ -1,11 +1,12 @@
 """Helper-level tests of the packed (bigint PPSFP) runtime.
 
-The runtime is source text pasted into every packed kernel, so no other test
-sees one helper on its own.  These tests take the helpers from a loaded
-kernel's namespace and compare the lane-0-sharing ones (``_mrd``, ``_pshl``,
-``_pshr``, ``_pmul`` and the gathered memory write of ``_publish``) with a
-per-lane reference loop kept here: every lane computed on its own, as the
-runtime did before lanes that agree with lane 0 shared its result.
+Kernels reach a helper only through the operators that need it, so no other
+test sees one helper on its own.  These tests build the helpers with
+:func:`~repro.sim.packed_runtime.packed_runtime` and compare the
+lane-0-sharing ones (``_mrd``, ``_pshl``, ``_pshr``, ``_pmul`` and the
+gathered memory write of ``_publish``) with a per-lane reference loop kept
+here: every lane computed on its own, as the runtime did before lanes that
+agree with lane 0 shared its result.
 
 Words honour the emitter's invariant: each lane field is truncated to its
 value's width, so the guard bit at the top of every field is clear.
@@ -15,22 +16,21 @@ import random
 
 import pytest
 
-from fixture_designs import MEMORY_SRC
-from repro.api import compile_design
-from repro.sim import codegen
+from repro.sim.packed_runtime import packed_runtime
 
 #: A 4-word memory: addresses 4 and up are out of range.
 DEPTH = 4
 WIDTH = 12
 
+#: The lane stride: room for 32-bit values plus the guard bit, wider than
+#: WIDTH as in a kernel whose design also has 32-bit signals.
+STRIDE = 33
+
 
 @pytest.fixture(scope="module", params=[9, 65], ids=lambda n: f"{n}lanes")
 def rt(request):
-    """The namespace of a loaded packed kernel with 9 or 65 lanes."""
-    design = compile_design(MEMORY_SRC, top="scratchpad")
-    layout = codegen.packed_layout(design, request.param)
-    namespace, *_ = codegen.load_kernel(design, use_cache=False, layout=layout)
-    return namespace
+    """The constants and helpers of a packed kernel with 9 or 65 lanes."""
+    return packed_runtime(request.param, STRIDE)
 
 
 # ---------------------------------------------------------- word building

@@ -310,8 +310,11 @@ def test_chunk_fault_sites_oversubscription_bounds():
         (list(range(16)), 4, 2, 2),
         (list(range(5)), 64, 8, 1),
         (list(range(20)), 4, 1, 1),
+        ([], 8, 8, 0),
     ],
-    ids=["partial-last-word", "scattered", "exact-multiple", "one-word", "one-chunk"],
+    ids=[
+        "partial-last-word", "scattered", "exact-multiple", "one-word", "one-chunk", "empty"
+    ],
 )
 def test_chunk_positions_partition_in_whole_words(
     positions, word_size, max_chunks, expected_chunks

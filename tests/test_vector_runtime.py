@@ -1,22 +1,18 @@
 """Helper-level tests of the vector (NumPy) runtime's ``_publish``.
 
-The runtime is source text pasted into every vector kernel, so these tests
-take ``_publish`` from a loaded kernel's namespace, the way
-``tests/test_packed_runtime.py`` takes the packed helpers.  ``_publish`` is
-the commit step of the NBA region.  Under the event scheduler a commit that
-changes a value must stamp that signal's ``VER`` slot (a missed stamp leaves
-a reader un-evaluated: a wrong verdict), and a commit that changes nothing
-must leave it alone (a spurious stamp re-evaluates the reader's whole cone).
-Each update shape the emitter produces is checked both ways.
+``_publish`` is the commit step of the NBA region.  Under the event
+scheduler a commit that changes a value must stamp that signal's ``VER``
+slot (a missed stamp leaves a reader un-evaluated: a wrong verdict), and a
+commit that changes nothing must leave it alone (a spurious stamp
+re-evaluates the reader's whole cone).  Each update shape the emitter
+produces is checked both ways.
 """
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from fixture_designs import MEMORY_SRC
-from repro.api import compile_design
-from repro.sim import codegen
+from repro.sim.vector_runtime import _publish
 
 LANES = 5
 DEPTH = 8
@@ -26,14 +22,6 @@ SCALAR, MEMORY = 0, 1
 
 #: The value every scalar lane starts with.
 HELD = 0b1010
-
-
-@pytest.fixture(scope="module")
-def publish():
-    """``_publish`` from a loaded vector kernel."""
-    design = compile_design(MEMORY_SRC, top="scratchpad")
-    namespace, *_ = codegen.load_vector_kernel(design, use_cache=False)
-    return namespace["_publish"]
 
 
 def _lanes(*values):
@@ -46,12 +34,12 @@ def _memory():
     return mem
 
 
-def _commit(publish, update):
+def _commit(update):
     """Apply one update tuple; return (change flag, scalar, memory, VER, GC)."""
     V = [np.full((1, LANES), HELD, np.uint64), None]
     M = [None, _memory()]
     VER, GC = [4, 4], [9]
-    changed = publish([update], V, M, [0, 0], [None, None], [None, None], VER, GC)
+    changed = _publish([update], V, M, [0, 0], [None, None], [None, None], VER, GC)
     return changed, V[SCALAR], M[MEMORY], VER, GC[0]
 
 
@@ -86,9 +74,9 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_publish_stamps_exactly_the_changing_commits(publish, case):
+def test_publish_stamps_exactly_the_changing_commits(case):
     update, changes = CASES[case]
-    changed, scalar, memory, VER, GC = _commit(publish, update)
+    changed, scalar, memory, VER, GC = _commit(update)
     sid = update[0]
     other = MEMORY if sid == SCALAR else SCALAR
     assert changed is changes
@@ -100,11 +88,11 @@ def test_publish_stamps_exactly_the_changing_commits(publish, case):
         assert np.array_equal(scalar, _held()) and np.array_equal(memory, _memory())
 
 
-def test_publish_commits_the_blended_values(publish):
+def test_publish_commits_the_blended_values():
     """The stamped commits really land (the values the VER bump announces)."""
-    _, scalar, _, _, _ = _commit(publish, CASES["lane-blend-new"][0])
+    _, scalar, _, _, _ = _commit(CASES["lane-blend-new"][0])
     assert scalar.tolist() == [[HELD, HELD, 3, HELD, HELD]]
-    _, scalar, _, _, _ = _commit(publish, CASES["bit-blend-new"][0])
+    _, scalar, _, _, _ = _commit(CASES["bit-blend-new"][0])
     assert scalar.tolist() == [[0b1001] * LANES]
-    _, _, memory, _, _ = _commit(publish, CASES["scatter-new"][0])
+    _, _, memory, _, _ = _commit(CASES["scatter-new"][0])
     assert memory[5].tolist() == [0, 0, 2, 0, 0]
