@@ -2,9 +2,12 @@
 
 Each kernel is the design's levelized schedule emitted as specialized Python
 source by the shared walk of :mod:`repro.sim.emitter`, over one of three lane
-layouts: plain ints (:class:`CodegenEngine`, the VFsim kernel), bigint lane
-words (``_PackedEmitter``, driven by :mod:`repro.sim.packed`) or NumPy plane
-arrays (``_VectorEmitter``, driven by :mod:`repro.sim.vector`).  The packed
+layouts: plain ints (``_SerialBackend``; :class:`CodegenEngine`, the VFsim
+kernel), bigint lane words (``_PackedEmitter``, driven by
+:mod:`repro.sim.packed`) or NumPy plane arrays (``_VectorEmitter``, driven
+by :mod:`repro.sim.vector`).  Each backend supplies only its spellings to
+the skeletons of :class:`~repro.sim.emitter.LaneBackend`; the Eraser
+backend (:mod:`repro.sim.eraser_codegen`) extends the serial one.  The packed
 and vector kernels import their helpers from :mod:`repro.sim.packed_runtime`
 and :mod:`repro.sim.vector_runtime`.
 
@@ -22,10 +25,10 @@ import re
 import sys
 import tempfile
 from types import CodeType
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.ir.behavioral import BehavioralNode, EdgeKind
+from repro.ir.behavioral import BehavioralNode
 from repro.ir.design import Design
 from repro.ir.expr import (
     Binary,
@@ -44,9 +47,9 @@ from repro.ir.signal import Signal
 from repro.ir.stmt import Assign, Case, If, LValue, Stmt
 from repro.sim.emitter import (
     EmitterPasses,
+    LaneBackend,
     SourceWriter,
     coerce_passes,
-    edge_signals,
     emit_kernel,
     rtl_schedule,
 )
@@ -173,7 +176,6 @@ def design_fingerprint(design: Design) -> str:
     return digest
 
 
-# --------------------------------------------------------------- shared orders
 # ------------------------------------------------------------- packed layout
 class PackedLayout:
     """Lane geometry of a packed (PPSFP) kernel: ``lanes`` fields of ``stride`` bits.
@@ -451,53 +453,6 @@ def _emit_unary(expr: Unary, ctx: _ReadContext, w: SourceWriter) -> str:
 
 
 # -------------------------------------------------------- statement compilation
-def _emit_body(body: List[Stmt], ctx: _ReadContext, w: SourceWriter) -> None:
-    if not body:
-        w.line("pass")
-        return
-    for stmt in body:
-        _emit_stmt(stmt, ctx, w)
-
-
-def _emit_stmt(stmt: Stmt, ctx: _ReadContext, w: SourceWriter) -> None:
-    if isinstance(stmt, Assign):
-        _emit_assign(stmt, ctx, w)
-        return
-    if isinstance(stmt, If):
-        cond = _emit_expr(stmt.cond, ctx, w)
-        w.line(f"if {cond}:")
-        w.indent()
-        _emit_body(stmt.then_body, ctx, w)
-        w.dedent()
-        if stmt.else_body:
-            w.line("else:")
-            w.indent()
-            _emit_body(stmt.else_body, ctx, w)
-            w.dedent()
-        return
-    if isinstance(stmt, Case):
-        subject = w.as_temp(_emit_expr(stmt.subject, ctx, w))
-        conditions = []
-        for item in stmt.items:
-            labels = [_emit_expr(label, ctx, w) for label in item.labels]
-            conditions.append(" or ".join(f"{subject} == {lab}" for lab in labels))
-        for i, item in enumerate(stmt.items):
-            w.line(f"{'if' if i == 0 else 'elif'} {conditions[i]}:")
-            w.indent()
-            _emit_body(item.body, ctx, w)
-            w.dedent()
-        if stmt.items:
-            if stmt.default:
-                w.line("else:")
-                w.indent()
-                _emit_body(stmt.default, ctx, w)
-                w.dedent()
-        else:
-            _emit_body(stmt.default, ctx, w)
-        return
-    raise SimulationError(f"cannot compile statement {stmt!r}")
-
-
 def _emit_assign(stmt: Assign, ctx: _ReadContext, w: SourceWriter) -> None:
     lhs = stmt.lhs
     signal = lhs.signal
@@ -553,69 +508,81 @@ def _bit_guard(bit: str, signal: Signal) -> str:
     return f"{bit} < {signal.width}"
 
 
-# ------------------------------------------------------------ node compilation
-def _blocking_targets(node: BehavioralNode) -> Tuple[Set[Signal], Set[Signal]]:
-    scalars: Set[Signal] = set()
-    memories: Set[Signal] = set()
-    for top in node.body:
-        for stmt in top.walk():
-            if isinstance(stmt, Assign) and stmt.blocking:
-                if stmt.lhs.signal.is_memory:
-                    memories.add(stmt.lhs.signal)
-                else:
-                    scalars.add(stmt.lhs.signal)
-    return scalars, memories
-
-
-def _emit_behavioral_fn(node: BehavioralNode, w: SourceWriter) -> str:
-    """One flat function per behavioral block.
-
-    Executes the block body and appends its combined updates to ``upd``:
-    final values of blocking-written signals first (published exactly like the
-    interpreter's overlay), then the non-blocking updates in execution order.
-    """
-    name = f"_bn{node.bid}"
-    scalars, memories = _blocking_targets(node)
-    ctx = _ReadContext(frozenset(scalars), frozenset(memories))
-    w.line(f"def {name}(V, M, FA, FO, FN, upd):")
-    w.indent()
-    for signal in sorted(scalars, key=lambda s: s.sid):
-        w.line(f"b{signal.sid} = V[{signal.sid}]")
-    for signal in sorted(memories, key=lambda s: s.sid):
-        w.line(f"w{signal.sid} = {{}}")
-    w.line("n = []")
-    _emit_body(node.body, ctx, w)
-    for signal in sorted(scalars, key=lambda s: s.sid):
-        w.line(f"upd.append(({signal.sid}, None, None, None, b{signal.sid}))")
-    for signal in sorted(memories, key=lambda s: s.sid):
-        w.line(f"for _k, _v in w{signal.sid}.items():")
-        w.line(f"    upd.append(({signal.sid}, None, None, _k, _v))")
-    w.line("upd.extend(n)")
-    w.dedent()
-    w.blank()
-    return name
+def _emit_commit(w: SourceWriter, sid: int, track_change: bool, stamp: bool) -> None:
+    """Commit an RTL node's ``_x`` to ``V[sid]`` (serial and packed words)."""
+    if stamp:
+        # scheduler commits keep their compare even in comb_once mode:
+        # it feeds the version stamps
+        w.line(f"if V[{sid}] != _x:")
+        w.line(
+            f"    V[{sid}] = _x; GC[0] = VER[{sid}] = GC[0] + 1"
+            + ("; ch = True" if track_change else "")
+        )
+    elif track_change:
+        w.line(f"if V[{sid}] != _x: V[{sid}] = _x; ch = True")
+    else:
+        w.line(f"V[{sid}] = _x")
 
 
 # ------------------------------------------------------------ source assembly
-class _SerialBackend:
+class _SerialBackend(LaneBackend):
     """Scalar lane layout for the shared emitter walk (one machine per value).
 
-    Values are plain Python ints, control flow is branchy (no predication) and
-    constants are literals (there is no constant pool).  Commits stamp
-    per-signal versions for the ``event_scheduler`` pass through the
-    generated ``_publish`` and the inline RTL commit lines.
+    Values are plain Python ints, control flow is branchy (no predication,
+    so ``pred`` goes unread) and constants are literals (the pool stays
+    empty).  Commits stamp per-signal versions for the ``event_scheduler``
+    pass through the generated ``_publish`` and the inline RTL commit lines.
     """
 
-    comb_params = "V, M, FA, FO, FN, VER, LS, GC"
+    context = _ReadContext
+    force = "FA"
+    join = " or "
+    #: Updates are ``(sid, msb, lsb, word_index, value)`` tuples.
+    scalar_update = "({sid}, None, None, None, b{sid})"
+    memory_update = ("for _k, _v in w{sid}.items():", "({sid}, None, None, _k, _v)")
 
-    def __init__(self, design: Design) -> None:
-        self.design = design
+    def edge(self, rising: bool, old: str, new: str) -> str:
+        if rising:
+            return f"(({old} & 1) == 0 and ({new} & 1) == 1)"
+        return f"(({old} & 1) == 1 and ({new} & 1) == 0)"
 
-    def read_context(self) -> _ReadContext:
-        return _ReadContext()
-
-    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
-        return _emit_behavioral_fn(node, w)
+    def stmt(self, stmt: Stmt, ctx: _ReadContext, w: SourceWriter, pred: Optional[str]) -> None:
+        if isinstance(stmt, Assign):
+            _emit_assign(stmt, ctx, w)
+            return
+        if isinstance(stmt, If):
+            cond = _emit_expr(stmt.cond, ctx, w)
+            w.line(f"if {cond}:")
+            w.indent()
+            self.body(stmt.then_body, ctx, w, pred)
+            w.dedent()
+            if stmt.else_body:
+                w.line("else:")
+                w.indent()
+                self.body(stmt.else_body, ctx, w, pred)
+                w.dedent()
+            return
+        if isinstance(stmt, Case):
+            subject = w.as_temp(_emit_expr(stmt.subject, ctx, w))
+            conditions = []
+            for item in stmt.items:
+                labels = [_emit_expr(label, ctx, w) for label in item.labels]
+                conditions.append(" or ".join(f"{subject} == {lab}" for lab in labels))
+            for i, item in enumerate(stmt.items):
+                w.line(f"{'if' if i == 0 else 'elif'} {conditions[i]}:")
+                w.indent()
+                self.body(item.body, ctx, w, pred)
+                w.dedent()
+            if stmt.items:
+                if stmt.default:
+                    w.line("else:")
+                    w.indent()
+                    self.body(stmt.default, ctx, w, pred)
+                    w.dedent()
+            else:
+                self.body(stmt.default, ctx, w, pred)
+            return
+        raise SimulationError(f"cannot compile statement {stmt!r}")
 
     def rtl_node(
         self,
@@ -629,59 +596,9 @@ class _SerialBackend:
         code = _emit_expr(node.expr, ctx, w)
         w.line(f"_x = ({code}) & {node.output.mask}")
         w.line(f"if FA: _x = (_x | FO[{sid}]) & FN[{sid}]")
-        if stamp:
-            # scheduler commits keep their compare even in comb_once mode:
-            # it feeds the version stamps
-            w.line(f"if V[{sid}] != _x:")
-            w.line(
-                f"    V[{sid}] = _x; GC[0] = VER[{sid}] = GC[0] + 1"
-                + ("; ch = True" if track_change else "")
-            )
-        elif track_change:
-            w.line(f"if V[{sid}] != _x: V[{sid}] = _x; ch = True")
-        else:
-            w.line(f"V[{sid}] = _x")
+        _emit_commit(w, sid, track_change, stamp)
 
-    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
-        w.line("upd = []")
-        w.line(f"{fn_name}(V, M, FA, FO, FN, upd)")
-        w.line("if _publish(upd, V, M, FA, FO, FN, VER, GC): ch = True")
-
-    def fire_clocked(self, fn_names: Dict[int, str], w: SourceWriter) -> None:
-        design = self.design
-        clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
-        ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
-        w.line("def fire_clocked(V, M, EP, FA, FO, FN, VER, GC):")
-        w.indent()
-        if not clocked_nodes:
-            w.line("return False")
-        else:
-            act_names = []
-            for node in clocked_nodes:
-                terms = []
-                for edge in node.edges:
-                    ep = f"EP[{ep_index[edge.signal]}]"
-                    cur = f"V[{edge.signal.sid}]"
-                    if edge.kind is EdgeKind.POSEDGE:
-                        terms.append(f"(({ep} & 1) == 0 and ({cur} & 1) == 1)")
-                    else:
-                        terms.append(f"(({ep} & 1) == 1 and ({cur} & 1) == 0)")
-                act = f"_a{node.bid}"
-                act_names.append(act)
-                w.line(f"{act} = {' or '.join(terms)}")
-            for signal, i in ep_index.items():
-                w.line(f"EP[{i}] = V[{signal.sid}]")
-            w.line(f"if not ({' or '.join(act_names)}):")
-            w.line("    return False")
-            w.line("upd = []")
-            for node in clocked_nodes:
-                w.line(f"if _a{node.bid}: {fn_names[node.bid]}(V, M, FA, FO, FN, upd)")
-            w.line("_publish(upd, V, M, FA, FO, FN, VER, GC)")
-            w.line("return True")
-        w.dedent()
-        w.blank()
-
-    def assemble(self, body: str) -> str:
+    def header(self) -> str:
         design = self.design
         w = SourceWriter()
         w.line(f"# repro codegen kernel v{CODEGEN_VERSION}")
@@ -715,7 +632,7 @@ class _SerialBackend:
         w.line("return ch")
         w.dedent()
         w.blank()
-        return w.source() + body
+        return w.source()
 
 
 def generate_source(design: Design, passes: Optional[EmitterPasses] = None) -> str:
@@ -747,25 +664,30 @@ class _PackedReadContext(_ReadContext):
         return f"_mrd(M[{signal.sid}], {ovl}, {idx})"
 
 
-class _PackedEmitter:
+class _PackedEmitter(LaneBackend):
     """Emits the W-lane variant of the kernel for one design + layout.
 
     Backend for the shared emitter walk (:func:`repro.sim.emitter.emit_kernel`):
     bigint lane words, fully predicated control flow, pooled lane constants
     (the ``const_pool`` pass) and scheduler-stamped commits (the
-    ``event_scheduler`` pass).
+    ``event_scheduler`` pass).  A block function's ``p`` carries its
+    active-lane mask (clocked blocks: the lanes whose clock edged;
+    combinational blocks: every lane, ``_R1``); all its effects are blends
+    masked by ``p``, so inactive lanes pass through untouched.
     """
 
-    comb_params = "V, M, FB, FO, FN, VER, LS, GC"
+    context = _PackedReadContext
+    all_lanes = "_R1"
+    #: Updates are ``(sid, write_mask, word_index, value_in_place)`` tuples.
+    scalar_update = "({sid}, (p << {width}) - p, None, b{sid})"
+    memory_update = (
+        "for _k, _v in w{sid}.items():",
+        "({sid}, (p << {width}) - p, _k * _R1, _v)",
+    )
 
     def __init__(self, design: Design, layout: PackedLayout) -> None:
-        self.design = design
+        super().__init__(design)
         self.layout = layout
-        self._pool: Dict[int, str] = {}
-        self._pool_lines: List[str] = []
-
-    def read_context(self) -> "_PackedReadContext":
-        return _PackedReadContext()
 
     # -------------------------------------------------------- constant pool
     def repl(self, lane_value: int) -> str:
@@ -774,12 +696,7 @@ class _PackedEmitter:
             return "0"
         if lane_value == 1:
             return "_R1"
-        name = self._pool.get(lane_value)
-        if name is None:
-            name = f"_K{len(self._pool)}"
-            self._pool[lane_value] = name
-            self._pool_lines.append(f"{name} = _repl({lane_value})")
-        return name
+        return self.pooled(f"_repl({lane_value})")
 
     def rmask(self, width: int) -> str:
         return self.repl(mask(width))
@@ -963,13 +880,6 @@ class _PackedEmitter:
         raise SimulationError(f"cannot compile unary operator {op!r}")
 
     # ------------------------------------------------------------- statements
-    def body(self, body: List[Stmt], ctx: _ReadContext, w: SourceWriter, pred: str) -> None:
-        if not body:
-            w.line("pass")
-            return
-        for stmt in body:
-            self.stmt(stmt, ctx, w, pred)
-
     def stmt(self, stmt: Stmt, ctx: _ReadContext, w: SourceWriter, pred: str) -> None:
         if isinstance(stmt, Assign):
             self.assign(stmt, ctx, w, pred)
@@ -1086,40 +996,6 @@ class _PackedEmitter:
             w.line(f"n.append(({sid}, {pm}, None, {value}))")
 
     # ------------------------------------------------------------------ nodes
-    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
-        """One predicated flat function per behavioral block.
-
-        ``p`` carries the active-lane mask (clocked nodes: the lanes whose
-        clock actually edged; combinational nodes: every lane).  All effects
-        are blends masked by ``p``, so inactive lanes pass through untouched.
-        """
-        name = f"_bn{node.bid}"
-        scalars, memories = _blocking_targets(node)
-        ctx = _PackedReadContext(frozenset(scalars), frozenset(memories))
-        w.line(f"def {name}(V, M, FB, FO, FN, upd, p):")
-        w.indent()
-        for signal in sorted(scalars, key=lambda s: s.sid):
-            w.line(f"b{signal.sid} = V[{signal.sid}]")
-        for signal in sorted(memories, key=lambda s: s.sid):
-            w.line(f"w{signal.sid} = {{}}")
-        w.line("n = []")
-        self.body(node.body, ctx, w, "p")
-        for signal in sorted(scalars, key=lambda s: s.sid):
-            w.line(
-                f"upd.append(({signal.sid}, (p << {signal.width}) - p,"
-                f" None, b{signal.sid}))"
-            )
-        for signal in sorted(memories, key=lambda s: s.sid):
-            w.line(f"for _k, _v in w{signal.sid}.items():")
-            w.line(
-                f"    upd.append(({signal.sid}, (p << {signal.width}) - p,"
-                f" _k * _R1, _v))"
-            )
-        w.line("upd.extend(n)")
-        w.dedent()
-        w.blank()
-        return name
-
     def rtl_node(
         self,
         node: RtlNode,
@@ -1134,79 +1010,25 @@ class _PackedEmitter:
         code = self.expr(node.expr, ctx, w)
         w.line(f"_x = ({code}) & {self.rmask(node.output.width)}")
         w.line(f"if FB[{sid}]: _x = (_x | FO[{sid}]) & FN[{sid}]")
-        if stamp:
-            w.line(f"if V[{sid}] != _x:")
-            w.line(
-                f"    V[{sid}] = _x; GC[0] = VER[{sid}] = GC[0] + 1"
-                + ("; ch = True" if track_change else "")
-            )
-        elif track_change:
-            w.line(f"if V[{sid}] != _x: V[{sid}] = _x; ch = True")
-        else:
-            w.line(f"V[{sid}] = _x")
+        _emit_commit(w, sid, track_change, stamp)
 
     # ----------------------------------------------------------------- source
-    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
-        w.line("upd = []")
-        w.line(f"{fn_name}(V, M, FB, FO, FN, upd, _R1)")
-        w.line("if _publish(upd, V, M, FB, FO, FN, VER, GC): ch = True")
+    def edge(self, rising: bool, old: str, new: str) -> str:
+        if rising:
+            return f"(({old} ^ _R1) & {new} & _R1)"
+        return f"({old} & ({new} ^ _R1) & _R1)"
 
-    def fire_clocked(self, fn_names: Dict[int, str], fns: SourceWriter) -> None:
-        design = self.design
-        clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
-        ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
-        fns.line("def fire_clocked(V, M, EP, FB, FO, FN, VER, GC):")
-        fns.indent()
-        if not clocked_nodes:
-            fns.line("return False")
-        else:
-            act_names = []
-            for node in clocked_nodes:
-                terms = []
-                for edge in node.edges:
-                    ep = f"EP[{ep_index[edge.signal]}]"
-                    cur = f"V[{edge.signal.sid}]"
-                    if edge.kind is EdgeKind.POSEDGE:
-                        terms.append(f"(({ep} ^ _R1) & {cur} & _R1)")
-                    else:
-                        terms.append(f"({ep} & ({cur} ^ _R1) & _R1)")
-                act = f"_a{node.bid}"
-                act_names.append(act)
-                fns.line(f"{act} = {' | '.join(terms)}")
-            for signal, i in ep_index.items():
-                fns.line(f"EP[{i}] = V[{signal.sid}]")
-            fns.line(f"if not ({' | '.join(act_names)}):")
-            fns.line("    return False")
-            fns.line("upd = []")
-            for node in clocked_nodes:
-                fns.line(
-                    f"if _a{node.bid}:"
-                    f" {fn_names[node.bid]}(V, M, FB, FO, FN, upd, _a{node.bid})"
-                )
-            fns.line("_publish(upd, V, M, FB, FO, FN, VER, GC)")
-            fns.line("return True")
-        fns.dedent()
-        fns.blank()
-
-    def assemble(self, body: str) -> str:
-        design = self.design
+    def header(self) -> str:
         layout = self.layout
-        head = SourceWriter()
-        head.line(f"# repro packed codegen kernel v{PACKED_VERSION}")
-        head.line(f"# design: {design.name}")
-        head.line(f"# lanes={layout.lanes} stride={layout.stride}")
         # the lane constants and helpers become globals of the kernel, ahead
         # of the pool lines that call _repl
-        head.line(
+        return (
+            f"# repro packed codegen kernel v{PACKED_VERSION}\n"
+            f"# design: {self.design.name}\n"
+            f"# lanes={layout.lanes} stride={layout.stride}\n"
             "from repro.sim.packed_runtime import packed_runtime;"
-            f" globals().update(packed_runtime({layout.lanes}, {layout.stride}))"
+            f" globals().update(packed_runtime({layout.lanes}, {layout.stride}))\n\n"
         )
-        head.blank()
-        parts = [head.source()]
-        if self._pool_lines:
-            parts.append("\n".join(self._pool_lines) + "\n\n")
-        parts.append(body)
-        return "".join(parts)
 
 
 def generate_packed_source(
@@ -1270,7 +1092,7 @@ _VECTOR_CMP = {
 }
 
 
-class _VectorEmitter:
+class _VectorEmitter(LaneBackend):
     """Emits the lane-agnostic NumPy variant of the kernel for one design.
 
     Value representation: every ``w``-bit scalar is a ``(vector_planes(w), L)``
@@ -1296,27 +1118,22 @@ class _VectorEmitter:
     while ``comb_pass`` and ``_publish`` stamp only when the lanes changed.
     """
 
-    comb_params = "V, M, FB, FO, FN, VER, LS, GC"
-
-    def __init__(self, design: Design) -> None:
-        self.design = design
-        self._pool: Dict[Tuple[int, int], str] = {}
-        self._pool_lines: List[str] = []
-
-    def read_context(self) -> "_VectorReadContext":
-        return _VectorReadContext()
+    context = _VectorReadContext
+    all_lanes = "None"
+    any_lane = ".any()"
+    overlay = "None"
+    #: Updates are ``(sid, write_mask, word_index, value_in_place)`` tuples.
+    #: A memory overlay already carries the predicate (its writes were
+    #: masked), so committing it whole (word index ``True``) is exact for the
+    #: untouched lanes too.
+    scalar_update = "({sid}, p, None, b{sid})"
+    memory_update = ("if w{sid} is not None:", "({sid}, None, True, w{sid})")
 
     # -------------------------------------------------------- constant pool
     def pconst(self, value: int, planes: int) -> str:
         if planes == 1:
             return repr(value)
-        key = (value, planes)
-        name = self._pool.get(key)
-        if name is None:
-            name = f"_K{len(self._pool)}"
-            self._pool[key] = name
-            self._pool_lines.append(f"{name} = _kc({value}, {planes})")
-        return name
+        return self.pooled(f"_kc({value}, {planes})")
 
     def kconst(self, value: int, width: int) -> str:
         return self.pconst(value, vector_planes(width))
@@ -1587,15 +1404,6 @@ class _VectorEmitter:
         return f"np.any({code} != 0, axis=0, keepdims=True)"
 
     # ------------------------------------------------------------- statements
-    def body(
-        self, body: List[Stmt], ctx: _ReadContext, w: SourceWriter, pred: Optional[str]
-    ) -> None:
-        if not body:
-            w.line("pass")
-            return
-        for stmt in body:
-            self.stmt(stmt, ctx, w, pred)
-
     def stmt(
         self, stmt: Stmt, ctx: _ReadContext, w: SourceWriter, pred: Optional[str]
     ) -> None:
@@ -1753,36 +1561,13 @@ class _VectorEmitter:
             w.line(f"n.append(({sid}, {pc}, None, {value}))")
 
     # ------------------------------------------------------------------ nodes
-    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
-        """One predicated flat function per behavioral block.
+    def block_pred(self, node: BehavioralNode) -> Optional[str]:
+        """``p`` for a clocked block, ``None`` (all lanes, statically) otherwise.
 
-        Combinational nodes run under the statically-known all-lanes predicate
-        (``None``), clocked nodes under the boolean edge predicate ``p``; the
-        commit tuples carry the same predicate so :func:`_publish` blends only
-        the edged lanes.
+        The commit tuples carry the same predicate, so ``_publish`` blends
+        only the lanes whose clock edged.
         """
-        name = f"_bn{node.bid}"
-        scalars, memories = _blocking_targets(node)
-        ctx = _VectorReadContext(frozenset(scalars), frozenset(memories))
-        w.line(f"def {name}(V, M, FB, FO, FN, upd, p):")
-        w.indent()
-        for signal in sorted(scalars, key=lambda s: s.sid):
-            w.line(f"b{signal.sid} = V[{signal.sid}]")
-        for signal in sorted(memories, key=lambda s: s.sid):
-            w.line(f"w{signal.sid} = None")
-        w.line("n = []")
-        self.body(node.body, ctx, w, "p" if node.is_clocked else None)
-        for signal in sorted(scalars, key=lambda s: s.sid):
-            w.line(f"upd.append(({signal.sid}, p, None, b{signal.sid}))")
-        for signal in sorted(memories, key=lambda s: s.sid):
-            # the overlay already carries the predicate (writes were masked),
-            # so committing it whole is exact for the untouched lanes too
-            w.line(f"if w{signal.sid} is not None:")
-            w.line(f"    upd.append(({signal.sid}, None, True, w{signal.sid}))")
-        w.line("upd.extend(n)")
-        w.dedent()
-        w.blank()
-        return name
+        return "p" if node.is_clocked else None
 
     def rtl_node(
         self,
@@ -1815,65 +1600,22 @@ class _VectorEmitter:
             w.line(bump)
 
     # ----------------------------------------------------------------- source
-    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
-        w.line("upd = []")
-        w.line(f"{fn_name}(V, M, FB, FO, FN, upd, None)")
-        w.line("if _publish(upd, V, M, FB, FO, FN, VER, GC): ch = True")
+    def edge(self, rising: bool, old: str, new: str) -> str:
+        old, new = f"{old}[:1]", f"{new}[:1]"
+        if rising:
+            return f"((({old} & _T1) == 0) & (({new} & _T1) == 1))"
+        return f"((({old} & _T1) == 1) & (({new} & _T1) == 0))"
 
-    def fire_clocked(self, fn_names: Dict[int, str], fns: SourceWriter) -> None:
-        design = self.design
-        clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
-        ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
-        fns.line("def fire_clocked(V, M, EP, FB, FO, FN, VER, GC):")
-        fns.indent()
-        if not clocked_nodes:
-            fns.line("return False")
-        else:
-            act_names = []
-            for node in clocked_nodes:
-                terms = []
-                for edge in node.edges:
-                    ep = f"EP[{ep_index[edge.signal]}][:1]"
-                    cur = f"V[{edge.signal.sid}][:1]"
-                    if edge.kind is EdgeKind.POSEDGE:
-                        terms.append(f"((({ep} & _T1) == 0) & (({cur} & _T1) == 1))")
-                    else:
-                        terms.append(f"((({ep} & _T1) == 1) & (({cur} & _T1) == 0))")
-                act = f"_a{node.bid}"
-                act_names.append(act)
-                fns.line(f"{act} = {' | '.join(terms)}")
-            for signal, i in ep_index.items():
-                fns.line(f"EP[{i}] = V[{signal.sid}]")
-            fns.line(f"if not ({' | '.join(act_names)}).any():")
-            fns.line("    return False")
-            fns.line("upd = []")
-            for node in clocked_nodes:
-                fns.line(
-                    f"if _a{node.bid}.any():"
-                    f" {fn_names[node.bid]}(V, M, FB, FO, FN, upd, _a{node.bid})"
-                )
-            fns.line("_publish(upd, V, M, FB, FO, FN, VER, GC)")
-            fns.line("return True")
-        fns.dedent()
-        fns.blank()
-
-    def assemble(self, body: str) -> str:
-        design = self.design
-        head = SourceWriter()
-        head.line(f"# repro vector codegen kernel v{VECTOR_VERSION}")
-        head.line(f"# design: {design.name}")
-        head.line("# lane layout: fault-major columns of uint64 plane arrays;")
-        head.line("# the lane count is a runtime property of the value arrays,")
-        head.line("# so one cached module serves every campaign width")
-        head.line("import numpy as np")
-        head.blank()
-        head.line("from repro.sim.vector_runtime import *")
-        head.blank()
-        parts = [head.source()]
-        if self._pool_lines:
-            parts.append("\n".join(self._pool_lines) + "\n\n")
-        parts.append(body)
-        return "".join(parts)
+    def header(self) -> str:
+        return (
+            f"# repro vector codegen kernel v{VECTOR_VERSION}\n"
+            f"# design: {self.design.name}\n"
+            "# lane layout: fault-major columns of uint64 plane arrays;\n"
+            "# the lane count is a runtime property of the value arrays,\n"
+            "# so one cached module serves every campaign width\n"
+            "import numpy as np\n\n"
+            "from repro.sim.vector_runtime import *\n\n"
+        )
 
 
 def generate_vector_source(

@@ -1,11 +1,11 @@
 """The shared emitter core: one kernel walk, composable passes, one policy.
 
-:func:`emit_kernel` is the walk behind the serial, packed and vector kernels
-(the Eraser emitter shares its scheduler guard), :class:`EmitterPasses`
-holds the one pass toggle, and :func:`choose_engine` and
-:func:`resolve_engine` are the ``engine="auto"`` policy.
-``docs/emitter.md`` is the reference for the passes, the cache keys and the
-policy table.
+:func:`emit_kernel` is the walk behind all four generated kernels (serial,
+packed, vector and Eraser), :class:`LaneBackend` the kernel skeletons their
+backends share, :class:`EmitterPasses` holds the one pass toggle, and
+:func:`choose_engine` and :func:`resolve_engine` are the ``engine="auto"``
+policy.  ``docs/emitter.md`` is the reference for the passes, the cache keys
+and the policy table.
 """
 
 from __future__ import annotations
@@ -15,20 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
+from repro.ir.behavioral import BehavioralNode, EdgeKind
 from repro.ir.design import Design
 from repro.ir.rtlnode import RtlNode
 from repro.ir.signal import Signal
-
-#: Fixed order of the emitter passes (structural passes included).  Toggles
-#: ride in :class:`EmitterPasses`; the order itself is part of the generated
-#: source contract and is pinned by ``tests/test_emitter_passes.py``.
-PASS_ORDER: Tuple[str, ...] = (
-    "lane_layout",
-    "event_scheduler",
-    "comb_once",
-    "predication",
-    "const_pool",
-)
+from repro.ir.stmt import Assign, Stmt
 
 
 @dataclass(frozen=True)
@@ -37,7 +28,7 @@ class EmitterPasses:
 
     Instances are immutable and hashable, so a pass configuration can key
     memos and cache suffixes directly.  ``event_scheduler`` is honoured by
-    every backend (the eraser emitter always runs with it on); turning it off
+    every backend (the Eraser kernel always runs with it on); turning it off
     is how the perf gate's scheduler leg measures what it buys.
     """
 
@@ -183,31 +174,198 @@ def open_scheduler_guard(
     w.line(f"LS[{slot}] = GC[0]")
 
 
+def _by_sid(signals: Iterable[Signal]) -> List[Signal]:
+    return sorted(signals, key=lambda signal: signal.sid)
+
+
+class LaneBackend:
+    """The kernel skeletons the serial, packed and vector backends share.
+
+    A backend subclasses this and supplies only its spellings: ``context``
+    (its read-context class), ``force`` (the forcing parameter: ``FA``, one
+    flag per kernel, or ``FB``, one per signal), ``all_lanes`` (the
+    predicate a level-sensitive block runs under; ``None`` for the
+    unpredicated serial layout, whose block functions take no predicate),
+    ``join`` and ``any_lane`` (how activation flags combine, and the suffix
+    that reduces one to a truth value), ``overlay`` (a memory overlay's
+    seed), the update-tuple formats ``scalar_update`` and ``memory_update``
+    (see :meth:`close_block_fn`), and the methods ``edge(rising, old,
+    new)``, ``stmt(stmt, ctx, w, pred)``, ``rtl_node`` and ``header()``.
+    """
+
+    context: type
+    force = "FB"
+    all_lanes: Optional[str] = None
+    join = " | "
+    any_lane = ""
+    overlay = "{}"
+    scalar_update: str
+    memory_update: Tuple[str, str]
+
+    def __init__(self, design: Design) -> None:
+        self.design = design
+        #: The constant pool (the ``const_pool`` pass): defining expression -> name.
+        self._pool: Dict[str, str] = {}
+
+    @property
+    def comb_params(self) -> str:
+        return f"V, M, {self.force}, FO, FN, VER, LS, GC"
+
+    def read_context(self):
+        return self.context()
+
+    def pooled(self, init: str) -> str:
+        """The module-level name bound to ``init``, which runs once at import."""
+        name = self._pool.get(init)
+        if name is None:
+            name = self._pool[init] = f"_K{len(self._pool)}"
+        return name
+
+    def assemble(self, body: str) -> str:
+        """The module: the backend's header, the constant pool, then ``body``."""
+        pool = "".join(f"{name} = {init}\n" for init, name in self._pool.items())
+        return self.header() + (pool + "\n" if pool else "") + body
+
+    def body(self, stmts: List[Stmt], ctx, w: SourceWriter, pred: Optional[str]) -> None:
+        """A statement list under ``pred``; an empty list is ``pass``."""
+        if not stmts:
+            w.line("pass")
+        for stmt in stmts:
+            self.stmt(stmt, ctx, w, pred)
+
+    # -------------------------------------------------------- block functions
+    def block_call(self, fn_name: str, pred: Optional[str]) -> str:
+        """The call that runs block function ``fn_name`` on the lanes of ``pred``."""
+        args = "" if self.all_lanes is None else f", {pred}"
+        return f"{fn_name}(V, M, {self.force}, FO, FN, upd{args})"
+
+    def block_pred(self, node: BehavioralNode) -> Optional[str]:
+        """The predicate a block's body runs under: ``p``, the lanes it fires on."""
+        return "p"
+
+    def open_block_fn(self, w: SourceWriter, signature: str, node: BehavioralNode, context: type):
+        """Open one ``always``-block function and seed its blocking locals.
+
+        A blocking-written scalar lives in ``b<sid>``, seeded with the value
+        ``context`` reads; a blocking-written memory's words in the overlay
+        ``w<sid>``, seeded with ``overlay``; the non-blocking updates collect
+        in ``n``.  Returns the body's read context.
+        """
+        scalars: Set[Signal] = set()
+        memories: Set[Signal] = set()
+        for top in node.body:
+            for stmt in top.walk():
+                if isinstance(stmt, Assign) and stmt.blocking:
+                    target = stmt.lhs.signal
+                    (memories if target.is_memory else scalars).add(target)
+        ctx = context(frozenset(scalars), frozenset(memories))
+        w.line(f"def {signature}:")
+        w.indent()
+        for signal in _by_sid(scalars):
+            w.line(f"b{signal.sid} = {ctx.base_value(signal)}")
+        for signal in _by_sid(memories):
+            w.line(f"w{signal.sid} = {self.overlay}")
+        w.line("n = []")
+        return ctx
+
+    def close_block_fn(self, w: SourceWriter, ctx) -> None:
+        """Append the block's updates to ``upd``; the writer stays indented.
+
+        The final values of blocking-written signals come first, published
+        exactly like the interpreter's overlay: ``scalar_update`` formats one
+        scalar's tuple, ``memory_update`` is the loop (or test) over one
+        overlay and the tuple appended under it, both given ``sid`` and
+        ``width``.  The non-blocking updates follow in execution order.
+        """
+        for signal in _by_sid(ctx.blocking_scalars):
+            update = self.scalar_update.format(sid=signal.sid, width=signal.width)
+            w.line(f"upd.append({update})")
+        head, update = self.memory_update
+        for signal in _by_sid(ctx.blocking_mems):
+            w.line(head.format(sid=signal.sid))
+            w.line(f"    upd.append({update.format(sid=signal.sid, width=signal.width)})")
+        w.line("upd.extend(n)")
+
+    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
+        """One flat function per ``always`` block, appending its updates to ``upd``."""
+        name = f"_bn{node.bid}"
+        # the signature spells the call, with the lane predicate named p
+        ctx = self.open_block_fn(w, self.block_call(name, "p"), node, self.context)
+        self.body(node.body, ctx, w, self.block_pred(node))
+        self.close_block_fn(w, ctx)
+        w.dedent()
+        w.blank()
+        return name
+
+    # ------------------------------------------------------------ the regions
+    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
+        w.line("upd = []")
+        w.line(self.block_call(fn_name, self.all_lanes))
+        w.line(f"if _publish(upd, V, M, {self.force}, FO, FN, VER, GC): ch = True")
+
+    def fire_clocked(self, fn_names: Dict[int, str], w: SourceWriter) -> None:
+        """The clocked (NBA) region: edge detection, then the blocks that fired.
+
+        Every block that fired runs on the pre-commit state, and one
+        ``_publish`` commits all their updates.
+        """
+        design = self.design
+        clocked = [node for node in design.behavioral_nodes if node.is_clocked]
+        ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
+        w.line(f"def fire_clocked(V, M, EP, {self.force}, FO, FN, VER, GC):")
+        w.indent()
+        if not clocked:
+            w.line("return False")
+        else:
+            for node in clocked:
+                terms = [
+                    self.edge(
+                        edge.kind is EdgeKind.POSEDGE,
+                        f"EP[{ep_index[edge.signal]}]",
+                        f"V[{edge.signal.sid}]",
+                    )
+                    for edge in node.edges
+                ]
+                w.line(f"_a{node.bid} = {self.join.join(terms)}")
+            for signal, i in ep_index.items():
+                w.line(f"EP[{i}] = V[{signal.sid}]")
+            fired = self.join.join(f"_a{node.bid}" for node in clocked)
+            w.line(f"if not ({fired}){self.any_lane}:")
+            w.line("    return False")
+            w.line("upd = []")
+            for node in clocked:
+                act = f"_a{node.bid}"
+                call = self.block_call(fn_names[node.bid], act)
+                w.line(f"if {act}{self.any_lane}: {call}")
+            w.line(f"_publish(upd, V, M, {self.force}, FO, FN, VER, GC)")
+            w.line("return True")
+        w.dedent()
+        w.blank()
+
+
 def emit_kernel(design: Design, backend, passes: Optional[EmitterPasses] = None) -> str:
     """The one walk behind every generated kernel: schedule + behavioral nodes.
 
     ``backend`` supplies the lane layout (how a value is represented and how
-    one node's update is emitted); this function owns everything the three
-    historical emitters used to duplicate: the levelized order, the
-    settle skeleton, the scheduler-guard scaffolding, the acyclic
-    ``comb_once`` decision and the final assembly.  The backend protocol
-    (duck-typed; see ``_SerialBackend`` and friends in
-    :mod:`repro.sim.codegen`):
+    one node's update is emitted); this function owns the levelized order,
+    the settle skeleton, the scheduler guards, the acyclic ``comb_once``
+    decision and the final assembly.  The backend protocol is duck-typed;
+    :class:`LaneBackend` implements it for the serial, packed and vector
+    layouts, and the Eraser backend extends the serial one:
 
     * ``comb_params`` — the parameter list of ``comb_pass``/``comb_once``
       (always ending in ``VER, LS, GC`` — the uniform kernel ABI; with the
       ``event_scheduler`` pass off the settle simply never reads ``LS``).
     * ``read_context()`` — the expression read-resolution context.
-    * ``behavioral_fn(node, w)`` — emit one ``always``-block function, return
-      its name.
+    * ``behavioral_fn(node, w)`` — emit the functions of one ``always``
+      block, return the name its calls use.
     * ``rtl_node(node, ctx, w, track_change=..., stamp=...)`` — emit one RTL
       node update; ``stamp`` asks commits to bump the version stamps.
     * ``comb_block_call(node, fn_name, w)`` — emit the level-sensitive
       call + publish lines inside ``comb_pass``.
     * ``fire_clocked(fn_names, w)`` — emit the clocked (NBA) region.
     * ``assemble(body)`` — wrap the emitted functions with the module head
-      (the serial ``_publish``, or the packed or vector runtime import) and
-      the constant pool.
+      and the constant pool.
 
     Returns the complete module source.
     """

@@ -10,9 +10,13 @@ machine and once per divergent fault, and every behavioral activation runs
 the statement interpreter.
 
 This module emits the same concurrent semantics as design-specialized Python
-source, the way :mod:`repro.sim.codegen` does for the single-machine engines:
+source through the walk the other generated kernels share
+(:func:`~repro.sim.emitter.emit_kernel`).  Its backend, ``_EraserBackend``,
+extends the serial one of :mod:`repro.sim.codegen` (the good machine is a
+serial machine) with the divergence overlays:
 
-* ``comb_pass``     — one flat levelized pass fusing the good-value update of
+* the settle — ``comb_once`` on feed-forward designs, ``comb_pass``
+  otherwise — is one flat levelized pass fusing the good-value update of
   every RTL node with its per-fault divergence deltas: the good expression is
   compiled inline over the flat value list ``V``, the *affected* fault set is
   collected from the (compile-time known) read signals' divergence dicts, and
@@ -55,20 +59,8 @@ from repro.ir.behavioral import BehavioralNode, EdgeKind
 from repro.ir.design import Design
 from repro.ir.rtlnode import RtlNode
 from repro.ir.signal import Signal, split_reads
-from repro.sim.codegen import (
-    _blocking_targets,
-    _emit_body,
-    _emit_expr,
-    _ReadContext,
-    load_kernel_variant,
-)
-from repro.sim.emitter import (
-    SourceWriter,
-    edge_signals,
-    open_scheduler_guard,
-    rtl_acyclic,
-    rtl_schedule,
-)
+from repro.sim.codegen import _emit_expr, _ReadContext, _SerialBackend, load_kernel_variant
+from repro.sim.emitter import SourceWriter, edge_signals, emit_kernel
 from repro.sim.engine import ForceHook, GeneratedEngine
 from repro.sim.stimulus import Stimulus
 
@@ -83,7 +75,9 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
 #: packed caches survive eraser-emitter changes, and vice versa).
 #: v3: the helpers are imported from :mod:`repro.sim.eraser_runtime`, not
 #: pasted in.
-ERASER_VERSION = 3
+#: v4: emitted by the shared walk, so a feed-forward design's kernel ships
+#: ``comb_once`` *instead of* ``comb_pass``, never both.
+ERASER_VERSION = 4
 
 
 # ------------------------------------------------------------- read contexts
@@ -116,163 +110,6 @@ class _BehavioralFaultContext(_ReadContext):
 
 
 # ------------------------------------------------------------------- emitter
-def _emit_behavioral(node: BehavioralNode, w: SourceWriter, fault_view: bool) -> str:
-    """One execution function for an ``always`` block (flat, view-selected).
-
-    ``fault_view=False`` emits the good machine's execution over ``V``;
-    ``fault_view=True`` emits the per-fault variant reading through the
-    divergence overlays (extra ``D``/``MD``/``_f`` parameters and
-    fault-valued blocking-scalar seeds); everything else — body emission,
-    update-tuple shapes and their ordering (blocking scalars whole, then
-    blocking memory words, then non-blocking updates in execution order,
-    exactly like the interpreter's overlay publication) — is shared, so the
-    two views can never drift apart.
-    """
-    name = f"_bf{node.bid}" if fault_view else f"_bg{node.bid}"
-    scalars, memories = _blocking_targets(node)
-    if fault_view:
-        ctx: _ReadContext = _BehavioralFaultContext(
-            frozenset(scalars), frozenset(memories)
-        )
-        w.line(f"def {name}(V, M, D, MD, _f):")
-    else:
-        ctx = _ReadContext(frozenset(scalars), frozenset(memories))
-        w.line(f"def {name}(V, M):")
-    w.indent()
-    for signal in sorted(scalars, key=lambda s: s.sid):
-        w.line(f"b{signal.sid} = {ctx.base_value(signal)}")
-    for signal in sorted(memories, key=lambda s: s.sid):
-        w.line(f"w{signal.sid} = {{}}")
-    w.line("n = []")
-    _emit_body(node.body, ctx, w)
-    w.line("upd = []")
-    for signal in sorted(scalars, key=lambda s: s.sid):
-        w.line(f"upd.append(({signal.sid}, None, None, None, b{signal.sid}))")
-    for signal in sorted(memories, key=lambda s: s.sid):
-        w.line(f"for _k, _v in w{signal.sid}.items():")
-        w.line(f"    upd.append(({signal.sid}, None, None, _k, _v))")
-    w.line("upd.extend(n)")
-    w.line("return upd")
-    w.dedent()
-    w.blank()
-    return name
-
-
-def _emit_rtl_node(
-    design: Design,
-    node: RtlNode,
-    slot: int,
-    good_ctx: _ReadContext,
-    w: SourceWriter,
-    track_change: bool = True,
-) -> None:
-    """Good-value update fused with the per-fault divergence delta loop.
-
-    The whole node is wrapped in a compiled change guard: every commit bumps
-    the global commit counter ``GC[0]`` and stamps it into ``VER[sid]``, and
-    the node re-evaluates only when some *read* carries a stamp newer than
-    its own last-evaluation stamp ``LS[slot]`` (taken at evaluation START, so
-    a commit landing later in the same pass — a comb always block feeding an
-    RTL assign, a levelization-broken combinational loop, the node's own
-    self-loop write — is ordered after it and re-fires it on the next pass).
-    This is the event-driven scheduling of the interpreted engine compiled
-    down to a few integer compares: quiescent logic — including *stably
-    divergent* faults — costs nothing per pass, and forward levelized flow
-    pays no spurious confirm evaluations (drivers commit before their readers
-    run).  The output's own divergence dict never needs to re-trigger the
-    node: it only changes through this node's commit or through
-    ``drop_faults``, which purges the dict directly.
-
-    Within an evaluation, only faults divergent on a read (or previously
-    divergent on the output) re-evaluate the expression; a site fault with no
-    divergent reads provably computes the good value, so it is forced
-    straight from ``_x`` without touching the expression at all — the
-    compiled form of the paper's execution-redundancy elimination on RTL
-    nodes.
-
-    ``track_change=False`` is the acyclic single-pass mode: no ``ch`` flag is
-    maintained (one levelized pass *is* the fixed point), though commits keep
-    their compare so the version stamps stay exact.
-    """
-    out = node.output
-    sid = out.sid
-    read_scalars, read_memories = split_reads(node.reads)
-
-    # constant nodes (no reads) evaluate once, then only drops can matter —
-    # and drops purge divergence dicts directly, no re-evaluation needed
-    open_scheduler_guard(w, slot, node.reads)
-
-    code = _emit_expr(node.expr, good_ctx, w)
-    w.line(f"_x = ({code}) & {out.mask}")
-    w.line(f"if FA: _x = (_x | FO[{sid}]) & FN[{sid}]")
-
-    # hoist the divergence sources: the read signals' divergence dicts plus
-    # the output's own (so re-converged faults get cleared)
-    div_names: List[str] = []
-    hoisted = set()
-    for signal in read_scalars + [out]:
-        if signal.sid in hoisted or signal.is_memory:
-            continue
-        hoisted.add(signal.sid)
-        w.line(f"_d{signal.sid} = D[{signal.sid}]")
-        div_names.append(f"_d{signal.sid}")
-    for signal in read_memories:
-        w.line(f"_m{signal.sid} = MD[{signal.sid}]")
-        div_names.append(f"_m{signal.sid}")
-    w.line(f"_s{sid} = SITES[{sid}]")
-
-    def commit() -> None:
-        w.line(f"if V[{sid}] != _x or _d{sid} != _nd:")
-        w.line(
-            f"    V[{sid}] = _x; D[{sid}] = _nd; GC[0] = VER[{sid}] = GC[0] + 1"
-            + ("; ch = True" if track_change else "")
-        )
-
-    w.line(f"if {' or '.join(div_names)}:")
-    w.indent()
-    w.line(f"_a = set(_d{sid})")
-    for name in div_names:
-        if name != f"_d{sid}":
-            w.line(f"_a.update({name})")
-    for signal in read_scalars:
-        w.line(f"_g{signal.sid} = V[{signal.sid}]")
-    w.line("_nd = {}")
-    w.line("for _f in _a:")
-    w.indent()
-    for signal in read_scalars:
-        w.line(f"_r{signal.sid} = _d{signal.sid}.get(_f, _g{signal.sid})")
-    for signal in read_memories:
-        w.line(f"_mf{signal.sid} = _m{signal.sid}.get(_f)")
-    fault_ctx = _RtlFaultContext()
-    fcode = _emit_expr(node.expr, fault_ctx, w)
-    w.line(f"_v = ({fcode}) & {out.mask}")
-    w.line(f"_st = _s{sid}.get(_f)")
-    w.line("if _st is not None: _v = (_v | _st[0]) & _st[1]")
-    w.line("if _v != _x: _nd[_f] = _v")
-    w.dedent()
-    w.line(f"if _s{sid}:")
-    w.line(f"    for _f, _st in _s{sid}.items():")
-    w.line("        if _f not in _a:")
-    w.line("            _v = (_x | _st[0]) & _st[1]")
-    w.line("            if _v != _x: _nd[_f] = _v")
-    commit()
-    w.dedent()
-    w.line(f"elif _s{sid}:")
-    w.indent()
-    w.line("_nd = {}")
-    w.line(f"for _f, _st in _s{sid}.items():")
-    w.line("    _v = (_x | _st[0]) & _st[1]")
-    w.line("    if _v != _x: _nd[_f] = _v")
-    commit()
-    w.dedent()
-    w.line(f"elif V[{sid}] != _x:")
-    w.line(
-        f"    V[{sid}] = _x; GC[0] = VER[{sid}] = GC[0] + 1"
-        + ("; ch = True" if track_change else "")
-    )
-    w.dedent()
-
-
 def _emit_considered(node: BehavioralNode, w: SourceWriter, seed: Optional[str]) -> str:
     """Emit the divergence-aware guard: the set of faults that must execute.
 
@@ -305,149 +142,243 @@ def _emit_considered(node: BehavioralNode, w: SourceWriter, seed: Optional[str])
     return "_c"
 
 
-def generate_eraser_source(design: Design) -> str:
-    """Emit the specialized concurrent (Eraser) simulation module."""
-    design.check_finalized()
-    w = SourceWriter()
-    w.line(f"# repro eraser (concurrent) codegen kernel v{ERASER_VERSION}")
-    w.line(f"# design: {design.name}")
-    w.line(
-        f"# signals={len(design.signals)} rtl={len(design.rtl_nodes)}"
-        f" behavioral={len(design.behavioral_nodes)}"
-    )
-    w.blank()
-    head = w.source()
+class _EraserBackend(_SerialBackend):
+    """The concurrent layout: the serial good machine plus per-fault divergences.
 
-    fns = SourceWriter()
-    comb_nodes = [n for n in design.behavioral_nodes if not n.is_clocked]
-    clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
+    Statements and expressions compile as in the serial layout; the fault
+    views read through the divergence overlays instead.  The kernel always
+    runs the event scheduler, so every commit stamps ``VER``.
+    """
 
-    good_names: Dict[int, str] = {}
-    fault_names: Dict[int, str] = {}
-    for node in design.behavioral_nodes:
-        good_names[node.bid] = _emit_behavioral(node, fns, fault_view=False)
-        fault_names[node.bid] = _emit_behavioral(node, fns, fault_view=True)
+    comb_params = "V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC"
 
-    # --- one flat levelized pass: good values fused with divergence deltas --
-    schedule = rtl_schedule(design)
-    slots = {node.nid: i for i, node in enumerate(schedule)}
-    comb_slots = {node.bid: len(schedule) + i for i, node in enumerate(comb_nodes)}
-    fns.line("def comb_pass(V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC):")
-    fns.indent()
-    fns.line("ch = False")
-    good_ctx = _ReadContext()
-    for node in schedule:
-        _emit_rtl_node(design, node, slots[node.nid], good_ctx, fns)
-    for node in comb_nodes:
+    def behavioral_fn(self, node: BehavioralNode, w: SourceWriter) -> str:
+        """The good view ``_bg<bid>`` and the fault view ``_bf<bid>`` of one block.
+
+        The good view executes over ``V``; the fault view reads through the
+        divergence overlays (extra ``D``/``MD``/``_f`` parameters and
+        fault-valued blocking-scalar seeds).  Body emission, update-tuple
+        shapes and their ordering are shared, so the two views can never
+        drift apart.  Returns the good view's name.
+        """
+        for signature, context in (
+            (f"_bg{node.bid}(V, M)", _ReadContext),
+            (f"_bf{node.bid}(V, M, D, MD, _f)", _BehavioralFaultContext),
+        ):
+            ctx = self.open_block_fn(w, signature, node, context)
+            self.body(node.body, ctx, w, None)
+            w.line("upd = []")
+            self.close_block_fn(w, ctx)
+            w.line("return upd")
+            w.dedent()
+            w.blank()
+        return f"_bg{node.bid}"
+
+    def rtl_node(
+        self,
+        node: RtlNode,
+        ctx: _ReadContext,
+        w: SourceWriter,
+        track_change: bool = True,
+        stamp: bool = True,
+    ) -> None:
+        """Good-value update fused with the per-fault divergence delta loop.
+
+        The walk's scheduler guard around the node makes quiescent logic —
+        including *stably divergent* faults — cost nothing per pass.  The
+        output's own divergence dict never needs to re-trigger the node: it
+        only changes through this node's commit or through ``drop_faults``,
+        which purges the dict directly (so a constant node evaluates once).
+
+        Within an evaluation, only faults divergent on a read (or previously
+        divergent on the output) re-evaluate the expression; a site fault with
+        no divergent reads provably computes the good value, so it is forced
+        straight from ``_x`` without touching the expression at all — the
+        compiled form of the paper's execution-redundancy elimination on RTL
+        nodes.
+
+        ``track_change=False`` is the ``comb_once`` mode: no ``ch`` flag is
+        maintained (one levelized pass *is* the fixed point), though commits
+        keep their compare so the version stamps stay exact.
+        """
+        out = node.output
+        sid = out.sid
+        read_scalars, read_memories = split_reads(node.reads)
+
+        code = _emit_expr(node.expr, ctx, w)
+        w.line(f"_x = ({code}) & {out.mask}")
+        w.line(f"if FA: _x = (_x | FO[{sid}]) & FN[{sid}]")
+
+        # hoist the divergence sources: the read signals' divergence dicts plus
+        # the output's own (so re-converged faults get cleared)
+        div_names: List[str] = []
+        hoisted = set()
+        for signal in read_scalars + [out]:
+            if signal.sid in hoisted or signal.is_memory:
+                continue
+            hoisted.add(signal.sid)
+            w.line(f"_d{signal.sid} = D[{signal.sid}]")
+            div_names.append(f"_d{signal.sid}")
+        for signal in read_memories:
+            w.line(f"_m{signal.sid} = MD[{signal.sid}]")
+            div_names.append(f"_m{signal.sid}")
+        w.line(f"_s{sid} = SITES[{sid}]")
+
+        def commit() -> None:
+            w.line(f"if V[{sid}] != _x or _d{sid} != _nd:")
+            w.line(
+                f"    V[{sid}] = _x; D[{sid}] = _nd; GC[0] = VER[{sid}] = GC[0] + 1"
+                + ("; ch = True" if track_change else "")
+            )
+
+        w.line(f"if {' or '.join(div_names)}:")
+        w.indent()
+        w.line(f"_a = set(_d{sid})")
+        for name in div_names:
+            if name != f"_d{sid}":
+                w.line(f"_a.update({name})")
+        for signal in read_scalars:
+            w.line(f"_g{signal.sid} = V[{signal.sid}]")
+        w.line("_nd = {}")
+        w.line("for _f in _a:")
+        w.indent()
+        for signal in read_scalars:
+            w.line(f"_r{signal.sid} = _d{signal.sid}.get(_f, _g{signal.sid})")
+        for signal in read_memories:
+            w.line(f"_mf{signal.sid} = _m{signal.sid}.get(_f)")
+        fault_ctx = _RtlFaultContext()
+        fcode = _emit_expr(node.expr, fault_ctx, w)
+        w.line(f"_v = ({fcode}) & {out.mask}")
+        w.line(f"_st = _s{sid}.get(_f)")
+        w.line("if _st is not None: _v = (_v | _st[0]) & _st[1]")
+        w.line("if _v != _x: _nd[_f] = _v")
+        w.dedent()
+        w.line(f"if _s{sid}:")
+        w.line(f"    for _f, _st in _s{sid}.items():")
+        w.line("        if _f not in _a:")
+        w.line("            _v = (_x | _st[0]) & _st[1]")
+        w.line("            if _v != _x: _nd[_f] = _v")
+        commit()
+        w.dedent()
+        w.line(f"elif _s{sid}:")
+        w.indent()
+        w.line("_nd = {}")
+        w.line(f"for _f, _st in _s{sid}.items():")
+        w.line("    _v = (_x | _st[0]) & _st[1]")
+        w.line("    if _v != _x: _nd[_f] = _v")
+        commit()
+        w.dedent()
+        w.line(f"elif V[{sid}] != _x:")
+        w.line(
+            f"    V[{sid}] = _x; GC[0] = VER[{sid}] = GC[0] + 1"
+            + ("; ch = True" if track_change else "")
+        )
+
+    def comb_block_call(self, node: BehavioralNode, fn_name: str, w: SourceWriter) -> None:
         # level-sensitive blocks re-execute when a read changed (the
         # interpreted engine's comb_fanout scheduling, compiled)
-        open_scheduler_guard(fns, comb_slots[node.bid], node.reads)
-        fns.line(f"_u = {good_names[node.bid]}(V, M)")
-        considered = _emit_considered(node, fns, seed=None)
-        fns.line("_fu = {}")
-        fns.line(f"for _f in {considered}:")
-        fns.line(f"    _fu[_f] = {fault_names[node.bid]}(V, M, D, MD, _f)")
-        fns.line(
+        w.line(f"_u = {fn_name}(V, M)")
+        considered = _emit_considered(node, w, seed=None)
+        w.line("_fu = {}")
+        w.line(f"for _f in {considered}:")
+        w.line(f"    _fu[_f] = _bf{node.bid}(V, M, D, MD, _f)")
+        w.line(
             "if _apply_outcomes(((_u, _fu, _ES),),"
             " V, M, D, MD, SITES, FA, FO, FN, VER, GC):"
         )
-        fns.line("    ch = True")
-        fns.dedent()
-    fns.line("return ch")
-    fns.dedent()
-    fns.blank()
+        w.line("    ch = True")
 
-    # feed-forward designs (no comb always blocks, acyclic RTL) reach the
-    # combinational fixed point — divergences included — in ONE levelized
-    # pass: emit a variant with no change flag so the engine can skip the
-    # confirm pass entirely (commits keep their compare: it feeds the
-    # version stamps)
-    if not comb_nodes and rtl_acyclic(design):
-        fns.line("def comb_once(V, M, D, MD, SITES, FA, FO, FN, VER, LS, GC):")
-        fns.indent()
-        for node in schedule:
-            _emit_rtl_node(
-                design, node, slots[node.nid], good_ctx, fns, track_change=False
-            )
-        fns.line("return False")
-        fns.dedent()
-        fns.blank()
+    def fire_clocked(self, fn_names: Dict[int, str], w: SourceWriter) -> None:
+        """The clocked (NBA) region: compiled activation scheduling."""
+        design = self.design
+        clocked_nodes = [n for n in design.behavioral_nodes if n.is_clocked]
+        ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
+        w.line("def fire_clocked(V, M, D, MD, EP, EPD, SITES, FA, FO, FN, VER, GC):")
+        w.indent()
+        if not clocked_nodes:
+            w.line("return False")
+        else:
+            # per-node activation: good edge flag, faults that saw their own edge
+            # (_sn) and faults divergent on a transitioning sensitivity signal
+            # (_cd); the difference _cd - _sn is the holder set
+            for node in clocked_nodes:
+                bid = node.bid
+                w.line(f"_g{bid} = False")
+                w.line(f"_sn{bid} = set()")
+                w.line(f"_cd{bid} = set()")
+                for edge in node.edges:
+                    sid = edge.signal.sid
+                    i = ep_index[edge.signal]
+                    w.line(f"_og = EP[{i}]; _od = EPD[{i}]")
+                    w.line(f"_ng = V[{sid}]; _nd = D[{sid}]")
+                    w.line("if _og != _ng or _od != _nd:")
+                    w.indent()
+                    if edge.kind is EdgeKind.POSEDGE:
+                        w.line("if (_og & 1) == 0 and (_ng & 1) == 1:")
+                    else:
+                        w.line("if (_og & 1) == 1 and (_ng & 1) == 0:")
+                    w.line(f"    _g{bid} = True")
+                    w.line("if _od or _nd:")
+                    w.indent()
+                    w.line("for _f in set(_od) | set(_nd):")
+                    w.indent()
+                    w.line(f"_cd{bid}.add(_f)")
+                    w.line("_of = _od.get(_f, _og); _nf = _nd.get(_f, _ng)")
+                    if edge.kind is EdgeKind.POSEDGE:
+                        w.line("if (_of & 1) == 0 and (_nf & 1) == 1:")
+                    else:
+                        w.line("if (_of & 1) == 1 and (_nf & 1) == 0:")
+                    w.line(f"    _sn{bid}.add(_f)")
+                    w.dedent()
+                    w.dedent()
+                    w.dedent()
+            for signal, i in ep_index.items():
+                w.line(f"EP[{i}] = V[{signal.sid}]")
+                w.line(f"EPD[{i}] = D[{signal.sid}]")
+            active = " or ".join(f"_g{n.bid} or _sn{n.bid}" for n in clocked_nodes)
+            w.line(f"if not ({active}):")
+            w.line("    return False")
+            # execute every active node first (pre-commit state), apply all after:
+            # the NBA region semantics shared with the interpreted engine
+            w.line("_out = []")
+            for node in clocked_nodes:
+                bid = node.bid
+                w.line(f"if _g{bid}:")
+                w.indent()
+                w.line(f"_h = _cd{bid} - _sn{bid}")
+                considered = _emit_considered(node, w, seed=f"_sn{bid}")
+                w.line(f"if _h: {considered} -= _h")
+                w.line("_fu = {}")
+                w.line(f"for _f in {considered}:")
+                w.line(f"    _fu[_f] = _bf{bid}(V, M, D, MD, _f)")
+                w.line(f"_out.append(({fn_names[bid]}(V, M), _fu, _h))")
+                w.dedent()
+                w.line(f"elif _sn{bid}:")
+                w.indent()
+                w.line("_fu = {}")
+                w.line(f"for _f in _sn{bid}:")
+                w.line(f"    _fu[_f] = _bf{bid}(V, M, D, MD, _f)")
+                w.line("_out.append((None, _fu, _ES))")
+                w.dedent()
+            w.line("_apply_outcomes(_out, V, M, D, MD, SITES, FA, FO, FN, VER, GC)")
+            w.line("return True")
+        w.dedent()
+        w.blank()
 
-    # --- the clocked (NBA) region: compiled activation scheduling -----------
-    ep_index = {signal: i for i, signal in enumerate(edge_signals(design))}
-    fns.line("def fire_clocked(V, M, D, MD, EP, EPD, SITES, FA, FO, FN, VER, GC):")
-    fns.indent()
-    if not clocked_nodes:
-        fns.line("return False")
-    else:
-        # per-node activation: good edge flag, faults that saw their own edge
-        # (_sn) and faults divergent on a transitioning sensitivity signal
-        # (_cd); the difference _cd - _sn is the holder set
-        for node in clocked_nodes:
-            bid = node.bid
-            fns.line(f"_g{bid} = False")
-            fns.line(f"_sn{bid} = set()")
-            fns.line(f"_cd{bid} = set()")
-            for edge in node.edges:
-                sid = edge.signal.sid
-                i = ep_index[edge.signal]
-                fns.line(f"_og = EP[{i}]; _od = EPD[{i}]")
-                fns.line(f"_ng = V[{sid}]; _nd = D[{sid}]")
-                fns.line("if _og != _ng or _od != _nd:")
-                fns.indent()
-                if edge.kind is EdgeKind.POSEDGE:
-                    fns.line("if (_og & 1) == 0 and (_ng & 1) == 1:")
-                else:
-                    fns.line("if (_og & 1) == 1 and (_ng & 1) == 0:")
-                fns.line(f"    _g{bid} = True")
-                fns.line("if _od or _nd:")
-                fns.indent()
-                fns.line("for _f in set(_od) | set(_nd):")
-                fns.indent()
-                fns.line(f"_cd{bid}.add(_f)")
-                fns.line("_of = _od.get(_f, _og); _nf = _nd.get(_f, _ng)")
-                if edge.kind is EdgeKind.POSEDGE:
-                    fns.line("if (_of & 1) == 0 and (_nf & 1) == 1:")
-                else:
-                    fns.line("if (_of & 1) == 1 and (_nf & 1) == 0:")
-                fns.line(f"    _sn{bid}.add(_f)")
-                fns.dedent()
-                fns.dedent()
-                fns.dedent()
-        for signal, i in ep_index.items():
-            fns.line(f"EP[{i}] = V[{signal.sid}]")
-            fns.line(f"EPD[{i}] = D[{signal.sid}]")
-        active = " or ".join(f"_g{n.bid} or _sn{n.bid}" for n in clocked_nodes)
-        fns.line(f"if not ({active}):")
-        fns.line("    return False")
-        # execute every active node first (pre-commit state), apply all after:
-        # the NBA region semantics shared with the interpreted engine
-        fns.line("_out = []")
-        for node in clocked_nodes:
-            bid = node.bid
-            fns.line(f"if _g{bid}:")
-            fns.indent()
-            fns.line(f"_h = _cd{bid} - _sn{bid}")
-            considered = _emit_considered(node, fns, seed=f"_sn{bid}")
-            fns.line(f"if _h: {considered} -= _h")
-            fns.line("_fu = {}")
-            fns.line(f"for _f in {considered}:")
-            fns.line(f"    _fu[_f] = {fault_names[node.bid]}(V, M, D, MD, _f)")
-            fns.line(f"_out.append(({good_names[node.bid]}(V, M), _fu, _h))")
-            fns.dedent()
-            fns.line(f"elif _sn{bid}:")
-            fns.indent()
-            fns.line("_fu = {}")
-            fns.line(f"for _f in _sn{bid}:")
-            fns.line(f"    _fu[_f] = {fault_names[node.bid]}(V, M, D, MD, _f)")
-            fns.line("_out.append((None, _fu, _ES))")
-            fns.dedent()
-        fns.line("_apply_outcomes(_out, V, M, D, MD, SITES, FA, FO, FN, VER, GC)")
-        fns.line("return True")
-    fns.dedent()
-    fns.blank()
+    def header(self) -> str:
+        design = self.design
+        return (
+            f"# repro eraser (concurrent) codegen kernel v{ERASER_VERSION}\n"
+            f"# design: {design.name}\n"
+            f"# signals={len(design.signals)} rtl={len(design.rtl_nodes)}"
+            f" behavioral={len(design.behavioral_nodes)}\n\n"
+            "from repro.sim.eraser_runtime import *\n\n\n"
+        )
 
-    return head + "from repro.sim.eraser_runtime import *\n\n\n" + fns.source()
+
+def generate_eraser_source(design: Design) -> str:
+    """Emit the specialized concurrent (Eraser) simulation module."""
+    return emit_kernel(design, _EraserBackend(design))
 
 
 def load_eraser_kernel(design: Design, use_cache: bool = True):

@@ -1,12 +1,14 @@
 """Pass-level tests for the unified emitter core (``repro.sim.emitter``).
 
-The three codegen targets (serial / packed / vector) share one emitter walk
-parameterized by :class:`~repro.sim.emitter.EmitterPasses`.  This module pins
-the pass machinery itself:
+The four generated kernels (serial / packed / vector / Eraser) share one
+emitter walk; the three lane layouts are parameterized by
+:class:`~repro.sim.emitter.EmitterPasses`.  This module pins the pass
+machinery itself:
 
 * the one toggle, the event scheduler, can be turned off and its footprint
   in the generated source disappears with it,
-* the pass order is stable (it is part of the cache-key contract),
+* every kernel ships exactly one settle function, ``comb_once`` or
+  ``comb_pass``,
 * golden snapshots of the generated source for one tiny design per target,
   keyed by the emitter format version — a version bump re-seeds them,
 * each pass configuration owns a distinct cache suffix, and the corrupt/
@@ -35,10 +37,10 @@ from repro.sim.codegen import (
 )
 from repro.sim.emitter import (
     DEFAULT_PASSES,
-    PASS_ORDER,
     EmitterPasses,
     coerce_passes,
 )
+from repro.sim.eraser_codegen import generate_eraser_source
 from repro.sim.vector import np as _vector_np
 
 
@@ -57,17 +59,6 @@ _CONFIGS = (DEFAULT_PASSES, EmitterPasses(event_scheduler=False))
 
 
 # ------------------------------------------------------------- pass plumbing
-def test_pass_order_is_stable():
-    """PASS_ORDER is a published contract (cache suffixes depend on it)."""
-    assert PASS_ORDER == (
-        "lane_layout",
-        "event_scheduler",
-        "comb_once",
-        "predication",
-        "const_pool",
-    )
-
-
 def test_default_passes_everything_on():
     assert DEFAULT_PASSES == EmitterPasses()
     assert DEFAULT_PASSES.event_scheduler
@@ -109,17 +100,21 @@ def test_event_scheduler_toggle_footprint(counter_design, target):
     assert "VER[" in scheduled
 
 
-@pytest.mark.parametrize("target", sorted(_TARGETS))
+#: Every kernel's default-pass source generator: the targets plus the Eraser kernel.
+_KERNELS = {**_TARGETS, "eraser": generate_eraser_source}
+
+
+@pytest.mark.parametrize("target", sorted(_KERNELS))
 def test_comb_once_requires_acyclic_pure_rtl(counter_design, mux_design, target):
     """A kernel ships the single-pass settle or the looped one, never both.
 
     The feed-forward counter gets ``comb_once``; a design with comb
     behavioral blocks never does.
     """
-    once = _TARGETS[target](counter_design)
+    once = _KERNELS[target](counter_design)
     assert "def comb_once(" in once
     assert "def comb_pass(" not in once
-    source = _TARGETS[target](mux_design)
+    source = _KERNELS[target](mux_design)
     assert "def comb_once(" not in source
     assert "def comb_pass(" in source
 

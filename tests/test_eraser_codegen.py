@@ -208,7 +208,7 @@ def test_cache_key_distinct_from_serial(counter_design):
     """Eraser sources never collide with the serial/packed cache entries."""
     _, source, fingerprint, _ = load_eraser_kernel(counter_design, use_cache=False)
     assert fingerprint == design_fingerprint(counter_design)
-    assert "comb_pass" in source and "_apply_outcomes" in source
+    assert "comb_once" in source and "_apply_outcomes" in source
 
 
 def test_corrupt_cache_regenerates(counter_design, tmp_path, monkeypatch):
@@ -219,7 +219,7 @@ def test_corrupt_cache_regenerates(counter_design, tmp_path, monkeypatch):
     entry.write_text("this is not python $$$", encoding="utf-8")
     engine = EraserCodegenEngine(counter_design)
     assert engine.cache_hit is False
-    assert "comb_pass" in engine.source
+    assert "comb_once" in engine.source
 
 
 def test_generated_source_is_deterministic(counter_design):

@@ -113,6 +113,21 @@ def test_corpus_kernel_sources_match_their_digests(digests):
     assert not drifted, f"generated sources drifted without a version bump: {drifted}"
 
 
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_every_corpus_kernel_ships_one_settle_function(name):
+    """Each pinned variant defines ``comb_once`` or ``comb_pass``, never both.
+
+    The engines call ``comb_once`` when a kernel defines it, so a
+    ``comb_pass`` beside it is dead code every kernel compiles.
+    """
+    design = get_benchmark(name).compile()
+    settles = {}
+    for variant, generate in _VARIANTS.items():
+        source = generate(design)
+        settles[variant] = [fn for fn in ("comb_once", "comb_pass") if f"\ndef {fn}(" in source]
+    assert all(len(fns) == 1 for fns in settles.values()), settles
+
+
 def test_packed_sources_carry_their_geometry(digests):
     """A 9-lane and a 513-lane kernel of one design are different texts.
 
